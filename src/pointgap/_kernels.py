@@ -8,9 +8,10 @@ The backend is chosen once at import time from the environment variable
 * ``numpy``: force the pure-numpy implementations.
 
 Both implementations are always importable (``*_numpy`` names, and ``*_numba``
-when numba is present) so tests and ``benchmarks/bench_kernels.py`` can compare
-them directly.  The public names ``assemble_dense``, ``mode_weights`` and
-``scan_states`` point at the selected backend.
+when numba is present) so tests can compare them directly, and
+``python3 perfbench/run.py`` times either backend end to end.  The public
+names ``assemble_dense``, ``mode_weights`` and ``scan_states`` point at the
+selected backend.
 """
 
 from __future__ import annotations

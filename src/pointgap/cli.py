@@ -117,6 +117,8 @@ def _winding_payload(result, sector, e_ref):
         "winding": result.value,
         "raw_phase_change": result.raw_phase_change,
         "gap_margin": result.gap_margin,
+        "margin_theta": result.margin_theta,
+        "max_phase_step": result.max_phase_step,
         "grid_size_used": result.grid_size_used,
     }
 
@@ -179,7 +181,10 @@ def run_skin(cfg, outdir):
                               pprofiles)
         artifacts.append("product_occupations.csv")
 
-    w = many_body_winding(cfg.params, cfg.sector, cfg.e_ref, cfg.n_grid)
+    # the twisted flow above holds the winding's own matrices' spectra
+    spectra = bs.flow_spectra if cfg.params.bc == "twisted" else None
+    w = many_body_winding(cfg.params, cfg.sector, cfg.e_ref, cfg.n_grid,
+                          spectra=spectra)
     _write_json(os.path.join(outdir, "winding.json"),
                 _winding_payload(w, cfg.sector, cfg.e_ref))
     sens = {
@@ -199,9 +204,10 @@ def run_deform(cfg, outdir):
                               cfg.n_grid, cfg.e_ref)
     write_deform_csv(os.path.join(outdir, "deform.csv"), dflow)
     points = []
-    for s in dflow.path_values:
+    for s, flow in zip(dflow.path_values, dflow.flows):
         p = deformation_params(cfg.params, cfg.path, float(s))
-        w = many_body_winding(p, cfg.sector, cfg.e_ref, cfg.n_grid)
+        w = many_body_winding(p, cfg.sector, cfg.e_ref, cfg.n_grid,
+                              spectra=flow.spectra)
         points.append({"s": float(s), "winding": w.value,
                        "gap_margin": w.gap_margin})
     payload = {

@@ -9,8 +9,12 @@ occupation observables.
 
 from __future__ import annotations
 
+import ctypes
+import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
@@ -18,6 +22,13 @@ from scipy.linalg import lu_factor, lu_solve
 RESIDUAL_RTOL = 1e-8
 DEGENERACY_TOL = 1e-8
 SINGULARITY_RTOL = 1e-12
+
+# Below this matrix dimension one BLAS thread beats two.  Measured on 2 cores
+# with OpenBLAS 0.3.31: a complex LU takes 1.0 ms on one thread and 1.2 ms
+# (at twice the CPU) on two at d = 182, against 590 ms and 340 ms at d = 2000;
+# a chain (5,+1) winding at d = 728 took 12.5 s on one thread and 12.9-13.6 s
+# (23-24 s CPU) on two.  The chain sectors in between are d = 728 and 2002.
+BLAS_THREAD_CROSSOVER_DIM = 1000
 
 
 class SpectralError(Exception):
@@ -266,7 +277,11 @@ def logdet_phase(matrix, e_ref: complex = 0.0):
 
 
 def sigma_min_from_factors(factors, dim: int, iters: int = 8) -> float:
-    """Inverse-iteration estimate of the smallest singular value behind an LU."""
+    """Inverse-iteration estimate of the smallest singular value behind an LU.
+
+    The iteration converges to sigma_min from above, so after ``iters`` steps
+    the value is an estimate, not a bound.
+    """
     v = np.full(dim, 1.0 / np.sqrt(dim), dtype=complex)
     growth = 0.0
     for _ in range(iters):
@@ -282,12 +297,81 @@ def sigma_min_from_factors(factors, dim: int, iters: int = 8) -> float:
 def smallest_singular_estimate(matrix, e_ref: complex = 0.0, iters: int = 8) -> float:
     """Estimated smallest singular value of M - e_ref.
 
-    Cheap certificate that the reference energy is spectrally isolated; for
-    any matrix the smallest singular value lower-bounds the distance from
-    e_ref to the spectrum.
+    For any matrix the exact smallest singular value lower-bounds the
+    distance from e_ref to the spectrum.  This inverse-iteration value
+    approaches it from above and can overshoot it severalfold, so it is an
+    estimate of that distance scale, not a bound on it.
     """
     a = np.asarray(getattr(matrix, "entries", matrix), dtype=complex)
     if a.shape[0] == 0:
         return np.inf
     factors, _ = factor_shifted(a, e_ref)
     return sigma_min_from_factors(factors, a.shape[0], iters)
+
+
+# ---------------------------------------------------------------------------
+# BLAS thread count
+# ---------------------------------------------------------------------------
+
+def _openblas_function(lib, stem, argtypes, restype):
+    # exported names differ by build: plain OpenBLAS, scipy-openblas (32-bit
+    # integers) and scipy-openblas64 (symbol suffix "64_")
+    for prefix in ("scipy_openblas_", "openblas_"):
+        for suffix in ("64_", ""):
+            fn = getattr(lib, f"{prefix}{stem}{suffix}", None)
+            if fn is not None:
+                fn.argtypes = argtypes
+                fn.restype = restype
+                return fn
+    return None
+
+
+@lru_cache(maxsize=1)
+def openblas_thread_controls():
+    """(get_num_threads, set_num_threads) of every OpenBLAS in this process.
+
+    numpy and scipy each bundle their own OpenBLAS.  Both are loaded once
+    this module is imported, so the first lookup is kept.  Empty where no
+    OpenBLAS is found (another BLAS, or no /proc/self/maps).
+    """
+    paths = []
+    try:
+        with open("/proc/self/maps") as fh:
+            for line in fh:
+                path = line.split()[-1]
+                name = os.path.basename(path)
+                if "openblas" in name and ".so" in name and path not in paths:
+                    paths.append(path)
+    except OSError:
+        return ()
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)  # already mapped: returns the loaded handle
+        except OSError:
+            continue
+        get = _openblas_function(lib, "get_num_threads", [], ctypes.c_int)
+        set_ = _openblas_function(lib, "set_num_threads", [ctypes.c_int], None)
+        if get is not None and set_ is not None:
+            controls.append((get, set_))
+    return tuple(controls)
+
+
+@contextmanager
+def blas_threads_for(dim: int):
+    """Run the body on one BLAS thread when ``dim`` is below the crossover.
+
+    Every loaded OpenBLAS is pinned to one thread and its old count restored
+    on exit, exceptions included.  At or above ``BLAS_THREAD_CROSSOVER_DIM``,
+    or when no OpenBLAS is found, nothing changes.  Thread counts are
+    process-wide, so the pin is meant for one computation at a time.
+    """
+    controls = openblas_thread_controls() if dim < BLAS_THREAD_CROSSOVER_DIM else ()
+    saved = [get() for get, _ in controls]
+    for _, set_threads in controls:
+        set_threads(1)
+    try:
+        yield
+    finally:
+        for (_, set_threads), n in zip(controls, saved):
+            set_threads(n)

@@ -7,6 +7,7 @@ import pytest
 from pointgap.cli import execute, main
 from pointgap.models import DotParams
 from pointgap.presets import PRESETS, ConfigError, config_from_dict, preset_config
+from pointgap.spectral import theta_grid
 
 
 def _cfg(**kw):
@@ -100,6 +101,14 @@ def test_run_winding_one_body(tmp_path):
     assert payload["sector"] is None
     assert payload["winding"] == 0
     assert payload["spin_winding"] == [1, 1]
+    _check_margin_keys(payload, 64)
+
+
+def _check_margin_keys(payload, n_grid):
+    """winding.json names the base-grid theta of the smallest margin and the
+    largest accepted phase step."""
+    assert payload["margin_theta"] in list(theta_grid(n_grid))
+    assert 0.0 <= payload["max_phase_step"] <= np.pi / 2
 
 
 def test_run_skin_outputs(tmp_path):
@@ -113,6 +122,12 @@ def test_run_skin_outputs(tmp_path):
     winding = json.loads((tmp_path / "winding.json").read_text())
     assert winding["sector"] == [3, -1]
     assert winding["winding"] == 0
+    _check_margin_keys(winding, 32)
+    # the margin comes from the twisted flow written beside it
+    flow = np.loadtxt(tmp_path / "flow.csv", delimiter=",", skiprows=1)
+    dists = np.hypot(flow[:, 2], flow[:, 3])
+    assert winding["gap_margin"] == dists.min()
+    assert winding["margin_theta"] == flow[np.argmin(dists), 0]
     assert manifest["summary"]["hausdorff_obc_pbc"] == pytest.approx(1.0, abs=1e-6)
 
 

@@ -169,6 +169,6 @@ def test_smallest_singular_estimate():
     est = smallest_singular_estimate(a, 0.1j, iters=30)
     exact = np.linalg.svd(a - 0.1j * np.eye(30), compute_uv=False)[-1]
     assert abs(est - exact) / exact < 1e-6
-    # lower-bounds the distance from the reference to the spectrum
+    # converged after 30 steps, it lower-bounds the distance to the spectrum
     dist = np.abs(np.linalg.eigvals(a) - 0.1j).min()
     assert est <= dist * (1 + 1e-9)

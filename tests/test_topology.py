@@ -13,6 +13,7 @@ from pointgap.models import (
     one_body_sz,
 )
 from pointgap.oracles import CircleFlow, circle_flow_winding
+from pointgap.spectral import openblas_thread_controls
 from pointgap.topology import (
     GapClosedError,
     SpinSymmetryError,
@@ -164,3 +165,148 @@ def test_gap_closed_error_for_many_body():
     # the localized level sits exactly at i(eps_b_up + eps_b_dn): reference on it
     with pytest.raises(GapClosedError):
         many_body_winding(FIG_DOT, (2, -1), 1j * (0.35 - 0.25), n_grid=32)
+
+
+# ---------------------------------------------------------------------------
+# gap margins over the base grid
+# ---------------------------------------------------------------------------
+
+def test_phase_tracker_labels_every_base_point():
+    from pointgap.spectral import theta_grid
+    from pointgap.topology import _PhaseTracker
+
+    for n_grid in (64, 256):
+        seen = []
+        turns = 3 * n_grid // 8  # 3 pi / 4 per grid step: every step refined once
+
+        def phase(theta, k):
+            seen.append((theta, k))
+            return float(np.angle(np.exp(1j * turns * theta)))
+        total = _PhaseTracker(phase, n_grid).run()
+        assert round(total / (2 * np.pi)) == turns
+        base = [(t, k) for t, k in seen if k is not None]
+        assert [k for _, k in base] == list(range(n_grid + 1))
+        assert [t for t, _ in base] == list(theta_grid(n_grid))
+        assert len(seen) == 2 * n_grid + 1  # one midpoint per step, no index
+
+
+@pytest.mark.parametrize("n_grid", [64, 256])
+@pytest.mark.parametrize("case", ["chain-nonnormal", "dot-tied"])
+def test_margin_equals_brute_force_minimum(n_grid, case):
+    """The pruned margin is the minimum of eigvals distances over all
+    n_grid + 1 base-grid points, bit for bit, at the lowest minimizing theta."""
+    from pointgap.models import chain_model, dot_model
+    from pointgap.spectral import blas_threads_for, theta_grid
+
+    if case == "chain-nonnormal":
+        params, sector, ref = ChainParams(length=7, t=1.0, j=1.0, v=1.0), (3, -1), 0.0
+        model = chain_model(params, *sector)
+    else:
+        # J = V = 0: diagonal matrices, the static level 0.1i is nearest at every theta
+        params, sector, ref = FIG_DOT, (2, -1), 0.0
+        model = dot_model(params, *sector)
+    grid = theta_grid(n_grid)
+    with blas_threads_for(model.dim):
+        dists = [float(np.abs(np.linalg.eigvals(model(t)) - ref).min()) for t in grid]
+    res = many_body_winding(params, sector, ref, n_grid=n_grid)
+    assert res.gap_margin == min(dists)
+    assert res.margin_theta == grid[int(np.argmin(dists))]
+    if case == "dot-tied":
+        assert len(set(dists)) == 1 and res.margin_theta == 0.0
+
+
+def test_margin_from_given_spectra():
+    from pointgap.models import chain_model
+    from pointgap.spectral import sweep_theta
+
+    p = ChainParams(length=7, t=1.0, j=1.0, v=1.0)
+    flow = sweep_theta(chain_model(p, 3, -1), 64)
+    given = many_body_winding(p, (3, -1), 0.0, n_grid=64, spectra=flow.spectra)
+    pruned = many_body_winding(p, (3, -1), 0.0, n_grid=64)
+    assert given.gap_margin == flow.gap_margin(0.0) == pruned.gap_margin
+    assert given.margin_theta == pruned.margin_theta
+    assert given.value == pruned.value
+    with pytest.raises(ValueError, match="rows"):
+        many_body_winding(p, (3, -1), 0.0, n_grid=32, spectra=flow.spectra)
+
+
+# ---------------------------------------------------------------------------
+# one BLAS thread for small sectors
+# ---------------------------------------------------------------------------
+
+def _thread_counts():
+    # the binding imported at the top survives monkeypatching of the module's
+    return [get() for get, _ in openblas_thread_controls()]
+
+
+@pytest.fixture
+def two_blas_threads():
+    """Every OpenBLAS at two threads for the test, the old counts after."""
+    controls = openblas_thread_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS found in this process")
+    saved = _thread_counts()
+    for _, set_threads in controls:
+        set_threads(2)
+    yield _thread_counts()
+    for (_, set_threads), n in zip(controls, saved):
+        set_threads(n)
+
+
+def _record_threads_during_lu(monkeypatch):
+    """Thread counts seen by each LU of a winding."""
+    import pointgap.topology as topology
+
+    seen = []
+    original = topology.factor_shifted
+
+    def recording(a, ref):
+        seen.append(_thread_counts())
+        return original(a, ref)
+    monkeypatch.setattr(topology, "factor_shifted", recording)
+    return seen
+
+
+def test_small_sector_wound_on_one_thread(two_blas_threads, monkeypatch):
+    seen = _record_threads_during_lu(monkeypatch)
+    p = ChainParams(length=7, t=1.0, j=1.0, v=1.0)
+    many_body_winding(p, (3, -1), 0.0, n_grid=32)
+    assert seen and all(counts == [1] * len(counts) for counts in seen)
+    assert _thread_counts() == two_blas_threads
+
+
+def test_thread_counts_restored_after_gap_closing(two_blas_threads, monkeypatch):
+    seen = _record_threads_during_lu(monkeypatch)
+    # the a-up level lambda e^{i theta} + 0.2i passes -1 + 0.2i at theta = pi
+    with pytest.raises(GapClosedError) as info:
+        many_body_winding(FIG_DOT, (1, -1), -1.0 + 0.2j, n_grid=32)
+    assert 0.0 < info.value.theta < 2 * np.pi
+    assert len(seen) > 1  # raised mid-sweep, under the pin
+    assert _thread_counts() == two_blas_threads
+
+
+def test_sector_at_crossover_keeps_thread_counts(two_blas_threads, monkeypatch):
+    import pointgap.spectral as spectral
+
+    monkeypatch.setattr(spectral, "BLAS_THREAD_CROSSOVER_DIM", 28)
+    seen = _record_threads_during_lu(monkeypatch)
+    p = ChainParams(length=7, t=1.0)
+    many_body_winding(p, (3, -1), 0.0, n_grid=32)  # d = 28
+    assert seen and all(counts == two_blas_threads for counts in seen)
+    assert _thread_counts() == two_blas_threads
+
+
+def test_pin_is_noop_without_openblas(two_blas_threads, monkeypatch):
+    import pointgap.spectral as spectral
+
+    monkeypatch.setattr(spectral, "openblas_thread_controls", lambda: ())
+    seen = _record_threads_during_lu(monkeypatch)
+    res = many_body_winding(ChainParams(length=7, t=1.0), (3, -1), 0.0, n_grid=32)
+    assert res.value == 0
+    assert seen and all(counts == two_blas_threads for counts in seen)
+    assert _thread_counts() == two_blas_threads
+
+
+def test_empty_sector_rejected():
+    with pytest.raises(ValueError, match="empty"):
+        many_body_winding(FIG_DOT, (0, -1), 0.5, n_grid=16)
