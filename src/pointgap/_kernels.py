@@ -10,8 +10,7 @@ The backend is chosen once at import time from the environment variable
 Both implementations are always importable (``*_numpy`` names, and ``*_numba``
 when numba is present) so tests can compare them directly, and
 ``python3 perfbench/run.py`` times either backend end to end.  The public
-names ``assemble_dense``, ``mode_weights`` and ``scan_states`` point at the
-selected backend.
+names ``mode_weights`` and ``scan_states`` point at the selected backend.
 """
 
 from __future__ import annotations
@@ -40,22 +39,6 @@ if _CHOICE in {"auto", "numba"}:
 KERNEL_BACKEND = "numba" if _HAVE_NUMBA else "numpy"
 
 
-# ---------------------------------------------------------------------------
-# dense scatter-assembly: out[r, c] += amp * phase[slot]
-# ---------------------------------------------------------------------------
-
-def assemble_dense_numpy(rows, cols, amps, slots, phases, out):
-    """Accumulate sparse terms into a (zeroed) dense matrix.
-
-    ``phases`` maps each term's phase slot to the complex factor for the
-    current twist angle; duplicate (row, col) pairs accumulate.
-    """
-    out.reshape(-1)[:] = 0.0
-    vals = amps * phases[slots]
-    np.add.at(out.reshape(-1), rows * out.shape[1] + cols, vals)
-    return out
-
-
 def mode_weights_numpy(states, probs, n_modes):
     """Per-mode occupation weights: w[k, m] = sum_s bit(states[s], m) * probs[s, k].
 
@@ -82,15 +65,6 @@ def scan_states_numpy(n_modes, n_fermions, parity, up_mask, cmasks, ccounts):
 
 
 if _HAVE_NUMBA:
-
-    @numba.njit(cache=True)
-    def assemble_dense_numba(rows, cols, amps, slots, phases, out):
-        dim1 = out.shape[1]
-        flat = out.reshape(-1)
-        flat[:] = 0.0
-        for i in range(rows.shape[0]):
-            flat[rows[i] * dim1 + cols[i]] += amps[i] * phases[slots[i]]
-        return out
 
     @numba.njit(cache=True)
     def mode_weights_numba(states, probs, n_modes):
@@ -134,10 +108,8 @@ if _HAVE_NUMBA:
             n += 1
         return n
 
-    assemble_dense = assemble_dense_numba
     mode_weights = mode_weights_numba
     scan_states = scan_states_numba
 else:
-    assemble_dense = assemble_dense_numpy
     mode_weights = mode_weights_numpy
     scan_states = scan_states_numpy

@@ -18,7 +18,8 @@ link (``gauge="distributed"``); the two are related by a gauge transformation
 and share their spectrum.
 
 Matrices are assembled from a precomputed sparse term list, so sweeping theta
-costs one dense scatter per angle.
+costs one dense scatter per angle.  They are Fortran-ordered, the layout
+LAPACK works in, so a factorization can take a copy of one as it is.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from functools import lru_cache
 import numpy as np
 
 from . import fock
-from ._kernels import assemble_dense
 from .fock import (
     ModeLayout,
     SectorBasis,
@@ -233,11 +233,14 @@ class SectorModel:
     def matrix(self, theta: float) -> ManyBodyMatrix:
         eff = self.freeze_theta if self.freeze_theta is not None else theta
         rows, cols, amps, slots = self._coo
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        if len(rows):
-            assemble_dense(rows, cols, amps, slots,
-                           phase_table(eff, self.length), out)
-        return ManyBodyMatrix(self.basis.sector, self.dim, out, theta)
+        d = self.dim
+        out = np.zeros((d, d), dtype=complex, order="F")
+        # out.T is a C-contiguous view, so reshape(-1) is a view too (on out
+        # itself it would be a copy); entry (r, c) sits at flat index c*d + r.
+        # Duplicate (row, col) pairs accumulate.
+        np.add.at(out.T.reshape(-1), cols * d + rows,
+                  amps * phase_table(eff, self.length)[slots])
+        return ManyBodyMatrix(self.basis.sector, d, out, theta)
 
     def __call__(self, theta: float) -> np.ndarray:
         return self.matrix(theta).entries

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import ctypes
 import os
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
@@ -120,14 +119,6 @@ def eigendecompose(matrix) -> EigenSolution:
     return EigenSolution(values, vectors, residuals, defective)
 
 
-def parallel_map(fn, items, workers: int = 1):
-    """Order-preserving map, threaded when workers > 1 (LAPACK releases the GIL)."""
-    if workers <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 @dataclass
 class SpectralFlow:
     """Eigenvalue trajectories over an ordered parameter grid."""
@@ -148,8 +139,7 @@ def theta_grid(n_grid: int) -> np.ndarray:
     return np.linspace(0.0, 2.0 * np.pi, n_grid + 1)
 
 
-def sweep_theta(matrix_fn, n_grid: int, path_label: str = "theta-sweep",
-                workers: int = 1) -> SpectralFlow:
+def sweep_theta(matrix_fn, n_grid: int, path_label: str = "theta-sweep") -> SpectralFlow:
     """Eigenvalues at theta_k = 2 pi k / n_grid for k = 0..n_grid (inclusive).
 
     ``matrix_fn(theta)`` must return the dense matrix; each spectrum is sorted
@@ -166,7 +156,7 @@ def sweep_theta(matrix_fn, n_grid: int, path_label: str = "theta-sweep",
             raise EigensolverError(f"eigensolver failed at theta={theta:.6f}") from exc
         return values[np.lexsort((values.imag, values.real))]
 
-    spectra = np.array(parallel_map(solve, grid, workers))
+    spectra = np.array([solve(theta) for theta in grid])
     return SpectralFlow(grid, spectra, path_label)
 
 
@@ -217,16 +207,14 @@ def sweep_deformation(base, path: str, sector, n_path: int, n_grid: int,
     Reports the minimum over the whole (path, theta) grid of the distance
     between the spectrum and the reference energy.
     """
-    from .models import build_dot_many_body, dot_sector_basis
+    from .models import dot_model
 
-    basis = dot_sector_basis(*sector)
     svals = np.linspace(0.0, 1.0, n_path + 1)
     flows = []
     margin = np.inf
     for s in svals:
-        p = deformation_params(base, path, float(s))
-        flow = sweep_theta(lambda th, p=p: build_dot_many_body(p, th, basis).entries,
-                           n_grid, path_label=f"{path} s={s:.4f}")
+        model = dot_model(deformation_params(base, path, float(s)), *sector)
+        flow = sweep_theta(model, n_grid, path_label=f"{path} s={s:.4f}")
         margin = min(margin, flow.gap_margin(e_ref))
         flows.append(flow)
     return DeformationFlow(path, svals, flows, e_ref, float(margin))
@@ -240,12 +228,28 @@ def _wrap_phase(phi: float) -> float:
     return float(out)
 
 
+def shifted_copy(matrix, e_ref: complex) -> np.ndarray:
+    """M - e_ref as a new Fortran-ordered array; M is left unchanged.
+
+    The only d x d allocation is the copy: the shift is subtracted from its
+    diagonal in place.
+    """
+    shifted = np.array(getattr(matrix, "entries", matrix), dtype=complex, order="F")
+    # shifted.T is C-contiguous, so its flat view steps along the diagonal
+    shifted.T.reshape(-1)[:: shifted.shape[0] + 1] -= e_ref
+    return shifted
+
+
 def factor_shifted(matrix, e_ref: complex):
-    """Pivoted LU of (M - e_ref), plus the Frobenius scale of the shift."""
-    a = np.asarray(getattr(matrix, "entries", matrix), dtype=complex)
-    shifted = a - e_ref * np.eye(a.shape[0])
+    """Pivoted LU of (M - e_ref), plus the Frobenius scale of the shift.
+
+    Makes exactly one copy of M (``shifted_copy``) and LU-factors that copy
+    in place, so M is left unchanged and at most two d x d buffers, M and
+    the factors, are live.
+    """
+    shifted = shifted_copy(matrix, e_ref)
     scale = np.linalg.norm(shifted)
-    return lu_factor(shifted, check_finite=False), scale
+    return lu_factor(shifted, overwrite_a=True, check_finite=False), scale
 
 
 def phase_from_factors(factors, scale: float, e_ref: complex):

@@ -31,6 +31,7 @@ from .spectral import (
     blas_threads_for,
     factor_shifted,
     phase_from_factors,
+    shifted_copy,
     sigma_min_from_factors,
     theta_grid,
 )
@@ -155,10 +156,7 @@ def _sigma_lower_bound(a, ref):
     sigma_min is within the SVD's; the allowance covers both.  -inf when the
     SVD fails.
     """
-    shifted = a - ref * np.eye(a.shape[0])
-    # the transpose has the same singular values and is Fortran-ordered, so
-    # LAPACK works on it in place
-    _, s, _, info = zgesdd(shifted.T, compute_uv=0, overwrite_a=1)
+    _, s, _, info = zgesdd(shifted_copy(a, ref), compute_uv=0, overwrite_a=1)
     if info != 0:
         return -np.inf
     norm = s[0] + abs(ref)  # >= |a|_2

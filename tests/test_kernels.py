@@ -6,9 +6,9 @@ import pytest
 
 from pointgap import _kernels as K
 from pointgap.fock import chain_layout, edge_b_constraints
-from pointgap.models import ChainParams, chain_sector_basis, chain_terms, phase_table, terms_to_coo
+from pointgap.models import ChainParams, chain_sector_basis, chain_terms, terms_to_coo
 
-HAS_NUMBA = hasattr(K, "assemble_dense_numba")
+HAS_NUMBA = hasattr(K, "mode_weights_numba")
 
 pytestmark = pytest.mark.skipif(not HAS_NUMBA, reason="numba not installed")
 
@@ -19,27 +19,6 @@ def chain_coo():
     basis = chain_sector_basis(p, 3, -1)
     lay, terms = chain_terms(p)
     return lay, basis, terms_to_coo(terms, basis)
-
-
-def test_assemble_backends_agree(chain_coo):
-    lay, basis, (rows, cols, amps, slots) = chain_coo
-    phases = phase_table(1.37, 5)
-    a = K.assemble_dense_numpy(rows, cols, amps, slots, phases,
-                               np.zeros((basis.dim, basis.dim), complex))
-    b = K.assemble_dense_numba(rows, cols, amps, slots, phases,
-                               np.zeros((basis.dim, basis.dim), complex))
-    np.testing.assert_allclose(a, b, atol=0, rtol=0)
-
-
-def test_assemble_accumulates_duplicates():
-    rows = np.array([0, 0], dtype=np.int64)
-    cols = np.array([0, 0], dtype=np.int64)
-    amps = np.array([1.0 + 0j, 2.0 + 0j])
-    slots = np.array([0, 0], dtype=np.int64)
-    out = np.zeros((1, 1), complex)
-    for fn in (K.assemble_dense_numpy, K.assemble_dense_numba):
-        fn(rows, cols, amps, slots, phase_table(0.0), out)
-        assert out[0, 0] == 3.0
 
 
 def test_mode_weights_backends_agree(chain_coo):
@@ -69,7 +48,7 @@ def test_env_flag_selects_numpy_backend():
 
     code = ("import pointgap._kernels as K; "
             "assert K.KERNEL_BACKEND == 'numpy'; "
-            "assert K.assemble_dense is K.assemble_dense_numpy")
+            "assert K.mode_weights is K.mode_weights_numpy")
     subprocess.run([sys.executable, "-c", code], check=True,
                    env={**os.environ, "POINTGAP_KERNELS": "numpy"})
 

@@ -3,9 +3,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from pointgap.fock import dot_layout
 from pointgap.models import (
+    P_ONE,
+    P_PLUS,
     ChainParams,
     DotParams,
+    SectorModel,
     build_chain_many_body,
     build_chain_one_body,
     build_dot_many_body,
@@ -166,6 +170,20 @@ def test_incompatible_chain_sector_errors():
 def test_dot_empty_sector_gives_empty_matrix():
     m = build_dot_many_body(FIG_DOT, 0.0, (0, -1))
     assert m.dim == 0 and m.entries.shape == (0, 0)
+
+
+def test_sector_matrix_accumulates_duplicate_entries():
+    # two terms on one (row, col) add up instead of overwriting each other
+    lay = dot_layout()
+    a_up = lay.mode(0, "a", "up")
+    number = ((a_up, True), (a_up, False))
+    basis = dot_sector_basis(1, -1)
+    model = SectorModel(lay, [(1.0, P_ONE, number), (2.0j, P_PLUS, number)], basis)
+    m = model.matrix(0.5).entries
+    occupied = np.array([(int(s) >> a_up) & 1 for s in basis.states], dtype=bool)
+    assert occupied.sum() == 1
+    np.testing.assert_array_equal(np.diag(m), np.where(occupied, 1.0 + 2.0j * np.exp(0.5j), 0))
+    assert np.count_nonzero(m - np.diag(np.diag(m))) == 0
 
 
 def test_param_validation():

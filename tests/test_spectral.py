@@ -1,16 +1,26 @@
+import tracemalloc
 from dataclasses import replace
 from functools import partial
 
 import numpy as np
 import pytest
+from scipy.linalg import lu_factor
 
-from pointgap.models import ChainParams, DotParams, build_dot_one_body, chain_model, dot_model
+from pointgap.models import (
+    ChainParams,
+    DotParams,
+    build_dot_one_body,
+    chain_model,
+    dot_model,
+    phase_table,
+)
 from pointgap.observables import hausdorff_distance
 from pointgap.oracles import dot_sector21_eigenvalues, eigenvalue_match
 from pointgap.spectral import (
     SpectrumHitError,
     deformation_params,
     eigendecompose,
+    factor_shifted,
     logdet_phase,
     periodicity_defect,
     smallest_singular_estimate,
@@ -172,3 +182,50 @@ def test_smallest_singular_estimate():
     # converged after 30 steps, it lower-bounds the distance to the spectrum
     dist = np.abs(np.linalg.eigvals(a) - 0.1j).min()
     assert est <= dist * (1 + 1e-9)
+
+
+def _lu_matrices():
+    chain = chain_model(ChainParams(length=7, t=1.0, j=1.0, v=1.0), 4, 1)
+    dot = dot_model(replace(FIG_DOT, j=1.0, v=1.0), 2, -1)
+    return [(chain, 1.3, 0.3j), (dot, 0.77, 0.05 - 0.02j)]
+
+
+@pytest.mark.parametrize("model, theta, ref", _lu_matrices(), ids=["chain", "dot"])
+def test_factor_shifted_matches_explicit_shift(model, theta, ref):
+    a = model(theta)
+    before = a.copy()
+    (lu, piv), scale = factor_shifted(a, ref)
+    np.testing.assert_array_equal(a, before)  # the input is left unchanged
+    lu_ref, piv_ref = lu_factor(a - ref * np.eye(a.shape[0]))
+    np.testing.assert_array_equal(lu, lu_ref)
+    np.testing.assert_array_equal(piv, piv_ref)
+    assert abs(scale - np.linalg.norm(a - ref * np.eye(a.shape[0]))) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("model, theta", [case[:2] for case in _lu_matrices()],
+                         ids=["chain", "dot"])
+def test_sector_matrix_is_fortran_ordered_scatter(model, theta):
+    a = model(theta)
+    assert a.flags.f_contiguous
+    # reference: the row-major scatter of the same term list
+    rows, cols, amps, slots = model._coo
+    expected = np.zeros((model.dim, model.dim), dtype=complex)
+    np.add.at(expected, (rows, cols), amps * phase_table(theta, model.length)[slots])
+    np.testing.assert_array_equal(a, expected)
+
+
+def test_factor_shifted_holds_one_copy():
+    # tracemalloc sees numpy's buffers: an eye temporary or a second copy of
+    # the d x d matrix would double the traced peak
+    a = chain_model(ChainParams(length=7, t=1.0, j=1.0, v=1.0), 4, 1)(1.3)
+    d = a.shape[0]
+    factor_shifted(a, 0.3j)  # warm up lazy imports and caches
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        factor_shifted(a, 0.3j)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert d == 182
+    assert peak <= 1.1 * 16 * d * d
