@@ -64,44 +64,52 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _write_rows(path, header, rows):
+def _write_lines(path, header, lines):
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+        fh.write("\n".join([",".join(header), *lines, ""]))
+
+
+def _spectra_lines(heads, spectra):
+    """One line ``<head><index>,<re>,<im>`` per eigenvalue, row by row.
+
+    The repr of a Python float (from ``tolist``) is its shortest round-trip
+    decimal, as ``_fmt`` writes it, without a call per component.
+    """
+    index = [str(k) for k in range(spectra.shape[-1])]
+    lines = []
+    for head, re_row, im_row in zip(heads, spectra.real.tolist(), spectra.imag.tolist()):
+        lines += [f"{head}{k},{re!r},{im!r}" for k, re, im in zip(index, re_row, im_row)]
+    return lines
 
 
 def write_flow_csv(path, flow):
-    rows = []
-    for theta, spectrum in zip(flow.grid, flow.spectra):
-        for k, e in enumerate(spectrum):
-            rows.append((_fmt(theta), str(k), _fmt(e.real), _fmt(e.imag)))
-    _write_rows(path, ("theta", "eig_index", "re_e", "im_e"), rows)
+    heads = [f"{theta!r}," for theta in flow.grid.tolist()]
+    _write_lines(path, ("theta", "eig_index", "re_e", "im_e"),
+                 _spectra_lines(heads, flow.spectra))
 
 
 def write_deform_csv(path, dflow):
-    rows = []
-    for s, flow in zip(dflow.path_values, dflow.flows):
-        for theta, spectrum in zip(flow.grid, flow.spectra):
-            for k, e in enumerate(spectrum):
-                rows.append((_fmt(s), _fmt(theta), str(k), _fmt(e.real), _fmt(e.imag)))
-    _write_rows(path, ("path_param", "theta", "eig_index", "re_e", "im_e"), rows)
+    lines = []
+    for s, flow in zip(dflow.path_values.tolist(), dflow.flows):
+        heads = [f"{s!r},{theta!r}," for theta in flow.grid.tolist()]
+        lines += _spectra_lines(heads, flow.spectra)
+    _write_lines(path, ("path_param", "theta", "eig_index", "re_e", "im_e"), lines)
 
 
 def write_spectrum_csv(path, values):
-    rows = [(str(k), _fmt(e.real), _fmt(e.imag)) for k, e in enumerate(values)]
-    _write_rows(path, ("eig_index", "re_e", "im_e"), rows)
+    _write_lines(path, ("eig_index", "re_e", "im_e"),
+                 _spectra_lines([""], np.asarray(values)[None]))
 
 
 def write_occupations_csv(path, profiles):
-    rows = []
+    lines = []
     for prof in profiles:
+        head = (f"{prof.eigenstate_index},{_fmt(prof.eigenvalue.real)},"
+                f"{_fmt(prof.eigenvalue.imag)}")
         for (site, orbital, spin), value in sorted(prof.per_site.items()):
-            rows.append((str(prof.eigenstate_index), _fmt(prof.eigenvalue.real),
-                         _fmt(prof.eigenvalue.imag), str(site), orbital, spin,
-                         _fmt(value)))
-    _write_rows(path, ("state_index", "re_e", "im_e", "site", "orbital",
-                       "spin", "value"), rows)
+            lines.append(f"{head},{site},{orbital},{spin},{_fmt(value)}")
+    _write_lines(path, ("state_index", "re_e", "im_e", "site", "orbital",
+                        "spin", "value"), lines)
 
 
 def _write_json(path, payload):

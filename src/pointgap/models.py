@@ -17,9 +17,10 @@ entries exactly periodic in theta) or spread as ``e^{+-i theta/L}`` over every
 link (``gauge="distributed"``); the two are related by a gauge transformation
 and share their spectrum.
 
-Matrices are assembled from a precomputed sparse term list, so sweeping theta
-costs one dense scatter per angle.  They are Fortran-ordered, the layout
-LAPACK works in, so a factorization can take a copy of one as it is.
+Matrices are assembled from a precomputed sparse term list, and a twist sweep
+builds them in stacks: one dense scatter fills the matrices of many angles at
+once.  Each matrix of a stack is Fortran-ordered, the layout LAPACK works in,
+so a factorization can take one (or a copy of one) as it is.
 """
 
 from __future__ import annotations
@@ -45,14 +46,18 @@ from .fock import (
 P_ONE, P_PLUS, P_MINUS, P_PLUS_L, P_MINUS_L = range(5)
 
 
-def phase_table(theta: float, length: int = 1) -> np.ndarray:
-    return np.array([
-        1.0,
-        np.exp(1j * theta),
-        np.exp(-1j * theta),
-        np.exp(1j * theta / length),
-        np.exp(-1j * theta / length),
-    ])
+# sign of theta in the phase of each slot (P_ONE carries none)
+_SLOT_SIGNS = np.array([0.0, 1.0, -1.0, 1.0, -1.0])
+
+
+def phase_table(theta, length: int = 1) -> np.ndarray:
+    """Values of the phase slots: shape (5,) at one theta, (n, 5) at n."""
+    theta = np.asarray(theta, dtype=float)[..., None]
+    angles = theta * _SLOT_SIGNS
+    # the theta / L slots divide in real arithmetic: numpy divides a complex
+    # array by multiplying with 1 / length, which rounds differently
+    angles[..., P_PLUS_L:] = (theta / length) * _SLOT_SIGNS[P_PLUS_L:]
+    return np.exp(1j * angles)
 
 
 # ---------------------------------------------------------------------------
@@ -230,17 +235,25 @@ class SectorModel:
     def dim(self):
         return self.basis.dim
 
-    def matrix(self, theta: float) -> ManyBodyMatrix:
-        eff = self.freeze_theta if self.freeze_theta is not None else theta
+    def stack(self, thetas) -> np.ndarray:
+        """H(theta_k) for each twist, as an (n, d, d) array of F-contiguous slices."""
+        thetas = np.asarray(thetas, dtype=float)
+        if self.freeze_theta is not None:
+            thetas = np.full_like(thetas, self.freeze_theta)
         rows, cols, amps, slots = self._coo
-        d = self.dim
-        out = np.zeros((d, d), dtype=complex, order="F")
-        # out.T is a C-contiguous view, so reshape(-1) is a view too (on out
-        # itself it would be a copy); entry (r, c) sits at flat index c*d + r.
-        # Duplicate (row, col) pairs accumulate.
-        np.add.at(out.T.reshape(-1), cols * d + rows,
-                  amps * phase_table(eff, self.length)[slots])
-        return ManyBodyMatrix(self.basis.sector, d, out, theta)
+        n, d = len(thetas), self.dim
+        out = np.zeros((n, d, d), dtype=complex)
+        # slice k of the C-ordered buffer holds H(theta_k) transposed, so
+        # entry (r, c) sits at flat index k*d*d + c*d + r and the returned
+        # transpose has F-contiguous slices.  Duplicate (row, col) pairs
+        # accumulate.
+        np.add.at(out.reshape(-1),
+                  (np.arange(n)[:, None] * (d * d) + (cols * d + rows)).reshape(-1),
+                  (amps * phase_table(thetas, self.length)[:, slots]).reshape(-1))
+        return out.transpose(0, 2, 1)
+
+    def matrix(self, theta: float) -> ManyBodyMatrix:
+        return ManyBodyMatrix(self.basis.sector, self.dim, self.stack([theta])[0], theta)
 
     def __call__(self, theta: float) -> np.ndarray:
         return self.matrix(theta).entries

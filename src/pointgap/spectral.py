@@ -13,10 +13,12 @@ import ctypes
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import chain
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import lu_solve
+from scipy.linalg.lapack import zgetrf
 
 RESIDUAL_RTOL = 1e-8
 DEGENERACY_TOL = 1e-8
@@ -28,6 +30,13 @@ SINGULARITY_RTOL = 1e-12
 # a chain (5,+1) winding at d = 728 took 12.5 s on one thread and 12.9-13.6 s
 # (23-24 s CPU) on two.  The chain sectors in between are d = 728 and 2002.
 BLAS_THREAD_CROSSOVER_DIM = 1000
+
+# A twist sweep builds, solves and factors its matrices in stacks of at most
+# this many bytes (one matrix at least): a whole 65-point grid at d = 4, 41
+# matrices at d = 28, one at d >= 182.  One stack per call amortizes Python's per-call overhead
+# over the small sectors; stacking a whole 257-point grid at d = 28 instead
+# would hold 3.2 MB of matrices at once.
+STACK_BYTES = 512 * 1024
 
 
 class SpectralError(Exception):
@@ -139,24 +148,69 @@ def theta_grid(n_grid: int) -> np.ndarray:
     return np.linspace(0.0, 2.0 * np.pi, n_grid + 1)
 
 
+def twist_stacks(matrix_fn, thetas):
+    """Yield ``(start, stack)`` pairs covering ``thetas`` in order.
+
+    ``stack[k]`` is the F-contiguous matrix at ``thetas[start + k]``, and a
+    stack holds at most ``STACK_BYTES`` of matrices (one matrix at least).
+    A ``SectorModel`` builds each stack with one scatter (``stack``); any
+    other ``matrix_fn(theta)`` is called once per angle, in order, and its
+    first matrix sets the size of the stacks.
+    """
+    if hasattr(matrix_fn, "stack"):
+        build, dim = matrix_fn.stack, matrix_fn.dim
+    else:
+        matrices = map(matrix_fn, thetas)
+        first = next(matrices)
+        dim = np.shape(first)[0]
+        build = partial(_fill_stack, chain([first], matrices), dim)
+        del first
+    step = max(1, STACK_BYTES // max(16 * dim * dim, 1))
+    for start in range(0, len(thetas), step):
+        yield start, build(thetas[start:start + step])
+
+
+def _fill_stack(matrices, dim, thetas):
+    """A stack of the next ``len(thetas)`` matrices from the iterator ``matrices``."""
+    out = np.empty((len(thetas), dim, dim), dtype=complex).transpose(0, 2, 1)
+    for k, matrix in zip(range(len(thetas)), matrices):
+        out[k] = matrix
+    return out
+
+
+def _stack_eigvals(stack, thetas):
+    """Eigenvalues of every matrix of a stack, one row each."""
+    try:
+        return np.linalg.eigvals(stack)
+    except np.linalg.LinAlgError:
+        pass  # solve the stack again point by point to name the failing theta
+    values = np.empty(stack.shape[:2], dtype=complex)
+    for k, theta in enumerate(thetas):
+        try:
+            values[k] = np.linalg.eigvals(stack[k])
+        except np.linalg.LinAlgError as exc:
+            raise EigensolverError(f"eigensolver failed at theta={theta:.6f}") from exc
+    return values
+
+
 def sweep_theta(matrix_fn, n_grid: int, path_label: str = "theta-sweep") -> SpectralFlow:
     """Eigenvalues at theta_k = 2 pi k / n_grid for k = 0..n_grid (inclusive).
 
-    ``matrix_fn(theta)`` must return the dense matrix; each spectrum is sorted
-    by (real, imag) for reproducible output.
+    ``matrix_fn(theta)`` must return the dense matrix.  The grid is solved in
+    the stacks of ``twist_stacks``, with one batched eigensolve per stack;
+    each spectrum is sorted by (real, imag) for reproducible output.
     """
     if n_grid < 16:
         raise ValueError("n_grid must be at least 16")
     grid = theta_grid(n_grid)
-
-    def solve(theta):
-        try:
-            values = np.linalg.eigvals(np.asarray(matrix_fn(theta), dtype=complex))
-        except np.linalg.LinAlgError as exc:
-            raise EigensolverError(f"eigensolver failed at theta={theta:.6f}") from exc
-        return values[np.lexsort((values.imag, values.real))]
-
-    spectra = np.array([solve(theta) for theta in grid])
+    spectra = None
+    for start, stack in twist_stacks(matrix_fn, grid):
+        values = _stack_eigvals(stack, grid[start:start + len(stack)])
+        if spectra is None:
+            spectra = np.empty((len(grid), values.shape[1]), dtype=complex)
+        order = np.lexsort((values.imag, values.real), axis=-1)
+        spectra[start:start + len(stack)] = np.take_along_axis(values, order, axis=-1)
+        del stack  # free it before the next one is built
     return SpectralFlow(grid, spectra, path_label)
 
 
@@ -220,12 +274,12 @@ def sweep_deformation(base, path: str, sector, n_path: int, n_grid: int,
     return DeformationFlow(path, svals, flows, e_ref, float(margin))
 
 
-def _wrap_phase(phi: float) -> float:
-    """Reduce to the principal branch (-pi, pi]."""
-    out = np.remainder(phi + np.pi, 2.0 * np.pi) - np.pi
-    if out == -np.pi:
-        out = np.pi
-    return float(out)
+def wrap_phase(phi):
+    """Reduce to the principal branch (-pi, pi]: a float for a scalar, an
+    array for an array."""
+    out = np.remainder(np.add(phi, np.pi), 2.0 * np.pi) - np.pi
+    out = np.where(out == -np.pi, np.pi, out)
+    return out if out.ndim else float(out)
 
 
 def shifted_copy(matrix, e_ref: complex) -> np.ndarray:
@@ -243,27 +297,75 @@ def shifted_copy(matrix, e_ref: complex) -> np.ndarray:
 def factor_shifted(matrix, e_ref: complex):
     """Pivoted LU of (M - e_ref), plus the Frobenius scale of the shift.
 
-    Makes exactly one copy of M (``shifted_copy``) and LU-factors that copy
-    in place, so M is left unchanged and at most two d x d buffers, M and
-    the factors, are live.
+    Makes exactly one copy of M and LU-factors that copy in place, as a
+    stack of one (``factor_stack``), so M is left unchanged and at most two
+    d x d buffers, M and the factors, are live.
     """
-    shifted = shifted_copy(matrix, e_ref)
-    scale = np.linalg.norm(shifted)
-    return lu_factor(shifted, overwrite_a=True, check_finite=False), scale
+    stack = np.array(getattr(matrix, "entries", matrix), dtype=complex, order="F")[None]
+    piv, scales = factor_stack(stack, e_ref)
+    return (stack[0], piv[0]), scales[0]
+
+
+def factor_stack(stack, e_ref: complex):
+    """Pivoted LUs of (M_k - e_ref) over a stack, in place.
+
+    The stack must be one contiguous buffer of F-contiguous matrices, as
+    ``twist_stacks`` makes them.  Each matrix is shifted and factored where
+    it lies, so no copy is made and the stack ends up holding the factors.
+    Returns the pivots, one row per matrix, and the Frobenius norm of each
+    shifted matrix.  ``factor_shifted`` is the one-matrix case.
+    """
+    n, d = stack.shape[:2]
+    # each matrix in memory order: one row per matrix, and a view of the stack
+    # only when the whole stack is contiguous; zgetrf also needs complex128
+    flat = stack.transpose(0, 2, 1)
+    if stack.dtype != np.complex128 or not flat.flags.c_contiguous:
+        raise ValueError("factor_stack needs a contiguous complex stack of "
+                         "F-contiguous matrices")
+    flat = flat.reshape(n, d * d)
+    flat[:, :: d + 1] -= e_ref  # the diagonals
+    # Frobenius norms over each matrix's real and imaginary parts, without
+    # the stack-sized temporaries of linalg.norm: one dot product per matrix,
+    # so a matrix has the same scale in any stack, a stack of one included
+    parts = flat.view(np.float64)
+    scales = np.sqrt((parts[:, None, :] @ parts[:, :, None])[:, 0, 0])
+    piv = np.empty((n, d), dtype=np.int32)
+    for k in range(n):
+        _, piv[k], info = zgetrf(stack[k], overwrite_a=1)
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of zgetrf")
+    return piv, scales
+
+
+def _singular(diag, scale):
+    """Whether the smallest |pivot| (last axis) is below the singularity tolerance."""
+    return (np.abs(diag).min(axis=-1, initial=np.inf)
+            <= SINGULARITY_RTOL * np.maximum(scale, 1e-300))
+
+
+def _det_phase(diag, piv):
+    """Principal phase of the determinant from LU diagonals and pivots (last axis)."""
+    swaps = np.count_nonzero(piv != np.arange(diag.shape[-1]), axis=-1)
+    return wrap_phase(np.sum(np.angle(diag), axis=-1) + np.pi * (swaps % 2))
+
+
+def stack_phases(stack, piv, scales):
+    """Principal determinant phases behind a stack factored by ``factor_stack``,
+    and a mask of the matrices with a pivot below the singularity tolerance."""
+    diag = np.diagonal(stack, axis1=1, axis2=2)
+    return _det_phase(diag, piv), _singular(diag, scales)
 
 
 def phase_from_factors(factors, scale: float, e_ref: complex):
     """(log magnitude, principal phase) of the determinant behind an LU."""
     lu, piv = factors
     diag = np.diagonal(lu)
-    if len(diag) and np.abs(diag).min() <= SINGULARITY_RTOL * max(scale, 1e-300):
+    if _singular(diag, scale):
         raise SpectrumHitError(
             f"reference energy {e_ref} lies on the spectrum "
             f"(pivot {np.abs(diag).min():.3e})")
     log_mag = float(np.sum(np.log(np.abs(diag))))
-    swaps = int(np.sum(piv != np.arange(len(diag))))
-    phase = float(np.sum(np.angle(diag))) + np.pi * (swaps % 2)
-    return log_mag, _wrap_phase(phase)
+    return log_mag, _det_phase(diag, piv)
 
 
 def logdet_phase(matrix, e_ref: complex = 0.0):

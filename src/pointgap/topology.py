@@ -30,10 +30,14 @@ from .spectral import (
     SpectrumHitError,
     blas_threads_for,
     factor_shifted,
+    factor_stack,
     phase_from_factors,
     shifted_copy,
     sigma_min_from_factors,
+    stack_phases,
     theta_grid,
+    twist_stacks,
+    wrap_phase,
 )
 
 DEFAULT_N_GRID = 256
@@ -105,11 +109,6 @@ class SpinWindingResult:
     down: WindingResult
 
 
-def _wrap(phi):
-    out = np.remainder(phi + np.pi, 2.0 * np.pi) - np.pi
-    return np.pi if out == -np.pi else out
-
-
 class _PhaseTracker:
     """Adaptive accumulation of principal-phase increments over [0, 2 pi]."""
 
@@ -120,30 +119,30 @@ class _PhaseTracker:
         self.evaluations = 0
         self.max_step = 0.0
 
-    def _phase(self, theta, k=None):
-        self.evaluations += 1
-        return self.phase_fn(theta, k)
-
-    def _segment(self, t0, p0, t1, p1, depth):
-        step = _wrap(p1 - p0)
+    def _segment(self, t0, p0, t1, p1, depth, step):
+        """Phase change from t0 to t1, given its principal value ``step``."""
         if abs(step) <= PHASE_STEP_BOUND:
             self.max_step = max(self.max_step, abs(step))
             return step
         if depth >= self.max_depth:
             raise WindingUnresolvedError(t0, t1, step=step)
         tm = 0.5 * (t0 + t1)
-        pm = self._phase(tm)
-        return (self._segment(t0, p0, tm, pm, depth + 1)
-                + self._segment(tm, pm, t1, p1, depth + 1))
+        self.evaluations += 1
+        pm = self.phase_fn(tm)
+        return (self._segment(t0, p0, tm, pm, depth + 1, wrap_phase(pm - p0))
+                + self._segment(tm, pm, t1, p1, depth + 1, wrap_phase(p1 - pm)))
 
-    def run(self):
-        """Accumulated phase; ``phase_fn(theta, k)`` gets the base-grid index
-        ``k`` at grid points and ``None`` at refinement midpoints."""
+    def run(self, base_phases):
+        """Accumulated phase from the principal phases at the n_grid + 1
+        base-grid points; ``phase_fn(theta)`` gives those at refinement
+        midpoints."""
         grid = theta_grid(self.n_grid)
-        phases = [self._phase(t, k) for k, t in enumerate(grid)]
+        self.evaluations += len(grid)
+        steps = wrap_phase(np.diff(base_phases)).tolist()
         total = 0.0
-        for k in range(self.n_grid):
-            total += self._segment(grid[k], phases[k], grid[k + 1], phases[k + 1], 0)
+        for k, step in enumerate(steps):
+            total += self._segment(grid[k], base_phases[k], grid[k + 1],
+                                   base_phases[k + 1], 0, step)
         return total
 
 
@@ -184,6 +183,14 @@ def _pruned_margin(matrix_fn, ref, grid, lower):
 def _winding_core(matrix_fn, ref, n_grid, margin_mode="eig", spectra=None):
     """Shared driver: track the determinant phase over the twist period.
 
+    The base grid is evaluated in the stacks of ``twist_stacks``: each stack
+    is shifted and LU-factored in place (``factor_stack``) and its phases
+    and singularity test are taken together (``stack_phases``).  The first
+    singular point in grid order is factored again alone, as refinement
+    midpoints are, and raises ``GapClosedError``: ``factor_shifted`` is
+    ``factor_stack`` on a stack of one, so both make the same test on the
+    same numbers.
+
     The gap margin covers the n_grid + 1 base-grid points; refinement
     midpoints compute phases alone.  ``spectra`` (one row of eigenvalues per
     base-grid point, as a spectral flow of the same matrices holds) gives it
@@ -197,24 +204,31 @@ def _winding_core(matrix_fn, ref, n_grid, margin_mode="eig", spectra=None):
         raise ValueError(f"spectra has {np.shape(spectra)[0]} rows for "
                          f"{len(grid)} base-grid points")
     per_point = np.empty(len(grid))  # sigma bound or estimate at each grid point
+    base_phases = np.empty(len(grid))
 
-    def phase_at(theta, k):
-        a = np.asarray(matrix_fn(theta), dtype=complex)
+    def phase_at(theta):
         try:
-            factors, scale = factor_shifted(a, ref)
-            _, phi = phase_from_factors(factors, scale, ref)
+            factors, scale = factor_shifted(matrix_fn(theta), ref)
+            return phase_from_factors(factors, scale, ref)[1]
         except SpectrumHitError as exc:
             raise GapClosedError(theta, ref) from exc
-        if k is not None and spectra is None:
-            if margin_mode == "eig":
-                per_point[k] = _sigma_lower_bound(a, ref)
-            else:
-                per_point[k] = sigma_min_from_factors(factors, a.shape[0])
-        return phi
+
+    for start, stack in twist_stacks(matrix_fn, grid):
+        points = slice(start, start + len(stack))
+        if spectra is None and margin_mode == "eig":
+            per_point[points] = [_sigma_lower_bound(a, ref) for a in stack]
+        piv, scales = factor_stack(stack, ref)
+        base_phases[points], singular = stack_phases(stack, piv, scales)
+        if singular.any():  # factored alone, the first one in grid order raises
+            phase_at(grid[start + int(np.flatnonzero(singular)[0])])
+        if spectra is None and margin_mode != "eig":
+            per_point[points] = [sigma_min_from_factors((lu, p), stack.shape[1])
+                                 for lu, p in zip(stack, piv)]
+        del stack  # free it before the next one is built
 
     tracker = _PhaseTracker(phase_at, n_grid)
     try:
-        total = tracker.run()
+        total = tracker.run(base_phases.tolist())
     except WindingUnresolvedError as exc:
         if exc.looks_like_crossing:
             raise GapClosedError(0.5 * sum(exc.interval), ref,

@@ -18,6 +18,7 @@ from pointgap.models import (
     chain_sector_basis,
     dot_model,
     dot_sector_basis,
+    phase_table,
 )
 from pointgap.oracles import eigenvalue_match
 
@@ -184,6 +185,37 @@ def test_sector_matrix_accumulates_duplicate_entries():
     assert occupied.sum() == 1
     np.testing.assert_array_equal(np.diag(m), np.where(occupied, 1.0 + 2.0j * np.exp(0.5j), 0))
     assert np.count_nonzero(m - np.diag(np.diag(m))) == 0
+
+
+def test_phase_table_matches_scalar_phases():
+    # a stack's phases are bitwise those of one twist at a time, computed on
+    # Python scalars: (1j * theta) / L divides exactly, where numpy arrays
+    # would multiply by 1 / L
+    for length in (1, 3, 7):
+        thetas = np.linspace(0.0, 2 * np.pi, 257)
+        table = phase_table(thetas, length)
+        for theta, row in zip(thetas.tolist(), table):
+            expected = [1.0, np.exp(1j * theta), np.exp(-1j * theta),
+                        np.exp(1j * theta / length), np.exp(-1j * theta / length)]
+            np.testing.assert_array_equal(row, expected)
+            np.testing.assert_array_equal(phase_table(theta, length), expected)
+
+
+@pytest.mark.parametrize("model", [
+    dot_model(replace(FIG_DOT, j=0.7, v=0.3), 2, 1),
+    chain_model(ChainParams(length=7, j=1.0, v=1.0), 3, -1),
+    chain_model(ChainParams(length=7, j=1.0, v=1.0, gauge="distributed"), 3, -1),
+    chain_model(ChainParams(length=7, j=1.0, v=1.0, bc="periodic"), 3, -1),
+], ids=["dot", "chain-boundary", "chain-distributed", "chain-periodic"])
+def test_stack_slices_equal_single_matrices(model):
+    grid = np.linspace(0.0, 2 * np.pi, 41)
+    stack = model.stack(grid)
+    assert stack.shape == (len(grid), model.dim, model.dim)
+    for k, theta in enumerate(grid):
+        assert stack[k].flags.f_contiguous
+        np.testing.assert_array_equal(stack[k], model.matrix(theta).entries)
+        if model.freeze_theta is not None:  # periodic: every twist gives H(0)
+            np.testing.assert_array_equal(stack[k], model.matrix(0.0).entries)
 
 
 def test_param_validation():

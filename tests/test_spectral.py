@@ -9,6 +9,7 @@ from scipy.linalg import lu_factor
 from pointgap.models import (
     ChainParams,
     DotParams,
+    build_chain_one_body,
     build_dot_one_body,
     chain_model,
     dot_model,
@@ -17,16 +18,21 @@ from pointgap.models import (
 from pointgap.observables import hausdorff_distance
 from pointgap.oracles import dot_sector21_eigenvalues, eigenvalue_match
 from pointgap.spectral import (
+    STACK_BYTES,
+    EigensolverError,
     SpectrumHitError,
     deformation_params,
     eigendecompose,
     factor_shifted,
+    factor_stack,
     logdet_phase,
     periodicity_defect,
     smallest_singular_estimate,
     sweep_deformation,
     sweep_theta,
+    theta_grid,
 )
+from pointgap.topology import many_body_winding
 
 FIG_DOT = DotParams(lam=1.0, eps_a_up=0.2, eps_a_dn=-0.1, eps_b_up=0.35,
                     eps_b_dn=-0.25)
@@ -107,6 +113,44 @@ def test_twisted_chain_flow_forms_loops_around_zero():
     angles = np.sort(np.angle(vals))
     gaps = np.diff(np.concatenate([angles, [angles[0] + 2 * np.pi]]))
     assert gaps.max() < 0.1  # no angular gap: the loop closes around zero
+
+
+def test_sweep_matches_pointwise_eigvals_across_stacks():
+    # d = 28 stacks 41 matrices at a time: 101 grid points make 41 + 41 + 19
+    assert 101 % (STACK_BYTES // (16 * 28 * 28)) != 0
+    for matrix_fn in (chain_model(ChainParams(length=7, t=1.0, j=1.0, v=1.0), 3, -1),
+                      partial(build_chain_one_body, ChainParams(length=14, t=1.0))):
+        flow = sweep_theta(matrix_fn, 100)
+        assert flow.spectra.shape == (101, 28)
+        for theta, row in zip(flow.grid, flow.spectra):
+            values = np.linalg.eigvals(np.asarray(matrix_fn(theta), dtype=complex))
+            np.testing.assert_array_equal(row, values[np.lexsort((values.imag, values.real))])
+
+
+def test_sweep_builds_each_callable_matrix_once():
+    build = partial(build_chain_one_body, ChainParams(length=14, t=1.0))
+    calls = []
+
+    def matrix_fn(theta):
+        calls.append(theta)
+        return build(theta)
+    flow = sweep_theta(matrix_fn, 100)
+    assert calls == flow.grid.tolist()
+
+
+def test_sweep_eigensolver_failure_names_theta(monkeypatch):
+    grid = theta_grid(32)
+    bad = grid[21]
+    real_eigvals = np.linalg.eigvals
+
+    def failing(a):
+        if np.any(np.asarray(a) == 99.0):
+            raise np.linalg.LinAlgError("eigenvalues did not converge")
+        return real_eigvals(a)
+    monkeypatch.setattr(np.linalg, "eigvals", failing)
+    matrix_fn = lambda theta: np.diag([99.0 if theta == bad else 1.0, 2.0j])
+    with pytest.raises(EigensolverError, match=f"theta={bad:.6f}"):
+        sweep_theta(matrix_fn, 32)
 
 
 def test_eigenvalue_continuity_on_refined_grid():
@@ -202,6 +246,18 @@ def test_factor_shifted_matches_explicit_shift(model, theta, ref):
     assert abs(scale - np.linalg.norm(a - ref * np.eye(a.shape[0]))) <= 1e-14 * scale
 
 
+@pytest.mark.parametrize("model, theta, ref", _lu_matrices(), ids=["chain", "dot"])
+def test_factor_stack_matches_factor_shifted(model, theta, ref):
+    thetas = [theta, theta + 0.5, theta + 1.0]
+    stack = model.stack(thetas)
+    piv, scales = factor_stack(stack, ref)
+    for k, t in enumerate(thetas):
+        (lu, p), scale = factor_shifted(model(t), ref)
+        np.testing.assert_array_equal(stack[k], lu)  # factored in place
+        np.testing.assert_array_equal(piv[k], p)
+        assert scales[k] == scale
+
+
 @pytest.mark.parametrize("model, theta", [case[:2] for case in _lu_matrices()],
                          ids=["chain", "dot"])
 def test_sector_matrix_is_fortran_ordered_scatter(model, theta):
@@ -229,3 +285,31 @@ def test_factor_shifted_holds_one_copy():
         tracemalloc.stop()
     assert d == 182
     assert peak <= 1.1 * 16 * d * d
+
+
+def _traced_peak(fn):
+    fn()  # warm up lazy imports and caches
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_twist_sweeps_hold_one_stack():
+    # the 257 matrices of an n_grid 256 sweep at d = 28 take 3.2 MB; stacks of
+    # at most STACK_BYTES, freed one before the next is built, keep the peak
+    # near one stack plus a few d x d buffers (and the sweep's own output)
+    params = ChainParams(length=7, t=1.0, j=1.0, v=1.0)
+    model = chain_model(params, 3, -1)
+    d = model.dim
+    assert d == 28 and 257 * 16 * d * d > 6 * STACK_BYTES
+    spectra_bytes = 257 * d * 16
+    allowance = 16 * (16 * d * d)
+    assert _traced_peak(lambda: sweep_theta(model, 256)) <= (
+        STACK_BYTES + spectra_bytes + allowance)
+    assert _traced_peak(lambda: many_body_winding(params, (3, -1), 0.0, n_grid=256)) <= (
+        STACK_BYTES + allowance)
+

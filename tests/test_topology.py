@@ -13,7 +13,15 @@ from pointgap.models import (
     one_body_sz,
 )
 from pointgap.oracles import CircleFlow, circle_flow_winding
-from pointgap.spectral import openblas_thread_controls
+from pointgap.spectral import (
+    SpectrumHitError,
+    factor_shifted,
+    factor_stack,
+    openblas_thread_controls,
+    phase_from_factors,
+    stack_phases,
+    twist_stacks,
+)
 from pointgap.topology import (
     GapClosedError,
     SpinSymmetryError,
@@ -167,6 +175,63 @@ def test_gap_closed_error_for_many_body():
         many_body_winding(FIG_DOT, (2, -1), 1j * (0.35 - 0.25), n_grid=32)
 
 
+def _pointwise_phase(matrix_fn, ref):
+    return lambda theta: phase_from_factors(*factor_shifted(matrix_fn(theta), ref), ref)[1]
+
+
+@pytest.mark.parametrize("case", ["chain", "dot", "one-body"])
+def test_stacked_base_grid_equals_pointwise(case):
+    """Base-grid phases from stacks, and the winding built on them, equal
+    factor_shifted + phase_from_factors point by point, bit for bit."""
+    from pointgap.models import chain_model, dot_model
+    from pointgap.spectral import blas_threads_for, theta_grid
+    from pointgap.topology import _PhaseTracker
+
+    if case == "chain":  # d = 28: stacks of 41, 41 and 19 points
+        params, sector, ref = ChainParams(length=7, t=1.0, j=1.0, v=1.0), (3, -1), 0.3j
+        matrix_fn = chain_model(params, *sector)
+    elif case == "dot":
+        params, sector, ref = replace(FIG_DOT, j=1.0, v=1.0), (2, 1), 0.05 - 0.02j
+        matrix_fn = dot_model(params, *sector)
+    else:
+        matrix_fn, ref = partial(build_chain_one_body, ChainParams(length=14)), 0.2j
+    n_grid = 100
+    grid = theta_grid(n_grid)
+    phase = _pointwise_phase(matrix_fn, ref)
+    with blas_threads_for(28):
+        expected = [phase(theta) for theta in grid]
+        got = []
+        for _, stack in twist_stacks(matrix_fn, grid):
+            piv, scales = factor_stack(stack, ref)
+            phases, singular = stack_phases(stack, piv, scales)
+            assert not singular.any()
+            got += phases.tolist()
+        assert got == expected
+        tracker = _PhaseTracker(phase, n_grid)
+        total = tracker.run(expected)
+    if case == "one-body":
+        result = one_body_winding(matrix_fn, ref, n_grid=n_grid)
+    else:
+        result = many_body_winding(params, sector, ref, n_grid=n_grid)
+    assert result.raw_phase_change == total
+    assert result.grid_size_used == tracker.evaluations
+
+
+@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+def test_gap_closed_in_later_stack_names_its_theta():
+    from pointgap.spectral import STACK_BYTES, theta_grid
+
+    n_grid, k = 100, 60
+    assert k > STACK_BYTES // (16 * 28 * 28)  # d = 28: point k is in the second stack
+    grid = theta_grid(n_grid)
+    ref = np.exp(1j * grid[k])  # the moving level hits ref exactly at theta_k
+    matrix_fn = lambda theta: np.diag([np.exp(1j * theta)] + [3.0 + j for j in range(27)])
+    with pytest.raises(GapClosedError) as info:
+        one_body_winding(matrix_fn, ref, n_grid=n_grid)
+    assert info.value.theta == grid[k]
+    assert isinstance(info.value.__cause__, SpectrumHitError)  # the pivot test, not the margin
+
+
 # ---------------------------------------------------------------------------
 # gap margins over the base grid
 # ---------------------------------------------------------------------------
@@ -176,18 +241,19 @@ def test_phase_tracker_labels_every_base_point():
     from pointgap.topology import _PhaseTracker
 
     for n_grid in (64, 256):
+        grid = theta_grid(n_grid)
         seen = []
         turns = 3 * n_grid // 8  # 3 pi / 4 per grid step: every step refined once
 
-        def phase(theta, k):
-            seen.append((theta, k))
+        def phase(theta):
+            seen.append(theta)
             return float(np.angle(np.exp(1j * turns * theta)))
-        total = _PhaseTracker(phase, n_grid).run()
+        tracker = _PhaseTracker(phase, n_grid)
+        total = tracker.run([float(np.angle(np.exp(1j * turns * t))) for t in grid])
         assert round(total / (2 * np.pi)) == turns
-        base = [(t, k) for t, k in seen if k is not None]
-        assert [k for _, k in base] == list(range(n_grid + 1))
-        assert [t for t, _ in base] == list(theta_grid(n_grid))
-        assert len(seen) == 2 * n_grid + 1  # one midpoint per step, no index
+        # base phases are taken by position; the callback sees midpoints only
+        assert seen == list(0.5 * (grid[:-1] + grid[1:]))
+        assert tracker.evaluations == 2 * n_grid + 1
 
 
 @pytest.mark.parametrize("n_grid", [64, 256])
@@ -254,16 +320,19 @@ def two_blas_threads():
 
 
 def _record_threads_during_lu(monkeypatch):
-    """Thread counts seen by each LU of a winding."""
+    """Thread counts seen by each LU of a winding: one per base-grid stack
+    (``factor_stack``) and one per point factored alone (``factor_shifted``)."""
     import pointgap.topology as topology
 
     seen = []
-    original = topology.factor_shifted
 
-    def recording(a, ref):
-        seen.append(_thread_counts())
-        return original(a, ref)
-    monkeypatch.setattr(topology, "factor_shifted", recording)
+    def recording(original):
+        def lu(a, ref):
+            seen.append(_thread_counts())
+            return original(a, ref)
+        return lu
+    for name in ("factor_shifted", "factor_stack"):
+        monkeypatch.setattr(topology, name, recording(getattr(topology, name)))
     return seen
 
 
