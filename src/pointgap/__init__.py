@@ -6,7 +6,6 @@ extended asymmetric-hopping chain, driven by a twist angle acting as a
 periodic synthetic parameter.
 """
 
-from ._kernels import KERNEL_BACKEND
 from .fock import (
     Constraint,
     ModeLayout,
@@ -20,10 +19,7 @@ from .fock import (
 from .models import (
     ChainParams,
     DotParams,
-    ManyBodyMatrix,
-    build_chain_many_body,
     build_chain_one_body,
-    build_dot_many_body,
     build_dot_one_body,
     chain_model,
     chain_sector_basis,

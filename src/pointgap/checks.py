@@ -17,7 +17,6 @@ from .models import (
     ChainParams,
     DotParams,
     build_chain_one_body,
-    build_dot_many_body,
     build_dot_one_body,
     chain_model,
     chain_terms,
@@ -25,7 +24,12 @@ from .models import (
     dot_terms,
     full_space_matrix,
 )
-from .oracles import eigenvalue_match
+from .oracles import (
+    chain_first_order_spectrum,
+    dot_sector21_eigenvalues,
+    dot_sector2m1_eigenvalues,
+    eigenvalue_match,
+)
 from .spectral import logdet_phase, periodicity_defect, sweep_theta
 from .observables import occupation_profiles
 from .topology import many_body_winding, one_body_winding
@@ -33,6 +37,15 @@ from .topology import many_body_winding, one_body_winding
 REFERENCE_DOT = DotParams(lam=1.0, eps_a_up=0.2, eps_a_dn=-0.1,
                           eps_b_up=0.35, eps_b_dn=-0.25)
 REFERENCE_DOT_INT = replace(REFERENCE_DOT, j=1.0, v=1.0)
+# the chain couplings where the first-order splitting formulas apply; they
+# diagonalize the first-order block in the exchange-imag bookkeeping
+REFERENCE_CHAIN_WEAK = ChainParams(length=7, t=1.0, j=0.02, v=0.03, gauge="distributed",
+                                   edge_convention="exchange-imag")
+
+DOT_ORACLE_THETAS = np.linspace(0.0, 2.0 * np.pi, 65)
+# clear of the isolated angles (pi, 2 pi) where hopping modes from different
+# quadruplets cross and the per-quadruplet first-order treatment does not apply
+CHAIN_ORACLE_THETAS = np.concatenate([[0.0], np.linspace(0.2, 2.6, 13)])
 
 
 @dataclass
@@ -40,6 +53,51 @@ class CheckResult:
     name: str
     ok: bool
     detail: str
+
+
+def dot_closed_form_distance(first: DotParams, seed: int) -> float:
+    """Largest distance between exact and closed-form spectra of the dot's
+    (2,+1) and (2,-1) sectors.
+
+    Compares on the 65-point twist grid, at ``first`` and at 20 random
+    parameter draws from ``seed``.
+    """
+    rng = np.random.default_rng(seed)
+    draws = [first]
+    for _ in range(20):
+        lam = rng.uniform(0.5, 2.0)
+        eps = rng.uniform(-0.9, 0.9, 4) * lam
+        draws.append(DotParams(lam=lam, eps_a_up=eps[0], eps_a_dn=eps[1],
+                               eps_b_up=eps[2], eps_b_dn=eps[3],
+                               j=rng.uniform(-1.5, 1.5), v=rng.uniform(-1.5, 1.5)))
+    worst = 0.0
+    for p in draws:
+        for sector, formula in (((2, 1), dot_sector21_eigenvalues),
+                                ((2, -1), dot_sector2m1_eigenvalues)):
+            model = dot_model(p, *sector)
+            for theta in DOT_ORACLE_THETAS:
+                worst = max(worst, eigenvalue_match(np.linalg.eigvals(model(theta)),
+                                                    formula(p, theta))[0])
+    return worst
+
+
+def chain_splitting_errors(p: ChainParams, sector):
+    """Distances between exact chain spectra and the first-order splitting
+    formulas, at the couplings of ``p`` and at half of them.
+
+    Each is the largest mean assignment distance over the twist window.  The
+    formulas are first order, so halving J and V should shrink the
+    distance fourfold.
+    """
+    errs = []
+    for scale in (1.0, 0.5):
+        q = replace(p, j=p.j * scale, v=p.v * scale)
+        model = chain_model(q, *sector)
+        errs.append(max(
+            eigenvalue_match(np.linalg.eigvals(model(theta)),
+                             chain_first_order_spectrum(q, theta))[1]
+            for theta in CHAIN_ORACLE_THETAS))
+    return tuple(errs)
 
 
 def check_anticommutation(n_modes: int = 8):
@@ -119,8 +177,8 @@ def check_gauge_equivalence(tol: float = 1e-10):
         e1 = np.linalg.eigvals(build_chain_one_body(pb, theta))
         e2 = np.linalg.eigvals(build_chain_one_body(pd, theta))
         worst = max(worst, eigenvalue_match(e1, e2)[0])
-        m1 = chain_model(pb, 3, -1).matrix(theta).entries
-        m2 = chain_model(pd, 3, -1).matrix(theta).entries
+        m1 = chain_model(pb, 3, -1)(theta)
+        m2 = chain_model(pd, 3, -1)(theta)
         worst = max(worst, eigenvalue_match(np.linalg.eigvals(m1),
                                             np.linalg.eigvals(m2))[0])
     return worst < tol, f"max eigenvalue mismatch {worst:.2e} (tol {tol:g})"
@@ -173,9 +231,8 @@ def check_det_consistency(tol: float = 1e-8):
     rng = np.random.default_rng(23)
     mats = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
             for d in (5, 23, 57)]
-    mats.append(build_dot_many_body(REFERENCE_DOT_INT, 0.77, (2, -1)).entries)
-    mats.append(chain_model(ChainParams(length=7, j=1.0, v=1.0), 3, -1)
-                .matrix(1.3).entries)
+    mats.append(dot_model(REFERENCE_DOT_INT, 2, -1)(0.77))
+    mats.append(chain_model(ChainParams(length=7, j=1.0, v=1.0), 3, -1)(1.3))
     worst = 0.0
     for a in mats:
         ref = 0.1 - 0.2j
@@ -221,6 +278,21 @@ def check_occupation_sum_rules(tol: float = 1e-9):
     return True, "sum rules, bounds and periodic uniformity hold"
 
 
+def check_dot_closed_forms(tol: float = 1e-10):
+    """Exact dot spectra match the (2,+1) and (2,-1) closed forms."""
+    worst = dot_closed_form_distance(REFERENCE_DOT_INT, seed=7)
+    return worst < tol, f"max closed-form vs ED distance {worst:.2e} over 21 draws"
+
+
+def check_chain_splitting_scaling():
+    """Halving the chain couplings shrinks the first-order formulas' error
+    fourfold (4 +- 0.5)."""
+    err, err_half = chain_splitting_errors(REFERENCE_CHAIN_WEAK, (3, -1))
+    ratio = err / err_half
+    return (3.5 <= ratio <= 4.5,
+            f"assignment distance {err:.3e} -> {err_half:.3e}, halving ratio {ratio:.3f}")
+
+
 CHECKS = [
     ("fermionic anticommutation (8 modes, exhaustive)", check_anticommutation),
     ("sector block structure (dot, chain L=3)", check_block_structure),
@@ -229,6 +301,8 @@ CHECKS = [
     ("winding grid-doubling stability", check_winding_grid_stability),
     ("determinant / eigenvalue-product consistency", check_det_consistency),
     ("occupation sum rules", check_occupation_sum_rules),
+    ("dot closed-form spectra", check_dot_closed_forms),
+    ("chain first-order splitting scaling", check_chain_splitting_scaling),
 ]
 
 

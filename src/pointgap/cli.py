@@ -30,7 +30,6 @@ import numpy as np
 
 from . import __version__
 from .models import (
-    DotParams,
     build_chain_one_body,
     build_dot_one_body,
     chain_model,
@@ -51,12 +50,6 @@ from .spectral import (
 )
 from .topology import many_body_winding, one_body_winding, spin_winding
 from . import checks as checks_mod
-from .oracles import (
-    chain_first_order_spectrum,
-    dot_sector21_eigenvalues,
-    dot_sector2m1_eigenvalues,
-    eigenvalue_match,
-)
 
 
 def _fmt(x) -> str:
@@ -234,39 +227,14 @@ def run_deform(cfg, outdir):
 def run_oracle_check(cfg, outdir):
     report = {}
     if cfg.model == "dot":
-        rng = np.random.default_rng(2024)
-        draws = [cfg.params]
-        for _ in range(20):
-            lam = rng.uniform(0.5, 2.0)
-            eps = rng.uniform(-0.9, 0.9, 4) * lam
-            draws.append(DotParams(lam=lam, eps_a_up=eps[0], eps_a_dn=eps[1],
-                                   eps_b_up=eps[2], eps_b_dn=eps[3],
-                                   j=rng.uniform(-1.5, 1.5),
-                                   v=rng.uniform(-1.5, 1.5)))
-        worst = 0.0
-        for p in draws:
-            for theta in np.linspace(0.0, 2.0 * np.pi, 65):
-                for sector, formula in (((2, 1), dot_sector21_eigenvalues),
-                                        ((2, -1), dot_sector2m1_eigenvalues)):
-                    model = dot_model(p, *sector)
-                    ed = np.linalg.eigvals(model.matrix(theta).entries)
-                    mx, _ = eigenvalue_match(ed, formula(p, theta))
-                    worst = max(worst, mx)
+        worst = checks_mod.dot_closed_form_distance(cfg.params, seed=2024)
         report["dot_max_eigenvalue_distance"] = worst
         report["dot_ok"] = bool(worst < 1e-10)
     else:
-        thetas = np.concatenate([[0.0], np.linspace(0.2, 2.6, 13)])
-        errs = {}
-        for scale in (1.0, 0.5):
-            p = replace(cfg.params, j=cfg.params.j * scale, v=cfg.params.v * scale)
-            model = chain_model(p, *cfg.sector)
-            errs[scale] = max(
-                eigenvalue_match(np.linalg.eigvals(model.matrix(th).entries),
-                                 chain_first_order_spectrum(p, th))[1]
-                for th in thetas)
-        ratio = errs[1.0] / errs[0.5] if errs[0.5] > 0 else float("inf")
-        report["splitting_error"] = errs[1.0]
-        report["splitting_error_halved"] = errs[0.5]
+        err, err_half = checks_mod.chain_splitting_errors(cfg.params, cfg.sector)
+        ratio = err / err_half if err_half > 0 else float("inf")
+        report["splitting_error"] = err
+        report["splitting_error_halved"] = err_half
         report["error_ratio_under_halving"] = ratio
         report["second_order_scaling_ok"] = bool(abs(ratio - 4.0) <= 0.5)
     _write_json(os.path.join(outdir, "oracle.json"), report)
@@ -304,7 +272,10 @@ def _sha256(path) -> str:
 
 def execute(cfg: ExperimentConfig, outdir: str, allow_heavy: bool = False) -> dict:
     """Run one validated config; returns the manifest dict."""
-    dim = _sector_dim(cfg)
+    try:
+        dim = _sector_dim(cfg)
+    except ValueError as exc:  # a sector this model cannot build
+        raise ConfigError(str(exc)) from exc
     if dim > HEAVY_DIM and not allow_heavy:
         raise ConfigError(
             f"sector dimension {dim} exceeds {HEAVY_DIM}; rerun with --allow-heavy")

@@ -14,19 +14,28 @@ Mode layouts
   ``(L-1, b, up) = 2L+2``, ``(L-1, b, dn) = 2L+3``.
 
 Symmetry sectors are labeled by total fermion number ``N`` and spin parity
-``P = (-1)**N_up``; enumeration order is ascending bitset value so every
-downstream matrix is reproducible bit-for-bit.
+``P = (-1)**N_up``.  A sector is enumerated from the ``C(n_modes, N)`` ways
+to place ``N`` fermions on the modes, filtered by spin parity and by any
+occupation constraints; its cost grows with that count, not with
+``2**n_modes``.  Basis order is ascending bitset value so every downstream
+matrix is reproducible bit-for-bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from itertools import chain, combinations
 
 import numpy as np
 
-from ._kernels import scan_states
-
 MAX_MODES = 64
+
+# Largest C(n_modes, N) that enumerate_sector accepts.  Its temporaries are
+# the picked modes, one byte per fermion per candidate (N <= 64, so at most
+# 64 MiB), and a few 8-byte masks per candidate (8 MiB each).  The heaviest
+# preset sector, (9, -1) on the 18 modes of L = 7, has 48,620 candidates.
+MAX_CANDIDATES = 1 << 20
 
 UP, DOWN = "up", "dn"
 ORBITAL_A, ORBITAL_B = "a", "b"
@@ -57,7 +66,6 @@ class ModeLayout:
 
     n_modes: int
     up_mask: int
-    a_mask: int
     labels: tuple  # per-mode (site, orbital, spin)
     index: dict = field(repr=False, hash=False, compare=False, default=None)
 
@@ -71,14 +79,8 @@ class ModeLayout:
     def mode(self, site: int, orbital: str, spin: str) -> int:
         return self.index[(site, orbital, spin)]
 
-    def fermion_number(self, state: int) -> int:
-        return state.bit_count()
-
     def spin_parity(self, state: int) -> int:
         return -1 if ((state & self.up_mask).bit_count() & 1) else 1
-
-    def a_modes(self) -> np.ndarray:
-        return np.array([m for m in range(self.n_modes) if (self.a_mask >> m) & 1])
 
     def sz_signs(self, modes=None) -> np.ndarray:
         """Diagonal of s^z restricted to the given modes (+1 up, -1 down)."""
@@ -90,7 +92,7 @@ class ModeLayout:
 def dot_layout() -> ModeLayout:
     labels = ((0, ORBITAL_A, UP), (0, ORBITAL_A, DOWN),
               (0, ORBITAL_B, UP), (0, ORBITAL_B, DOWN))
-    return ModeLayout(n_modes=4, up_mask=0b0101, a_mask=0b0011, labels=labels)
+    return ModeLayout(n_modes=4, up_mask=0b0101, labels=labels)
 
 
 def chain_layout(length: int) -> ModeLayout:
@@ -104,8 +106,7 @@ def chain_layout(length: int) -> ModeLayout:
                (length - 1, ORBITAL_B, UP), (length - 1, ORBITAL_B, DOWN)]
     n = 2 * length + 4
     up_mask = sum(1 << m for m, lbl in enumerate(labels) if lbl[2] == UP)
-    a_mask = (1 << (2 * length)) - 1
-    return ModeLayout(n_modes=n, up_mask=up_mask, a_mask=a_mask, labels=tuple(labels))
+    return ModeLayout(n_modes=n, up_mask=up_mask, labels=tuple(labels))
 
 
 @dataclass(frozen=True)
@@ -127,48 +128,48 @@ def edge_b_constraints(layout: ModeLayout, length: int):
 class SectorBasis:
     """Ordered basis of all Fock states with fixed (N, P) quantum numbers."""
 
-    def __init__(self, layout: ModeLayout, n: int, parity: int, states, constraints=()):
+    def __init__(self, layout: ModeLayout, n: int, parity: int, states):
         self.layout = layout
         self.n = n
         self.parity = parity
         self.states = np.asarray(states, dtype=np.uint64)
-        self.constraints = tuple(constraints)
         self._pos = {int(s): i for i, s in enumerate(self.states)}
 
     @property
     def dim(self) -> int:
         return len(self.states)
 
-    @property
-    def sector(self):
-        return (self.n, self.parity)
-
     def index_of(self, state: int) -> int:
         return self._pos[int(state)]
-
-    def __contains__(self, state: int) -> bool:
-        return int(state) in self._pos
 
     def __repr__(self):
         return f"SectorBasis(N={self.n}, P={self.parity:+d}, dim={self.dim})"
 
 
 def enumerate_sector(layout: ModeLayout, n: int, parity: int, constraints=()) -> SectorBasis:
-    """All states with the exact (N, P) satisfying the constraints, ascending."""
+    """All states with the exact (N, P) satisfying the constraints, ascending.
+
+    Raises ValueError, before allocating anything, when the sector has more
+    than ``MAX_CANDIDATES`` ways to place its fermions.
+    """
     if not 0 <= n <= layout.n_modes:
         raise ValueError(f"fermion number {n} outside [0, {layout.n_modes}]")
     if parity not in (1, -1):
         raise ValueError("parity must be +1 or -1")
-    constraints = tuple(constraints)
-    cmasks = np.array([c.mask for c in constraints], dtype=np.uint64)
-    ccounts = np.array([c.count for c in constraints], dtype=np.int64)
-    states = scan_states(layout.n_modes, n, parity, layout.up_mask, cmasks, ccounts)
-    return SectorBasis(layout, n, parity, states, constraints)
-
-
-def full_basis_states(layout: ModeLayout) -> np.ndarray:
-    """Every Fock state of the layout (used by whole-space block tests)."""
-    return np.arange(1 << layout.n_modes, dtype=np.uint64)
+    count = math.comb(layout.n_modes, n)
+    if count > MAX_CANDIDATES:
+        raise ValueError(
+            f"sector N={n} on {layout.n_modes} modes has {count} candidate "
+            f"states, above the enumeration limit of {MAX_CANDIDATES}")
+    picks = np.fromiter(chain.from_iterable(combinations(range(layout.n_modes), n)),
+                        dtype=np.uint8, count=count * n).reshape(count, n)
+    occ = np.zeros(count, dtype=np.uint64)
+    for column in picks.T:
+        occ |= np.uint64(1) << column.astype(np.uint64)
+    keep = (np.bitwise_count(occ & np.uint64(layout.up_mask)) & 1) == (parity == -1)
+    for c in constraints:
+        keep &= np.bitwise_count(occ & np.uint64(c.mask)) == c.count
+    return SectorBasis(layout, n, parity, np.sort(occ[keep]))
 
 
 def apply_ops(state: int, ops):
@@ -195,51 +196,3 @@ def spin_flip_ops(layout: ModeLayout, site: int, orbital: str, raise_spin: bool)
     if raise_spin:  # S+ = c†_up c_dn
         return ((m_up, True), (m_dn, False))
     return ((m_dn, True), (m_up, False))  # S- = c†_dn c_up
-
-
-def operator_matrix(basis: SectorBasis, ops, states=None) -> np.ndarray:
-    """Dense matrix of one operator product on a sector basis.
-
-    When ``states`` is given, build on that explicit state list instead (used
-    for full-space symmetry tests); target states outside the list are an
-    error there, while for a proper sector they cannot occur for
-    symmetry-preserving operators.
-    """
-    src = basis.states if states is None else np.asarray(states, dtype=np.uint64)
-    pos = (
-        basis._pos
-        if states is None
-        else {int(s): i for i, s in enumerate(src)}
-    )
-    mat = np.zeros((len(src), len(src)), dtype=complex)
-    for col, s in enumerate(src):
-        res = apply_ops(int(s), ops)
-        if res is None:
-            continue
-        out, sign = res
-        row = pos.get(out)
-        if row is None:
-            raise KeyError(f"operator maps state {s:#x} outside the basis")
-        mat[row, col] += sign
-    return mat
-
-
-def spin_flip_matrix(basis: SectorBasis, site: int, orbital: str, raise_spin: bool,
-                     target: SectorBasis | None = None) -> np.ndarray:
-    """S^+_{site,orbital} (raise_spin) or S^-_{site,orbital} from one sector.
-
-    A single spin flip reverses the spin parity, so rows live in the sector
-    (N, -P); that target basis is enumerated implicitly unless passed in.
-    """
-    ops = spin_flip_ops(basis.layout, site, orbital, raise_spin)
-    if target is None:
-        target = enumerate_sector(basis.layout, basis.n, -basis.parity,
-                                  basis.constraints)
-    mat = np.zeros((target.dim, basis.dim), dtype=complex)
-    for col, s in enumerate(basis.states):
-        res = apply_ops(int(s), ops)
-        if res is None:
-            continue
-        out, sign = res
-        mat[target.index_of(out), col] += sign
-    return mat

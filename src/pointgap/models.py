@@ -17,10 +17,13 @@ entries exactly periodic in theta) or spread as ``e^{+-i theta/L}`` over every
 link (``gauge="distributed"``); the two are related by a gauge transformation
 and share their spectrum.
 
-Matrices are assembled from a precomputed sparse term list, and a twist sweep
-builds them in stacks: one dense scatter fills the matrices of many angles at
-once.  Each matrix of a stack is Fortran-ordered, the layout LAPACK works in,
-so a factorization can take one (or a copy of one) as it is.
+A ``SectorModel`` (from ``dot_model`` or ``chain_model``) is the one way to
+build a sector Hamiltonian: it keeps the sparse term list of one model and
+sector, and calling it at a twist returns H(theta) as a plain ndarray.  A
+twist sweep builds the matrices in stacks: one dense scatter fills the
+matrices of many angles at once.  Each matrix of a stack is Fortran-ordered,
+the layout LAPACK works in, so a factorization can take one (or a copy of
+one) as it is.
 """
 
 from __future__ import annotations
@@ -122,16 +125,6 @@ class ChainParams:
         for name in ("t", "j", "v"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-
-
-@dataclass(frozen=True)
-class ManyBodyMatrix:
-    """Dense Hamiltonian restricted to one (N, P) sector at a fixed twist."""
-
-    sector: tuple
-    dim: int
-    entries: np.ndarray
-    theta: float
 
 
 # ---------------------------------------------------------------------------
@@ -252,11 +245,12 @@ class SectorModel:
                   (amps * phase_table(thetas, self.length)[:, slots]).reshape(-1))
         return out.transpose(0, 2, 1)
 
-    def matrix(self, theta: float) -> ManyBodyMatrix:
-        return ManyBodyMatrix(self.basis.sector, self.dim, self.stack([theta])[0], theta)
+    def matrix(self, theta: float) -> np.ndarray:
+        """H(theta) as an F-contiguous (d, d) array."""
+        return self.stack([theta])[0]
 
     def __call__(self, theta: float) -> np.ndarray:
-        return self.matrix(theta).entries
+        return self.matrix(theta)
 
 
 # ---------------------------------------------------------------------------
@@ -329,23 +323,6 @@ def build_chain_one_body(p: ChainParams, theta: float) -> np.ndarray:
         h[lay.mode(0, "a", "up"), lay.mode(L - 1, "a", "up")] = p.t * np.exp(1j * theta)
         h[lay.mode(L - 1, "a", "dn"), lay.mode(0, "a", "dn")] = p.t * np.exp(-1j * theta)
     return h
-
-
-def build_dot_many_body(p: DotParams, theta: float, sector) -> ManyBodyMatrix:
-    """Dot Hamiltonian restricted to sector (N, P) at the given twist."""
-    basis = sector if isinstance(sector, SectorBasis) else dot_sector_basis(*sector)
-    lay, terms = dot_terms(p)
-    return SectorModel(lay, terms, basis).matrix(theta)
-
-
-def build_chain_many_body(p: ChainParams, theta: float, sector) -> ManyBodyMatrix:
-    """Chain Hamiltonian restricted to sector (N, P) at the given twist."""
-    if not isinstance(sector, SectorBasis):
-        return chain_model(p, *sector).matrix(theta)
-    lay, terms = chain_terms(p)
-    model = SectorModel(lay, terms, sector, length=p.length,
-                        freeze_theta=0.0 if p.bc == "periodic" else None)
-    return model.matrix(theta)
 
 
 def full_space_matrix(layout, terms, theta: float, length: int = 1) -> np.ndarray:

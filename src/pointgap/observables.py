@@ -17,10 +17,9 @@ from itertools import combinations
 import numpy as np
 from scipy.spatial import cKDTree
 
-from ._kernels import mode_weights
 from .fock import DOWN, ORBITAL_A, UP, SectorBasis
 from .models import ChainParams, build_chain_one_body, chain_model, chain_sector_basis
-from .spectral import DEGENERACY_TOL, EigenSolution, eigendecompose, sweep_theta
+from .spectral import EigenSolution, cluster_labels, eigendecompose, sweep_theta
 
 
 @dataclass
@@ -34,27 +33,8 @@ class OccupationProfile:
     degeneracy_cluster: int
     jordan_ambiguous: bool = False
 
-    def site_value(self, site, orbital, spin) -> float:
-        return self.per_site[(site, orbital, spin)]
-
     def spin_weights(self, length: int, spin: str) -> np.ndarray:
         return np.array([self.per_site[(j, ORBITAL_A, spin)] for j in range(length)])
-
-
-def _cluster_labels(values: np.ndarray) -> np.ndarray:
-    """Group eigenvalues within tolerance; labels follow (re, im) order."""
-    labels = np.zeros(len(values), dtype=int)
-    if len(values) == 0:
-        return labels
-    tol = DEGENERACY_TOL * max(np.abs(values).max(), 1.0)
-    order = np.lexsort((values.imag, values.real))
-    current = 0
-    labels[order[0]] = 0
-    for prev, i in zip(order[:-1], order[1:]):
-        if abs(values[i] - values[prev]) > tol:
-            current += 1
-        labels[i] = current
-    return labels
 
 
 def occupation_profiles(matrix, basis: SectorBasis, solution: EigenSolution = None):
@@ -66,8 +46,10 @@ def occupation_profiles(matrix, basis: SectorBasis, solution: EigenSolution = No
     sol = solution if solution is not None else eigendecompose(matrix)
     layout = basis.layout
     probs = np.abs(sol.right_vectors) ** 2
-    weights = mode_weights(basis.states, probs, layout.n_modes)
-    labels = _cluster_labels(sol.values)
+    # weights[k, m] = sum_s bit(states[s], m) |v_k[s]|^2
+    bits = (basis.states[:, None] >> np.arange(layout.n_modes, dtype=np.uint64)) & np.uint64(1)
+    weights = probs.T @ bits.astype(np.float64)
+    labels = cluster_labels(sol.values)
     a_up = [m for m, lbl in enumerate(layout.labels)
             if lbl[1] == ORBITAL_A and lbl[2] == UP]
     profiles = []

@@ -86,9 +86,29 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
+def cluster_labels(values: np.ndarray) -> np.ndarray:
+    """Group nearly equal eigenvalues; labels count up in (re, im) order.
+
+    Sorted by (re, im), each value joins its predecessor's cluster when it
+    lies within ``DEGENERACY_TOL`` (relative to the largest modulus, at
+    least 1) of it, so a chain of near ties forms one cluster.
+    """
+    labels = np.zeros(len(values), dtype=int)
+    if len(values) == 0:
+        return labels
+    tol = DEGENERACY_TOL * max(np.abs(values).max(), 1.0)
+    order = np.lexsort((values.imag, values.real))
+    current = 0
+    for prev, i in zip(order[:-1], order[1:]):
+        if abs(values[i] - values[prev]) > tol:
+            current += 1
+        labels[i] = current
+    return labels
+
+
 def eigendecompose(matrix) -> EigenSolution:
-    """Full eigendecomposition of a sector matrix (or plain ndarray)."""
-    a = np.asarray(getattr(matrix, "entries", matrix), dtype=complex)
+    """Full eigendecomposition of a square matrix."""
+    a = np.asarray(matrix, dtype=complex)
     dim = a.shape[0]
     if dim == 0:
         z = np.zeros(0)
@@ -105,20 +125,11 @@ def eigendecompose(matrix) -> EigenSolution:
     residuals = np.linalg.norm(a @ vectors - vectors * values[None, :], axis=0)
     defective = residuals > RESIDUAL_RTOL * max(scale, 1e-300)
 
-    # rank-deficient degenerate clusters: group nearly equal eigenvalues and
-    # compare the numerical rank of their eigenvector block to the cluster size
-    tol = DEGENERACY_TOL * max(np.abs(values).max(), 1.0)
+    # rank-deficient degenerate clusters: compare the numerical rank of each
+    # cluster's eigenvector block to the cluster size
     order = np.lexsort((values.imag, values.real))
-    cluster = [order[0]]
-    clusters = []
-    for i in order[1:]:
-        if abs(values[i] - values[cluster[-1]]) <= tol:
-            cluster.append(i)
-        else:
-            clusters.append(cluster)
-            cluster = [i]
-    clusters.append(cluster)
-    for cl in clusters:
+    labels = cluster_labels(values)[order]
+    for cl in np.split(order, np.flatnonzero(np.diff(labels)) + 1):
         if len(cl) < 2:
             continue
         sv = np.linalg.svd(vectors[:, cl], compute_uv=False)
@@ -288,7 +299,7 @@ def shifted_copy(matrix, e_ref: complex) -> np.ndarray:
     The only d x d allocation is the copy: the shift is subtracted from its
     diagonal in place.
     """
-    shifted = np.array(getattr(matrix, "entries", matrix), dtype=complex, order="F")
+    shifted = np.array(matrix, dtype=complex, order="F")
     # shifted.T is C-contiguous, so its flat view steps along the diagonal
     shifted.T.reshape(-1)[:: shifted.shape[0] + 1] -= e_ref
     return shifted
@@ -301,7 +312,7 @@ def factor_shifted(matrix, e_ref: complex):
     stack of one (``factor_stack``), so M is left unchanged and at most two
     d x d buffers, M and the factors, are live.
     """
-    stack = np.array(getattr(matrix, "entries", matrix), dtype=complex, order="F")[None]
+    stack = np.array(matrix, dtype=complex, order="F")[None]
     piv, scales = factor_stack(stack, e_ref)
     return (stack[0], piv[0]), scales[0]
 
@@ -375,7 +386,7 @@ def logdet_phase(matrix, e_ref: complex = 0.0):
     diagonal and then reduced to (-pi, pi].  Raises SpectrumHitError when a
     pivot falls below the singularity tolerance.
     """
-    a = np.asarray(getattr(matrix, "entries", matrix), dtype=complex)
+    a = np.asarray(matrix, dtype=complex)
     if a.shape[0] == 0:
         return 0.0, 0.0
     factors, scale = factor_shifted(a, e_ref)
@@ -408,7 +419,7 @@ def smallest_singular_estimate(matrix, e_ref: complex = 0.0, iters: int = 8) -> 
     approaches it from above and can overshoot it severalfold, so it is an
     estimate of that distance scale, not a bound on it.
     """
-    a = np.asarray(getattr(matrix, "entries", matrix), dtype=complex)
+    a = np.asarray(matrix, dtype=complex)
     if a.shape[0] == 0:
         return np.inf
     factors, _ = factor_shifted(a, e_ref)

@@ -21,7 +21,6 @@ from pointgap.models import (
     ChainParams,
     DotParams,
     build_chain_one_body,
-    build_dot_many_body,
     build_dot_one_body,
     chain_model,
     dot_model,
@@ -29,14 +28,7 @@ from pointgap.models import (
     one_body_sz,
 )
 from pointgap.observables import boundary_sensitivity, product_state_profiles
-from pointgap.oracles import (
-    chain_first_order_spectrum,
-    diagonal_flow_winding,
-    dot_sector21_eigenvalues,
-    dot_sector2m1_eigenvalues,
-    dot_sector_diagonal_flows,
-    eigenvalue_match,
-)
+from pointgap.oracles import diagonal_flow_winding, dot_sector_diagonal_flows
 from pointgap.spectral import eigendecompose, sweep_deformation, sweep_theta
 from pointgap.topology import many_body_winding, one_body_winding, spin_winding
 from pointgap import checks as checks_mod
@@ -79,25 +71,7 @@ def test_criterion_1_one_body_invariants():
 
 def test_criterion_2_closed_form_equivalence():
     t0 = time.perf_counter()
-    rng = np.random.default_rng(7)
-    thetas = np.linspace(0.0, 2.0 * np.pi, 65)
-    draws = [replace(DOT, j=1.0, v=1.0)]
-    for _ in range(20):
-        lam = rng.uniform(0.5, 2.0)
-        eps = rng.uniform(-0.9, 0.9, 4) * lam
-        draws.append(DotParams(lam=lam, eps_a_up=eps[0], eps_a_dn=eps[1],
-                               eps_b_up=eps[2], eps_b_dn=eps[3],
-                               j=rng.uniform(-1.5, 1.5), v=rng.uniform(-1.5, 1.5)))
-    b21, b2m1 = dot_sector_basis(2, 1), dot_sector_basis(2, -1)
-    worst = 0.0
-    for p in draws:
-        for theta in thetas:
-            ed2 = np.linalg.eigvals(build_dot_many_body(p, theta, b21).entries)
-            worst = max(worst, eigenvalue_match(
-                ed2, dot_sector21_eigenvalues(p, theta))[0])
-            ed4 = np.linalg.eigvals(build_dot_many_body(p, theta, b2m1).entries)
-            worst = max(worst, eigenvalue_match(
-                ed4, dot_sector2m1_eigenvalues(p, theta))[0])
+    worst = checks_mod.dot_closed_form_distance(replace(DOT, j=1.0, v=1.0), seed=7)
     elapsed = time.perf_counter() - t0
     _report(2, worst < 1e-10,
             f"max closed-form vs ED distance {worst:.2e} over 21 draws", elapsed, 5.0)
@@ -233,24 +207,14 @@ def test_criterion_6_heavy_half_filled_windings():
 def test_criterion_7_perturbation_oracle():
     t0 = time.perf_counter()
     # the splitting formulas diagonalize the first-order block in the
-    # exchange-imag bookkeeping, so the comparison runs in that convention;
-    # the twist window stays clear of the isolated angles (pi, 2 pi) where
-    # hopping modes from different quadruplets cross and the per-quadruplet
-    # first-order treatment does not apply
-    thetas = np.concatenate([[0.0], np.linspace(0.2, 2.6, 13)])
-    errs = {}
-    for scale, (j, v) in ((1.0, (0.02, 0.03)), (0.5, (0.01, 0.015))):
-        p = ChainParams(length=7, t=1.0, j=j, v=v, gauge="distributed",
-                        edge_convention="exchange-imag")
-        model = chain_model(p, 3, -1)
-        errs[scale] = max(
-            eigenvalue_match(np.linalg.eigvals(model.matrix(th).entries),
-                             chain_first_order_spectrum(p, th))[1]
-            for th in thetas)
-    ratio = errs[1.0] / errs[0.5]
+    # exchange-imag bookkeeping, so the comparison runs in that convention
+    p = ChainParams(length=7, t=1.0, j=0.02, v=0.03, gauge="distributed",
+                    edge_convention="exchange-imag")
+    err, err_half = checks_mod.chain_splitting_errors(p, (3, -1))
+    ratio = err / err_half
     elapsed = time.perf_counter() - t0
     _report(7, 3.5 <= ratio <= 4.5,
-            f"assignment distance {errs[1.0]:.3e} -> {errs[0.5]:.3e}, "
+            f"assignment distance {err:.3e} -> {err_half:.3e}, "
             f"halving ratio {ratio:.3f} (want 4 +- 0.5)", elapsed, 30.0)
 
 

@@ -237,6 +237,19 @@ def test_main_computation_error_exit_code(tmp_path, capsys):
     assert "computation error" in err and "sector" in err
 
 
+@pytest.mark.parametrize("params, sector, message", [
+    ({"length": 7}, [1, -1], "incompatible with singly occupied edge b sites"),
+    ({"length": 40}, [3, -1], "layouts above 64 modes"),
+], ids=["no-edge-fermions", "too-many-modes"])
+def test_main_unbuildable_sector_is_config_error(tmp_path, capsys, params, sector, message):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"model": "chain", "task": "winding",
+                                    "sector": sector, "params": params}))
+    assert main(["run", str(cfg_path), "--output-dir", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err
+
+
 def test_main_check_subcommand(capsys):
     assert main(["check"]) == 0
     out = capsys.readouterr().out

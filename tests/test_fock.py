@@ -1,3 +1,6 @@
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,10 +13,9 @@ from pointgap.fock import (
     dot_layout,
     edge_b_constraints,
     enumerate_sector,
-    full_basis_states,
-    spin_flip_matrix,
     spin_flip_ops,
 )
+from pointgap.models import ChainParams, chain_sector_basis
 
 
 def test_create_on_vacuum():
@@ -95,7 +97,7 @@ def test_sector_completeness():
 
 def test_parity_from_quantum_numbers():
     lay = chain_layout(3)
-    for s in map(int, full_basis_states(lay)[:256]):
+    for s in range(256):
         n_up = int(np.uint64(s) & np.uint64(lay.up_mask)).bit_count()
         assert lay.spin_parity(s) == (-1) ** n_up
 
@@ -133,16 +135,47 @@ def test_spin_flip_action():
     assert apply_ops(out[0], ops) is None
 
 
-def test_spin_flip_matrix_maps_between_parity_sectors():
-    lay = dot_layout()
-    src = enumerate_sector(lay, 2, -1)
-    dst = enumerate_sector(lay, 2, 1)
-    m = spin_flip_matrix(src, 0, "a", raise_spin=True, target=dst)
-    assert m.shape == (dst.dim, src.dim)
-    # a_dn b_up --S+_a--> a_up b_up
-    col = src.index_of(0b0110)
-    row = dst.index_of(0b0101)
-    assert m[row, col] == 1
-    # applying the same flip twice annihilates every state
-    back = spin_flip_matrix(dst, 0, "a", raise_spin=True, target=src)
-    assert np.all(back @ m == 0)
+def _scan_reference(layout, n, parity, constraints=()):
+    """Every bitset of the layout, filtered one by one."""
+    return [s for s in range(1 << layout.n_modes)
+            if s.bit_count() == n and layout.spin_parity(s) == parity
+            and all((s & c.mask).bit_count() == c.count for c in constraints)]
+
+
+@pytest.mark.parametrize("length", [None, 2, 3, 4],
+                         ids=["dot", "chain-2", "chain-3", "chain-4"])
+def test_enumeration_equals_full_scan(length):
+    if length is None:
+        layout, constraint_sets = dot_layout(), [()]
+    else:
+        layout = chain_layout(length)
+        constraint_sets = [(), edge_b_constraints(layout, length)]
+    for constraints in constraint_sets:
+        for n in range(layout.n_modes + 1):
+            for parity in (1, -1):
+                basis = enumerate_sector(layout, n, parity, constraints)
+                assert basis.states.dtype == np.uint64
+                np.testing.assert_array_equal(
+                    basis.states,
+                    np.array(_scan_reference(layout, n, parity, constraints),
+                             dtype=np.uint64))
+
+
+def test_large_chain_sector_scales_with_its_size():
+    # 32 modes: a scan of all 2**32 bitsets would need 32 GiB
+    start = time.perf_counter()
+    basis = chain_sector_basis(ChainParams(length=14), 3, -1)
+    assert time.perf_counter() - start < 1.0
+    assert basis.dim == 56
+
+
+def test_candidate_limit_refuses_before_allocating():
+    lay = chain_layout(30)  # 64 modes, C(64, 32) ~ 1.8e18 candidates
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="enumeration limit"):
+            enumerate_sector(lay, 32, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

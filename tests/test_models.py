@@ -10,9 +10,7 @@ from pointgap.models import (
     ChainParams,
     DotParams,
     SectorModel,
-    build_chain_many_body,
     build_chain_one_body,
-    build_dot_many_body,
     build_dot_one_body,
     chain_model,
     chain_sector_basis,
@@ -45,7 +43,7 @@ def test_dot_one_body_periodic_and_flat():
 def test_dot_two_level_sector_matrix():
     p = replace(FIG_DOT, v=0.9)
     theta = 0.83
-    m = build_dot_many_body(p, theta, (2, 1)).entries
+    m = dot_model(p, 2, 1)(theta)
     ref = np.array([
         [np.exp(1j * theta) + 1j * (0.2 + 0.35), 0.45j],
         [0.45j, np.exp(-1j * theta) + 1j * (-0.1 - 0.25)],
@@ -55,7 +53,7 @@ def test_dot_two_level_sector_matrix():
 
 def test_dot_four_level_sector_structure():
     p = replace(FIG_DOT, j=0.7, v=0.9)
-    m = build_dot_many_body(p, 0.4, (2, -1)).entries
+    m = dot_model(p, 2, -1)(0.4)
     # ascending-bitset basis: (a_up a_dn, a_dn b_up, a_up b_dn, b_up b_dn)
     diag = [2 * np.cos(0.4) + 1j * (0.2 - 0.1),
             np.exp(-0.4j) + 1j * (-0.1 + 0.35),
@@ -71,7 +69,7 @@ def test_dot_four_level_sector_structure():
 def test_dot_interaction_is_i_times_hermitian():
     p = DotParams(lam=0.0, j=0.8, v=1.3)
     for sector in ((2, 1), (2, -1), (3, 1), (3, -1)):
-        m = build_dot_many_body(p, 0.0, sector).entries
+        m = dot_model(p, *sector)(0.0)
         herm = m / 1j
         np.testing.assert_allclose(herm, herm.conj().T, atol=1e-15)
 
@@ -81,10 +79,10 @@ def test_noninteracting_dot_sums_of_one_body():
     theta = 1.9
     h = np.diag(build_dot_one_body(p, theta))
     for sector in ((2, 1), (2, -1), (1, -1), (3, 1)):
-        basis = dot_sector_basis(*sector)
+        model = dot_model(p, *sector)
         expected = [sum(h[m] for m in range(4) if (int(s) >> m) & 1)
-                    for s in basis.states]
-        ed = np.linalg.eigvals(build_dot_many_body(p, theta, basis).entries)
+                    for s in model.basis.states]
+        ed = np.linalg.eigvals(model(theta))
         assert eigenvalue_match(ed, expected)[0] < 1e-10
 
 
@@ -111,30 +109,28 @@ def test_chain_gauge_spectra_agree():
         e1 = np.linalg.eigvals(build_chain_one_body(pb, theta))
         e2 = np.linalg.eigvals(build_chain_one_body(pd, theta))
         assert eigenvalue_match(e1, e2)[0] < 1e-12
-        m1 = build_chain_many_body(pb, theta, (3, -1)).entries
-        m2 = build_chain_many_body(pd, theta, (3, -1)).entries
+        m1 = chain_model(pb, 3, -1)(theta)
+        m2 = chain_model(pd, 3, -1)(theta)
         assert eigenvalue_match(np.linalg.eigvals(m1),
                                 np.linalg.eigvals(m2))[0] < 1e-10
 
 
 def test_boundary_gauge_entries_periodic():
     model = chain_model(ChainParams(length=5, j=1.0, v=1.0), 3, -1)
-    np.testing.assert_allclose(model.matrix(2 * np.pi).entries,
-                               model.matrix(0.0).entries, atol=1e-14)
+    np.testing.assert_allclose(model(2 * np.pi), model(0.0), atol=1e-14)
 
 
 def test_periodic_equals_twisted_at_zero():
     p_per = ChainParams(length=5, t=1.0, bc="periodic")
     p_tw = ChainParams(length=5, t=1.0, bc="twisted")
+    periodic, twisted = chain_model(p_per, 3, -1), chain_model(p_tw, 3, -1)
     for theta in (0.0, 1.0, 3.3):
-        np.testing.assert_allclose(
-            build_chain_many_body(p_per, theta, (3, -1)).entries,
-            build_chain_many_body(p_tw, 0.0, (3, -1)).entries, atol=1e-15)
+        np.testing.assert_allclose(periodic(theta), twisted(0.0), atol=1e-15)
 
 
 def test_chain_open_many_body_nilpotent():
     p = ChainParams(length=7, t=1.0, bc="open")
-    m = build_chain_many_body(p, 0.0, (3, -1)).entries
+    m = chain_model(p, 3, -1)(0.0)
     assert np.abs(np.linalg.eigvals(m)).max() < 1e-12
 
 
@@ -146,7 +142,7 @@ def test_noninteracting_chain_sums_of_one_body():
     dn = np.linalg.eigvals(h[np.ix_(range(1, 10, 2), range(1, 10, 2))])
     # (3,-1): one a fermion, edge b spins fixed up to parity (2 choices each)
     expected = np.concatenate([np.repeat(up, 2), np.repeat(dn, 2)])
-    ed = np.linalg.eigvals(build_chain_many_body(p, theta, (3, -1)).entries)
+    ed = np.linalg.eigvals(chain_model(p, 3, -1)(theta))
     assert eigenvalue_match(ed, expected)[0] < 1e-10
 
 
@@ -155,7 +151,7 @@ def test_interaction_preserves_per_orbital_number():
     # sector matrix never connects states with different a-fermion counts
     p = replace(FIG_DOT, j=1.0, v=1.0)
     model = dot_model(p, 2, -1)
-    m = model.matrix(0.7).entries
+    m = model(0.7)
     counts = np.array([int(np.uint64(s) & np.uint64(0b11)).bit_count()
                        for s in model.basis.states])
     differ = counts[:, None] != counts[None, :]
@@ -169,8 +165,8 @@ def test_incompatible_chain_sector_errors():
 
 
 def test_dot_empty_sector_gives_empty_matrix():
-    m = build_dot_many_body(FIG_DOT, 0.0, (0, -1))
-    assert m.dim == 0 and m.entries.shape == (0, 0)
+    model = dot_model(FIG_DOT, 0, -1)
+    assert model.dim == 0 and model(0.0).shape == (0, 0)
 
 
 def test_sector_matrix_accumulates_duplicate_entries():
@@ -180,7 +176,7 @@ def test_sector_matrix_accumulates_duplicate_entries():
     number = ((a_up, True), (a_up, False))
     basis = dot_sector_basis(1, -1)
     model = SectorModel(lay, [(1.0, P_ONE, number), (2.0j, P_PLUS, number)], basis)
-    m = model.matrix(0.5).entries
+    m = model(0.5)
     occupied = np.array([(int(s) >> a_up) & 1 for s in basis.states], dtype=bool)
     assert occupied.sum() == 1
     np.testing.assert_array_equal(np.diag(m), np.where(occupied, 1.0 + 2.0j * np.exp(0.5j), 0))
@@ -213,9 +209,9 @@ def test_stack_slices_equal_single_matrices(model):
     assert stack.shape == (len(grid), model.dim, model.dim)
     for k, theta in enumerate(grid):
         assert stack[k].flags.f_contiguous
-        np.testing.assert_array_equal(stack[k], model.matrix(theta).entries)
+        np.testing.assert_array_equal(stack[k], model(theta))
         if model.freeze_theta is not None:  # periodic: every twist gives H(0)
-            np.testing.assert_array_equal(stack[k], model.matrix(0.0).entries)
+            np.testing.assert_array_equal(stack[k], model(0.0))
 
 
 def test_param_validation():
@@ -234,7 +230,7 @@ def test_edge_convention_coefficients():
     base = dict(length=5, t=1.0, j=0.6, v=0.0, bc="twisted")
     half = chain_model(ChainParams(**base, edge_convention="exchange-half"), 3, -1)
     full = chain_model(ChainParams(**base, edge_convention="exchange-full"), 3, -1)
-    h_half = half.matrix(0.0).entries
-    h_full = full.matrix(0.0).entries
-    hop = chain_model(ChainParams(**{**base, "j": 0.0}), 3, -1).matrix(0.0).entries
+    h_half = half(0.0)
+    h_full = full(0.0)
+    hop = chain_model(ChainParams(**{**base, "j": 0.0}), 3, -1)(0.0)
     np.testing.assert_allclose(h_full - hop, 2 * (h_half - hop), atol=1e-15)

@@ -7,15 +7,13 @@ from pointgap.fock import apply_create, chain_layout
 from pointgap.models import (
     ChainParams,
     DotParams,
-    build_dot_many_body,
     chain_model,
-    dot_sector_basis,
+    dot_model,
 )
 from pointgap.oracles import (
     CircleFlow,
     FlowThroughReferenceError,
     chain_first_order_eigenvalues,
-    chain_first_order_spectrum,
     circle_flow_winding,
     diagonal_flow_winding,
     dot_sector21_eigenvalues,
@@ -63,34 +61,11 @@ def test_two_level_line_gap():
     assert min(gaps) >= p.v - 1e-12
 
 
-def test_closed_forms_match_ed_to_1e10():
-    rng = np.random.default_rng(7)
-    thetas = np.linspace(0.0, 2.0 * np.pi, 65)
-    draws = [replace(FIG_DOT, j=1.0, v=1.0)]
-    for _ in range(20):
-        lam = rng.uniform(0.5, 2.0)
-        eps = rng.uniform(-0.9, 0.9, 4) * lam
-        draws.append(DotParams(lam=lam, eps_a_up=eps[0], eps_a_dn=eps[1],
-                               eps_b_up=eps[2], eps_b_dn=eps[3],
-                               j=rng.uniform(-1.5, 1.5), v=rng.uniform(-1.5, 1.5)))
-    b21, b2m1 = dot_sector_basis(2, 1), dot_sector_basis(2, -1)
-    worst = 0.0
-    for p in draws:
-        for theta in thetas:
-            ed2 = np.linalg.eigvals(build_dot_many_body(p, theta, b21).entries)
-            worst = max(worst, eigenvalue_match(
-                ed2, dot_sector21_eigenvalues(p, theta))[0])
-            ed4 = np.linalg.eigvals(build_dot_many_body(p, theta, b2m1).entries)
-            worst = max(worst, eigenvalue_match(
-                ed4, dot_sector2m1_eigenvalues(p, theta))[0])
-    assert worst < 1e-10
-
-
 def test_four_level_no_coupling_is_diagonal():
     p = replace(FIG_DOT, j=0.0)
-    basis = dot_sector_basis(2, -1)
+    model = dot_model(p, 2, -1)
     for theta in (0.4, 3.0):
-        diag = np.diag(build_dot_many_body(p, theta, basis).entries)
+        diag = np.diag(model(theta))
         vals = dot_sector2m1_eigenvalues(p, theta)
         assert eigenvalue_match(diag, vals)[0] < 1e-12
 
@@ -134,7 +109,7 @@ def test_first_order_block_structure():
     p = ChainParams(length=L, t=1.0, j=J, v=V, gauge="distributed",
                     edge_convention="exchange-imag")
     model = chain_model(p, 3, -1)
-    h = model.matrix(0.0).entries
+    h = model(0.0)
     T = _quadruplet_columns(L, model.basis)
     ht = np.linalg.solve(T, h @ T)
     om = np.exp(2j * np.pi / L)
@@ -179,28 +154,12 @@ def test_first_order_equal_couplings_mode_zero():
         assert min(abs(v - e) for e in expect) < 1e-12
 
 
-def test_error_scaling_second_order():
-    """Halving the couplings shrinks the formula-vs-ED distance fourfold."""
-    thetas = np.concatenate([[0.0], np.linspace(0.2, 2.6, 13)])
-    errs = {}
-    for scale in (1.0, 0.5):
-        p = ChainParams(length=7, t=1.0, j=0.02 * scale, v=0.03 * scale,
-                        gauge="distributed", edge_convention="exchange-imag")
-        model = chain_model(p, 3, -1)
-        errs[scale] = max(
-            eigenvalue_match(np.linalg.eigvals(model.matrix(th).entries),
-                             chain_first_order_spectrum(p, th))[1]
-            for th in thetas)
-    ratio = errs[1.0] / errs[0.5]
-    assert 3.5 <= ratio <= 4.5
-
-
 def test_spec_example_mode_one():
     for scale, budget in ((1.0, 5e-4), (0.5, 1.3e-4)):
         p = ChainParams(length=7, t=1.0, j=0.02 * scale, v=0.03 * scale,
                         gauge="distributed", edge_convention="exchange-imag")
         model = chain_model(p, 3, -1)
-        ed = np.linalg.eigvals(model.matrix(1.0).entries)
+        ed = np.linalg.eigvals(model(1.0))
         quad = np.array(chain_first_order_eigenvalues(p, 1, 1.0))
         dist = np.abs(ed[None, :] - quad[:, None]).min(axis=1).max()
         assert dist < budget

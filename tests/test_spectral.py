@@ -15,12 +15,13 @@ from pointgap.models import (
     dot_model,
     phase_table,
 )
-from pointgap.observables import hausdorff_distance
+from pointgap.observables import hausdorff_distance, occupation_profiles
 from pointgap.oracles import dot_sector21_eigenvalues, eigenvalue_match
 from pointgap.spectral import (
     STACK_BYTES,
     EigensolverError,
     SpectrumHitError,
+    cluster_labels,
     deformation_params,
     eigendecompose,
     factor_shifted,
@@ -73,9 +74,32 @@ def test_eigendecompose_flags_jordan_block():
     sol = eigendecompose(model.matrix(0.0))
     assert np.abs(sol.values).max() < 1e-8
     assert sol.defective.all()
+    # the whole block is one degeneracy cluster
+    profiles = occupation_profiles(model.matrix(0.0), model.basis, solution=sol)
+    assert [p.degeneracy_cluster for p in profiles] == [0] * model.dim
     # the contract still delivers a full set of unit vectors
     np.testing.assert_allclose(np.linalg.norm(sol.right_vectors, axis=0), 1.0,
                                atol=1e-12)
+
+
+def test_cluster_labels_join_chains_of_near_ties():
+    # the tolerance is 1e-8 times the largest modulus, 2: 0, 8e-9, 1.6e-8
+    # and 2.4e-8 are each within it of the previous one, though the ends
+    # are not, and they form one cluster
+    values = np.array([2.0, 1.6e-8, -1.0 + 1.0j, 0.0, 2.4e-8, -1.0, 8e-9, 2.0 + 5e-9j])
+    np.testing.assert_array_equal(cluster_labels(values), [3, 2, 1, 2, 2, 0, 2, 3])
+    assert cluster_labels(np.zeros(0, dtype=complex)).shape == (0,)
+
+
+def test_eigendecompose_ranks_each_cluster():
+    # a 2x2 Jordan block at 0 and a diagonalizable pair at 2: only the block
+    # lacks eigenvectors
+    a = np.zeros((5, 5), dtype=complex)
+    a[0, 1] = 1.0
+    a[2, 2] = a[3, 3] = 2.0
+    a[4, 4] = 1.0
+    np.testing.assert_array_equal(eigendecompose(a).defective,
+                                  [True, True, False, False, False])
 
 
 def test_dot_two_level_matches_closed_form():
