@@ -293,6 +293,22 @@ def check_chain_splitting_scaling():
             f"assignment distance {err:.3e} -> {err_half:.3e}, halving ratio {ratio:.3f}")
 
 
+def check_gap_margin_distance(tol: float = 1e-12):
+    """A winding's gap margin, and the distance at its margin_theta, equal the
+    nearest-eigenvalue distance over the base grid, for chain (4,+1) at
+    reference 0.3i (d = 182, where the margin comes from ARPACK)."""
+    worst = 0.0
+    for jv in (0.0, 1.0):
+        p = ChainParams(length=7, j=jv, v=jv)
+        w = many_body_winding(p, (4, 1), 0.3j, n_grid=16)
+        flow = sweep_theta(chain_model(p, 4, 1), 16)
+        dists = np.abs(flow.spectra - 0.3j).min(axis=1)
+        best = dists.min()
+        at_theta = dists[list(flow.grid).index(w.margin_theta)]
+        worst = max(worst, abs(w.gap_margin - best) / best, abs(at_theta - best) / best)
+    return worst < tol, f"max relative deviation from the eigvals distance {worst:.2e}"
+
+
 CHECKS = [
     ("fermionic anticommutation (8 modes, exhaustive)", check_anticommutation),
     ("sector block structure (dot, chain L=3)", check_block_structure),
@@ -303,6 +319,7 @@ CHECKS = [
     ("occupation sum rules", check_occupation_sum_rules),
     ("dot closed-form spectra", check_dot_closed_forms),
     ("chain first-order splitting scaling", check_chain_splitting_scaling),
+    ("gap margin is the nearest-eigenvalue distance", check_gap_margin_distance),
 ]
 
 

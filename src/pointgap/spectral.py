@@ -176,9 +176,15 @@ def twist_stacks(matrix_fn, thetas):
         dim = np.shape(first)[0]
         build = partial(_fill_stack, chain([first], matrices), dim)
         del first
-    step = max(1, STACK_BYTES // max(16 * dim * dim, 1))
+    step = stack_length(dim)
     for start in range(0, len(thetas), step):
         yield start, build(thetas[start:start + step])
+
+
+def stack_length(dim: int) -> int:
+    """Matrices per stack of ``twist_stacks`` at dimension ``dim``; with
+    ``STACK_BYTES`` at 512 KiB, one for every dim above 128."""
+    return max(1, STACK_BYTES // max(16 * dim * dim, 1))
 
 
 def _fill_stack(matrices, dim, thetas):
@@ -189,7 +195,7 @@ def _fill_stack(matrices, dim, thetas):
     return out
 
 
-def _stack_eigvals(stack, thetas):
+def stack_eigvals(stack, thetas):
     """Eigenvalues of every matrix of a stack, one row each."""
     try:
         return np.linalg.eigvals(stack)
@@ -216,7 +222,7 @@ def sweep_theta(matrix_fn, n_grid: int, path_label: str = "theta-sweep") -> Spec
     grid = theta_grid(n_grid)
     spectra = None
     for start, stack in twist_stacks(matrix_fn, grid):
-        values = _stack_eigvals(stack, grid[start:start + len(stack)])
+        values = stack_eigvals(stack, grid[start:start + len(stack)])
         if spectra is None:
             spectra = np.empty((len(grid), values.shape[1]), dtype=complex)
         order = np.lexsort((values.imag, values.real), axis=-1)
@@ -291,18 +297,6 @@ def wrap_phase(phi):
     out = np.remainder(np.add(phi, np.pi), 2.0 * np.pi) - np.pi
     out = np.where(out == -np.pi, np.pi, out)
     return out if out.ndim else float(out)
-
-
-def shifted_copy(matrix, e_ref: complex) -> np.ndarray:
-    """M - e_ref as a new Fortran-ordered array; M is left unchanged.
-
-    The only d x d allocation is the copy: the shift is subtracted from its
-    diagonal in place.
-    """
-    shifted = np.array(matrix, dtype=complex, order="F")
-    # shifted.T is C-contiguous, so its flat view steps along the diagonal
-    shifted.T.reshape(-1)[:: shifted.shape[0] + 1] -= e_ref
-    return shifted
 
 
 def factor_shifted(matrix, e_ref: complex):
@@ -409,21 +403,6 @@ def sigma_min_from_factors(factors, dim: int, iters: int = 8) -> float:
             return 0.0
         v = u / growth
     return float(1.0 / np.sqrt(growth))
-
-
-def smallest_singular_estimate(matrix, e_ref: complex = 0.0, iters: int = 8) -> float:
-    """Estimated smallest singular value of M - e_ref.
-
-    For any matrix the exact smallest singular value lower-bounds the
-    distance from e_ref to the spectrum.  This inverse-iteration value
-    approaches it from above and can overshoot it severalfold, so it is an
-    estimate of that distance scale, not a bound on it.
-    """
-    a = np.asarray(matrix, dtype=complex)
-    if a.shape[0] == 0:
-        return np.inf
-    factors, _ = factor_shifted(a, e_ref)
-    return sigma_min_from_factors(factors, a.shape[0], iters)
 
 
 # ---------------------------------------------------------------------------

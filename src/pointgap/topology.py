@@ -11,10 +11,15 @@ spectrum on the base grid and the reference energy - so a trivial winding can
 be told apart from a barely resolved one.  A closed gap is a physical
 obstruction, not a numerical failure, and raises ``GapClosedError``.
 
-The margin needs no eigensolve at most grid points: sigma_min(M - E) never
-exceeds dist(E, spec M) (the 2-norm pseudospectrum inclusion; Trefethen &
-Embree, *Spectra and Pseudospectra*, 2005), so a values-only SVD at every
-point rules out all but the few where the minimum can lie.
+The margin is an exact nearest-eigenvalue distance at every sector size.
+Small matrices, several to a stack, are eigensolved in one batch before
+their stack is LU-factored.  A larger one gets the distance from the LU the
+phase already needs: the eigenvalue of (M - E)^-1 largest in modulus is
+1 / (lambda - E) for the eigenvalue lambda nearest E, found by shift-invert
+Arnoldi (Lehoucq, Sorensen & Yang, *ARPACK Users' Guide*, SIAM 1998).  A
+smallest singular value would not do: for non-normal M, sigma_min(M - E) can
+lie far below dist(E, spec M) (Trefethen & Embree, *Spectra and
+Pseudospectra*, 2005).
 """
 
 from __future__ import annotations
@@ -23,7 +28,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.linalg.lapack import zgesdd
+from scipy.linalg import lu_solve
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs
 
 from .spectral import (
     SpectralError,
@@ -32,8 +38,8 @@ from .spectral import (
     factor_shifted,
     factor_stack,
     phase_from_factors,
-    shifted_copy,
-    sigma_min_from_factors,
+    stack_eigvals,
+    stack_length,
     stack_phases,
     theta_grid,
     twist_stacks,
@@ -45,16 +51,6 @@ PHASE_STEP_BOUND = np.pi / 2
 MAX_REFINE_DEPTH = 12
 INTEGER_TOL = 1e-6
 SPIN_COMMUTATOR_TOL = 1e-12
-
-# above this sector dimension the gap margin falls back from exact eigenvalue
-# distances to an inverse-iteration smallest-singular-value estimate sharing
-# the phase LU, keeping large sweeps at one LU per twist point; the estimate
-# approaches sigma_min from above, so such a margin is an estimate, not a bound
-EIG_MARGIN_MAX_DIM = 2048
-
-# allowance, in units of d * eps * |M|_2, for the backward errors of the SVD
-# and of the eigensolver when a sigma_min(M - E) bound rules out a grid point
-MARGIN_SLACK = 10.0
 
 
 class GapClosedError(SpectralError):
@@ -146,41 +142,27 @@ class _PhaseTracker:
         return total
 
 
-def _sigma_lower_bound(a, ref):
-    """A lower bound on the computed distance from ``ref`` to eig(a).
+def _nearest_distance(lu, piv, matrix_fn, theta, ref):
+    """Distance from ``ref`` to the nearest eigenvalue of ``matrix_fn(theta)``,
+    given the LU of ``matrix_fn(theta) - ref``.
 
-    sigma_min(a - ref) from a values-only SVD, less ``MARGIN_SLACK`` d eps
-    |a|_2.  Each computed eigenvalue is an exact eigenvalue of a matrix
-    within the eigensolver's backward error of ``a``, and the computed
-    sigma_min is within the SVD's; the allowance covers both.  -inf when the
-    SVD fails.
+    ARPACK finds the eigenvalue of the inverse largest in modulus from a
+    fixed start vector, so a run repeats bit for bit; where it does not
+    converge, the matrix is eigensolved in full.
     """
-    _, s, _, info = zgesdd(shifted_copy(a, ref), compute_uv=0, overwrite_a=1)
-    if info != 0:
-        return -np.inf
-    norm = s[0] + abs(ref)  # >= |a|_2
-    return float(s[-1] - MARGIN_SLACK * a.shape[0] * np.finfo(float).eps * norm)
+    dim = lu.shape[0]
+    solve = lambda v: lu_solve((lu, piv), v, check_finite=False)
+    inverse = LinearOperator((dim, dim), matvec=solve, dtype=complex)
+    rng = np.random.default_rng(0)
+    v0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    try:
+        mu = eigs(inverse, k=1, which="LM", v0=v0, return_eigenvectors=False)
+    except ArpackNoConvergence:
+        return float(np.abs(np.linalg.eigvals(matrix_fn(theta)) - ref).min())
+    return float(1.0 / np.abs(mu).max())
 
 
-def _pruned_margin(matrix_fn, ref, grid, lower):
-    """Smallest eigenvalue distance over the grid and its lowest index.
-
-    Points are eigensolved in ascending order of their lower bound until the
-    next bound exceeds the best distance found: every skipped point has a
-    strictly larger distance, so value and index equal those of a full scan.
-    """
-    best, best_k = np.inf, -1
-    for k in np.argsort(lower, kind="stable"):
-        if lower[k] > best:
-            break
-        a = np.asarray(matrix_fn(grid[k]), dtype=complex)
-        dist = float(np.abs(np.linalg.eigvals(a) - ref).min())
-        if dist < best or (dist == best and k < best_k):
-            best, best_k = dist, int(k)
-    return best, best_k
-
-
-def _winding_core(matrix_fn, ref, n_grid, margin_mode="eig", spectra=None):
+def _winding_core(matrix_fn, ref, n_grid, spectra=None):
     """Shared driver: track the determinant phase over the twist period.
 
     The base grid is evaluated in the stacks of ``twist_stacks``: each stack
@@ -191,19 +173,24 @@ def _winding_core(matrix_fn, ref, n_grid, margin_mode="eig", spectra=None):
     ``factor_stack`` on a stack of one, so both make the same test on the
     same numbers.
 
-    The gap margin covers the n_grid + 1 base-grid points; refinement
-    midpoints compute phases alone.  ``spectra`` (one row of eigenvalues per
+    The gap margin is the exact distance from ``ref`` to the nearest
+    eigenvalue, minimized over the n_grid + 1 base-grid points (refinement
+    midpoints compute phases alone).  ``spectra`` (one row of eigenvalues per
     base-grid point, as a spectral flow of the same matrices holds) gives it
-    directly.  Otherwise ``margin_mode`` is "eig" (exact distance to the
-    spectrum, eigensolving only the grid points a sigma_min bound cannot rule
-    out) or "sigma" (an inverse-iteration sigma_min estimate sharing the
-    phase LU, for large dimensions; an estimate, not a bound).
+    directly.  Otherwise dimensions that share a stack (d <= 128) are
+    eigensolved a stack at a time before it is factored, and larger ones
+    get the distance by shift-invert Arnoldi on their own phase LU.
     """
+    if n_grid < 16:
+        raise ValueError("n_grid must be at least 16")
     grid = theta_grid(n_grid)
-    if spectra is not None and np.shape(spectra)[0] != len(grid):
-        raise ValueError(f"spectra has {np.shape(spectra)[0]} rows for "
-                         f"{len(grid)} base-grid points")
-    per_point = np.empty(len(grid))  # sigma bound or estimate at each grid point
+    if spectra is not None:
+        if np.shape(spectra)[0] != len(grid):
+            raise ValueError(f"spectra has {np.shape(spectra)[0]} rows for "
+                             f"{len(grid)} base-grid points")
+        dists = np.abs(np.asarray(spectra) - ref).min(axis=1)
+    else:
+        dists = np.empty(len(grid))
     base_phases = np.empty(len(grid))
 
     def phase_at(theta):
@@ -215,15 +202,17 @@ def _winding_core(matrix_fn, ref, n_grid, margin_mode="eig", spectra=None):
 
     for start, stack in twist_stacks(matrix_fn, grid):
         points = slice(start, start + len(stack))
-        if spectra is None and margin_mode == "eig":
-            per_point[points] = [_sigma_lower_bound(a, ref) for a in stack]
+        # batched eigvals where a stack holds several matrices; the branch
+        # follows the dimension, not this stack, which may be a trailing one
+        batched = spectra is None and stack_length(stack.shape[1]) > 1
+        if batched:
+            dists[points] = np.abs(stack_eigvals(stack, grid[points]) - ref).min(axis=1)
         piv, scales = factor_stack(stack, ref)
         base_phases[points], singular = stack_phases(stack, piv, scales)
         if singular.any():  # factored alone, the first one in grid order raises
             phase_at(grid[start + int(np.flatnonzero(singular)[0])])
-        if spectra is None and margin_mode != "eig":
-            per_point[points] = [sigma_min_from_factors((lu, p), stack.shape[1])
-                                 for lu, p in zip(stack, piv)]
+        if spectra is None and not batched:
+            dists[start] = _nearest_distance(stack[0], piv[0], matrix_fn, grid[start], ref)
         del stack  # free it before the next one is built
 
     tracker = _PhaseTracker(phase_at, n_grid)
@@ -234,15 +223,8 @@ def _winding_core(matrix_fn, ref, n_grid, margin_mode="eig", spectra=None):
             raise GapClosedError(0.5 * sum(exc.interval), ref,
                                  detail=" (determinant sign flip)") from exc
         raise
-    if spectra is not None:
-        dists = np.abs(np.asarray(spectra) - ref).min(axis=1)
-        k = int(np.argmin(dists))
-        margin = float(dists[k])
-    elif margin_mode == "eig":
-        margin, k = _pruned_margin(matrix_fn, ref, grid, per_point)
-    else:
-        k = int(np.argmin(per_point))
-        margin = float(per_point[k])
+    k = int(np.argmin(dists))
+    margin = float(dists[k])
     if margin <= 0.0:
         raise GapClosedError(grid[k], ref)
 
@@ -296,11 +278,11 @@ def many_body_winding(params, sector, e_ref: complex = 0.0,
 
     ``spectra`` - the eigenvalues of the same matrices at the n_grid + 1
     base-grid points, e.g. ``sweep_theta(model, n_grid).spectra`` - gives the
-    gap margin without eigensolving again.  Without it, sector dimensions
-    above ``EIG_MARGIN_MAX_DIM`` report an inverse-iteration smallest-
-    singular-value estimate instead of an exact eigenvalue distance.  The
-    winding itself always comes from the LU determinant phase.  Sectors below
-    ``BLAS_THREAD_CROSSOVER_DIM`` are wound on one BLAS thread.
+    gap margin without eigensolving again.  Without it the margin is still
+    the exact distance to the nearest eigenvalue at every sector size (see
+    ``_winding_core``).  The winding itself always comes from the LU
+    determinant phase.  Sectors below ``BLAS_THREAD_CROSSOVER_DIM`` are
+    wound on one BLAS thread.
     """
     from .models import ChainParams, DotParams, chain_model, dot_model
 
@@ -313,6 +295,5 @@ def many_body_winding(params, sector, e_ref: complex = 0.0,
     if model.dim == 0:
         raise ValueError(f"sector {tuple(sector)} is empty: no winding or gap margin")
 
-    mode = "eig" if model.dim <= EIG_MARGIN_MAX_DIM else "sigma"
     with blas_threads_for(model.dim):
-        return _winding_core(model, e_ref, n_grid, margin_mode=mode, spectra=spectra)
+        return _winding_core(model, e_ref, n_grid, spectra=spectra)

@@ -28,7 +28,7 @@ from pointgap.spectral import (
     factor_stack,
     logdet_phase,
     periodicity_defect,
-    smallest_singular_estimate,
+    sigma_min_from_factors,
     sweep_deformation,
     sweep_theta,
     theta_grid,
@@ -241,10 +241,10 @@ def test_logdet_singularity_raises():
         logdet_phase(np.diag([1.0, 3.0 + 0j]), 3.0)
 
 
-def test_smallest_singular_estimate():
+def test_sigma_min_from_factors():
     rng = np.random.default_rng(12)
     a = rng.standard_normal((30, 30)) + 1j * rng.standard_normal((30, 30))
-    est = smallest_singular_estimate(a, 0.1j, iters=30)
+    est = sigma_min_from_factors(factor_shifted(a, 0.1j)[0], 30, iters=30)
     exact = np.linalg.svd(a - 0.1j * np.eye(30), compute_uv=False)[-1]
     assert abs(est - exact) / exact < 1e-6
     # converged after 30 steps, it lower-bounds the distance to the spectrum

@@ -296,6 +296,62 @@ def test_margin_from_given_spectra():
         many_body_winding(p, (3, -1), 0.0, n_grid=32, spectra=flow.spectra)
 
 
+@pytest.mark.parametrize("jv", [0.0, 1.0])
+def test_arpack_margin_is_nearest_distance(jv, monkeypatch):
+    """At d = 182 (one matrix per stack) the margin comes from ARPACK on the
+    phase LU: the nearest-eigenvalue distance, repeatable bit for bit, and
+    the full eigensolve where ARPACK does not converge."""
+    from scipy.sparse.linalg import ArpackNoConvergence
+
+    import pointgap.topology as topology
+    from pointgap.models import chain_model
+    from pointgap.spectral import blas_threads_for, stack_length, theta_grid
+
+    params, sector, ref, n_grid = ChainParams(length=7, j=jv, v=jv), (4, 1), 0.3j, 16
+    model = chain_model(params, *sector)
+    assert model.dim == 182 and stack_length(model.dim) == 1
+    grid = list(theta_grid(n_grid))
+    with blas_threads_for(model.dim):
+        dists = [float(np.abs(np.linalg.eigvals(model(t)) - ref).min()) for t in grid]
+    best = min(dists)
+    res = many_body_winding(params, sector, ref, n_grid=n_grid)
+    assert abs(res.gap_margin - best) <= 1e-12 * best
+    assert abs(dists[grid.index(res.margin_theta)] - best) <= 1e-12 * best
+    again = many_body_winding(params, sector, ref, n_grid=n_grid)
+    assert (again.gap_margin, again.margin_theta) == (res.gap_margin, res.margin_theta)
+
+    def no_convergence(*args, **kwargs):
+        raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((182, 0)))
+    monkeypatch.setattr(topology, "eigs", no_convergence)
+    fallback = many_body_winding(params, sector, ref, n_grid=n_grid)
+    assert fallback.gap_margin == best
+    assert fallback.margin_theta == grid[int(np.argmin(dists))]
+    assert fallback.value == res.value
+
+
+def test_trailing_stack_of_one_keeps_eigvals_margin():
+    """At d = 2 a grid of stack_length(2) + 1 points ends in a stack of one
+    matrix; its margin still comes from eigvals (ARPACK needs d >= 3)."""
+    from pointgap.spectral import stack_length, theta_grid
+
+    n_grid = stack_length(2)
+    flow = lambda theta: np.array([[np.exp(1j * theta), 0.3], [0.0, 2.0]])
+    res = one_body_winding(flow, 0.5j, n_grid=n_grid)
+    dists = [float(np.abs(np.linalg.eigvals(flow(t)) - 0.5j).min())
+             for t in theta_grid(n_grid)]
+    assert res.value == 1
+    assert res.gap_margin == min(dists)
+
+
+@pytest.mark.parametrize("n_grid", [0, 1, 15])
+def test_winding_needs_sixteen_grid_points(n_grid):
+    """Below 16 points a winding is refused, not reported as 0."""
+    circle = lambda theta: [[np.exp(1j * theta)]]
+    with pytest.raises(ValueError, match="at least 16"):
+        one_body_winding(circle, 0.0, n_grid=n_grid)
+    assert one_body_winding(circle, 0.0, n_grid=16).value == 1
+
+
 # ---------------------------------------------------------------------------
 # one BLAS thread for small sectors
 # ---------------------------------------------------------------------------
