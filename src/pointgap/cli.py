@@ -49,7 +49,6 @@ from .spectral import (
     theta_grid,
 )
 from .topology import many_body_winding, one_body_winding, spin_winding
-from . import checks as checks_mod
 
 
 def _fmt(x) -> str:
@@ -225,6 +224,8 @@ def run_deform(cfg, outdir):
 
 
 def run_oracle_check(cfg, outdir):
+    from . import checks as checks_mod
+
     report = {}
     if cfg.model == "dot":
         worst = checks_mod.dot_closed_form_distance(cfg.params, seed=2024)
@@ -357,6 +358,8 @@ def _cmd_presets(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from . import checks as checks_mod
+
     results = checks_mod.run_all(verbose=True)
     return 0 if all(r.ok for r in results) else 1
 

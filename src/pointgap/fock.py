@@ -19,21 +19,23 @@ to place ``N`` fermions on the modes, filtered by spin parity and by any
 occupation constraints; its cost grows with that count, not with
 ``2**n_modes``.  Basis order is ascending bitset value so every downstream
 matrix is reproducible bit-for-bit.
+
+``apply_ops`` acts with an operator product on one state.  ``apply_ops_array``
+is its array form: it acts on every state of a basis at once, with the same
+blocking rules and signs, and is what sector matrices are built from.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain, combinations
 
 import numpy as np
 
 MAX_MODES = 64
 
 # Largest C(n_modes, N) that enumerate_sector accepts.  Its temporaries are
-# the picked modes, one byte per fermion per candidate (N <= 64, so at most
-# 64 MiB), and a few 8-byte masks per candidate (8 MiB each).  The heaviest
+# a few 8-byte bitsets per candidate (8 MiB each at the limit).  The heaviest
 # preset sector, (9, -1) on the 18 modes of L = 7, has 48,620 candidates.
 MAX_CANDIDATES = 1 << 20
 
@@ -132,15 +134,22 @@ class SectorBasis:
         self.layout = layout
         self.n = n
         self.parity = parity
-        self.states = np.asarray(states, dtype=np.uint64)
-        self._pos = {int(s): i for i, s in enumerate(self.states)}
+        # ascending; bases are cached and shared, so the array is read-only
+        self.states = np.array(states, dtype=np.uint64)
+        self.states.flags.writeable = False
 
     @property
     def dim(self) -> int:
         return len(self.states)
 
-    def index_of(self, state: int) -> int:
-        return self._pos[int(state)]
+    def index_of(self, state):
+        """Position of a state, or an array of positions for an array of
+        states; KeyError for any state outside the sector."""
+        states = np.asarray(state, dtype=np.uint64)
+        pos = np.searchsorted(self.states, states)
+        if not (np.all(pos < self.dim) and np.array_equal(self.states[pos], states)):
+            raise KeyError(f"state outside sector {self!r}")
+        return int(pos) if pos.ndim == 0 else pos
 
     def __repr__(self):
         return f"SectorBasis(N={self.n}, P={self.parity:+d}, dim={self.dim})"
@@ -161,15 +170,31 @@ def enumerate_sector(layout: ModeLayout, n: int, parity: int, constraints=()) ->
         raise ValueError(
             f"sector N={n} on {layout.n_modes} modes has {count} candidate "
             f"states, above the enumeration limit of {MAX_CANDIDATES}")
-    picks = np.fromiter(chain.from_iterable(combinations(range(layout.n_modes), n)),
-                        dtype=np.uint8, count=count * n).reshape(count, n)
-    occ = np.zeros(count, dtype=np.uint64)
-    for column in picks.T:
-        occ |= np.uint64(1) << column.astype(np.uint64)
+    occ = _placements(layout.n_modes, n)
     keep = (np.bitwise_count(occ & np.uint64(layout.up_mask)) & 1) == (parity == -1)
     for c in constraints:
         keep &= np.bitwise_count(occ & np.uint64(c.mask)) == c.count
-    return SectorBasis(layout, n, parity, np.sort(occ[keep]))
+    return SectorBasis(layout, n, parity, occ[keep])
+
+
+def _placements(n_modes: int, n: int) -> np.ndarray:
+    """Every bitset of ``n`` fermions on ``n_modes`` modes, ascending.
+
+    Built mode by mode with Pascal's rule: the k-fermion sets on modes
+    0..m are those on 0..m-1 followed by the (k-1)-fermion ones with mode m
+    added, which are all larger.  Only the counts that can still end at ``n``
+    are kept, at most min(n, n_modes - n) + 1 of them, so a sector and its
+    particle-hole mirror cost the same.
+    """
+    empty = np.zeros(0, dtype=np.uint64)
+    by_count = {0: np.zeros(1, dtype=np.uint64)}
+    for m in range(n_modes):
+        bit = np.uint64(1 << m)
+        reachable = range(max(0, n - (n_modes - m - 1)), min(n, m + 1) + 1)
+        by_count = {k: np.concatenate((by_count.get(k, empty),
+                                       by_count.get(k - 1, empty) | bit))
+                    for k in reachable}
+    return by_count[n]
 
 
 def apply_ops(state: int, ops):
@@ -187,6 +212,26 @@ def apply_ops(state: int, ops):
         state, s = res
         sign *= s
     return state, sign
+
+
+def apply_ops_array(states: np.ndarray, ops):
+    """``apply_ops`` on every state of an array at once.
+
+    Returns ``(index, out, sign)``: the ascending positions in ``states`` of
+    the states the product does not annihilate, the states it maps them to,
+    and the fermionic signs as +-1.0.
+    """
+    index = np.arange(len(states))
+    out = np.asarray(states, dtype=np.uint64)
+    odd = np.zeros(len(out), dtype=np.uint8)
+    for mode, create in reversed(ops):
+        bit = np.uint64(1 << mode)
+        occupied = (out & bit) != 0
+        alive = ~occupied if create else occupied
+        index, out, odd = index[alive], out[alive], odd[alive]
+        odd ^= np.bitwise_count(out & (bit - np.uint64(1))) & np.uint8(1)
+        out = out ^ bit
+    return index, out, 1.0 - 2.0 * odd
 
 
 def spin_flip_ops(layout: ModeLayout, site: int, orbital: str, raise_spin: bool):

@@ -19,7 +19,11 @@ and share their spectrum.
 
 A ``SectorModel`` (from ``dot_model`` or ``chain_model``) is the one way to
 build a sector Hamiltonian: it keeps the sparse term list of one model and
-sector, and calling it at a twist returns H(theta) as a plain ndarray.  A
+sector, and calling it at a twist returns H(theta) as a plain ndarray.  The
+sector bases and each operator's scatter pattern on a basis (its rows,
+columns and fermionic signs) are cached in this module, so models that
+differ only in their couplings, such as the points of a deformation path,
+enumerate a sector once and apply each operator to it once.  A
 twist sweep builds the matrices in stacks: one dense scatter fills the
 matrices of many angles at once.  Each matrix of a stack is Fortran-ordered,
 the layout LAPACK works in, so a factorization can take one (or a copy of
@@ -194,23 +198,41 @@ def chain_terms(p: ChainParams):
     return lay, terms
 
 
+# keyed by basis object and operator product; a chain sector has 2L + 8
+# operators, and at d = 6864 the pattern of one takes at most 165 KB
+@lru_cache(maxsize=512)
+def _operator_pattern(basis: SectorBasis, ops):
+    """(rows, cols, signs) of an operator product on a basis, read-only.
+
+    Columns ascend; a product that leaves the sector raises KeyError.
+    """
+    cols, out, signs = fock.apply_ops_array(basis.states, ops)
+    pattern = (basis.index_of(out), cols, signs)
+    for array in pattern:
+        array.flags.writeable = False
+    return pattern
+
+
 def terms_to_coo(terms, basis: SectorBasis):
-    """Scatter pattern of a term list on a sector basis (theta-independent)."""
+    """Scatter pattern of a term list on a sector basis (theta-independent).
+
+    Entries come term by term, each term's in ascending column order, so
+    duplicate (row, col) pairs accumulate in a fixed order.
+    """
     rows, cols, amps, slots = [], [], [], []
     for coeff, slot, ops in terms:
         if coeff == 0:
             continue
-        for col, s in enumerate(basis.states):
-            res = fock.apply_ops(int(s), ops)
-            if res is None:
-                continue
-            out, sign = res
-            rows.append(basis.index_of(out))
-            cols.append(col)
-            amps.append(sign * coeff)
-            slots.append(slot)
-    return (np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64),
-            np.asarray(amps, dtype=complex), np.asarray(slots, dtype=np.int64))
+        term_rows, term_cols, signs = _operator_pattern(basis, ops)
+        rows.append(term_rows)
+        cols.append(term_cols)
+        amps.append(signs * coeff)
+        slots.append(np.full(len(signs), slot))
+
+    def joined(parts, dtype):
+        return np.concatenate([np.zeros(0, dtype=dtype), *parts], dtype=dtype)
+    return (joined(rows, np.int64), joined(cols, np.int64), joined(amps, complex),
+            joined(slots, np.int64))
 
 
 class SectorModel:
@@ -257,6 +279,7 @@ class SectorModel:
 # sector bases and builders
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=32)
 def dot_sector_basis(n: int, parity: int) -> SectorBasis:
     return enumerate_sector(dot_layout(), n, parity)
 

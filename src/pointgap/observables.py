@@ -15,7 +15,6 @@ from dataclasses import dataclass, replace
 from itertools import combinations
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .fock import DOWN, ORBITAL_A, UP, SectorBasis
 from .models import ChainParams, build_chain_one_body, chain_model, chain_sector_basis
@@ -152,6 +151,8 @@ class BoundarySensitivity:
 
 def directed_hausdorff_distance(a: np.ndarray, b: np.ndarray) -> float:
     """max over points of ``a`` of the distance to the nearest point of ``b``."""
+    from scipy.spatial import cKDTree
+
     pa = np.column_stack([a.real, a.imag])
     pb = np.column_stack([b.real, b.imag])
     return float(cKDTree(pb).query(pa)[0].max())

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .models import ChainParams, DotParams
 
@@ -96,6 +95,8 @@ def chain_first_order_spectrum(p: ChainParams, theta: float) -> np.ndarray:
 def eigenvalue_match(a, b):
     """(max, mean) pairing distance between two spectra under the optimal
     assignment; neither side carries a canonical ordering."""
+    from scipy.optimize import linear_sum_assignment
+
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     if a.shape != b.shape:

@@ -29,7 +29,6 @@ from fractions import Fraction
 
 import numpy as np
 from scipy.linalg import lu_solve
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs
 
 from .spectral import (
     SpectralError,
@@ -150,6 +149,8 @@ def _nearest_distance(lu, piv, matrix_fn, theta, ref):
     fixed start vector, so a run repeats bit for bit; where it does not
     converge, the matrix is eigensolved in full.
     """
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs
+
     dim = lu.shape[0]
     solve = lambda v: lu_solve((lu, piv), v, check_finite=False)
     inverse = LinearOperator((dim, dim), matvec=solve, dtype=complex)

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -250,10 +252,36 @@ def test_main_unbuildable_sector_is_config_error(tmp_path, capsys, params, secto
     assert err.startswith("config error:") and message in err
 
 
-def test_main_check_subcommand(capsys):
+def test_main_check_subcommand(capsys, monkeypatch):
+    # the entries themselves are asserted in test_checks.py; this covers the
+    # printing and the exit code
+    from pointgap import checks
+
+    passing = ("passing entry", lambda: (True, "detail one"))
+    failing = ("failing entry", lambda: (False, "detail two"))
+    monkeypatch.setattr(checks, "CHECKS", [passing])
     assert main(["check"]) == 0
-    out = capsys.readouterr().out
-    assert out.count("[PASS]") >= 7 and "[FAIL]" not in out
+    assert capsys.readouterr().out.splitlines() == ["[PASS] passing entry: detail one"]
+    monkeypatch.setattr(checks, "CHECKS", [passing, failing])
+    assert main(["check"]) == 1
+    assert capsys.readouterr().out.splitlines() == ["[PASS] passing entry: detail one",
+                                                    "[FAIL] failing entry: detail two"]
+
+
+def test_cli_import_loads_only_linalg_from_scipy():
+    """A run imports scipy.linalg up front (every LU needs it, and the BLAS
+    thread pin finds scipy's OpenBLAS through it); the oracle, k-d tree and
+    ARPACK modules and the check suite load only when a task uses them."""
+    import pointgap
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pointgap.__file__)))
+    code = ("import sys, pointgap.cli; print(' '.join(m for m in ('scipy.linalg', "
+            "'scipy.optimize', 'scipy.spatial', 'scipy.sparse.linalg', "
+            "'pointgap.checks') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    assert proc.stdout.split() == ["scipy.linalg"]
 
 
 def test_main_presets_listing(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import time
 import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -159,6 +160,54 @@ def test_enumeration_equals_full_scan(length):
                     basis.states,
                     np.array(_scan_reference(layout, n, parity, constraints),
                              dtype=np.uint64))
+
+
+def _combination_reference(layout, n):
+    """Every placement of n fermions, from itertools.combinations, ascending."""
+    return sorted(sum(1 << m for m in modes)
+                  for modes in combinations(range(layout.n_modes), n))
+
+
+@pytest.mark.parametrize("length, counts", [
+    (None, range(5)),
+    (3, range(11)),
+    (7, (2, 7, 9, 11, 16)),
+], ids=["dot", "chain-3", "chain-7"])
+def test_enumeration_equals_combinations(length, counts):
+    # N runs on both sides of n_modes / 2
+    if length is None:
+        layout, constraint_sets = dot_layout(), [()]
+    else:
+        layout = chain_layout(length)
+        constraint_sets = [(), edge_b_constraints(layout, length)]
+    for n in counts:
+        placed = _combination_reference(layout, n)
+        for constraints in constraint_sets:
+            kept = [s for s in placed
+                    if all((s & c.mask).bit_count() == c.count for c in constraints)]
+            for parity in (1, -1):
+                expected = [s for s in kept if layout.spin_parity(s) == parity]
+                basis = enumerate_sector(layout, n, parity, constraints)
+                np.testing.assert_array_equal(basis.states,
+                                              np.array(expected, dtype=np.uint64))
+
+
+def test_index_of_finds_positions_and_refuses_outsiders():
+    lay = chain_layout(3)
+    basis = enumerate_sector(lay, 4, -1, edge_b_constraints(lay, 3))
+    for i, s in enumerate(basis.states.tolist()):
+        assert basis.index_of(s) == i
+    np.testing.assert_array_equal(basis.index_of(basis.states[::-1]),
+                                  np.arange(basis.dim)[::-1])
+    above = int(basis.states[-1]) << 1 | 1
+    outside = [0b1111, above, int(basis.states[0]) ^ 0b11]  # wrong N or P, or past the end
+    for s in outside:
+        with pytest.raises(KeyError):
+            basis.index_of(s)
+    with pytest.raises(KeyError):
+        basis.index_of(np.array([basis.states[0], outside[0]], dtype=np.uint64))
+    with pytest.raises(KeyError):
+        enumerate_sector(dot_layout(), 0, -1).index_of(0)
 
 
 def test_large_chain_sector_scales_with_its_size():

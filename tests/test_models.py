@@ -3,8 +3,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pointgap.fock import dot_layout
+from pointgap.fock import apply_ops, dot_layout
 from pointgap.models import (
+    EDGE_CONVENTIONS,
     P_ONE,
     P_PLUS,
     ChainParams,
@@ -14,9 +15,12 @@ from pointgap.models import (
     build_dot_one_body,
     chain_model,
     chain_sector_basis,
+    chain_terms,
     dot_model,
     dot_sector_basis,
+    dot_terms,
     phase_table,
+    terms_to_coo,
 )
 from pointgap.oracles import eigenvalue_match
 
@@ -181,6 +185,71 @@ def test_sector_matrix_accumulates_duplicate_entries():
     assert occupied.sum() == 1
     np.testing.assert_array_equal(np.diag(m), np.where(occupied, 1.0 + 2.0j * np.exp(0.5j), 0))
     assert np.count_nonzero(m - np.diag(np.diag(m))) == 0
+
+
+def _scalar_coo(terms, basis, actions):
+    """terms_to_coo, one state and one term at a time with fock.apply_ops.
+
+    ``actions`` caches each operator's (row, col, sign) list on this basis.
+    """
+    position = {s: i for i, s in enumerate(basis.states.tolist())}
+    rows, cols, amps, slots = [], [], [], []
+    for coeff, slot, ops in terms:
+        if coeff == 0:
+            continue
+        if ops not in actions:
+            actions[ops] = []
+            for col, s in enumerate(basis.states.tolist()):
+                res = apply_ops(s, ops)
+                if res is not None:
+                    actions[ops].append((position[res[0]], col, res[1]))
+        for row, col, sign in actions[ops]:
+            rows.append(row)
+            cols.append(col)
+            amps.append(sign * coeff)
+            slots.append(slot)
+    return (np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64),
+            np.asarray(amps, dtype=complex), np.asarray(slots, dtype=np.int64))
+
+
+def _assert_same_coo(got, want):
+    for name, g, w in zip(("rows", "cols", "amps", "slots"), got, want):
+        assert g.dtype == w.dtype, name
+        assert g.tobytes() == w.tobytes(), name  # bitwise, signed zeros included
+
+
+def _chain_cases(length, sectors):
+    for n, parity in sectors:
+        try:
+            basis = chain_sector_basis(ChainParams(length=length), n, parity)
+        except ValueError:  # no room for the two edge b fermions
+            continue
+        actions = {}
+        for bc in ("twisted", "periodic", "open"):
+            for gauge in ("boundary", "distributed"):
+                for convention in EDGE_CONVENTIONS:
+                    for j, v in ((0.0, 0.0), (0.37, 0.0), (0.0, 0.53), (1.0, 1.0)):
+                        p = ChainParams(length=length, t=0.9, j=j, v=v, bc=bc,
+                                        gauge=gauge, edge_convention=convention)
+                        yield chain_terms(p)[1], basis, actions
+
+
+def test_term_scatter_matches_scalar_reference():
+    # every dot sector, chain L = 3 and 5 sectors, and (4, +-1) at L = 7
+    for n in range(5):
+        for parity in (1, -1):
+            basis, actions = dot_sector_basis(n, parity), {}
+            for j, v in ((0.0, 0.0), (0.7, 0.0), (0.0, 0.9), (0.7, 0.9)):
+                terms = dot_terms(replace(FIG_DOT, lam=0.8, j=j, v=v))[1]
+                _assert_same_coo(terms_to_coo(terms, basis),
+                                 _scalar_coo(terms, basis, actions))
+    sectors = {3: [(n, p) for n in range(2, 9) for p in (1, -1)],
+               5: [(n, p) for n in range(2, 13) for p in (1, -1)],
+               7: [(4, 1), (4, -1)]}
+    for length, chain_sectors in sectors.items():
+        for terms, basis, actions in _chain_cases(length, chain_sectors):
+            _assert_same_coo(terms_to_coo(terms, basis),
+                             _scalar_coo(terms, basis, actions))
 
 
 def test_phase_table_matches_scalar_phases():

@@ -301,9 +301,9 @@ def test_arpack_margin_is_nearest_distance(jv, monkeypatch):
     """At d = 182 (one matrix per stack) the margin comes from ARPACK on the
     phase LU: the nearest-eigenvalue distance, repeatable bit for bit, and
     the full eigensolve where ARPACK does not converge."""
+    import scipy.sparse.linalg
     from scipy.sparse.linalg import ArpackNoConvergence
 
-    import pointgap.topology as topology
     from pointgap.models import chain_model
     from pointgap.spectral import blas_threads_for, stack_length, theta_grid
 
@@ -322,7 +322,7 @@ def test_arpack_margin_is_nearest_distance(jv, monkeypatch):
 
     def no_convergence(*args, **kwargs):
         raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((182, 0)))
-    monkeypatch.setattr(topology, "eigs", no_convergence)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigs", no_convergence)
     fallback = many_body_winding(params, sector, ref, n_grid=n_grid)
     assert fallback.gap_margin == best
     assert fallback.margin_theta == grid[int(np.argmin(dists))]
