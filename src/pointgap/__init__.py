@@ -23,6 +23,7 @@ from .models import (
     build_dot_one_body,
     chain_model,
     chain_sector_basis,
+    deformation_params,
     dot_model,
     dot_sector_basis,
     one_body_sz,
@@ -49,7 +50,6 @@ from .spectral import (
     SpectrumHitError,
     eigendecompose,
     logdet_phase,
-    sweep_deformation,
     sweep_theta,
 )
 from .topology import (

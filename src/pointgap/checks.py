@@ -186,39 +186,36 @@ def check_gauge_equivalence(tol: float = 1e-10):
 
 def check_theta_periodicity(tol: float = 1e-8):
     """Every flow closes: spectra at theta = 0 and 2 pi agree as multisets."""
-    flows = [
-        sweep_theta(partial(build_dot_one_body, REFERENCE_DOT), 32, "dot one-body"),
-        sweep_theta(dot_model(REFERENCE_DOT_INT, 2, 1), 32, "dot (2,1)"),
-        sweep_theta(dot_model(REFERENCE_DOT_INT, 2, -1), 32, "dot (2,-1)"),
-        sweep_theta(partial(build_chain_one_body, ChainParams(length=7)), 32,
-                    "chain one-body"),
-        sweep_theta(chain_model(ChainParams(length=7, j=1.0, v=1.0), 3, -1), 32,
-                    "chain (3,-1)"),
-        sweep_theta(chain_model(ChainParams(length=5, j=0.4, v=0.3,
-                                            gauge="distributed"), 3, -1), 32,
-                    "chain (3,-1) distributed"),
+    cases = [
+        ("dot one-body", partial(build_dot_one_body, REFERENCE_DOT)),
+        ("dot (2,1)", dot_model(REFERENCE_DOT_INT, 2, 1)),
+        ("dot (2,-1)", dot_model(REFERENCE_DOT_INT, 2, -1)),
+        ("chain one-body", partial(build_chain_one_body, ChainParams(length=7))),
+        ("chain (3,-1)", chain_model(ChainParams(length=7, j=1.0, v=1.0), 3, -1)),
+        ("chain (3,-1) distributed",
+         chain_model(ChainParams(length=5, j=0.4, v=0.3, gauge="distributed"), 3, -1)),
     ]
     worst, worst_label = 0.0, ""
-    for flow in flows:
-        d = periodicity_defect(flow)
+    for label, matrix_fn in cases:
+        d = periodicity_defect(sweep_theta(matrix_fn, 32))
         if d > worst:
-            worst, worst_label = d, flow.path_label
+            worst, worst_label = d, label
     return worst < tol, f"max end-to-end defect {worst:.2e} in {worst_label!r}"
 
 
 def check_winding_grid_stability():
     """Doubling the twist grid never changes a winding value."""
     cases = [
-        (REFERENCE_DOT, (2, 1), 0.0),
-        (REFERENCE_DOT_INT, (2, 1), 0.0),
-        (REFERENCE_DOT, (1, -1), 0.0),
-        (ChainParams(length=7, j=1.0, v=1.0), (3, -1), 0.0),
+        ("dot (2,1)", dot_model(REFERENCE_DOT, 2, 1), 0.0),
+        ("dot (2,1) interacting", dot_model(REFERENCE_DOT_INT, 2, 1), 0.0),
+        ("dot (1,-1)", dot_model(REFERENCE_DOT, 1, -1), 0.0),
+        ("chain (3,-1)", chain_model(ChainParams(length=7, j=1.0, v=1.0), 3, -1), 0.0),
     ]
-    for params, sector, ref in cases:
-        w1 = many_body_winding(params, sector, ref, n_grid=64)
-        w2 = many_body_winding(params, sector, ref, n_grid=128)
+    for label, model, ref in cases:
+        w1 = many_body_winding(model, ref, n_grid=64)
+        w2 = many_body_winding(model, ref, n_grid=128)
         if w1.value != w2.value:
-            return False, f"{sector} at ref {ref}: {w1.value} -> {w2.value}"
+            return False, f"{label} at ref {ref}: {w1.value} -> {w2.value}"
     w1 = one_body_winding(partial(build_dot_one_body, REFERENCE_DOT), 0.0, n_grid=64)
     w2 = one_body_winding(partial(build_dot_one_body, REFERENCE_DOT), 0.0, n_grid=128)
     if w1.value != w2.value:
@@ -299,9 +296,9 @@ def check_gap_margin_distance(tol: float = 1e-12):
     reference 0.3i (d = 182, where the margin comes from ARPACK)."""
     worst = 0.0
     for jv in (0.0, 1.0):
-        p = ChainParams(length=7, j=jv, v=jv)
-        w = many_body_winding(p, (4, 1), 0.3j, n_grid=16)
-        flow = sweep_theta(chain_model(p, 4, 1), 16)
+        model = chain_model(ChainParams(length=7, j=jv, v=jv), 4, 1)
+        w = many_body_winding(model, 0.3j, n_grid=16)
+        flow = sweep_theta(model, 16)
         dists = np.abs(flow.spectra - 0.3j).min(axis=1)
         best = dists.min()
         at_theta = dists[list(flow.grid).index(w.margin_theta)]

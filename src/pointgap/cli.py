@@ -34,20 +34,14 @@ from .models import (
     build_dot_one_body,
     chain_model,
     chain_sector_basis,
+    deformation_params,
     dot_model,
     dot_sector_basis,
     one_body_sz,
 )
 from .observables import boundary_sensitivity, product_state_profiles
 from .presets import PRESETS, HEAVY_DIM, ConfigError, ExperimentConfig, config_from_dict
-from .spectral import (
-    SpectralError,
-    SpectralFlow,
-    deformation_params,
-    sweep_deformation,
-    sweep_theta,
-    theta_grid,
-)
+from .spectral import SpectralError, SpectralFlow, sweep_theta, theta_grid
 from .topology import many_body_winding, one_body_winding, spin_winding
 
 
@@ -80,9 +74,9 @@ def write_flow_csv(path, flow):
                  _spectra_lines(heads, flow.spectra))
 
 
-def write_deform_csv(path, dflow):
+def write_deform_csv(path, path_values, flows):
     lines = []
-    for s, flow in zip(dflow.path_values.tolist(), dflow.flows):
+    for s, flow in zip(path_values.tolist(), flows):
         heads = [f"{s!r},{theta!r}," for theta in flow.grid.tolist()]
         lines += _spectra_lines(heads, flow.spectra)
     _write_lines(path, ("path_param", "theta", "eig_index", "re_e", "im_e"), lines)
@@ -139,11 +133,8 @@ def _one_body_fn(cfg: ExperimentConfig):
 # ---------------------------------------------------------------------------
 
 def run_flow(cfg, outdir):
-    if cfg.sector is None:
-        flow = sweep_theta(_one_body_fn(cfg), cfg.n_grid, "one-body flow")
-    else:
-        flow = sweep_theta(_sector_model(cfg), cfg.n_grid,
-                           f"sector {cfg.sector} flow")
+    matrix_fn = _one_body_fn(cfg) if cfg.sector is None else _sector_model(cfg)
+    flow = sweep_theta(matrix_fn, cfg.n_grid)
     write_flow_csv(os.path.join(outdir, "flow.csv"), flow)
     return {"dim": flow.dim, "n_theta": len(flow.grid)}, ["flow.csv"]
 
@@ -156,7 +147,7 @@ def run_winding(cfg, outdir):
         payload = _winding_payload(w, None, cfg.e_ref)
         payload["spin_winding"] = [ws.value.numerator, ws.value.denominator]
     else:
-        w = many_body_winding(cfg.params, cfg.sector, cfg.e_ref, cfg.n_grid)
+        w = many_body_winding(_sector_model(cfg), cfg.e_ref, cfg.n_grid)
         payload = _winding_payload(w, cfg.sector, cfg.e_ref)
     _write_json(os.path.join(outdir, "winding.json"), payload)
     summary = {k: payload[k] for k in ("winding", "gap_margin", "grid_size_used")}
@@ -167,7 +158,7 @@ def run_winding(cfg, outdir):
 
 def run_skin(cfg, outdir):
     bs = boundary_sensitivity(cfg.params, cfg.sector, cfg.n_grid)
-    flow = SpectralFlow(theta_grid(cfg.n_grid), bs.flow_spectra, "twisted flow")
+    flow = SpectralFlow(theta_grid(cfg.n_grid), bs.flow_spectra)
     write_flow_csv(os.path.join(outdir, "flow.csv"), flow)
     write_spectrum_csv(os.path.join(outdir, "obc_spectrum.csv"), bs.obc_spectrum)
 
@@ -183,8 +174,7 @@ def run_skin(cfg, outdir):
 
     # the twisted flow above holds the winding's own matrices' spectra
     spectra = bs.flow_spectra if cfg.params.bc == "twisted" else None
-    w = many_body_winding(cfg.params, cfg.sector, cfg.e_ref, cfg.n_grid,
-                          spectra=spectra)
+    w = many_body_winding(_sector_model(cfg), cfg.e_ref, cfg.n_grid, spectra=spectra)
     _write_json(os.path.join(outdir, "winding.json"),
                 _winding_payload(w, cfg.sector, cfg.e_ref))
     sens = {
@@ -200,26 +190,29 @@ def run_skin(cfg, outdir):
 
 
 def run_deform(cfg, outdir):
-    dflow = sweep_deformation(cfg.params, cfg.path, cfg.sector, cfg.n_path,
-                              cfg.n_grid, cfg.e_ref)
-    write_deform_csv(os.path.join(outdir, "deform.csv"), dflow)
-    points = []
-    for s, flow in zip(dflow.path_values, dflow.flows):
-        p = deformation_params(cfg.params, cfg.path, float(s))
-        w = many_body_winding(p, cfg.sector, cfg.e_ref, cfg.n_grid,
-                              spectra=flow.spectra)
-        points.append({"s": float(s), "winding": w.value,
-                       "gap_margin": w.gap_margin})
+    """Flow and winding at n_path + 1 points along a dot deformation path;
+    each point's model is built once and its flow gives the winding's margin."""
+    path_values = np.linspace(0.0, 1.0, cfg.n_path + 1)
+    flows, points = [], []
+    for s in path_values.tolist():
+        model = dot_model(deformation_params(cfg.params, cfg.path, s), *cfg.sector)
+        flow = sweep_theta(model, cfg.n_grid)
+        w = many_body_winding(model, cfg.e_ref, cfg.n_grid, spectra=flow.spectra)
+        flows.append(flow)
+        points.append({"s": s, "winding": w.value, "gap_margin": w.gap_margin})
+    write_deform_csv(os.path.join(outdir, "deform.csv"), path_values, flows)
+    # the smallest distance over the whole (path, theta) grid
+    gap_margin = min(pt["gap_margin"] for pt in points)
     payload = {
         "path": cfg.path,
         "sector": list(cfg.sector),
         "e_ref": [cfg.e_ref.real, cfg.e_ref.imag],
-        "gap_margin": dflow.gap_margin,
+        "gap_margin": gap_margin,
         "points": points,
     }
     _write_json(os.path.join(outdir, "windings.json"), payload)
     values = {pt["winding"] for pt in points}
-    return {"gap_margin": dflow.gap_margin, "windings": sorted(values),
+    return {"gap_margin": gap_margin, "windings": sorted(values),
             "winding_constant": len(values) == 1}, ["deform.csv", "windings.json"]
 
 

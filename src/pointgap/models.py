@@ -19,11 +19,14 @@ and share their spectrum.
 
 A ``SectorModel`` (from ``dot_model`` or ``chain_model``) is the one way to
 build a sector Hamiltonian: it keeps the sparse term list of one model and
-sector, and calling it at a twist returns H(theta) as a plain ndarray.  The
-sector bases and each operator's scatter pattern on a basis (its rows,
-columns and fermionic signs) are cached in this module, so models that
-differ only in their couplings, such as the points of a deformation path,
-enumerate a sector once and apply each operator to it once.  A
+sector, and calling it at a twist returns H(theta) as a plain ndarray.
+This module is the only one that turns parameters into sector models, the
+dot's deformation paths (``deformation_params``) included; ``spectral`` and
+``topology`` take the models it builds.  The sector bases and each
+operator's scatter pattern on a basis (its rows, columns and fermionic
+signs) are cached in this module, so models that differ only in their
+couplings, such as the points of a deformation path, enumerate a sector
+once and apply each operator to it once.  A
 twist sweep builds the matrices in stacks: one dense scatter fills the
 matrices of many angles at once.  Each matrix of a stack is Fortran-ordered,
 the layout LAPACK works in, so a factorization can take one (or a copy of
@@ -40,6 +43,7 @@ import numpy as np
 
 from . import fock
 from .fock import (
+    MAX_MODES,
     ModeLayout,
     SectorBasis,
     chain_layout,
@@ -71,6 +75,13 @@ def phase_table(theta, length: int = 1) -> np.ndarray:
 # parameters
 # ---------------------------------------------------------------------------
 
+def _require_finite(params, names):
+    for name in names:
+        value = getattr(params, name)
+        if isinstance(value, bool) or not math.isfinite(value):
+            raise ValueError(f"{name} must be a finite number")
+
+
 @dataclass(frozen=True)
 class DotParams:
     """Two-orbital dot: hopping drive lam, imaginary on-site potentials eps,
@@ -85,12 +96,31 @@ class DotParams:
     v: float = 0.0
 
     def __post_init__(self):
-        for name in ("lam", "eps_a_up", "eps_a_dn", "eps_b_up", "eps_b_dn", "j", "v"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        _require_finite(self, ("lam", "eps_a_up", "eps_a_dn", "eps_b_up", "eps_b_dn",
+                               "j", "v"))
 
     def eps(self):
         return (self.eps_a_up, self.eps_a_dn, self.eps_b_up, self.eps_b_dn)
+
+
+DEFORM_PATHS = ("pair-ramp", "hop-ramp")
+
+
+def deformation_params(base: DotParams, path: str, s: float) -> DotParams:
+    """Dot parameters at ``s`` in [0, 1] along one of ``DEFORM_PATHS``.
+
+    * ``pair-ramp``: couplings J = V = s grow from 0 to 1 at fixed lam = 1.
+    * ``hop-ramp``: lam = 1 - s shrinks to 0 with J = V = sqrt(lam).
+    """
+    if path == "pair-ramp":
+        return DotParams(lam=1.0, eps_a_up=base.eps_a_up, eps_a_dn=base.eps_a_dn,
+                         eps_b_up=base.eps_b_up, eps_b_dn=base.eps_b_dn, j=s, v=s)
+    if path == "hop-ramp":
+        lam = 1.0 - s
+        g = np.sqrt(lam)
+        return DotParams(lam=lam, eps_a_up=base.eps_a_up, eps_a_dn=base.eps_a_dn,
+                         eps_b_up=base.eps_b_up, eps_b_dn=base.eps_b_dn, j=g, v=g)
+    raise ValueError(f"unknown deformation path {path!r}")
 
 
 # Coefficients (exchange, pair) multiplying (S+_a S-_b + S-_a S+_b) and
@@ -118,17 +148,20 @@ class ChainParams:
     edge_convention: str = "exchange-half"
 
     def __post_init__(self):
-        if self.length < 2:
-            raise ValueError("length must be >= 2")
+        # 2L itinerant modes and four edge b modes in one bitset
+        max_length = (MAX_MODES - 4) // 2
+        if (isinstance(self.length, bool) or not isinstance(self.length, int)
+                or not 2 <= self.length <= max_length):
+            raise ValueError(
+                f"length must be an integer in [2, {max_length}], got {self.length!r} "
+                f"(layouts above {MAX_MODES} modes are not supported)")
         if self.bc not in ("twisted", "periodic", "open"):
             raise ValueError(f"unknown bc {self.bc!r}")
         if self.gauge not in ("boundary", "distributed"):
             raise ValueError(f"unknown gauge {self.gauge!r}")
         if self.edge_convention not in EDGE_CONVENTIONS:
             raise ValueError(f"unknown edge_convention {self.edge_convention!r}")
-        for name in ("t", "j", "v"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        _require_finite(self, ("t", "j", "v"))
 
 
 # ---------------------------------------------------------------------------
@@ -238,9 +271,8 @@ def terms_to_coo(terms, basis: SectorBasis):
 class SectorModel:
     """Reusable theta -> dense matrix assembler for one model and sector."""
 
-    def __init__(self, layout, terms, basis: SectorBasis, length: int = 1,
+    def __init__(self, terms, basis: SectorBasis, length: int = 1,
                  freeze_theta: float | None = None):
-        self.layout = layout
         self.basis = basis
         self.length = length
         self.freeze_theta = freeze_theta
@@ -300,14 +332,14 @@ def chain_sector_basis(p: ChainParams, n: int, parity: int) -> SectorBasis:
 
 
 def dot_model(p: DotParams, n: int, parity: int) -> SectorModel:
-    lay, terms = dot_terms(p)
-    return SectorModel(lay, terms, dot_sector_basis(n, parity))
+    _, terms = dot_terms(p)
+    return SectorModel(terms, dot_sector_basis(n, parity))
 
 
 def chain_model(p: ChainParams, n: int, parity: int) -> SectorModel:
-    lay, terms = chain_terms(p)
+    _, terms = chain_terms(p)
     freeze = 0.0 if p.bc == "periodic" else None
-    return SectorModel(lay, terms, chain_sector_basis(p, n, parity),
+    return SectorModel(terms, chain_sector_basis(p, n, parity),
                        length=p.length, freeze_theta=freeze)
 
 

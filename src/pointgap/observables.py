@@ -177,8 +177,7 @@ def boundary_sensitivity(p: ChainParams, sector, n_grid: int = 64) -> BoundarySe
     sol = eigendecompose(matrix)
     profiles = occupation_profiles(matrix, obc_model.basis, solution=sol)
 
-    flow = sweep_theta(chain_model(twisted, n, parity), n_grid,
-                       path_label=f"twisted flow (N={n}, P={parity:+d})")
+    flow = sweep_theta(chain_model(twisted, n, parity), n_grid)
 
     L = p.length
     edge = 0.0

@@ -5,6 +5,10 @@ factor-by-factor from a pivoted LU decomposition; tracking that phase avoids
 any eigenvalue pairing across theta (trajectories cross and permute freely).
 Eigendecompositions are used for full spectral flows, gap margins and
 occupation observables.
+
+This module knows matrices, not models: a sweep takes any ``theta ->
+matrix`` callable, and uses the ``stack`` method of a ``SectorModel`` when
+it has one.  Turning parameters into a model is the job of ``models``.
 """
 
 from __future__ import annotations
@@ -145,14 +149,10 @@ class SpectralFlow:
 
     grid: np.ndarray
     spectra: np.ndarray  # (len(grid), dim)
-    path_label: str
 
     @property
     def dim(self):
         return self.spectra.shape[1]
-
-    def gap_margin(self, e_ref: complex) -> float:
-        return float(np.abs(self.spectra - e_ref).min())
 
 
 def theta_grid(n_grid: int) -> np.ndarray:
@@ -210,7 +210,7 @@ def stack_eigvals(stack, thetas):
     return values
 
 
-def sweep_theta(matrix_fn, n_grid: int, path_label: str = "theta-sweep") -> SpectralFlow:
+def sweep_theta(matrix_fn, n_grid: int) -> SpectralFlow:
     """Eigenvalues at theta_k = 2 pi k / n_grid for k = 0..n_grid (inclusive).
 
     ``matrix_fn(theta)`` must return the dense matrix.  The grid is solved in
@@ -228,7 +228,7 @@ def sweep_theta(matrix_fn, n_grid: int, path_label: str = "theta-sweep") -> Spec
         order = np.lexsort((values.imag, values.real), axis=-1)
         spectra[start:start + len(stack)] = np.take_along_axis(values, order, axis=-1)
         del stack  # free it before the next one is built
-    return SpectralFlow(grid, spectra, path_label)
+    return SpectralFlow(grid, spectra)
 
 
 def periodicity_defect(flow: SpectralFlow) -> float:
@@ -239,56 +239,6 @@ def periodicity_defect(flow: SpectralFlow) -> float:
     cost = np.abs(first[:, None] - last[None, :])
     rows, cols = linear_sum_assignment(cost)
     return float(cost[rows, cols].max())
-
-
-def deformation_params(base, path: str, s: float):
-    """Dot parameters along the two trivializing deformation paths.
-
-    * ``pair-ramp``: couplings J = V = s grow from 0 to 1 at fixed lam = 1.
-    * ``hop-ramp``: lam = 1 - s shrinks to 0 with J = V = sqrt(lam).
-    """
-    from .models import DotParams
-
-    if path == "pair-ramp":
-        return DotParams(lam=1.0, eps_a_up=base.eps_a_up, eps_a_dn=base.eps_a_dn,
-                         eps_b_up=base.eps_b_up, eps_b_dn=base.eps_b_dn, j=s, v=s)
-    if path == "hop-ramp":
-        lam = 1.0 - s
-        g = np.sqrt(lam)
-        return DotParams(lam=lam, eps_a_up=base.eps_a_up, eps_a_dn=base.eps_a_dn,
-                         eps_b_up=base.eps_b_up, eps_b_dn=base.eps_b_dn, j=g, v=g)
-    raise ValueError(f"unknown deformation path {path!r}")
-
-
-@dataclass
-class DeformationFlow:
-    """theta-resolved spectra along a deformation path."""
-
-    path: str
-    path_values: np.ndarray
-    flows: list
-    e_ref: complex
-    gap_margin: float
-
-
-def sweep_deformation(base, path: str, sector, n_path: int, n_grid: int,
-                      e_ref: complex = 0.0) -> DeformationFlow:
-    """Spectral flows at n_path + 1 points along a dot deformation path.
-
-    Reports the minimum over the whole (path, theta) grid of the distance
-    between the spectrum and the reference energy.
-    """
-    from .models import dot_model
-
-    svals = np.linspace(0.0, 1.0, n_path + 1)
-    flows = []
-    margin = np.inf
-    for s in svals:
-        model = dot_model(deformation_params(base, path, float(s)), *sector)
-        flow = sweep_theta(model, n_grid, path_label=f"{path} s={s:.4f}")
-        margin = min(margin, flow.gap_margin(e_ref))
-        flows.append(flow)
-    return DeformationFlow(path, svals, flows, e_ref, float(margin))
 
 
 def wrap_phase(phi):

@@ -4,7 +4,9 @@ All three invariants are computed the same way: the principal phase of
 ``det[M(theta) - ref]`` is sampled on a twist grid and unwrapped with adaptive
 bisection, inserting midpoints wherever a phase step exceeds pi/2 (the bound
 under which unwrapping is unambiguous).  The accumulated phase over one twist
-period divided by 2 pi is the winding.
+period divided by 2 pi is the winding.  The one-body windings take a
+``theta -> matrix`` callable and the many-body one a ``SectorModel``; none
+of them sees model parameters, which ``models`` turns into sector models.
 
 Every result carries its gap margin - the smallest distance between the
 spectrum on the base grid and the reference energy - so a trivial winding can
@@ -273,9 +275,9 @@ def spin_winding(h_fn, sz, eps_ref: complex = 0.0,
     return SpinWindingResult(Fraction(w_up.value - w_dn.value, 2), w_up, w_dn)
 
 
-def many_body_winding(params, sector, e_ref: complex = 0.0,
+def many_body_winding(model, e_ref: complex = 0.0,
                       n_grid: int = DEFAULT_N_GRID, spectra=None) -> WindingResult:
-    """Winding of det[H_(N,P)(theta) - E_ref] for a dot or chain sector.
+    """Winding of det[H_(N,P)(theta) - E_ref] for a ``SectorModel``.
 
     ``spectra`` - the eigenvalues of the same matrices at the n_grid + 1
     base-grid points, e.g. ``sweep_theta(model, n_grid).spectra`` - gives the
@@ -285,16 +287,10 @@ def many_body_winding(params, sector, e_ref: complex = 0.0,
     determinant phase.  Sectors below ``BLAS_THREAD_CROSSOVER_DIM`` are
     wound on one BLAS thread.
     """
-    from .models import ChainParams, DotParams, chain_model, dot_model
-
-    if isinstance(params, DotParams):
-        model = dot_model(params, *sector)
-    elif isinstance(params, ChainParams):
-        model = chain_model(params, *sector)
-    else:
-        raise TypeError(f"unsupported params type {type(params)!r}")
     if model.dim == 0:
-        raise ValueError(f"sector {tuple(sector)} is empty: no winding or gap margin")
+        basis = model.basis
+        raise ValueError(f"sector {(basis.n, basis.parity)} is empty: "
+                         "no winding or gap margin")
 
     with blas_threads_for(model.dim):
         return _winding_core(model, e_ref, n_grid, spectra=spectra)

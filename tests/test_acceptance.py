@@ -16,6 +16,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+from pointgap.cli import execute
 from pointgap.fock import UP
 from pointgap.models import (
     ChainParams,
@@ -29,7 +30,8 @@ from pointgap.models import (
 )
 from pointgap.observables import boundary_sensitivity, product_state_profiles
 from pointgap.oracles import diagonal_flow_winding, dot_sector_diagonal_flows
-from pointgap.spectral import eigendecompose, sweep_deformation, sweep_theta
+from pointgap.presets import preset_config
+from pointgap.spectral import eigendecompose, sweep_theta
 from pointgap.topology import many_body_winding, one_body_winding, spin_winding
 from pointgap import checks as checks_mod
 
@@ -82,8 +84,9 @@ def test_criterion_3_many_body_trivialization():
     windings = {}
     for jv in (0.0, 1.0):
         p = replace(DOT, j=jv, v=jv)
-        windings[(2, 1, jv)] = many_body_winding(p, (2, 1), 0.0, n_grid=128).value
-        windings[(2, -1, jv)] = many_body_winding(p, (2, -1), 0.0, n_grid=128).value
+        windings[(2, 1, jv)] = many_body_winding(dot_model(p, 2, 1), 0.0, n_grid=128).value
+        windings[(2, -1, jv)] = many_body_winding(dot_model(p, 2, -1), 0.0,
+                                                  n_grid=128).value
     all_zero = all(v == 0 for v in windings.values())
 
     p_int = replace(DOT, j=1.0, v=1.0)
@@ -92,7 +95,7 @@ def test_criterion_3_many_body_trivialization():
                             - flow.spectra.imag.min(axis=1)))
     gap_ok = line_gap >= p_int.v - 1e-10
 
-    contrast_numeric = many_body_winding(DOT, (1, -1), 0.0, n_grid=128).value
+    contrast_numeric = many_body_winding(dot_model(DOT, 1, -1), 0.0, n_grid=128).value
     contrast_analytic = diagonal_flow_winding(
         dot_sector_diagonal_flows(DOT, dot_sector_basis(1, -1)), 0.0)
     contrast_ok = contrast_numeric == contrast_analytic == 1
@@ -105,18 +108,19 @@ def test_criterion_3_many_body_trivialization():
             elapsed, 5.0)
 
 
-def test_criterion_4_deformation_paths():
+def test_criterion_4_deformation_paths(tmp_path):
+    # fig2c and fig2d: the dot (2,+1) sector of DOT along each path, 33 path
+    # points, 64 twist steps, reference energy 0
     t0 = time.perf_counter()
     results = {}
-    for path in ("pair-ramp", "hop-ramp"):
-        dflow = sweep_deformation(DOT, path, (2, 1), 32, 64, e_ref=0.0)
-        windings = set()
-        for s in dflow.path_values:
-            from pointgap.spectral import deformation_params
-
-            p = deformation_params(DOT, path, float(s))
-            windings.add(many_body_winding(p, (2, 1), 0.0, n_grid=64).value)
-        results[path] = (dflow.gap_margin, windings)
+    for name in ("fig2c", "fig2d"):
+        cfg = preset_config(name)
+        assert (cfg.params, cfg.sector, cfg.n_path, cfg.n_grid, cfg.e_ref) == (
+            DOT, (2, 1), 32, 64, 0.0)
+        execute(cfg, str(tmp_path / name))
+        payload = json.loads((tmp_path / name / "windings.json").read_text())
+        windings = {pt["winding"] for pt in payload["points"]}
+        results[cfg.path] = (payload["gap_margin"], windings)
     elapsed = time.perf_counter() - t0
     ok = all(margin > 0 and windings == {0}
              for margin, windings in results.values())
@@ -136,7 +140,7 @@ def test_criterion_5_skin_effect_fragility():
     sol = eigendecompose(chain_model(obc, 3, -1).matrix(0.0))
     obc_zero = float(np.abs(sol.values).max())
 
-    w = many_body_winding(CHAIN, (3, -1), 0.0, n_grid=n_grid)
+    w = many_body_winding(chain_model(CHAIN, 3, -1), 0.0, n_grid=n_grid)
 
     profiles = product_state_profiles(obc, (3, -1))
     fracs = [float((q.spin_weights(7, UP)[-2:] / q.spin_weights(7, UP).sum()).sum())
@@ -178,7 +182,7 @@ def test_criterion_6_larger_sector_windings():
     values = {}
     for jv in (0.0, 1.0):
         p = replace(CHAIN, j=jv, v=jv)
-        res = many_body_winding(p, (4, 1), 0.3j, n_grid=64)
+        res = many_body_winding(chain_model(p, 4, 1), 0.3j, n_grid=64)
         values[jv] = (res.value, res.gap_margin)
     elapsed = time.perf_counter() - t0
     ok = all(v == 0 and margin > 0 for v, margin in values.values())
@@ -195,7 +199,7 @@ def test_criterion_6_heavy_half_filled_windings():
     values = {}
     for jv in (0.0, 1.0):
         p = replace(CHAIN, j=jv, v=jv)
-        res = many_body_winding(p, (9, -1), -0.04, n_grid=64)
+        res = many_body_winding(chain_model(p, 9, -1), -0.04, n_grid=64)
         values[jv] = (res.value, res.gap_margin)
     elapsed = time.perf_counter() - t0
     ok = all(v == 0 and margin > 0 for v, margin in values.values())

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from pointgap.cli import execute, main
-from pointgap.models import DotParams
+from pointgap.models import DotParams, dot_model
 from pointgap.presets import PRESETS, ConfigError, config_from_dict, preset_config
 from pointgap.spectral import theta_grid
 
@@ -144,6 +144,29 @@ def test_run_deform_constant_winding(tmp_path):
     assert header == "path_param,theta,eig_index,re_e,im_e"
 
 
+def test_run_deform_builds_each_point_model_once(tmp_path, monkeypatch):
+    import pointgap.cli as cli
+    import pointgap.models as models
+
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return dot_model(*args)
+    # both bindings of dot_model, so a build made anywhere is counted
+    monkeypatch.setattr(cli, "dot_model", counting)
+    monkeypatch.setattr(models, "dot_model", counting)
+    n_path = 3
+    cfg = config_from_dict(_cfg(task="deform", sector=[2, -1], path="hop-ramp",
+                                n_path=n_path, n_grid=16))
+    manifest = execute(cfg, str(tmp_path))
+    assert len(built) == n_path + 1
+    payload = json.loads((tmp_path / "windings.json").read_text())
+    assert len(payload["points"]) == n_path + 1
+    assert payload["gap_margin"] == min(pt["gap_margin"] for pt in payload["points"])
+    assert manifest["summary"]["gap_margin"] == payload["gap_margin"]
+
+
 def test_run_oracle_check_dot(tmp_path):
     cfg = config_from_dict(_cfg(task="oracle-check"))
     manifest = execute(cfg, str(tmp_path))
@@ -250,6 +273,23 @@ def test_main_unbuildable_sector_is_config_error(tmp_path, capsys, params, secto
     assert main(["run", str(cfg_path), "--output-dir", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and message in err
+
+
+@pytest.mark.parametrize("raw", [
+    _cfg(task="winding", sector=[2, 1], n_grid=16, e_ref=["a", 0]),
+    _cfg(task="winding", sector=[2, 1], n_grid=16, e_ref=float("nan")),
+    _cfg(task="winding", sector=[2, 1], n_grid=16, e_ref=[10 ** 400, 0]),
+    {"model": "chain", "task": "winding", "sector": [3, -1], "params": {"length": 7.0}},
+    {"model": "chain", "task": "flow", "n_grid": 16, "params": {"length": 40}},
+    _cfg(task="winding", sector=[2, True], n_grid=16),
+    _cfg(task="deform", sector=[2, 1], path="pair-ramp", n_path=True, n_grid=16),
+], ids=["e_ref-text", "e_ref-nan", "e_ref-beyond-float", "float-length",
+        "one-body-too-long", "bool-parity", "bool-n_path"])
+def test_main_bad_config_values_exit_two(tmp_path, capsys, raw):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert main(["run", str(cfg_path), "--output-dir", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
 
 
 def test_main_check_subcommand(capsys, monkeypatch):

@@ -179,7 +179,7 @@ def test_sector_matrix_accumulates_duplicate_entries():
     a_up = lay.mode(0, "a", "up")
     number = ((a_up, True), (a_up, False))
     basis = dot_sector_basis(1, -1)
-    model = SectorModel(lay, [(1.0, P_ONE, number), (2.0j, P_PLUS, number)], basis)
+    model = SectorModel([(1.0, P_ONE, number), (2.0j, P_PLUS, number)], basis)
     m = model(0.5)
     occupied = np.array([(int(s) >> a_up) & 1 for s in basis.states], dtype=bool)
     assert occupied.sum() == 1

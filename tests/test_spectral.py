@@ -12,6 +12,7 @@ from pointgap.models import (
     build_chain_one_body,
     build_dot_one_body,
     chain_model,
+    deformation_params,
     dot_model,
     phase_table,
 )
@@ -22,14 +23,12 @@ from pointgap.spectral import (
     EigensolverError,
     SpectrumHitError,
     cluster_labels,
-    deformation_params,
     eigendecompose,
     factor_shifted,
     factor_stack,
     logdet_phase,
     periodicity_defect,
     sigma_min_from_factors,
-    sweep_deformation,
     sweep_theta,
     theta_grid,
 )
@@ -185,16 +184,23 @@ def test_eigenvalue_continuity_on_refined_grid():
     assert worst < 0.2 * diameter
 
 
+def _deformation_spectra(path, sector, n_path, n_grid):
+    """Spectral flows at n_path + 1 evenly spaced points along a dot path."""
+    return [sweep_theta(dot_model(deformation_params(FIG_DOT, path, s), *sector),
+                        n_grid).spectra
+            for s in np.linspace(0.0, 1.0, n_path + 1).tolist()]
+
+
 def test_deformation_paths():
     sector = (2, 1)
-    ramp = sweep_deformation(FIG_DOT, "pair-ramp", sector, 8, 16)
-    assert ramp.gap_margin > 0
+    ramp = _deformation_spectra("pair-ramp", sector, 8, 16)
+    assert min(np.abs(spectra).min() for spectra in ramp) > 0
     # endpoint of the coupling ramp equals a direct sweep at J = V = 1
     end = sweep_theta(dot_model(replace(FIG_DOT, j=1.0, v=1.0), *sector), 16)
-    np.testing.assert_allclose(ramp.flows[-1].spectra, end.spectra, atol=1e-12)
+    np.testing.assert_allclose(ramp[-1], end.spectra, atol=1e-12)
 
-    shrink = sweep_deformation(FIG_DOT, "hop-ramp", sector, 8, 16)
-    final = shrink.flows[-1].spectra  # lam = 0: twist-independent spectrum
+    final = _deformation_spectra("hop-ramp", sector, 8, 16)[-1]
+    # lam = 0: twist-independent spectrum
     assert np.abs(final - final[0]).max() < 1e-12
 
 
@@ -334,6 +340,6 @@ def test_twist_sweeps_hold_one_stack():
     allowance = 16 * (16 * d * d)
     assert _traced_peak(lambda: sweep_theta(model, 256)) <= (
         STACK_BYTES + spectra_bytes + allowance)
-    assert _traced_peak(lambda: many_body_winding(params, (3, -1), 0.0, n_grid=256)) <= (
+    assert _traced_peak(lambda: many_body_winding(model, 0.0, n_grid=256)) <= (
         STACK_BYTES + allowance)
 

@@ -10,6 +10,8 @@ from pointgap.models import (
     DotParams,
     build_chain_one_body,
     build_dot_one_body,
+    chain_model,
+    dot_model,
     one_body_sz,
 )
 from pointgap.oracles import CircleFlow, circle_flow_winding
@@ -125,9 +127,9 @@ def test_block_additivity():
 def test_many_body_windings_dot():
     for jv in (0.0, 1.0):
         p = replace(FIG_DOT, j=jv, v=jv)
-        assert many_body_winding(p, (2, 1), 0.0, n_grid=64).value == 0
-        assert many_body_winding(p, (2, -1), 0.0, n_grid=64).value == 0
-    res = many_body_winding(FIG_DOT, (1, -1), 0.0, n_grid=64)
+        assert many_body_winding(dot_model(p, 2, 1), 0.0, n_grid=64).value == 0
+        assert many_body_winding(dot_model(p, 2, -1), 0.0, n_grid=64).value == 0
+    res = many_body_winding(dot_model(FIG_DOT, 1, -1), 0.0, n_grid=64)
     assert res.value == 1
     assert res.gap_margin > 0
 
@@ -135,20 +137,20 @@ def test_many_body_windings_dot():
 def test_many_body_winding_chain():
     for jv in (0.0, 1.0):
         p = ChainParams(length=7, t=1.0, j=jv, v=jv)
-        res = many_body_winding(p, (3, -1), 0.0, n_grid=64)
+        res = many_body_winding(chain_model(p, 3, -1), 0.0, n_grid=64)
         assert res.value == 0
         assert res.gap_margin > 0.5
 
 
 def test_grid_doubling_stable():
     p = replace(FIG_DOT, j=1.0, v=1.0)
-    w1 = many_body_winding(p, (2, -1), 0.0, n_grid=64)
-    w2 = many_body_winding(p, (2, -1), 0.0, n_grid=128)
+    w1 = many_body_winding(dot_model(p, 2, -1), 0.0, n_grid=64)
+    w2 = many_body_winding(dot_model(p, 2, -1), 0.0, n_grid=128)
     assert w1.value == w2.value
 
 
 def test_winding_result_consistency():
-    res = many_body_winding(FIG_DOT, (1, -1), 0.0, n_grid=64)
+    res = many_body_winding(dot_model(FIG_DOT, 1, -1), 0.0, n_grid=64)
     assert isinstance(res, WindingResult)
     assert abs(res.raw_phase_change / (2 * np.pi) - res.value) < 1e-6
     assert res.max_phase_step <= np.pi / 2
@@ -164,7 +166,7 @@ def test_noninteracting_sum_rule_dot_sectors():
     for sector in ((1, 1), (1, -1), (2, 1), (2, -1), (3, 1), (3, -1)):
         basis = dot_sector_basis(*sector)
         analytic = diagonal_flow_winding(dot_sector_diagonal_flows(FIG_DOT, basis))
-        numeric = many_body_winding(FIG_DOT, sector, 0.0, n_grid=64)
+        numeric = many_body_winding(dot_model(FIG_DOT, *sector), 0.0, n_grid=64)
         assert numeric.value == analytic
 
 
@@ -172,7 +174,7 @@ def test_noninteracting_sum_rule_dot_sectors():
 def test_gap_closed_error_for_many_body():
     # the localized level sits exactly at i(eps_b_up + eps_b_dn): reference on it
     with pytest.raises(GapClosedError):
-        many_body_winding(FIG_DOT, (2, -1), 1j * (0.35 - 0.25), n_grid=32)
+        many_body_winding(dot_model(FIG_DOT, 2, -1), 1j * (0.35 - 0.25), n_grid=32)
 
 
 def _pointwise_phase(matrix_fn, ref):
@@ -183,16 +185,14 @@ def _pointwise_phase(matrix_fn, ref):
 def test_stacked_base_grid_equals_pointwise(case):
     """Base-grid phases from stacks, and the winding built on them, equal
     factor_shifted + phase_from_factors point by point, bit for bit."""
-    from pointgap.models import chain_model, dot_model
     from pointgap.spectral import blas_threads_for, theta_grid
     from pointgap.topology import _PhaseTracker
 
     if case == "chain":  # d = 28: stacks of 41, 41 and 19 points
-        params, sector, ref = ChainParams(length=7, t=1.0, j=1.0, v=1.0), (3, -1), 0.3j
-        matrix_fn = chain_model(params, *sector)
+        matrix_fn = chain_model(ChainParams(length=7, t=1.0, j=1.0, v=1.0), 3, -1)
+        ref = 0.3j
     elif case == "dot":
-        params, sector, ref = replace(FIG_DOT, j=1.0, v=1.0), (2, 1), 0.05 - 0.02j
-        matrix_fn = dot_model(params, *sector)
+        matrix_fn, ref = dot_model(replace(FIG_DOT, j=1.0, v=1.0), 2, 1), 0.05 - 0.02j
     else:
         matrix_fn, ref = partial(build_chain_one_body, ChainParams(length=14)), 0.2j
     n_grid = 100
@@ -212,7 +212,7 @@ def test_stacked_base_grid_equals_pointwise(case):
     if case == "one-body":
         result = one_body_winding(matrix_fn, ref, n_grid=n_grid)
     else:
-        result = many_body_winding(params, sector, ref, n_grid=n_grid)
+        result = many_body_winding(matrix_fn, ref, n_grid=n_grid)
     assert result.raw_phase_change == total
     assert result.grid_size_used == tracker.evaluations
 
@@ -261,20 +261,18 @@ def test_phase_tracker_labels_every_base_point():
 def test_margin_equals_brute_force_minimum(n_grid, case):
     """The pruned margin is the minimum of eigvals distances over all
     n_grid + 1 base-grid points, bit for bit, at the lowest minimizing theta."""
-    from pointgap.models import chain_model, dot_model
     from pointgap.spectral import blas_threads_for, theta_grid
 
+    ref = 0.0
     if case == "chain-nonnormal":
-        params, sector, ref = ChainParams(length=7, t=1.0, j=1.0, v=1.0), (3, -1), 0.0
-        model = chain_model(params, *sector)
+        model = chain_model(ChainParams(length=7, t=1.0, j=1.0, v=1.0), 3, -1)
     else:
         # J = V = 0: diagonal matrices, the static level 0.1i is nearest at every theta
-        params, sector, ref = FIG_DOT, (2, -1), 0.0
-        model = dot_model(params, *sector)
+        model = dot_model(FIG_DOT, 2, -1)
     grid = theta_grid(n_grid)
     with blas_threads_for(model.dim):
         dists = [float(np.abs(np.linalg.eigvals(model(t)) - ref).min()) for t in grid]
-    res = many_body_winding(params, sector, ref, n_grid=n_grid)
+    res = many_body_winding(model, ref, n_grid=n_grid)
     assert res.gap_margin == min(dists)
     assert res.margin_theta == grid[int(np.argmin(dists))]
     if case == "dot-tied":
@@ -282,18 +280,17 @@ def test_margin_equals_brute_force_minimum(n_grid, case):
 
 
 def test_margin_from_given_spectra():
-    from pointgap.models import chain_model
     from pointgap.spectral import sweep_theta
 
-    p = ChainParams(length=7, t=1.0, j=1.0, v=1.0)
-    flow = sweep_theta(chain_model(p, 3, -1), 64)
-    given = many_body_winding(p, (3, -1), 0.0, n_grid=64, spectra=flow.spectra)
-    pruned = many_body_winding(p, (3, -1), 0.0, n_grid=64)
-    assert given.gap_margin == flow.gap_margin(0.0) == pruned.gap_margin
+    model = chain_model(ChainParams(length=7, t=1.0, j=1.0, v=1.0), 3, -1)
+    flow = sweep_theta(model, 64)
+    given = many_body_winding(model, 0.0, n_grid=64, spectra=flow.spectra)
+    pruned = many_body_winding(model, 0.0, n_grid=64)
+    assert given.gap_margin == float(np.abs(flow.spectra).min()) == pruned.gap_margin
     assert given.margin_theta == pruned.margin_theta
     assert given.value == pruned.value
     with pytest.raises(ValueError, match="rows"):
-        many_body_winding(p, (3, -1), 0.0, n_grid=32, spectra=flow.spectra)
+        many_body_winding(model, 0.0, n_grid=32, spectra=flow.spectra)
 
 
 @pytest.mark.parametrize("jv", [0.0, 1.0])
@@ -304,26 +301,25 @@ def test_arpack_margin_is_nearest_distance(jv, monkeypatch):
     import scipy.sparse.linalg
     from scipy.sparse.linalg import ArpackNoConvergence
 
-    from pointgap.models import chain_model
     from pointgap.spectral import blas_threads_for, stack_length, theta_grid
 
-    params, sector, ref, n_grid = ChainParams(length=7, j=jv, v=jv), (4, 1), 0.3j, 16
-    model = chain_model(params, *sector)
+    ref, n_grid = 0.3j, 16
+    model = chain_model(ChainParams(length=7, j=jv, v=jv), 4, 1)
     assert model.dim == 182 and stack_length(model.dim) == 1
     grid = list(theta_grid(n_grid))
     with blas_threads_for(model.dim):
         dists = [float(np.abs(np.linalg.eigvals(model(t)) - ref).min()) for t in grid]
     best = min(dists)
-    res = many_body_winding(params, sector, ref, n_grid=n_grid)
+    res = many_body_winding(model, ref, n_grid=n_grid)
     assert abs(res.gap_margin - best) <= 1e-12 * best
     assert abs(dists[grid.index(res.margin_theta)] - best) <= 1e-12 * best
-    again = many_body_winding(params, sector, ref, n_grid=n_grid)
+    again = many_body_winding(model, ref, n_grid=n_grid)
     assert (again.gap_margin, again.margin_theta) == (res.gap_margin, res.margin_theta)
 
     def no_convergence(*args, **kwargs):
         raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((182, 0)))
     monkeypatch.setattr(scipy.sparse.linalg, "eigs", no_convergence)
-    fallback = many_body_winding(params, sector, ref, n_grid=n_grid)
+    fallback = many_body_winding(model, ref, n_grid=n_grid)
     assert fallback.gap_margin == best
     assert fallback.margin_theta == grid[int(np.argmin(dists))]
     assert fallback.value == res.value
@@ -395,7 +391,7 @@ def _record_threads_during_lu(monkeypatch):
 def test_small_sector_wound_on_one_thread(two_blas_threads, monkeypatch):
     seen = _record_threads_during_lu(monkeypatch)
     p = ChainParams(length=7, t=1.0, j=1.0, v=1.0)
-    many_body_winding(p, (3, -1), 0.0, n_grid=32)
+    many_body_winding(chain_model(p, 3, -1), 0.0, n_grid=32)
     assert seen and all(counts == [1] * len(counts) for counts in seen)
     assert _thread_counts() == two_blas_threads
 
@@ -404,7 +400,7 @@ def test_thread_counts_restored_after_gap_closing(two_blas_threads, monkeypatch)
     seen = _record_threads_during_lu(monkeypatch)
     # the a-up level lambda e^{i theta} + 0.2i passes -1 + 0.2i at theta = pi
     with pytest.raises(GapClosedError) as info:
-        many_body_winding(FIG_DOT, (1, -1), -1.0 + 0.2j, n_grid=32)
+        many_body_winding(dot_model(FIG_DOT, 1, -1), -1.0 + 0.2j, n_grid=32)
     assert 0.0 < info.value.theta < 2 * np.pi
     assert len(seen) > 1  # raised mid-sweep, under the pin
     assert _thread_counts() == two_blas_threads
@@ -416,7 +412,7 @@ def test_sector_at_crossover_keeps_thread_counts(two_blas_threads, monkeypatch):
     monkeypatch.setattr(spectral, "BLAS_THREAD_CROSSOVER_DIM", 28)
     seen = _record_threads_during_lu(monkeypatch)
     p = ChainParams(length=7, t=1.0)
-    many_body_winding(p, (3, -1), 0.0, n_grid=32)  # d = 28
+    many_body_winding(chain_model(p, 3, -1), 0.0, n_grid=32)  # d = 28
     assert seen and all(counts == two_blas_threads for counts in seen)
     assert _thread_counts() == two_blas_threads
 
@@ -426,7 +422,8 @@ def test_pin_is_noop_without_openblas(two_blas_threads, monkeypatch):
 
     monkeypatch.setattr(spectral, "openblas_thread_controls", lambda: ())
     seen = _record_threads_during_lu(monkeypatch)
-    res = many_body_winding(ChainParams(length=7, t=1.0), (3, -1), 0.0, n_grid=32)
+    res = many_body_winding(chain_model(ChainParams(length=7, t=1.0), 3, -1), 0.0,
+                            n_grid=32)
     assert res.value == 0
     assert seen and all(counts == two_blas_threads for counts in seen)
     assert _thread_counts() == two_blas_threads
@@ -434,4 +431,4 @@ def test_pin_is_noop_without_openblas(two_blas_threads, monkeypatch):
 
 def test_empty_sector_rejected():
     with pytest.raises(ValueError, match="empty"):
-        many_body_winding(FIG_DOT, (0, -1), 0.5, n_grid=16)
+        many_body_winding(dot_model(FIG_DOT, 0, -1), 0.5, n_grid=16)
