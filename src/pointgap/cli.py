@@ -172,9 +172,12 @@ def run_skin(cfg, outdir):
                               pprofiles)
         artifacts.append("product_occupations.csv")
 
-    # the twisted flow above holds the winding's own matrices' spectra
-    spectra = bs.flow_spectra if cfg.params.bc == "twisted" else None
-    w = many_body_winding(_sector_model(cfg), cfg.e_ref, cfg.n_grid, spectra=spectra)
+    # with twisted boundaries the flow above is of the winding's own model
+    if cfg.params.bc == "twisted":
+        w = many_body_winding(bs.twisted_model, cfg.e_ref, cfg.n_grid,
+                              spectra=bs.flow_spectra)
+    else:
+        w = many_body_winding(_sector_model(cfg), cfg.e_ref, cfg.n_grid)
     _write_json(os.path.join(outdir, "winding.json"),
                 _winding_payload(w, cfg.sector, cfg.e_ref))
     sens = {

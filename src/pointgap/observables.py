@@ -17,7 +17,13 @@ from itertools import combinations
 import numpy as np
 
 from .fock import DOWN, ORBITAL_A, UP, SectorBasis
-from .models import ChainParams, build_chain_one_body, chain_model, chain_sector_basis
+from .models import (
+    ChainParams,
+    SectorModel,
+    build_chain_one_body,
+    chain_model,
+    chain_sector_basis,
+)
 from .spectral import EigenSolution, cluster_labels, eigendecompose, sweep_theta
 
 
@@ -139,6 +145,8 @@ class BoundarySensitivity:
     eigenvalue sits from the flow.  The reverse direction is not informative
     here - the theta-swept union always extends beyond one fixed-boundary
     snapshot - so it would swamp the sensitivity signal being measured.
+    ``twisted_model`` is the sector model behind the flow, for a winding
+    of the same matrices.
     """
 
     hausdorff_obc_pbc: float
@@ -147,6 +155,7 @@ class BoundarySensitivity:
     obc_spectrum: np.ndarray
     flow_spectra: np.ndarray
     obc_profiles: list
+    twisted_model: SectorModel
 
 
 def directed_hausdorff_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -177,7 +186,8 @@ def boundary_sensitivity(p: ChainParams, sector, n_grid: int = 64) -> BoundarySe
     sol = eigendecompose(matrix)
     profiles = occupation_profiles(matrix, obc_model.basis, solution=sol)
 
-    flow = sweep_theta(chain_model(twisted, n, parity), n_grid)
+    twisted_model = chain_model(twisted, n, parity)
+    flow = sweep_theta(twisted_model, n_grid)
 
     L = p.length
     edge = 0.0
@@ -194,4 +204,5 @@ def boundary_sensitivity(p: ChainParams, sector, n_grid: int = 64) -> BoundarySe
         obc_spectrum=sol.values,
         flow_spectra=flow.spectra,
         obc_profiles=profiles,
+        twisted_model=twisted_model,
     )

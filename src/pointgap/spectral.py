@@ -6,6 +6,16 @@ any eigenvalue pairing across theta (trajectories cross and permute freely).
 Eigendecompositions are used for full spectral flows, gap margins and
 occupation observables.
 
+Small matrices, several to a twist stack, are LU-factored dense and in place
+(``zgetrf``).  A matrix alone in its stack (d > 128) is a sector Hamiltonian
+with a handful of nonzeros per column: reverse Cuthill-McKee ordering
+(Cuthill & McKee, 1969) gathers them into a narrow band, and LAPACK's banded
+LU (``zgbtrf``; Anderson et al., *LAPACK Users' Guide*, SIAM 1999) factors
+P (M - E) P^T, whose determinant is det(M - E).  At d = 6864, J = V = 1
+(half-band 707), that took 0.9-1.8 s against 7-12 s for the dense LU on
+2 vCPUs.  A matrix whose band would not be smaller than itself is factored
+dense.
+
 This module knows matrices, not models: a sweep takes any ``theta ->
 matrix`` callable, and uses the ``stack`` method of a ``SectorModel`` when
 it has one.  Turning parameters into a model is the job of ``models``.
@@ -22,7 +32,7 @@ from itertools import chain
 
 import numpy as np
 from scipy.linalg import lu_solve
-from scipy.linalg.lapack import zgetrf
+from scipy.linalg.lapack import zgbtrf, zgbtrs, zgetrf
 
 RESIDUAL_RTOL = 1e-8
 DEGENERACY_TOL = 1e-8
@@ -249,16 +259,97 @@ def wrap_phase(phi):
     return out if out.ndim else float(out)
 
 
-def factor_shifted(matrix, e_ref: complex):
-    """Pivoted LU of (M - e_ref), plus the Frobenius scale of the shift.
+@dataclass
+class ShiftedLU:
+    """Pivoted LU of a shifted matrix M - E, dense or band.
 
-    Makes exactly one copy of M and LU-factors that copy in place, as a
-    stack of one (``factor_stack``), so M is left unchanged and at most two
-    d x d buffers, M and the factors, are live.
+    Dense: ``lu`` is the d x d ``zgetrf`` factor.  Band: row k of the factored
+    matrix P (M - E) P^T is row ``perm[k]`` of M - E, and ``lu`` is its
+    ``zgbtrf`` factor in LAPACK band storage, with ``kl`` sub- and ``ku``
+    superdiagonals.  ``piv`` holds 0-based row interchanges either way.
     """
-    stack = np.array(matrix, dtype=complex, order="F")[None]
+
+    lu: np.ndarray
+    piv: np.ndarray
+    kl: int = 0
+    ku: int = 0
+    perm: np.ndarray | None = None
+
+    @property
+    def dim(self):
+        return len(self.piv)
+
+    def diagonal(self) -> np.ndarray:
+        """U's diagonal."""
+        if self.perm is None:
+            return np.diagonal(self.lu)
+        return self.lu[self.kl + self.ku]
+
+    def solve(self, b, trans: int = 0) -> np.ndarray:
+        """x with (M - E) x = b; ``trans=2`` solves with (M - E)^H."""
+        if self.perm is None:
+            return lu_solve((self.lu, self.piv), b, trans=trans, check_finite=False)
+        # P (M - E) P^T (P x) = P b, and likewise for the conjugate transpose
+        y, info = zgbtrs(self.lu, self.kl, self.ku, b[self.perm], self.piv, trans=trans)
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of zgbtrs")
+        x = np.empty_like(y)
+        x[self.perm] = y
+        return x
+
+
+def factor_shifted(matrix, e_ref: complex):
+    """Pivoted LU of (M - e_ref) as a ``ShiftedLU``, plus the Frobenius scale
+    of the shift.  M is left unchanged.
+
+    A matrix alone in its twist stack (``stack_length(d) == 1``) is factored
+    as a band when its band storage is smaller than the matrix
+    (``_factor_band``).  Any other is copied once and LU-factored in place,
+    as a stack of one (``factor_stack``), so at most two d x d buffers, M and
+    the factors, are live.
+    """
+    a = np.asarray(matrix)
+    if stack_length(a.shape[0]) == 1:
+        band = _factor_band(a, e_ref)
+        if band is not None:
+            return band
+    stack = np.array(a, dtype=complex, order="F")[None]
     piv, scales = factor_stack(stack, e_ref)
-    return (stack[0], piv[0]), scales[0]
+    return ShiftedLU(stack[0], piv[0]), scales[0]
+
+
+def _factor_band(a, e_ref: complex):
+    """Band LU of (a - e_ref) in reverse Cuthill-McKee order with its scale,
+    or None where band storage, 2 kl + ku + 1 rows, would not be smaller
+    than the matrix.  No d x d buffer is made."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import reverse_cuthill_mckee  # loads scipy.sparse.linalg
+
+    d = a.shape[0]
+    # the C order of a.T is the memory order of an F-ordered a
+    cols, rows = np.nonzero(a.T)
+    values = a.T[cols, rows]
+    graph = csr_matrix((np.ones(2 * len(rows), dtype=np.int8),
+                        (np.concatenate((rows, cols)), np.concatenate((cols, rows)))),
+                       shape=(d, d))
+    perm = reverse_cuthill_mckee(graph, symmetric_mode=True)
+    position = np.empty(d, dtype=np.intp)
+    position[perm] = np.arange(d)
+    r, c = position[rows], position[cols]
+    kl = int((r - c).max(initial=0))
+    ku = int((c - r).max(initial=0))
+    if 2 * kl + ku + 1 >= d:
+        return None
+    # A(i, j) sits at ab[kl + ku + i - j, j]; the top kl rows are room for fill-in
+    ab = np.zeros((2 * kl + ku + 1, d), dtype=complex, order="F")
+    ab[kl + ku + r - c, c] = values
+    ab[kl + ku] -= e_ref
+    parts = ab.T.view(np.float64).reshape(-1)
+    scale = np.sqrt(parts @ parts)
+    lu, piv, info = zgbtrf(ab, kl, ku, overwrite_ab=1)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of zgbtrf")
+    return ShiftedLU(lu, piv, kl, ku, perm), scale
 
 
 def factor_stack(stack, e_ref: complex):
@@ -268,7 +359,7 @@ def factor_stack(stack, e_ref: complex):
     ``twist_stacks`` makes them.  Each matrix is shifted and factored where
     it lies, so no copy is made and the stack ends up holding the factors.
     Returns the pivots, one row per matrix, and the Frobenius norm of each
-    shifted matrix.  ``factor_shifted`` is the one-matrix case.
+    shifted matrix.  ``factor_shifted``'s dense LU is the one-matrix case.
     """
     n, d = stack.shape[:2]
     # each matrix in memory order: one row per matrix, and a view of the stack
@@ -311,16 +402,15 @@ def stack_phases(stack, piv, scales):
     return _det_phase(diag, piv), _singular(diag, scales)
 
 
-def phase_from_factors(factors, scale: float, e_ref: complex):
+def phase_from_factors(factors: ShiftedLU, scale: float, e_ref: complex):
     """(log magnitude, principal phase) of the determinant behind an LU."""
-    lu, piv = factors
-    diag = np.diagonal(lu)
+    diag = factors.diagonal()
     if _singular(diag, scale):
         raise SpectrumHitError(
             f"reference energy {e_ref} lies on the spectrum "
             f"(pivot {np.abs(diag).min():.3e})")
     log_mag = float(np.sum(np.log(np.abs(diag))))
-    return log_mag, _det_phase(diag, piv)
+    return log_mag, _det_phase(diag, factors.piv)
 
 
 def logdet_phase(matrix, e_ref: complex = 0.0):
@@ -337,7 +427,7 @@ def logdet_phase(matrix, e_ref: complex = 0.0):
     return phase_from_factors(factors, scale, e_ref)
 
 
-def sigma_min_from_factors(factors, dim: int, iters: int = 8) -> float:
+def sigma_min_from_factors(factors: ShiftedLU, dim: int, iters: int = 8) -> float:
     """Inverse-iteration estimate of the smallest singular value behind an LU.
 
     The iteration converges to sigma_min from above, so after ``iters`` steps
@@ -346,8 +436,8 @@ def sigma_min_from_factors(factors, dim: int, iters: int = 8) -> float:
     v = np.full(dim, 1.0 / np.sqrt(dim), dtype=complex)
     growth = 0.0
     for _ in range(iters):
-        w = lu_solve(factors, v, trans=0, check_finite=False)
-        u = lu_solve(factors, w, trans=2, check_finite=False)
+        w = factors.solve(v)
+        u = factors.solve(w, trans=2)
         growth = np.linalg.norm(u)
         if not np.isfinite(growth) or growth == 0.0:
             return 0.0

@@ -15,13 +15,14 @@ obstruction, not a numerical failure, and raises ``GapClosedError``.
 
 The margin is an exact nearest-eigenvalue distance at every sector size.
 Small matrices, several to a stack, are eigensolved in one batch before
-their stack is LU-factored.  A larger one gets the distance from the LU the
-phase already needs: the eigenvalue of (M - E)^-1 largest in modulus is
-1 / (lambda - E) for the eigenvalue lambda nearest E, found by shift-invert
-Arnoldi (Lehoucq, Sorensen & Yang, *ARPACK Users' Guide*, SIAM 1998).  A
-smallest singular value would not do: for non-normal M, sigma_min(M - E) can
-lie far below dist(E, spec M) (Trefethen & Embree, *Spectra and
-Pseudospectra*, 2005).
+their stack is LU-factored.  A larger one, alone in its stack, is factored
+as a refinement midpoint is (``factor_shifted``, a band LU for a sector
+Hamiltonian) and gets the distance from the LU the phase already needs: the
+eigenvalue of (M - E)^-1 largest in modulus is 1 / (lambda - E) for the
+eigenvalue lambda nearest E, found by shift-invert Arnoldi (Lehoucq,
+Sorensen & Yang, *ARPACK Users' Guide*, SIAM 1998).  A smallest singular
+value would not do: for non-normal M, sigma_min(M - E) can lie far below
+dist(E, spec M) (Trefethen & Embree, *Spectra and Pseudospectra*, 2005).
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.linalg import lu_solve
 
 from .spectral import (
     SpectralError,
@@ -143,9 +143,9 @@ class _PhaseTracker:
         return total
 
 
-def _nearest_distance(lu, piv, matrix_fn, theta, ref):
+def _nearest_distance(factors, matrix_fn, theta, ref):
     """Distance from ``ref`` to the nearest eigenvalue of ``matrix_fn(theta)``,
-    given the LU of ``matrix_fn(theta) - ref``.
+    given ``factors``, the ``ShiftedLU`` of ``matrix_fn(theta) - ref``.
 
     ARPACK finds the eigenvalue of the inverse largest in modulus from a
     fixed start vector, so a run repeats bit for bit; where it does not
@@ -153,9 +153,8 @@ def _nearest_distance(lu, piv, matrix_fn, theta, ref):
     """
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs
 
-    dim = lu.shape[0]
-    solve = lambda v: lu_solve((lu, piv), v, check_finite=False)
-    inverse = LinearOperator((dim, dim), matvec=solve, dtype=complex)
+    dim = factors.dim
+    inverse = LinearOperator((dim, dim), matvec=factors.solve, dtype=complex)
     rng = np.random.default_rng(0)
     v0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     try:
@@ -168,13 +167,15 @@ def _nearest_distance(lu, piv, matrix_fn, theta, ref):
 def _winding_core(matrix_fn, ref, n_grid, spectra=None):
     """Shared driver: track the determinant phase over the twist period.
 
-    The base grid is evaluated in the stacks of ``twist_stacks``: each stack
-    is shifted and LU-factored in place (``factor_stack``) and its phases
-    and singularity test are taken together (``stack_phases``).  The first
-    singular point in grid order is factored again alone, as refinement
-    midpoints are, and raises ``GapClosedError``: ``factor_shifted`` is
-    ``factor_stack`` on a stack of one, so both make the same test on the
-    same numbers.
+    The base grid is evaluated in the stacks of ``twist_stacks``.  A stack
+    of several matrices (d <= 128) is shifted and LU-factored in place
+    (``factor_stack``) and its phases and singularity test are taken
+    together (``stack_phases``).  The first singular point in grid order is
+    factored again alone, as refinement midpoints are, and raises
+    ``GapClosedError``: at these sizes ``factor_shifted`` is ``factor_stack``
+    on a stack of one, so both make the same test on the same numbers.  A
+    matrix alone in its stack is factored with ``factor_shifted`` itself, so
+    base-grid points and midpoints agree bit for bit at every size.
 
     The gap margin is the exact distance from ``ref`` to the nearest
     eigenvalue, minimized over the n_grid + 1 base-grid points (refinement
@@ -196,27 +197,36 @@ def _winding_core(matrix_fn, ref, n_grid, spectra=None):
         dists = np.empty(len(grid))
     base_phases = np.empty(len(grid))
 
-    def phase_at(theta):
+    def factor_at(matrix, theta):
+        """LU and principal phase of ``matrix - ref``; GapClosedError where
+        a pivot falls below the singularity tolerance."""
         try:
-            factors, scale = factor_shifted(matrix_fn(theta), ref)
-            return phase_from_factors(factors, scale, ref)[1]
+            factors, scale = factor_shifted(matrix, ref)
+            return factors, phase_from_factors(factors, scale, ref)[1]
         except SpectrumHitError as exc:
             raise GapClosedError(theta, ref) from exc
 
+    def phase_at(theta):
+        return factor_at(matrix_fn(theta), theta)[1]
+
     for start, stack in twist_stacks(matrix_fn, grid):
-        points = slice(start, start + len(stack))
-        # batched eigvals where a stack holds several matrices; the branch
-        # follows the dimension, not this stack, which may be a trailing one
-        batched = spectra is None and stack_length(stack.shape[1]) > 1
-        if batched:
-            dists[points] = np.abs(stack_eigvals(stack, grid[points]) - ref).min(axis=1)
-        piv, scales = factor_stack(stack, ref)
-        base_phases[points], singular = stack_phases(stack, piv, scales)
-        if singular.any():  # factored alone, the first one in grid order raises
-            phase_at(grid[start + int(np.flatnonzero(singular)[0])])
-        if spectra is None and not batched:
-            dists[start] = _nearest_distance(stack[0], piv[0], matrix_fn, grid[start], ref)
-        del stack  # free it before the next one is built
+        # the branch follows the dimension, not this stack, which may be a
+        # trailing stack of one
+        if stack_length(stack.shape[1]) > 1:
+            points = slice(start, start + len(stack))
+            if spectra is None:  # one batched eigensolve per stack
+                dists[points] = np.abs(stack_eigvals(stack, grid[points]) - ref).min(axis=1)
+            piv, scales = factor_stack(stack, ref)
+            base_phases[points], singular = stack_phases(stack, piv, scales)
+            if singular.any():  # factored alone, the first one in grid order raises
+                phase_at(grid[start + int(np.flatnonzero(singular)[0])])
+            del stack  # free it before the next one is built
+        else:  # alone in its stack: factored as a refinement midpoint is
+            factors, base_phases[start] = factor_at(stack[0], grid[start])
+            del stack  # the factors hold no reference to it
+            if spectra is None:
+                dists[start] = _nearest_distance(factors, matrix_fn, grid[start], ref)
+            del factors  # free them before the next matrix is built
 
     tracker = _PhaseTracker(phase_at, n_grid)
     try:

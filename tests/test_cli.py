@@ -167,6 +167,26 @@ def test_run_deform_builds_each_point_model_once(tmp_path, monkeypatch):
     assert manifest["summary"]["gap_margin"] == payload["gap_margin"]
 
 
+def test_run_skin_builds_each_chain_model_once(tmp_path, monkeypatch):
+    """A skin run builds the open model for the spectrum and the twisted one
+    for the flow, and winds the twisted flow's own model."""
+    import pointgap.cli as cli
+    import pointgap.models as models
+    import pointgap.observables as observables
+
+    built, chain_model = [], models.chain_model
+
+    def counting(p, *sector):
+        built.append(p.bc)
+        return chain_model(p, *sector)
+    # every binding of chain_model, so a build made anywhere is counted
+    for module in (cli, models, observables):
+        monkeypatch.setattr(module, "chain_model", counting)
+    manifest = execute(preset_config("fig3d"), str(tmp_path))
+    assert built == ["open", "twisted"]
+    assert manifest["summary"]["winding"] == 0
+
+
 def test_run_oracle_check_dot(tmp_path):
     cfg = config_from_dict(_cfg(task="oracle-check"))
     manifest = execute(cfg, str(tmp_path))
@@ -310,14 +330,15 @@ def test_main_check_subcommand(capsys, monkeypatch):
 
 def test_cli_import_loads_only_linalg_from_scipy():
     """A run imports scipy.linalg up front (every LU needs it, and the BLAS
-    thread pin finds scipy's OpenBLAS through it); the oracle, k-d tree and
-    ARPACK modules and the check suite load only when a task uses them."""
+    thread pin finds scipy's OpenBLAS through it); the oracle, k-d tree,
+    sparse (band ordering) and ARPACK modules and the check suite load only
+    when a task uses them."""
     import pointgap
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(pointgap.__file__)))
     code = ("import sys, pointgap.cli; print(' '.join(m for m in ('scipy.linalg', "
-            "'scipy.optimize', 'scipy.spatial', 'scipy.sparse.linalg', "
-            "'pointgap.checks') if m in sys.modules))")
+            "'scipy.optimize', 'scipy.spatial', 'scipy.sparse', 'scipy.sparse.csgraph', "
+            "'scipy.sparse.linalg', 'pointgap.checks') if m in sys.modules))")
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True, timeout=120)

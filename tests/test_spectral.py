@@ -21,6 +21,7 @@ from pointgap.oracles import dot_sector21_eigenvalues, eigenvalue_match
 from pointgap.spectral import (
     STACK_BYTES,
     EigensolverError,
+    ShiftedLU,
     SpectrumHitError,
     cluster_labels,
     eigendecompose,
@@ -28,9 +29,11 @@ from pointgap.spectral import (
     factor_stack,
     logdet_phase,
     periodicity_defect,
+    phase_from_factors,
     sigma_min_from_factors,
     sweep_theta,
     theta_grid,
+    wrap_phase,
 )
 from pointgap.topology import many_body_winding
 
@@ -264,28 +267,98 @@ def _lu_matrices():
     return [(chain, 1.3, 0.3j), (dot, 0.77, 0.05 - 0.02j)]
 
 
+def _dense_lu(a, ref):
+    """The dense LU of a - ref, by scipy's ``lu_factor``."""
+    return ShiftedLU(*lu_factor(a - ref * np.eye(a.shape[0])))
+
+
+def _assert_solves(factors, shifted, seed=3):
+    """``solve`` with trans 0 and 2 leaves a relative residual <= 1e-12."""
+    rng = np.random.default_rng(seed)
+    b = rng.standard_normal(len(shifted)) + 1j * rng.standard_normal(len(shifted))
+    for trans, op in ((0, shifted), (2, shifted.conj().T)):
+        x = factors.solve(b, trans=trans)
+        assert np.linalg.norm(op @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+
 @pytest.mark.parametrize("model, theta, ref", _lu_matrices(), ids=["chain", "dot"])
 def test_factor_shifted_matches_explicit_shift(model, theta, ref):
+    """The dot (d = 6) gets the dense LU bit for bit; the chain (d = 182,
+    alone in its stack) a band LU with the same determinant."""
     a = model(theta)
     before = a.copy()
-    (lu, piv), scale = factor_shifted(a, ref)
+    factors, scale = factor_shifted(a, ref)
     np.testing.assert_array_equal(a, before)  # the input is left unchanged
-    lu_ref, piv_ref = lu_factor(a - ref * np.eye(a.shape[0]))
-    np.testing.assert_array_equal(lu, lu_ref)
-    np.testing.assert_array_equal(piv, piv_ref)
-    assert abs(scale - np.linalg.norm(a - ref * np.eye(a.shape[0]))) <= 1e-14 * scale
+    shifted = a - ref * np.eye(a.shape[0])
+    assert abs(scale - np.linalg.norm(shifted)) <= 1e-14 * scale
+    dense = _dense_lu(a, ref)
+    if model.dim <= 128:
+        assert factors.perm is None
+        np.testing.assert_array_equal(factors.lu, dense.lu)
+        np.testing.assert_array_equal(factors.piv, dense.piv)
+        return
+    assert factors.perm is not None  # the band path
+    assert 2 * factors.kl + factors.ku + 1 == factors.lu.shape[0] < factors.dim
+    _assert_solves(factors, shifted)
+    log_mag, phase = phase_from_factors(factors, scale, ref)
+    log_ref, phase_ref = phase_from_factors(dense, scale, ref)
+    assert abs(log_mag - log_ref) <= 1e-12 * abs(log_ref)
+    assert abs(wrap_phase(phase - phase_ref)) <= 1e-12
 
 
-@pytest.mark.parametrize("model, theta, ref", _lu_matrices(), ids=["chain", "dot"])
+@pytest.mark.parametrize("model, theta, ref", [
+    (chain_model(ChainParams(length=7, t=1.0, j=1.0, v=1.0), 3, -1), 1.3, 0.3j),
+    _lu_matrices()[1],
+], ids=["chain", "dot"])
 def test_factor_stack_matches_factor_shifted(model, theta, ref):
     thetas = [theta, theta + 0.5, theta + 1.0]
     stack = model.stack(thetas)
     piv, scales = factor_stack(stack, ref)
     for k, t in enumerate(thetas):
-        (lu, p), scale = factor_shifted(model(t), ref)
-        np.testing.assert_array_equal(stack[k], lu)  # factored in place
-        np.testing.assert_array_equal(piv[k], p)
+        factors, scale = factor_shifted(model(t), ref)
+        np.testing.assert_array_equal(stack[k], factors.lu)  # factored in place
+        np.testing.assert_array_equal(piv[k], factors.piv)
         assert scales[k] == scale
+
+
+def _band_cases():
+    for n, parity in ((4, 1), (4, -1), (5, 1), (5, -1)):
+        for jv in (0.0, 1.0):
+            for gauge in ("boundary", "distributed"):
+                for bc in ("twisted", "open"):
+                    p = ChainParams(length=7, t=1.0, j=jv, v=jv, bc=bc, gauge=gauge)
+                    yield pytest.param(p, n, parity,
+                                       id=f"({n},{parity:+d})-jv{jv:g}-{gauge}-{bc}")
+
+
+@pytest.mark.parametrize("params, n, parity", _band_cases())
+def test_band_lu_matches_dense(params, n, parity):
+    """Band and dense LUs give the same log|det| and phase; at J = V = 0 the
+    pattern's graph falls apart into disconnected blocks."""
+    # the open chain at J = V = 0 is nilpotent, and M - E is ill-conditioned
+    # for small E (condition number 7e14 at 0.05 + 0.3i, 84 at 2 + i)
+    ref = 0.05 + 0.3j if params.bc == "twisted" else 2.0 + 1.0j
+    a = chain_model(params, n, parity)(1.1)
+    factors, scale = factor_shifted(a, ref)
+    assert factors.perm is not None and factors.lu.shape[0] < factors.dim
+    log_mag, phase = phase_from_factors(factors, scale, ref)
+    log_ref, phase_ref = phase_from_factors(_dense_lu(a, ref), scale, ref)
+    assert abs(log_mag - log_ref) <= 1e-12 * abs(log_ref)
+    assert abs(wrap_phase(phase - phase_ref)) <= 1e-12
+    _assert_solves(factors, a - ref * np.eye(len(a)))
+
+
+def test_dense_matrix_alone_in_its_stack_keeps_dense_lu():
+    """A dense 200 x 200 matrix has no band smaller than itself: it is
+    factored dense, as ``lu_factor`` does, bit for bit."""
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((200, 200)) + 1j * rng.standard_normal((200, 200))
+    factors, scale = factor_shifted(a, 0.2j)
+    dense = _dense_lu(a, 0.2j)
+    assert factors.perm is None
+    np.testing.assert_array_equal(factors.lu, dense.lu)
+    np.testing.assert_array_equal(factors.piv, dense.piv)
+    _assert_solves(factors, a - 0.2j * np.eye(200))
 
 
 @pytest.mark.parametrize("model, theta", [case[:2] for case in _lu_matrices()],

@@ -181,16 +181,20 @@ def _pointwise_phase(matrix_fn, ref):
     return lambda theta: phase_from_factors(*factor_shifted(matrix_fn(theta), ref), ref)[1]
 
 
-@pytest.mark.parametrize("case", ["chain", "dot", "one-body"])
+@pytest.mark.parametrize("case", ["chain", "dot", "one-body", "chain-182-jv0", "chain-182-jv1"])
 def test_stacked_base_grid_equals_pointwise(case):
     """Base-grid phases from stacks, and the winding built on them, equal
-    factor_shifted + phase_from_factors point by point, bit for bit."""
-    from pointgap.spectral import blas_threads_for, theta_grid
+    factor_shifted + phase_from_factors point by point, bit for bit.  At
+    d = 182 every matrix is alone in its stack and factored as a band."""
+    from pointgap.spectral import blas_threads_for, stack_length, theta_grid
     from pointgap.topology import _PhaseTracker
 
     if case == "chain":  # d = 28: stacks of 41, 41 and 19 points
         matrix_fn = chain_model(ChainParams(length=7, t=1.0, j=1.0, v=1.0), 3, -1)
         ref = 0.3j
+    elif case.startswith("chain-182"):
+        jv = float(case[-1])
+        matrix_fn, ref = chain_model(ChainParams(length=7, j=jv, v=jv), 4, 1), 0.3j
     elif case == "dot":
         matrix_fn, ref = dot_model(replace(FIG_DOT, j=1.0, v=1.0), 2, 1), 0.05 - 0.02j
     else:
@@ -202,6 +206,11 @@ def test_stacked_base_grid_equals_pointwise(case):
         expected = [phase(theta) for theta in grid]
         got = []
         for _, stack in twist_stacks(matrix_fn, grid):
+            if stack_length(stack.shape[1]) == 1:  # factored alone, as a band
+                factors, scale = factor_shifted(stack[0], ref)
+                assert factors.perm is not None
+                got.append(phase_from_factors(factors, scale, ref)[1])
+                continue
             piv, scales = factor_stack(stack, ref)
             phases, singular = stack_phases(stack, piv, scales)
             assert not singular.any()
@@ -230,6 +239,24 @@ def test_gap_closed_in_later_stack_names_its_theta():
         one_body_winding(matrix_fn, ref, n_grid=n_grid)
     assert info.value.theta == grid[k]
     assert isinstance(info.value.__cause__, SpectrumHitError)  # the pivot test, not the margin
+
+
+@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+def test_gap_closed_through_band_lu_names_its_theta():
+    """At d = 200 each matrix is alone in its stack and factored as a band;
+    a level that hits ref at theta_k raises there, from the pivot test."""
+    from pointgap.spectral import stack_length, theta_grid
+
+    n_grid, k, d = 64, 23, 200
+    grid = theta_grid(n_grid)
+    ref = np.exp(1j * grid[k])
+    matrix_fn = lambda theta: np.diag([np.exp(1j * theta)] + [3.0 + j for j in range(d - 1)])
+    assert stack_length(d) == 1
+    assert factor_shifted(matrix_fn(grid[0]), ref)[0].perm is not None  # the band path
+    with pytest.raises(GapClosedError) as info:
+        one_body_winding(matrix_fn, ref, n_grid=n_grid)
+    assert info.value.theta == grid[k]
+    assert isinstance(info.value.__cause__, SpectrumHitError)
 
 
 # ---------------------------------------------------------------------------
