@@ -81,6 +81,12 @@ def dot_closed_form_distance(first: DotParams, seed: int) -> float:
     return worst
 
 
+def dot_closed_form_verdict(first: DotParams, seed: int):
+    """``dot_closed_form_distance`` and whether it is below 1e-10."""
+    worst = dot_closed_form_distance(first, seed)
+    return worst, worst < 1e-10
+
+
 def chain_splitting_errors(p: ChainParams, sector):
     """Distances between exact chain spectra and the first-order splitting
     formulas, at the couplings of ``p`` and at half of them.
@@ -100,8 +106,18 @@ def chain_splitting_errors(p: ChainParams, sector):
     return tuple(errs)
 
 
-def check_anticommutation(n_modes: int = 8):
-    """Exhaustive fermion algebra on all states and mode pairs."""
+def chain_splitting_verdict(p: ChainParams, sector):
+    """``chain_splitting_errors``, their ratio, and whether the ratio is
+    4 +- 0.5: the second-order scaling of a first-order error.  An exact
+    halved spectrum gives an infinite ratio, which fails."""
+    err, err_half = chain_splitting_errors(p, sector)
+    ratio = err / err_half if err_half > 0 else float("inf")
+    return err, err_half, ratio, 3.5 <= ratio <= 4.5
+
+
+def check_anticommutation():
+    """Exhaustive fermion algebra on all states and mode pairs of 8 modes."""
+    n_modes = 8
     for s in range(1 << n_modes):
         for i in range(n_modes):
             # {c_i, c†_i} = 1 on every state: exactly one order survives,
@@ -167,7 +183,7 @@ def check_block_structure():
     return True, "dot 16-state and chain L=3 1024-state spaces block-diagonal"
 
 
-def check_gauge_equivalence(tol: float = 1e-10):
+def check_gauge_equivalence():
     """Boundary-link and distributed twists share their spectrum."""
     rng = np.random.default_rng(11)
     worst = 0.0
@@ -181,10 +197,10 @@ def check_gauge_equivalence(tol: float = 1e-10):
         m2 = chain_model(pd, 3, -1)(theta)
         worst = max(worst, eigenvalue_match(np.linalg.eigvals(m1),
                                             np.linalg.eigvals(m2))[0])
-    return worst < tol, f"max eigenvalue mismatch {worst:.2e} (tol {tol:g})"
+    return worst < 1e-10, f"max eigenvalue mismatch {worst:.2e} (tol 1e-10)"
 
 
-def check_theta_periodicity(tol: float = 1e-8):
+def check_theta_periodicity():
     """Every flow closes: spectra at theta = 0 and 2 pi agree as multisets."""
     cases = [
         ("dot one-body", partial(build_dot_one_body, REFERENCE_DOT)),
@@ -200,7 +216,7 @@ def check_theta_periodicity(tol: float = 1e-8):
         d = periodicity_defect(sweep_theta(matrix_fn, 32))
         if d > worst:
             worst, worst_label = d, label
-    return worst < tol, f"max end-to-end defect {worst:.2e} in {worst_label!r}"
+    return worst < 1e-8, f"max end-to-end defect {worst:.2e} in {worst_label!r}"
 
 
 def check_winding_grid_stability():
@@ -223,7 +239,7 @@ def check_winding_grid_stability():
     return True, "windings stable under grid doubling"
 
 
-def check_det_consistency(tol: float = 1e-8):
+def check_det_consistency():
     """exp(logdet) equals the product of (E_n - ref) over the spectrum."""
     rng = np.random.default_rng(23)
     mats = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
@@ -237,12 +253,13 @@ def check_det_consistency(tol: float = 1e-8):
         direct = np.prod(np.linalg.eigvals(a) - ref)
         rel = abs(np.exp(log_mag + 1j * phase) - direct) / abs(direct)
         worst = max(worst, rel)
-    return worst < tol, f"max relative determinant error {worst:.2e}"
+    return worst < 1e-8, f"max relative determinant error {worst:.2e}"
 
 
-def check_occupation_sum_rules(tol: float = 1e-9):
+def check_occupation_sum_rules():
     """Profiles stay in [0, 1] and a-orbital occupations sum to the conserved
     a-fermion number (an exact integer; N - 2 for every chain sector)."""
+    tol = 1e-9
     cases = [
         ("dot (2,1)", dot_model(REFERENCE_DOT_INT, 2, 1), None),
         ("dot (2,-1)", dot_model(REFERENCE_DOT_INT, 2, -1), None),
@@ -275,22 +292,20 @@ def check_occupation_sum_rules(tol: float = 1e-9):
     return True, "sum rules, bounds and periodic uniformity hold"
 
 
-def check_dot_closed_forms(tol: float = 1e-10):
+def check_dot_closed_forms():
     """Exact dot spectra match the (2,+1) and (2,-1) closed forms."""
-    worst = dot_closed_form_distance(REFERENCE_DOT_INT, seed=7)
-    return worst < tol, f"max closed-form vs ED distance {worst:.2e} over 21 draws"
+    worst, ok = dot_closed_form_verdict(REFERENCE_DOT_INT, seed=7)
+    return ok, f"max closed-form vs ED distance {worst:.2e} over 21 draws"
 
 
 def check_chain_splitting_scaling():
     """Halving the chain couplings shrinks the first-order formulas' error
     fourfold (4 +- 0.5)."""
-    err, err_half = chain_splitting_errors(REFERENCE_CHAIN_WEAK, (3, -1))
-    ratio = err / err_half
-    return (3.5 <= ratio <= 4.5,
-            f"assignment distance {err:.3e} -> {err_half:.3e}, halving ratio {ratio:.3f}")
+    err, err_half, ratio, ok = chain_splitting_verdict(REFERENCE_CHAIN_WEAK, (3, -1))
+    return ok, f"assignment distance {err:.3e} -> {err_half:.3e}, halving ratio {ratio:.3f}"
 
 
-def check_gap_margin_distance(tol: float = 1e-12):
+def check_gap_margin_distance():
     """A winding's gap margin, and the distance at its margin_theta, equal the
     nearest-eigenvalue distance over the base grid, for chain (4,+1) at
     reference 0.3i (d = 182, where the margin comes from ARPACK)."""
@@ -303,7 +318,7 @@ def check_gap_margin_distance(tol: float = 1e-12):
         best = dists.min()
         at_theta = dists[list(flow.grid).index(w.margin_theta)]
         worst = max(worst, abs(w.gap_margin - best) / best, abs(at_theta - best) / best)
-    return worst < tol, f"max relative deviation from the eigvals distance {worst:.2e}"
+    return worst < 1e-12, f"max relative deviation from the eigvals distance {worst:.2e}"
 
 
 CHECKS = [

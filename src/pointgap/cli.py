@@ -172,12 +172,9 @@ def run_skin(cfg, outdir):
                               pprofiles)
         artifacts.append("product_occupations.csv")
 
-    # with twisted boundaries the flow above is of the winding's own model
-    if cfg.params.bc == "twisted":
-        w = many_body_winding(bs.twisted_model, cfg.e_ref, cfg.n_grid,
-                              spectra=bs.flow_spectra)
-    else:
-        w = many_body_winding(_sector_model(cfg), cfg.e_ref, cfg.n_grid)
+    # the flow above is of the winding's own model
+    w = many_body_winding(bs.twisted_model, cfg.e_ref, cfg.n_grid,
+                          spectra=bs.flow_spectra)
     _write_json(os.path.join(outdir, "winding.json"),
                 _winding_payload(w, cfg.sector, cfg.e_ref))
     sens = {
@@ -222,18 +219,14 @@ def run_deform(cfg, outdir):
 def run_oracle_check(cfg, outdir):
     from . import checks as checks_mod
 
-    report = {}
     if cfg.model == "dot":
-        worst = checks_mod.dot_closed_form_distance(cfg.params, seed=2024)
-        report["dot_max_eigenvalue_distance"] = worst
-        report["dot_ok"] = bool(worst < 1e-10)
+        worst, ok = checks_mod.dot_closed_form_verdict(cfg.params, seed=2024)
+        report = {"dot_max_eigenvalue_distance": worst, "dot_ok": ok}
     else:
-        err, err_half = checks_mod.chain_splitting_errors(cfg.params, cfg.sector)
-        ratio = err / err_half if err_half > 0 else float("inf")
-        report["splitting_error"] = err
-        report["splitting_error_halved"] = err_half
-        report["error_ratio_under_halving"] = ratio
-        report["second_order_scaling_ok"] = bool(abs(ratio - 4.0) <= 0.5)
+        err, err_half, ratio, ok = checks_mod.chain_splitting_verdict(cfg.params,
+                                                                     cfg.sector)
+        report = {"splitting_error": err, "splitting_error_halved": err_half,
+                  "error_ratio_under_halving": ratio, "second_order_scaling_ok": ok}
     _write_json(os.path.join(outdir, "oracle.json"), report)
     return report, ["oracle.json"]
 

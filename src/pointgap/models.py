@@ -15,7 +15,9 @@ Both models share the structure ``H = H0(theta) + H_int`` with a twist angle
 The twist enters either on the single boundary link (``gauge="boundary"``,
 entries exactly periodic in theta) or spread as ``e^{+-i theta/L}`` over every
 link (``gauge="distributed"``); the two are related by a gauge transformation
-and share their spectrum.
+and share their spectrum.  Only ``bc="twisted"`` carries the twist: a
+periodic chain closes its ring with plain hops and an open one drops the
+boundary link, so their terms, in either gauge, do not depend on theta.
 
 A ``SectorModel`` (from ``dot_model`` or ``chain_model``) is the one way to
 build a sector Hamiltonian: it keeps the sparse term list of one model and
@@ -208,7 +210,7 @@ def dot_terms(p: DotParams):
 def chain_terms(p: ChainParams):
     lay = chain_layout(p.length)
     L = p.length
-    if p.gauge == "distributed" and p.bc != "open":
+    if p.gauge == "distributed" and p.bc == "twisted":
         slot_up, slot_dn = P_PLUS_L, P_MINUS_L
     else:
         slot_up, slot_dn = P_ONE, P_ONE
@@ -271,11 +273,9 @@ def terms_to_coo(terms, basis: SectorBasis):
 class SectorModel:
     """Reusable theta -> dense matrix assembler for one model and sector."""
 
-    def __init__(self, terms, basis: SectorBasis, length: int = 1,
-                 freeze_theta: float | None = None):
+    def __init__(self, terms, basis: SectorBasis, length: int = 1):
         self.basis = basis
         self.length = length
-        self.freeze_theta = freeze_theta
         self._coo = terms_to_coo(terms, basis)
 
     @property
@@ -285,8 +285,6 @@ class SectorModel:
     def stack(self, thetas) -> np.ndarray:
         """H(theta_k) for each twist, as an (n, d, d) array of F-contiguous slices."""
         thetas = np.asarray(thetas, dtype=float)
-        if self.freeze_theta is not None:
-            thetas = np.full_like(thetas, self.freeze_theta)
         rows, cols, amps, slots = self._coo
         n, d = len(thetas), self.dim
         out = np.zeros((n, d, d), dtype=complex)
@@ -338,9 +336,7 @@ def dot_model(p: DotParams, n: int, parity: int) -> SectorModel:
 
 def chain_model(p: ChainParams, n: int, parity: int) -> SectorModel:
     _, terms = chain_terms(p)
-    freeze = 0.0 if p.bc == "periodic" else None
-    return SectorModel(terms, chain_sector_basis(p, n, parity),
-                       length=p.length, freeze_theta=freeze)
+    return SectorModel(terms, chain_sector_basis(p, n, parity), length=p.length)
 
 
 def build_dot_one_body(p: DotParams, theta: float) -> np.ndarray:
@@ -354,29 +350,19 @@ def build_dot_one_body(p: DotParams, theta: float) -> np.ndarray:
 
 
 def build_chain_one_body(p: ChainParams, theta: float) -> np.ndarray:
-    """2L x 2L one-body matrix over the itinerant a modes.
+    """2L x 2L one-body matrix over the itinerant a modes (the first 2L of
+    the layout): the hop terms of ``chain_terms`` at theta.
 
     Up spins hop rightward, down spins leftward; under the open boundary
     condition both blocks are nilpotent.
     """
-    if p.bc == "periodic":
-        theta = 0.0
-    L = p.length
-    lay = chain_layout(L)
-    h = np.zeros((2 * L, 2 * L), dtype=complex)
-    if p.gauge == "distributed" and p.bc != "open":
-        up_amp, dn_amp = p.t * np.exp(1j * theta / L), p.t * np.exp(-1j * theta / L)
-        for j in range(L):
-            jn = (j + 1) % L
-            h[lay.mode(jn, "a", "up"), lay.mode(j, "a", "up")] = up_amp
-            h[lay.mode(j, "a", "dn"), lay.mode(jn, "a", "dn")] = dn_amp
-        return h
-    for j in range(L - 1):
-        h[lay.mode(j + 1, "a", "up"), lay.mode(j, "a", "up")] = p.t
-        h[lay.mode(j, "a", "dn"), lay.mode(j + 1, "a", "dn")] = p.t
-    if p.bc != "open":
-        h[lay.mode(0, "a", "up"), lay.mode(L - 1, "a", "up")] = p.t * np.exp(1j * theta)
-        h[lay.mode(L - 1, "a", "dn"), lay.mode(0, "a", "dn")] = p.t * np.exp(-1j * theta)
+    _, terms = chain_terms(p)
+    phases = phase_table(theta, p.length)
+    h = np.zeros((2 * p.length, 2 * p.length), dtype=complex)
+    for coeff, slot, ops in terms:
+        if len(ops) == 2:  # a hop; the edge couplings are products of four
+            (dst, _), (src, _) = ops
+            h[dst, src] = coeff * phases[slot]
     return h
 
 

@@ -24,7 +24,7 @@ from .models import (
     chain_model,
     chain_sector_basis,
 )
-from .spectral import EigenSolution, cluster_labels, eigendecompose, sweep_theta
+from .spectral import EigenSolution, eigendecompose, sweep_theta
 
 
 @dataclass
@@ -33,7 +33,6 @@ class OccupationProfile:
 
     eigenstate_index: int
     eigenvalue: complex
-    n_a_up_total: float
     per_site: dict
     degeneracy_cluster: int
     jordan_ambiguous: bool = False
@@ -54,18 +53,14 @@ def occupation_profiles(matrix, basis: SectorBasis, solution: EigenSolution = No
     # weights[k, m] = sum_s bit(states[s], m) |v_k[s]|^2
     bits = (basis.states[:, None] >> np.arange(layout.n_modes, dtype=np.uint64)) & np.uint64(1)
     weights = probs.T @ bits.astype(np.float64)
-    labels = cluster_labels(sol.values)
-    a_up = [m for m, lbl in enumerate(layout.labels)
-            if lbl[1] == ORBITAL_A and lbl[2] == UP]
     profiles = []
     for k in range(sol.dim):
         per_site = {lbl: float(weights[k, m]) for m, lbl in enumerate(layout.labels)}
         profiles.append(OccupationProfile(
             eigenstate_index=k,
             eigenvalue=complex(sol.values[k]),
-            n_a_up_total=float(weights[k, a_up].sum()),
             per_site=per_site,
-            degeneracy_cluster=int(labels[k]),
+            degeneracy_cluster=int(sol.clusters[k]),
             jordan_ambiguous=bool(sol.defective[k]),
         ))
     return profiles
@@ -126,8 +121,6 @@ def product_state_profiles(p: ChainParams, sector):
                         profiles.append(OccupationProfile(
                             eigenstate_index=k,
                             eigenvalue=complex(energy),
-                            n_a_up_total=float(sum(
-                                per_site[(j, ORBITAL_A, UP)] for j in range(L))),
                             per_site=per_site,
                             degeneracy_cluster=-1,
                             jordan_ambiguous=ambiguous,

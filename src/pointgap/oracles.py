@@ -5,10 +5,8 @@ four-level spectra for the dot sectors, first-order degenerate-splitting
 formulas for the chain quadruplets, and an exact winding classifier for
 diagonal flows built from circles ``A e^{i theta} + B e^{-i theta} + c``.
 
-The dot formulas come in two flavors controlled by ``strict``: the default
-scales the in-root sine term by the hopping amplitude (reproducing exact
-diagonalization for every lam), while ``strict=True`` keeps the bare
-``sin(theta)`` of the lam = 1 normalization.
+The dot formulas scale the in-root sine term by the hopping amplitude,
+``lam sin(theta)``, and so reproduce exact diagonalization at every lam.
 """
 
 from __future__ import annotations
@@ -33,19 +31,19 @@ def dot_shift_params(p: DotParams):
     return delta0, delta3, delta0p, delta3p
 
 
-def dot_sector21_eigenvalues(p: DotParams, theta: float, strict: bool = False):
+def dot_sector21_eigenvalues(p: DotParams, theta: float):
     """Exact eigenvalue pair of the (N, P) = (2, +1) dot sector."""
     delta0, delta3, _, _ = dot_shift_params(p)
-    s = math.sin(theta) if strict else p.lam * math.sin(theta)
+    s = p.lam * math.sin(theta)
     root = math.sqrt((s + delta3) ** 2 + (0.5 * p.v) ** 2)
     base = p.lam * math.cos(theta) + 1j * delta0
     return base + 1j * root, base - 1j * root
 
 
-def dot_sector2m1_eigenvalues(p: DotParams, theta: float, strict: bool = False):
+def dot_sector2m1_eigenvalues(p: DotParams, theta: float):
     """Exact four eigenvalues of the (N, P) = (2, -1) dot sector."""
     _, _, delta0p, delta3p = dot_shift_params(p)
-    s = math.sin(theta) if strict else p.lam * math.sin(theta)
+    s = p.lam * math.sin(theta)
     root = math.sqrt((s + delta3p) ** 2 + (0.5 * p.j) ** 2)
     base = p.lam * math.cos(theta) + 1j * delta0p
     e_pair = 2.0 * p.lam * math.cos(theta) + 1j * (p.eps_a_up + p.eps_a_dn)

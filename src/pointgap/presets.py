@@ -130,8 +130,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raise ConfigError(f"task {task!r} requires a sector")
     if task == "oracle-check" and model == "chain" and sector is None:
         raise ConfigError("chain oracle-check requires a sector")
-    if task == "skin" and model != "chain":
-        raise ConfigError("skin task is defined for the chain model")
+    if task == "skin" and (model != "chain" or params.bc != "twisted"):
+        raise ConfigError("skin task is defined for the chain model with bc 'twisted'")
 
     output_dir = raw.get("output_dir")
     if output_dir is not None and not isinstance(output_dir, str):

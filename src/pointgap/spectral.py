@@ -39,10 +39,11 @@ DEGENERACY_TOL = 1e-8
 SINGULARITY_RTOL = 1e-12
 
 # Below this matrix dimension one BLAS thread beats two.  Measured on 2 cores
-# with OpenBLAS 0.3.31: a complex LU takes 1.0 ms on one thread and 1.2 ms
-# (at twice the CPU) on two at d = 182, against 590 ms and 340 ms at d = 2000;
-# a chain (5,+1) winding at d = 728 took 12.5 s on one thread and 12.9-13.6 s
-# (23-24 s CPU) on two.  The chain sectors in between are d = 728 and 2002.
+# with OpenBLAS 0.3.31, one thread against two, for the band LU of a J = V = 1
+# chain sector (``factor_shifted``): 0.9-1.2 ms against 1.2-8 ms at d = 182,
+# 9-12 ms against 19-24 ms (at twice the CPU) at d = 728, 1.6-1.8 s against
+# 1.2-1.4 s at d = 6864.  At d = 2002 the LU and ARPACK margin of three
+# twists took 0.51-0.59 s against 0.70-0.83 s.
 BLAS_THREAD_CROSSOVER_DIM = 1000
 
 # A twist sweep builds, solves and factors its matrices in stacks of at most
@@ -70,15 +71,17 @@ class EigenSolution:
     """Eigenvalues with unit-norm right eigenvectors and per-pair diagnostics.
 
     ``defective[i]`` marks pairs whose residual exceeds tolerance or that
-    belong to a degenerate cluster with a deficient eigenvector rank (e.g. the
-    open-boundary noninteracting chain, a single Jordan block); consumers must
-    branch on the flag before trusting individual vectors.
+    belong to a degenerate cluster (``clusters``, from ``cluster_labels``)
+    with a deficient eigenvector rank (e.g. the open-boundary noninteracting
+    chain, a single Jordan block); consumers must branch on the flag before
+    trusting individual vectors.
     """
 
     values: np.ndarray
     right_vectors: np.ndarray
     residuals: np.ndarray
     defective: np.ndarray
+    clusters: np.ndarray
 
     @property
     def dim(self):
@@ -103,20 +106,32 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
 def cluster_labels(values: np.ndarray) -> np.ndarray:
     """Group nearly equal eigenvalues; labels count up in (re, im) order.
 
-    Sorted by (re, im), each value joins its predecessor's cluster when it
-    lies within ``DEGENERACY_TOL`` (relative to the largest modulus, at
-    least 1) of it, so a chain of near ties forms one cluster.
+    Two values within ``DEGENERACY_TOL`` (relative to the largest modulus,
+    at least 1) of each other share a cluster, and so does a chain of such
+    pairs (single linkage), whatever the sort order puts between them.  A
+    cluster's label is the rank of its first member in (re, im) order.
     """
-    labels = np.zeros(len(values), dtype=int)
-    if len(values) == 0:
-        return labels
-    tol = DEGENERACY_TOL * max(np.abs(values).max(), 1.0)
+    tol = DEGENERACY_TOL * np.abs(values).max(initial=1.0)
     order = np.lexsort((values.imag, values.real))
-    current = 0
-    for prev, i in zip(order[:-1], order[1:]):
-        if abs(values[i] - values[prev]) > tol:
-            current += 1
-        labels[i] = current
+    v = values[order]
+    # root[i] is the first member, in this order, of the cluster of v[i].  A
+    # pair within tol lies k places apart, for a k below the first offset at
+    # which every pair of real parts differs by more than tol.
+    n = len(v)
+    root = np.arange(n)
+    for k in range(1, n):
+        near = np.flatnonzero(v.real[k:] - v.real[:-k] <= tol)
+        if len(near) == 0:
+            break
+        near = near[np.abs(v[near + k] - v[near]) <= tol]
+        lo, hi = root[near], root[near + k]
+        while np.any(lo != hi):  # hang each later root under the earlier one
+            np.minimum.at(root, np.maximum(lo, hi), np.minimum(lo, hi))
+            while np.any(root[root] != root):
+                root = root[root]
+            lo, hi = root[near], root[near + k]
+    labels = np.empty(n, dtype=int)
+    labels[order] = np.unique(root, return_inverse=True)[1]
     return labels
 
 
@@ -124,9 +139,6 @@ def eigendecompose(matrix) -> EigenSolution:
     """Full eigendecomposition of a square matrix."""
     a = np.asarray(matrix, dtype=complex)
     dim = a.shape[0]
-    if dim == 0:
-        z = np.zeros(0)
-        return EigenSolution(z.astype(complex), np.zeros((0, 0), complex), z, z.astype(bool))
     try:
         values, vectors = np.linalg.eig(a)
     except np.linalg.LinAlgError as exc:
@@ -141,16 +153,16 @@ def eigendecompose(matrix) -> EigenSolution:
 
     # rank-deficient degenerate clusters: compare the numerical rank of each
     # cluster's eigenvector block to the cluster size
-    order = np.lexsort((values.imag, values.real))
-    labels = cluster_labels(values)[order]
-    for cl in np.split(order, np.flatnonzero(np.diff(labels)) + 1):
+    clusters = cluster_labels(values)
+    by_cluster = np.argsort(clusters, kind="stable")
+    for cl in np.split(by_cluster, np.flatnonzero(np.diff(clusters[by_cluster])) + 1):
         if len(cl) < 2:
             continue
         sv = np.linalg.svd(vectors[:, cl], compute_uv=False)
         rank = int(np.sum(sv > sv[0] * 1e-6))
         if rank < len(cl):
             defective[cl] = True
-    return EigenSolution(values, vectors, residuals, defective)
+    return EigenSolution(values, vectors, residuals, defective, clusters)
 
 
 @dataclass

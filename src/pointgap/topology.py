@@ -109,10 +109,9 @@ class SpinWindingResult:
 class _PhaseTracker:
     """Adaptive accumulation of principal-phase increments over [0, 2 pi]."""
 
-    def __init__(self, phase_fn, n_grid, max_depth=MAX_REFINE_DEPTH):
+    def __init__(self, phase_fn, n_grid):
         self.phase_fn = phase_fn
         self.n_grid = n_grid
-        self.max_depth = max_depth
         self.evaluations = 0
         self.max_step = 0.0
 
@@ -121,7 +120,7 @@ class _PhaseTracker:
         if abs(step) <= PHASE_STEP_BOUND:
             self.max_step = max(self.max_step, abs(step))
             return step
-        if depth >= self.max_depth:
+        if depth >= MAX_REFINE_DEPTH:
             raise WindingUnresolvedError(t0, t1, step=step)
         tm = 0.5 * (t0 + t1)
         self.evaluations += 1

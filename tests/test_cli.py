@@ -303,8 +303,13 @@ def test_main_unbuildable_sector_is_config_error(tmp_path, capsys, params, secto
     {"model": "chain", "task": "flow", "n_grid": 16, "params": {"length": 40}},
     _cfg(task="winding", sector=[2, True], n_grid=16),
     _cfg(task="deform", sector=[2, 1], path="pair-ramp", n_path=True, n_grid=16),
+    {"model": "chain", "task": "skin", "sector": [3, -1], "n_grid": 16,
+     "params": {"length": 7, "bc": "open"}},
+    {"model": "chain", "task": "skin", "sector": [3, -1], "n_grid": 16,
+     "params": {"length": 7, "bc": "periodic"}},
 ], ids=["e_ref-text", "e_ref-nan", "e_ref-beyond-float", "float-length",
-        "one-body-too-long", "bool-parity", "bool-n_path"])
+        "one-body-too-long", "bool-parity", "bool-n_path", "skin-open-bc",
+        "skin-periodic-bc"])
 def test_main_bad_config_values_exit_two(tmp_path, capsys, raw):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(raw))

@@ -19,6 +19,7 @@ from pointgap.models import (
     dot_model,
     dot_sector_basis,
     dot_terms,
+    full_space_matrix,
     phase_table,
     terms_to_coo,
 )
@@ -266,21 +267,36 @@ def test_phase_table_matches_scalar_phases():
             np.testing.assert_array_equal(phase_table(theta, length), expected)
 
 
-@pytest.mark.parametrize("model", [
-    dot_model(replace(FIG_DOT, j=0.7, v=0.3), 2, 1),
-    chain_model(ChainParams(length=7, j=1.0, v=1.0), 3, -1),
-    chain_model(ChainParams(length=7, j=1.0, v=1.0, gauge="distributed"), 3, -1),
-    chain_model(ChainParams(length=7, j=1.0, v=1.0, bc="periodic"), 3, -1),
+@pytest.mark.parametrize("model, periodic", [
+    (dot_model(replace(FIG_DOT, j=0.7, v=0.3), 2, 1), False),
+    (chain_model(ChainParams(length=7, j=1.0, v=1.0), 3, -1), False),
+    (chain_model(ChainParams(length=7, j=1.0, v=1.0, gauge="distributed"), 3, -1), False),
+    (chain_model(ChainParams(length=7, j=1.0, v=1.0, bc="periodic"), 3, -1), True),
 ], ids=["dot", "chain-boundary", "chain-distributed", "chain-periodic"])
-def test_stack_slices_equal_single_matrices(model):
+def test_stack_slices_equal_single_matrices(model, periodic):
     grid = np.linspace(0.0, 2 * np.pi, 41)
     stack = model.stack(grid)
     assert stack.shape == (len(grid), model.dim, model.dim)
     for k, theta in enumerate(grid):
         assert stack[k].flags.f_contiguous
         np.testing.assert_array_equal(stack[k], model(theta))
-        if model.freeze_theta is not None:  # periodic: every twist gives H(0)
+        if periodic:  # no term carries the twist: every twist gives H(0)
             np.testing.assert_array_equal(stack[k], model(0.0))
+
+
+@pytest.mark.parametrize("bc", ["twisted", "periodic", "open"])
+@pytest.mark.parametrize("gauge", ["boundary", "distributed"])
+def test_sector_models_are_blocks_of_the_full_space_matrix(bc, gauge):
+    # the term list decides the boundary: a sector model is, bit for bit,
+    # the block of the whole-space matrix built from the same terms
+    p = ChainParams(length=3, j=0.8, v=0.6, bc=bc, gauge=gauge)
+    lay, terms = chain_terms(p)
+    for theta in (0.0, 1.21):
+        h = full_space_matrix(lay, terms, theta, 3)
+        for sector in ((3, -1), (4, 1)):
+            model = chain_model(p, *sector)
+            states = model.basis.states.astype(np.intp)
+            np.testing.assert_array_equal(h[np.ix_(states, states)], model(theta))
 
 
 def test_param_validation():

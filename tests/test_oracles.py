@@ -35,8 +35,9 @@ def test_shift_parameter_combinations():
 
 
 def test_two_level_strict_reference_point():
+    # at lam = 1 the in-root term lam sin(theta) is the bare sin(theta)
     p = replace(FIG_DOT, j=1.0, v=1.0)
-    ep, em = dot_sector21_eigenvalues(p, np.pi / 2, strict=True)
+    ep, em = dot_sector21_eigenvalues(p, np.pi / 2)
     root = np.sqrt(1.45**2 + 0.25)
     assert abs(ep - 1j * (0.1 + root)) < 5e-6
     assert abs(em - 1j * (0.1 - root)) < 5e-6

@@ -93,6 +93,17 @@ def test_cluster_labels_join_chains_of_near_ties():
     assert cluster_labels(np.zeros(0, dtype=complex)).shape == (0,)
 
 
+@pytest.mark.parametrize("sector, pairs", [((4, 1), 91), ((5, 1), 364)],
+                         ids=["(4,+1)", "(5,+1)"])
+def test_cluster_labels_keep_exact_pairs_together(sector, pairs):
+    # at J = V = 0 every chain level is exactly doubly degenerate; values
+    # sorting between the two members of a pair must not split it
+    model = chain_model(ChainParams(length=7), *sector)
+    values = np.linalg.eigvals(model(1.1))
+    assert len(values) == 2 * pairs
+    np.testing.assert_array_equal(np.bincount(cluster_labels(values)), [2] * pairs)
+
+
 def test_eigendecompose_ranks_each_cluster():
     # a 2x2 Jordan block at 0 and a diagonalizable pair at 2: only the block
     # lacks eigenvectors
