@@ -19,14 +19,12 @@ from .fock import (
 from .models import (
     ChainParams,
     DotParams,
-    build_chain_one_body,
-    build_dot_one_body,
     chain_model,
     chain_sector_basis,
     deformation_params,
     dot_model,
     dot_sector_basis,
-    one_body_sz,
+    one_body_model,
 )
 from .observables import (
     BoundarySensitivity,

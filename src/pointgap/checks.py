@@ -8,7 +8,6 @@ Everything here is deterministic (fixed seeds, fixed grids).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
@@ -16,13 +15,12 @@ from . import fock
 from .models import (
     ChainParams,
     DotParams,
-    build_chain_one_body,
-    build_dot_one_body,
     chain_model,
     chain_terms,
     dot_model,
     dot_terms,
     full_space_matrix,
+    one_body_model,
 )
 from .oracles import (
     chain_first_order_spectrum,
@@ -30,7 +28,7 @@ from .oracles import (
     dot_sector2m1_eigenvalues,
     eigenvalue_match,
 )
-from .spectral import logdet_phase, periodicity_defect, sweep_theta
+from .spectral import logdet_phase, sweep_theta
 from .observables import occupation_profiles
 from .topology import many_body_winding, one_body_winding
 
@@ -190,8 +188,8 @@ def check_gauge_equivalence():
     for theta in rng.uniform(0.0, 2.0 * np.pi, 4):
         pb = ChainParams(length=7, t=1.0, j=0.9, v=0.7, gauge="boundary")
         pd = replace(pb, gauge="distributed")
-        e1 = np.linalg.eigvals(build_chain_one_body(pb, theta))
-        e2 = np.linalg.eigvals(build_chain_one_body(pd, theta))
+        e1 = np.linalg.eigvals(one_body_model(pb)(theta))
+        e2 = np.linalg.eigvals(one_body_model(pd)(theta))
         worst = max(worst, eigenvalue_match(e1, e2)[0])
         m1 = chain_model(pb, 3, -1)(theta)
         m2 = chain_model(pd, 3, -1)(theta)
@@ -203,17 +201,18 @@ def check_gauge_equivalence():
 def check_theta_periodicity():
     """Every flow closes: spectra at theta = 0 and 2 pi agree as multisets."""
     cases = [
-        ("dot one-body", partial(build_dot_one_body, REFERENCE_DOT)),
+        ("dot one-body", one_body_model(REFERENCE_DOT)),
         ("dot (2,1)", dot_model(REFERENCE_DOT_INT, 2, 1)),
         ("dot (2,-1)", dot_model(REFERENCE_DOT_INT, 2, -1)),
-        ("chain one-body", partial(build_chain_one_body, ChainParams(length=7))),
+        ("chain one-body", one_body_model(ChainParams(length=7))),
         ("chain (3,-1)", chain_model(ChainParams(length=7, j=1.0, v=1.0), 3, -1)),
         ("chain (3,-1) distributed",
          chain_model(ChainParams(length=5, j=0.4, v=0.3, gauge="distributed"), 3, -1)),
     ]
     worst, worst_label = 0.0, ""
-    for label, matrix_fn in cases:
-        d = periodicity_defect(sweep_theta(matrix_fn, 32))
+    for label, model in cases:
+        spectra = sweep_theta(model, 32).spectra
+        d = eigenvalue_match(spectra[0], spectra[-1])[0]
         if d > worst:
             worst, worst_label = d, label
     return worst < 1e-8, f"max end-to-end defect {worst:.2e} in {worst_label!r}"
@@ -232,8 +231,8 @@ def check_winding_grid_stability():
         w2 = many_body_winding(model, ref, n_grid=128)
         if w1.value != w2.value:
             return False, f"{label} at ref {ref}: {w1.value} -> {w2.value}"
-    w1 = one_body_winding(partial(build_dot_one_body, REFERENCE_DOT), 0.0, n_grid=64)
-    w2 = one_body_winding(partial(build_dot_one_body, REFERENCE_DOT), 0.0, n_grid=128)
+    w1 = one_body_winding(one_body_model(REFERENCE_DOT), 0.0, n_grid=64)
+    w2 = one_body_winding(one_body_model(REFERENCE_DOT), 0.0, n_grid=128)
     if w1.value != w2.value:
         return False, f"one-body: {w1.value} -> {w2.value}"
     return True, "windings stable under grid doubling"
@@ -272,8 +271,9 @@ def check_occupation_sum_rules():
         profiles = occupation_profiles(model.matrix(0.9), model.basis)
         for prof in profiles:
             vals = np.array(list(prof.per_site.values()))
-            if vals.min() < -tol or vals.max() > 1.0 + tol:
-                return False, f"{label}: value outside [0,1] by {vals.max()-1:.2e}"
+            excursion = max(-vals.min(), vals.max() - 1.0)
+            if excursion > tol:
+                return False, f"{label}: value outside [0,1] by {excursion:.2e}"
             a_total = sum(v for (j, orb, s), v in prof.per_site.items()
                           if orb == fock.ORBITAL_A)
             want = round(a_total) if n_a is None else n_a

@@ -24,20 +24,17 @@ import os
 import sys
 import time
 from dataclasses import replace
-from functools import partial
 
 import numpy as np
 
 from . import __version__
 from .models import (
-    build_chain_one_body,
-    build_dot_one_body,
     chain_model,
     chain_sector_basis,
     deformation_params,
     dot_model,
     dot_sector_basis,
-    one_body_sz,
+    one_body_model,
 )
 from .observables import boundary_sensitivity, product_state_profiles
 from .presets import PRESETS, HEAVY_DIM, ConfigError, ExperimentConfig, config_from_dict
@@ -117,15 +114,13 @@ def _winding_payload(result, sector, e_ref):
     }
 
 
-def _sector_model(cfg: ExperimentConfig):
+def _model(cfg: ExperimentConfig):
+    """The config's sector model, or its one-body model where it names no sector."""
+    if cfg.sector is None:
+        return one_body_model(cfg.params)
     if cfg.model == "dot":
         return dot_model(cfg.params, *cfg.sector)
     return chain_model(cfg.params, *cfg.sector)
-
-
-def _one_body_fn(cfg: ExperimentConfig):
-    builder = build_dot_one_body if cfg.model == "dot" else build_chain_one_body
-    return partial(builder, cfg.params)
 
 
 # ---------------------------------------------------------------------------
@@ -133,21 +128,20 @@ def _one_body_fn(cfg: ExperimentConfig):
 # ---------------------------------------------------------------------------
 
 def run_flow(cfg, outdir):
-    matrix_fn = _one_body_fn(cfg) if cfg.sector is None else _sector_model(cfg)
-    flow = sweep_theta(matrix_fn, cfg.n_grid)
+    flow = sweep_theta(_model(cfg), cfg.n_grid)
     write_flow_csv(os.path.join(outdir, "flow.csv"), flow)
     return {"dim": flow.dim, "n_theta": len(flow.grid)}, ["flow.csv"]
 
 
 def run_winding(cfg, outdir):
+    model = _model(cfg)
     if cfg.sector is None:
-        h = _one_body_fn(cfg)
-        w = one_body_winding(h, cfg.e_ref, cfg.n_grid)
-        ws = spin_winding(h, one_body_sz(cfg.params), cfg.e_ref, cfg.n_grid)
+        w = one_body_winding(model, cfg.e_ref, cfg.n_grid)
+        ws = spin_winding(model, model.basis.sz, cfg.e_ref, cfg.n_grid)
         payload = _winding_payload(w, None, cfg.e_ref)
         payload["spin_winding"] = [ws.value.numerator, ws.value.denominator]
     else:
-        w = many_body_winding(_sector_model(cfg), cfg.e_ref, cfg.n_grid)
+        w = many_body_winding(model, cfg.e_ref, cfg.n_grid)
         payload = _winding_payload(w, cfg.sector, cfg.e_ref)
     _write_json(os.path.join(outdir, "winding.json"), payload)
     summary = {k: payload[k] for k in ("winding", "gap_margin", "grid_size_used")}

@@ -84,12 +84,6 @@ class ModeLayout:
     def spin_parity(self, state: int) -> int:
         return -1 if ((state & self.up_mask).bit_count() & 1) else 1
 
-    def sz_signs(self, modes=None) -> np.ndarray:
-        """Diagonal of s^z restricted to the given modes (+1 up, -1 down)."""
-        if modes is None:
-            modes = range(self.n_modes)
-        return np.array([1 if (self.up_mask >> m) & 1 else -1 for m in modes])
-
 
 def dot_layout() -> ModeLayout:
     labels = ((0, ORBITAL_A, UP), (0, ORBITAL_A, DOWN),
@@ -141,6 +135,12 @@ class SectorBasis:
     @property
     def dim(self) -> int:
         return len(self.states)
+
+    @property
+    def sz(self) -> np.ndarray:
+        """n_up - n_down of each state: the +-1 diagonal of s^z on one fermion."""
+        n_up = np.bitwise_count(self.states & np.uint64(self.layout.up_mask))
+        return 2 * n_up.astype(np.int64) - self.n
 
     def index_of(self, state):
         """Position of a state, or an array of positions for an array of

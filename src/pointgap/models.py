@@ -21,7 +21,10 @@ boundary link, so their terms, in either gauge, do not depend on theta.
 
 A ``SectorModel`` (from ``dot_model`` or ``chain_model``) is the one way to
 build a sector Hamiltonian: it keeps the sparse term list of one model and
-sector, and calling it at a twist returns H(theta) as a plain ndarray.
+sector, and calling it at a twist returns H(theta) as a plain ndarray.  The
+one-body matrix h(theta) is built the same way (``one_body_model``): it is
+the one-fermion sector of the same term list, with both spin parities, whose
+(1, -1) and (1, +1) halves are the spin-up and spin-down blocks.
 This module is the only one that turns parameters into sector models, the
 dot's deformation paths (``deformation_params``) included; ``spectral`` and
 ``topology`` take the models it builds.  The sector bases and each
@@ -38,7 +41,7 @@ one) as it is.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -115,13 +118,11 @@ def deformation_params(base: DotParams, path: str, s: float) -> DotParams:
     * ``hop-ramp``: lam = 1 - s shrinks to 0 with J = V = sqrt(lam).
     """
     if path == "pair-ramp":
-        return DotParams(lam=1.0, eps_a_up=base.eps_a_up, eps_a_dn=base.eps_a_dn,
-                         eps_b_up=base.eps_b_up, eps_b_dn=base.eps_b_dn, j=s, v=s)
+        return replace(base, lam=1.0, j=s, v=s)
     if path == "hop-ramp":
         lam = 1.0 - s
         g = np.sqrt(lam)
-        return DotParams(lam=lam, eps_a_up=base.eps_a_up, eps_a_dn=base.eps_a_dn,
-                         eps_b_up=base.eps_b_up, eps_b_dn=base.eps_b_dn, j=g, v=g)
+        return replace(base, lam=lam, j=g, v=g)
     raise ValueError(f"unknown deformation path {path!r}")
 
 
@@ -339,31 +340,30 @@ def chain_model(p: ChainParams, n: int, parity: int) -> SectorModel:
     return SectorModel(terms, chain_sector_basis(p, n, parity), length=p.length)
 
 
-def build_dot_one_body(p: DotParams, theta: float) -> np.ndarray:
-    """4x4 diagonal one-body matrix h(theta) in mode order (a_up, a_dn, b_up, b_dn)."""
-    return np.diag([
-        p.lam * np.exp(1j * theta) + 1j * p.eps_a_up,
-        p.lam * np.exp(-1j * theta) + 1j * p.eps_a_dn,
-        1j * p.eps_b_up,
-        1j * p.eps_b_dn,
-    ])
+# cached like the sector bases: _operator_pattern keys on the basis object,
+# so a fresh basis per model would evict the many-body patterns
+@lru_cache(maxsize=32)
+def _one_body_basis(layout: ModeLayout, frozen=()) -> SectorBasis:
+    """One fermion on each mode outside the ``frozen`` constraints, in mode
+    order.  Its parity is None: the basis holds both spin parities."""
+    fixed = 0
+    for c in frozen:
+        fixed |= c.mask
+    return SectorBasis(layout, 1, None,
+                       [1 << m for m in range(layout.n_modes) if not fixed >> m & 1])
 
 
-def build_chain_one_body(p: ChainParams, theta: float) -> np.ndarray:
-    """2L x 2L one-body matrix over the itinerant a modes (the first 2L of
-    the layout): the hop terms of ``chain_terms`` at theta.
-
-    Up spins hop rightward, down spins leftward; under the open boundary
-    condition both blocks are nilpotent.
-    """
-    _, terms = chain_terms(p)
-    phases = phase_table(theta, p.length)
-    h = np.zeros((2 * p.length, 2 * p.length), dtype=complex)
-    for coeff, slot, ops in terms:
-        if len(ops) == 2:  # a hop; the edge couplings are products of four
-            (dst, _), (src, _) = ops
-            h[dst, src] = coeff * phases[slot]
-    return h
+def one_body_model(p) -> SectorModel:
+    """The one-body matrix h(theta): the model on the one-fermion states
+    ``1 << m`` of its itinerant modes, all four dot modes or the 2L chain a
+    modes (the edge b modes are frozen), in mode order.  The four-operator
+    edge couplings vanish there."""
+    if isinstance(p, DotParams):
+        lay, terms = dot_terms(p)
+        return SectorModel(terms, _one_body_basis(lay))
+    lay, terms = chain_terms(p)
+    return SectorModel(terms, _one_body_basis(lay, edge_b_constraints(lay, p.length)),
+                       length=p.length)
 
 
 def full_space_matrix(layout, terms, theta: float, length: int = 1) -> np.ndarray:
@@ -386,11 +386,3 @@ def full_space_matrix(layout, terms, theta: float, length: int = 1) -> np.ndarra
             out, sign = res
             h[out, s] += sign * val
     return h
-
-
-def one_body_sz(model_params) -> np.ndarray:
-    """Diagonal of s^z matching the one-body matrix of the given params."""
-    if isinstance(model_params, DotParams):
-        return dot_layout().sz_signs()
-    lay = chain_layout(model_params.length)
-    return lay.sz_signs(range(2 * model_params.length))

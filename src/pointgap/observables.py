@@ -20,9 +20,9 @@ from .fock import DOWN, ORBITAL_A, UP, SectorBasis
 from .models import (
     ChainParams,
     SectorModel,
-    build_chain_one_body,
     chain_model,
     chain_sector_basis,
+    one_body_model,
 )
 from .spectral import EigenSolution, eigendecompose, sweep_theta
 
@@ -84,13 +84,15 @@ def product_state_profiles(p: ChainParams, sector):
     basis = chain_sector_basis(p, n, parity)  # validates sector/constraints
     L = p.length
     layout = basis.layout
-    h = build_chain_one_body(p, 0.0)
-    lay_a = [(layout.mode(j, ORBITAL_A, UP), layout.mode(j, ORBITAL_A, DOWN))
-             for j in range(L)]
-    up_idx = [m for m, _ in lay_a]
-    dn_idx = [m for _, m in lay_a]
-    sols = {UP: eigendecompose(h[np.ix_(up_idx, up_idx)]),
-            DOWN: eigendecompose(h[np.ix_(dn_idx, dn_idx)])}
+    # the one-body blocks per spin, and the (site, a, spin) label of each row
+    one_body = one_body_model(p)
+    h = one_body(0.0)
+    up = one_body.basis.sz > 0
+    sols, rows = {}, {}
+    for spin, keep in ((UP, up), (DOWN, ~up)):
+        sols[spin] = eigendecompose(h[np.ix_(keep, keep)])
+        rows[spin] = [layout.labels[int(s).bit_length() - 1]
+                      for s in one_body.basis.states[keep]]
     block_defective = {s: bool(sols[s].defective.any()) for s in (UP, DOWN)}
 
     n_a = n - 2
@@ -112,8 +114,8 @@ def product_state_profiles(p: ChainParams, sector):
                             for m in chosen:
                                 energy += sol.values[m]
                                 w = np.abs(sol.right_vectors[:, m]) ** 2
-                                for j in range(L):
-                                    per_site[(j, ORBITAL_A, spin)] += float(w[j])
+                                for label, wj in zip(rows[spin], w):
+                                    per_site[label] += float(wj)
                         per_site[(0, "b", b0)] = 1.0
                         per_site[(L - 1, "b", bl)] = 1.0
                         ambiguous = ((n_up > 1 and block_defective[UP])

@@ -253,16 +253,6 @@ def sweep_theta(matrix_fn, n_grid: int) -> SpectralFlow:
     return SpectralFlow(grid, spectra)
 
 
-def periodicity_defect(flow: SpectralFlow) -> float:
-    """Max distance between matched eigenvalues at the two grid ends."""
-    from scipy.optimize import linear_sum_assignment
-
-    first, last = flow.spectra[0], flow.spectra[-1]
-    cost = np.abs(first[:, None] - last[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].max())
-
-
 def wrap_phase(phi):
     """Reduce to the principal branch (-pi, pi]: a float for a scalar, an
     array for an array."""

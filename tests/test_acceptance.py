@@ -11,7 +11,6 @@ import json
 import os
 import time
 from dataclasses import replace
-from functools import partial
 
 import numpy as np
 import pytest
@@ -21,12 +20,10 @@ from pointgap.fock import UP
 from pointgap.models import (
     ChainParams,
     DotParams,
-    build_chain_one_body,
-    build_dot_one_body,
     chain_model,
     dot_model,
     dot_sector_basis,
-    one_body_sz,
+    one_body_model,
 )
 from pointgap.observables import boundary_sensitivity, product_state_profiles
 from pointgap.oracles import diagonal_flow_winding, dot_sector_diagonal_flows
@@ -52,15 +49,15 @@ def _report(criterion, ok, detail, elapsed, budget):
 
 def test_criterion_1_one_body_invariants():
     t0 = time.perf_counter()
-    h_dot = partial(build_dot_one_body, DOT)
+    h_dot = one_body_model(DOT)
     w_dot = one_body_winding(h_dot, 0.0)
-    ws_dot = spin_winding(h_dot, one_body_sz(DOT), 0.0)
+    ws_dot = spin_winding(h_dot, h_dot.basis.sz, 0.0)
     t_dot = time.perf_counter() - t0
 
     t1 = time.perf_counter()
-    h_chain = partial(build_chain_one_body, CHAIN)
+    h_chain = one_body_model(CHAIN)
     w_chain = one_body_winding(h_chain, 0.0)
-    ws_chain = spin_winding(h_chain, one_body_sz(CHAIN), 0.0)
+    ws_chain = spin_winding(h_chain, h_chain.basis.sz, 0.0)
     t_chain = time.perf_counter() - t1
 
     ok = ((w_dot.value, ws_dot.value) == (0, 1)

@@ -3,10 +3,24 @@ same suites ``pointgap check`` runs)."""
 
 import pytest
 
+from pointgap import checks
 from pointgap.checks import CHECKS
+from pointgap.observables import OccupationProfile
 
 
 @pytest.mark.parametrize("name,fn", CHECKS, ids=[name for name, _ in CHECKS])
 def test_check_passes(name, fn):
     ok, detail = fn()
     assert ok, f"{name}: {detail}"
+
+
+def test_occupation_sum_rules_report_a_negative_excursion(monkeypatch):
+    # a value below 0 is reported by how far below it lies; max - 1 would
+    # read -6.00e-01 here
+    profile = OccupationProfile(
+        eigenstate_index=0, eigenvalue=0j, degeneracy_cluster=0,
+        per_site={(0, "a", "up"): -0.1, (0, "a", "dn"): 0.4})
+    monkeypatch.setattr(checks, "occupation_profiles", lambda *args, **kw: [profile])
+    ok, detail = checks.check_occupation_sum_rules()
+    assert not ok
+    assert detail == "dot (2,1): value outside [0,1] by 1.00e-01"

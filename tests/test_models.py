@@ -11,8 +11,6 @@ from pointgap.models import (
     ChainParams,
     DotParams,
     SectorModel,
-    build_chain_one_body,
-    build_dot_one_body,
     chain_model,
     chain_sector_basis,
     chain_terms,
@@ -20,6 +18,7 @@ from pointgap.models import (
     dot_sector_basis,
     dot_terms,
     full_space_matrix,
+    one_body_model,
     phase_table,
     terms_to_coo,
 )
@@ -30,19 +29,31 @@ FIG_DOT = DotParams(lam=1.0, eps_a_up=0.2, eps_a_dn=-0.1, eps_b_up=0.35,
 
 
 def test_dot_one_body_reference_values():
-    h = build_dot_one_body(FIG_DOT, 0.0)
+    h = one_body_model(FIG_DOT)(0.0)
     np.testing.assert_allclose(
         np.diag(h), [1 + 0.2j, 1 - 0.1j, 0.35j, -0.25j], atol=1e-15)
     assert np.count_nonzero(h - np.diag(np.diag(h))) == 0
 
 
 def test_dot_one_body_periodic_and_flat():
-    np.testing.assert_allclose(build_dot_one_body(FIG_DOT, 2 * np.pi),
-                               build_dot_one_body(FIG_DOT, 0.0), atol=1e-15)
+    np.testing.assert_allclose(one_body_model(FIG_DOT)(2 * np.pi),
+                               one_body_model(FIG_DOT)(0.0), atol=1e-15)
     flat = replace(FIG_DOT, lam=0.0)
     for theta in (0.0, 1.1, 4.4):
-        np.testing.assert_allclose(build_dot_one_body(flat, theta),
-                                   build_dot_one_body(flat, 0.0), atol=1e-15)
+        np.testing.assert_allclose(one_body_model(flat)(theta),
+                                   one_body_model(flat)(0.0), atol=1e-15)
+
+
+def test_dot_one_body_spin_blocks_are_one_fermion_sectors():
+    # the spin-up and spin-down blocks of h(theta) are, bit for bit, the
+    # (1, -1) and (1, +1) sector matrices of the same terms
+    p = replace(FIG_DOT, j=0.7, v=0.9)
+    one_body = one_body_model(p)
+    up = one_body.basis.sz > 0
+    for theta in (0.0, 0.83, 4.4):
+        h = one_body(theta)
+        np.testing.assert_array_equal(h[np.ix_(up, up)], dot_model(p, 1, -1)(theta))
+        np.testing.assert_array_equal(h[np.ix_(~up, ~up)], dot_model(p, 1, 1)(theta))
 
 
 def test_dot_two_level_sector_matrix():
@@ -82,7 +93,7 @@ def test_dot_interaction_is_i_times_hermitian():
 def test_noninteracting_dot_sums_of_one_body():
     p = FIG_DOT
     theta = 1.9
-    h = np.diag(build_dot_one_body(p, theta))
+    h = np.diag(one_body_model(p)(theta))
     for sector in ((2, 1), (2, -1), (1, -1), (3, 1)):
         model = dot_model(p, *sector)
         expected = [sum(h[m] for m in range(4) if (int(s) >> m) & 1)
@@ -93,7 +104,7 @@ def test_noninteracting_dot_sums_of_one_body():
 
 def test_chain_one_body_circulant_spectrum():
     p = ChainParams(length=7, t=1.0, bc="periodic")
-    h = build_chain_one_body(p, 0.0)
+    h = one_body_model(p)(0.0)
     up = h[np.ix_(range(0, 14, 2), range(0, 14, 2))]
     expected = np.exp(2j * np.pi * np.arange(7) / 7)
     assert eigenvalue_match(np.linalg.eigvals(up), expected)[0] < 1e-12
@@ -101,7 +112,7 @@ def test_chain_one_body_circulant_spectrum():
 
 def test_chain_open_blocks_are_nilpotent():
     p = ChainParams(length=6, t=1.3, bc="open")
-    h = build_chain_one_body(p, 0.0)
+    h = one_body_model(p)(0.0)
     assert np.abs(np.linalg.eigvals(h)).max() < 1e-12
     assert np.abs(np.linalg.matrix_power(h, 6)).max() < 1e-12
 
@@ -111,8 +122,8 @@ def test_chain_gauge_spectra_agree():
     for theta in rng.uniform(0, 2 * np.pi, 3):
         pb = ChainParams(length=5, t=1.0, j=0.3, v=0.8, gauge="boundary")
         pd = replace(pb, gauge="distributed")
-        e1 = np.linalg.eigvals(build_chain_one_body(pb, theta))
-        e2 = np.linalg.eigvals(build_chain_one_body(pd, theta))
+        e1 = np.linalg.eigvals(one_body_model(pb)(theta))
+        e2 = np.linalg.eigvals(one_body_model(pd)(theta))
         assert eigenvalue_match(e1, e2)[0] < 1e-12
         m1 = chain_model(pb, 3, -1)(theta)
         m2 = chain_model(pd, 3, -1)(theta)
@@ -142,7 +153,7 @@ def test_chain_open_many_body_nilpotent():
 def test_noninteracting_chain_sums_of_one_body():
     p = ChainParams(length=5, t=1.0)
     theta = 0.9
-    h = build_chain_one_body(p, theta)
+    h = one_body_model(p)(theta)
     up = np.linalg.eigvals(h[np.ix_(range(0, 10, 2), range(0, 10, 2))])
     dn = np.linalg.eigvals(h[np.ix_(range(1, 10, 2), range(1, 10, 2))])
     # (3,-1): one a fermion, edge b spins fixed up to parity (2 choices each)
@@ -293,8 +304,8 @@ def test_sector_models_are_blocks_of_the_full_space_matrix(bc, gauge):
     lay, terms = chain_terms(p)
     for theta in (0.0, 1.21):
         h = full_space_matrix(lay, terms, theta, 3)
-        for sector in ((3, -1), (4, 1)):
-            model = chain_model(p, *sector)
+        # the one-body model is the block of one a fermion
+        for model in (chain_model(p, 3, -1), chain_model(p, 4, 1), one_body_model(p)):
             states = model.basis.states.astype(np.intp)
             np.testing.assert_array_equal(h[np.ix_(states, states)], model(theta))
 

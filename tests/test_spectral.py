@@ -1,6 +1,5 @@
 import tracemalloc
 from dataclasses import replace
-from functools import partial
 
 import numpy as np
 import pytest
@@ -9,11 +8,10 @@ from scipy.linalg import lu_factor
 from pointgap.models import (
     ChainParams,
     DotParams,
-    build_chain_one_body,
-    build_dot_one_body,
     chain_model,
     deformation_params,
     dot_model,
+    one_body_model,
     phase_table,
 )
 from pointgap.observables import hausdorff_distance, occupation_profiles
@@ -28,7 +26,6 @@ from pointgap.spectral import (
     factor_shifted,
     factor_stack,
     logdet_phase,
-    periodicity_defect,
     phase_from_factors,
     sigma_min_from_factors,
     sweep_theta,
@@ -127,7 +124,7 @@ def test_sweep_theta_endpoints_and_periodicity():
     flow = sweep_theta(dot_model(replace(FIG_DOT, j=1.0, v=1.0), 2, -1), 32)
     assert flow.grid[0] == 0.0 and flow.grid[-1] == 2 * np.pi
     assert np.all(np.diff(flow.grid) > 0)
-    assert periodicity_defect(flow) < 1e-8
+    assert eigenvalue_match(flow.spectra[0], flow.spectra[-1])[0] < 1e-8
 
 
 def test_sweep_theta_minimum_grid():
@@ -137,7 +134,7 @@ def test_sweep_theta_minimum_grid():
 
 def test_flat_dot_flow_is_static():
     p = replace(FIG_DOT, lam=0.0)
-    flow = sweep_theta(partial(build_dot_one_body, p), 16)
+    flow = sweep_theta(one_body_model(p), 16)
     assert np.abs(flow.spectra - flow.spectra[0]).max() < 1e-14
 
 
@@ -156,7 +153,8 @@ def test_sweep_matches_pointwise_eigvals_across_stacks():
     # d = 28 stacks 41 matrices at a time: 101 grid points make 41 + 41 + 19
     assert 101 % (STACK_BYTES // (16 * 28 * 28)) != 0
     for matrix_fn in (chain_model(ChainParams(length=7, t=1.0, j=1.0, v=1.0), 3, -1),
-                      partial(build_chain_one_body, ChainParams(length=14, t=1.0))):
+                      # a plain callable, whose stacks are filled a matrix at a time
+                      one_body_model(ChainParams(length=14, t=1.0)).matrix):
         flow = sweep_theta(matrix_fn, 100)
         assert flow.spectra.shape == (101, 28)
         for theta, row in zip(flow.grid, flow.spectra):
@@ -165,7 +163,7 @@ def test_sweep_matches_pointwise_eigvals_across_stacks():
 
 
 def test_sweep_builds_each_callable_matrix_once():
-    build = partial(build_chain_one_body, ChainParams(length=14, t=1.0))
+    build = one_body_model(ChainParams(length=14, t=1.0))
     calls = []
 
     def matrix_fn(theta):

@@ -1,6 +1,5 @@
 from dataclasses import replace
 from fractions import Fraction
-from functools import partial
 
 import numpy as np
 import pytest
@@ -8,11 +7,9 @@ import pytest
 from pointgap.models import (
     ChainParams,
     DotParams,
-    build_chain_one_body,
-    build_dot_one_body,
     chain_model,
     dot_model,
-    one_body_sz,
+    one_body_model,
 )
 from pointgap.oracles import CircleFlow, circle_flow_winding
 from pointgap.spectral import (
@@ -50,24 +47,34 @@ def test_single_circle_winds_once():
 
 
 def test_reference_dot_one_body_invariants():
-    h = partial(build_dot_one_body, FIG_DOT)
+    h = one_body_model(FIG_DOT)
     w = one_body_winding(h, 0.0)
-    ws = spin_winding(h, one_body_sz(FIG_DOT), 0.0)
+    ws = spin_winding(h, h.basis.sz, 0.0)
     assert (w.value, ws.value) == (0, 1)
     assert ws.up.value == 1 and ws.down.value == -1
 
 
+@pytest.mark.parametrize("ref", [0.0, 0.3 + 0.5j])
+def test_dot_spin_halves_are_one_fermion_sector_windings(ref):
+    # the spin-up and spin-down windings are those of the (1, -1) and
+    # (1, +1) sectors, margins and phases included
+    h = one_body_model(FIG_DOT)
+    ws = spin_winding(h, h.basis.sz, ref, n_grid=64)
+    assert ws.up == many_body_winding(dot_model(FIG_DOT, 1, -1), ref, n_grid=64)
+    assert ws.down == many_body_winding(dot_model(FIG_DOT, 1, 1), ref, n_grid=64)
+
+
 def test_flat_dot_reference_off_spectrum():
     p = replace(FIG_DOT, lam=0.0)
-    w = one_body_winding(partial(build_dot_one_body, p), 1.0, n_grid=16)
+    w = one_body_winding(one_body_model(p), 1.0, n_grid=16)
     assert w.value == 0
 
 
 def test_chain_one_body_invariants():
     p = ChainParams(length=7, t=1.0)
-    h = partial(build_chain_one_body, p)
+    h = one_body_model(p)
     w = one_body_winding(h, 0.0)
-    ws = spin_winding(h, one_body_sz(p), 0.0)
+    ws = spin_winding(h, h.basis.sz, 0.0)
     assert (w.value, ws.value) == (0, 1)
 
 
@@ -198,7 +205,8 @@ def test_stacked_base_grid_equals_pointwise(case):
     elif case == "dot":
         matrix_fn, ref = dot_model(replace(FIG_DOT, j=1.0, v=1.0), 2, 1), 0.05 - 0.02j
     else:
-        matrix_fn, ref = partial(build_chain_one_body, ChainParams(length=14)), 0.2j
+        # a plain callable, whose stacks are filled a matrix at a time
+        matrix_fn, ref = one_body_model(ChainParams(length=14)).matrix, 0.2j
     n_grid = 100
     grid = theta_grid(n_grid)
     phase = _pointwise_phase(matrix_fn, ref)
