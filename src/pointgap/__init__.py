@@ -57,7 +57,6 @@ from .topology import (
     WindingResult,
     WindingUnresolvedError,
     many_body_winding,
-    one_body_winding,
     spin_winding,
 )
 

@@ -30,7 +30,7 @@ from .oracles import (
 )
 from .spectral import logdet_phase, sweep_theta
 from .observables import occupation_profiles
-from .topology import many_body_winding, one_body_winding
+from .topology import many_body_winding, spin_winding
 
 REFERENCE_DOT = DotParams(lam=1.0, eps_a_up=0.2, eps_a_dn=-0.1,
                           eps_b_up=0.35, eps_b_dn=-0.25)
@@ -219,8 +219,10 @@ def check_theta_periodicity():
 
 
 def check_winding_grid_stability():
-    """Doubling the twist grid never changes a winding value."""
+    """Doubling the twist grid never changes a winding value, the dot's
+    spin winding included."""
     cases = [
+        ("dot one-body", one_body_model(REFERENCE_DOT), 0.0),
         ("dot (2,1)", dot_model(REFERENCE_DOT, 2, 1), 0.0),
         ("dot (2,1) interacting", dot_model(REFERENCE_DOT_INT, 2, 1), 0.0),
         ("dot (1,-1)", dot_model(REFERENCE_DOT, 1, -1), 0.0),
@@ -231,10 +233,11 @@ def check_winding_grid_stability():
         w2 = many_body_winding(model, ref, n_grid=128)
         if w1.value != w2.value:
             return False, f"{label} at ref {ref}: {w1.value} -> {w2.value}"
-    w1 = one_body_winding(one_body_model(REFERENCE_DOT), 0.0, n_grid=64)
-    w2 = one_body_winding(one_body_model(REFERENCE_DOT), 0.0, n_grid=128)
-    if w1.value != w2.value:
-        return False, f"one-body: {w1.value} -> {w2.value}"
+    h = one_body_model(REFERENCE_DOT)
+    ws1 = spin_winding(h, 0.0, n_grid=64)
+    ws2 = spin_winding(h, 0.0, n_grid=128)
+    if ws1.value != ws2.value:
+        return False, f"dot spin winding: {ws1.value} -> {ws2.value}"
     return True, "windings stable under grid doubling"
 
 

@@ -39,7 +39,7 @@ from .models import (
 from .observables import boundary_sensitivity, product_state_profiles
 from .presets import PRESETS, HEAVY_DIM, ConfigError, ExperimentConfig, config_from_dict
 from .spectral import SpectralError, SpectralFlow, sweep_theta, theta_grid
-from .topology import many_body_winding, one_body_winding, spin_winding
+from .topology import many_body_winding, spin_winding
 
 
 def _fmt(x) -> str:
@@ -135,14 +135,11 @@ def run_flow(cfg, outdir):
 
 def run_winding(cfg, outdir):
     model = _model(cfg)
+    w = many_body_winding(model, cfg.e_ref, cfg.n_grid)
+    payload = _winding_payload(w, cfg.sector, cfg.e_ref)
     if cfg.sector is None:
-        w = one_body_winding(model, cfg.e_ref, cfg.n_grid)
-        ws = spin_winding(model, model.basis.sz, cfg.e_ref, cfg.n_grid)
-        payload = _winding_payload(w, None, cfg.e_ref)
+        ws = spin_winding(model, cfg.e_ref, cfg.n_grid)
         payload["spin_winding"] = [ws.value.numerator, ws.value.denominator]
-    else:
-        w = many_body_winding(model, cfg.e_ref, cfg.n_grid)
-        payload = _winding_payload(w, cfg.sector, cfg.e_ref)
     _write_json(os.path.join(outdir, "winding.json"), payload)
     summary = {k: payload[k] for k in ("winding", "gap_margin", "grid_size_used")}
     if "spin_winding" in payload:

@@ -122,7 +122,8 @@ def edge_b_constraints(layout: ModeLayout, length: int):
 
 
 class SectorBasis:
-    """Ordered basis of all Fock states with fixed (N, P) quantum numbers."""
+    """Ordered basis of Fock states with fixed (N, P) quantum numbers; a
+    ``parity`` of None holds states of both spin parities."""
 
     def __init__(self, layout: ModeLayout, n: int, parity: int, states):
         self.layout = layout
@@ -152,7 +153,8 @@ class SectorBasis:
         return int(pos) if pos.ndim == 0 else pos
 
     def __repr__(self):
-        return f"SectorBasis(N={self.n}, P={self.parity:+d}, dim={self.dim})"
+        parity = "both" if self.parity is None else f"{self.parity:+d}"
+        return f"SectorBasis(N={self.n}, P={parity}, dim={self.dim})"
 
 
 def enumerate_sector(layout: ModeLayout, n: int, parity: int, constraints=()) -> SectorBasis:

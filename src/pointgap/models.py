@@ -40,6 +40,7 @@ one) as it is.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -297,6 +298,24 @@ class SectorModel:
                   (np.arange(n)[:, None] * (d * d) + (cols * d + rows)).reshape(-1),
                   (amps * phase_table(thetas, self.length)[:, slots]).reshape(-1))
         return out.transpose(0, 2, 1)
+
+    def restrict(self, keep) -> "SectorModel":
+        """The model on the basis states selected by the boolean mask ``keep``.
+
+        Its entries are this model's, in the same order, with both indices
+        kept, so every matrix it builds equals ``self(theta)[np.ix_(keep,
+        keep)]`` bit for bit.  Its basis keeps the layout, N and parity.
+        """
+        keep = np.asarray(keep, dtype=bool)
+        basis = self.basis
+        position = np.cumsum(keep) - 1
+        rows, cols, amps, slots = self._coo
+        inside = keep[rows] & keep[cols]
+        sub = copy.copy(self)
+        sub.basis = SectorBasis(basis.layout, basis.n, basis.parity, basis.states[keep])
+        sub._coo = (position[rows[inside]], position[cols[inside]], amps[inside],
+                    slots[inside])
+        return sub
 
     def matrix(self, theta: float) -> np.ndarray:
         """H(theta) as an F-contiguous (d, d) array."""

@@ -86,13 +86,12 @@ def product_state_profiles(p: ChainParams, sector):
     layout = basis.layout
     # the one-body blocks per spin, and the (site, a, spin) label of each row
     one_body = one_body_model(p)
-    h = one_body(0.0)
     up = one_body.basis.sz > 0
     sols, rows = {}, {}
     for spin, keep in ((UP, up), (DOWN, ~up)):
-        sols[spin] = eigendecompose(h[np.ix_(keep, keep)])
-        rows[spin] = [layout.labels[int(s).bit_length() - 1]
-                      for s in one_body.basis.states[keep]]
+        block = one_body.restrict(keep)
+        sols[spin] = eigendecompose(block(0.0))
+        rows[spin] = [layout.labels[int(s).bit_length() - 1] for s in block.basis.states]
     block_defective = {s: bool(sols[s].defective.any()) for s in (UP, DOWN)}
 
     n_a = n - 2

@@ -16,9 +16,9 @@ P (M - E) P^T, whose determinant is det(M - E).  At d = 6864, J = V = 1
 2 vCPUs.  A matrix whose band would not be smaller than itself is factored
 dense.
 
-This module knows matrices, not models: a sweep takes any ``theta ->
-matrix`` callable, and uses the ``stack`` method of a ``SectorModel`` when
-it has one.  Turning parameters into a model is the job of ``models``.
+This module knows matrices and sector models, not parameters: a sweep
+takes a ``SectorModel`` and builds its matrices with the model's ``stack``.
+Turning parameters into a model is the job of ``models``.
 """
 
 from __future__ import annotations
@@ -27,8 +27,7 @@ import ctypes
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import lru_cache, partial
-from itertools import chain
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import lu_solve
@@ -181,40 +180,22 @@ def theta_grid(n_grid: int) -> np.ndarray:
     return np.linspace(0.0, 2.0 * np.pi, n_grid + 1)
 
 
-def twist_stacks(matrix_fn, thetas):
+def twist_stacks(model, thetas):
     """Yield ``(start, stack)`` pairs covering ``thetas`` in order.
 
-    ``stack[k]`` is the F-contiguous matrix at ``thetas[start + k]``, and a
-    stack holds at most ``STACK_BYTES`` of matrices (one matrix at least).
-    A ``SectorModel`` builds each stack with one scatter (``stack``); any
-    other ``matrix_fn(theta)`` is called once per angle, in order, and its
-    first matrix sets the size of the stacks.
+    ``stack[k]`` is the F-contiguous matrix at ``thetas[start + k]``, built
+    with one ``model.stack`` call per stack, and a stack holds at most
+    ``STACK_BYTES`` of matrices (one matrix at least).
     """
-    if hasattr(matrix_fn, "stack"):
-        build, dim = matrix_fn.stack, matrix_fn.dim
-    else:
-        matrices = map(matrix_fn, thetas)
-        first = next(matrices)
-        dim = np.shape(first)[0]
-        build = partial(_fill_stack, chain([first], matrices), dim)
-        del first
-    step = stack_length(dim)
+    step = stack_length(model.dim)
     for start in range(0, len(thetas), step):
-        yield start, build(thetas[start:start + step])
+        yield start, model.stack(thetas[start:start + step])
 
 
 def stack_length(dim: int) -> int:
     """Matrices per stack of ``twist_stacks`` at dimension ``dim``; with
     ``STACK_BYTES`` at 512 KiB, one for every dim above 128."""
     return max(1, STACK_BYTES // max(16 * dim * dim, 1))
-
-
-def _fill_stack(matrices, dim, thetas):
-    """A stack of the next ``len(thetas)`` matrices from the iterator ``matrices``."""
-    out = np.empty((len(thetas), dim, dim), dtype=complex).transpose(0, 2, 1)
-    for k, matrix in zip(range(len(thetas)), matrices):
-        out[k] = matrix
-    return out
 
 
 def stack_eigvals(stack, thetas):
@@ -232,21 +213,20 @@ def stack_eigvals(stack, thetas):
     return values
 
 
-def sweep_theta(matrix_fn, n_grid: int) -> SpectralFlow:
-    """Eigenvalues at theta_k = 2 pi k / n_grid for k = 0..n_grid (inclusive).
+def sweep_theta(model, n_grid: int) -> SpectralFlow:
+    """Eigenvalues of a ``SectorModel`` at theta_k = 2 pi k / n_grid for
+    k = 0..n_grid (inclusive).
 
-    ``matrix_fn(theta)`` must return the dense matrix.  The grid is solved in
-    the stacks of ``twist_stacks``, with one batched eigensolve per stack;
-    each spectrum is sorted by (real, imag) for reproducible output.
+    The grid is solved in the stacks of ``twist_stacks``, with one batched
+    eigensolve per stack; each spectrum is sorted by (real, imag) for
+    reproducible output.
     """
     if n_grid < 16:
         raise ValueError("n_grid must be at least 16")
     grid = theta_grid(n_grid)
-    spectra = None
-    for start, stack in twist_stacks(matrix_fn, grid):
+    spectra = np.empty((len(grid), model.dim), dtype=complex)
+    for start, stack in twist_stacks(model, grid):
         values = stack_eigvals(stack, grid[start:start + len(stack)])
-        if spectra is None:
-            spectra = np.empty((len(grid), values.shape[1]), dtype=complex)
         order = np.lexsort((values.imag, values.real), axis=-1)
         spectra[start:start + len(stack)] = np.take_along_axis(values, order, axis=-1)
         del stack  # free it before the next one is built

@@ -4,9 +4,9 @@ All three invariants are computed the same way: the principal phase of
 ``det[M(theta) - ref]`` is sampled on a twist grid and unwrapped with adaptive
 bisection, inserting midpoints wherever a phase step exceeds pi/2 (the bound
 under which unwrapping is unambiguous).  The accumulated phase over one twist
-period divided by 2 pi is the winding.  The one-body windings take a
-``theta -> matrix`` callable and the many-body one a ``SectorModel``; none
-of them sees model parameters, which ``models`` turns into sector models.
+period divided by 2 pi is the winding.  Every winding takes a
+``SectorModel``, the one-body matrix h(theta) included, and none sees model
+parameters, which ``models`` turns into sector models.
 
 Every result carries its gap margin - the smallest distance between the
 spectrum on the base grid and the reference energy - so a trivial winding can
@@ -142,9 +142,9 @@ class _PhaseTracker:
         return total
 
 
-def _nearest_distance(factors, matrix_fn, theta, ref):
-    """Distance from ``ref`` to the nearest eigenvalue of ``matrix_fn(theta)``,
-    given ``factors``, the ``ShiftedLU`` of ``matrix_fn(theta) - ref``.
+def _nearest_distance(factors, model, theta, ref):
+    """Distance from ``ref`` to the nearest eigenvalue of ``model(theta)``,
+    given ``factors``, the ``ShiftedLU`` of ``model(theta) - ref``.
 
     ARPACK finds the eigenvalue of the inverse largest in modulus from a
     fixed start vector, so a run repeats bit for bit; where it does not
@@ -159,11 +159,11 @@ def _nearest_distance(factors, matrix_fn, theta, ref):
     try:
         mu = eigs(inverse, k=1, which="LM", v0=v0, return_eigenvectors=False)
     except ArpackNoConvergence:
-        return float(np.abs(np.linalg.eigvals(matrix_fn(theta)) - ref).min())
+        return float(np.abs(np.linalg.eigvals(model(theta)) - ref).min())
     return float(1.0 / np.abs(mu).max())
 
 
-def _winding_core(matrix_fn, ref, n_grid, spectra=None):
+def _winding_core(model, ref, n_grid, spectra=None):
     """Shared driver: track the determinant phase over the twist period.
 
     The base grid is evaluated in the stacks of ``twist_stacks``.  A stack
@@ -178,19 +178,20 @@ def _winding_core(matrix_fn, ref, n_grid, spectra=None):
 
     The gap margin is the exact distance from ``ref`` to the nearest
     eigenvalue, minimized over the n_grid + 1 base-grid points (refinement
-    midpoints compute phases alone).  ``spectra`` (one row of eigenvalues per
-    base-grid point, as a spectral flow of the same matrices holds) gives it
-    directly.  Otherwise dimensions that share a stack (d <= 128) are
-    eigensolved a stack at a time before it is factored, and larger ones
-    get the distance by shift-invert Arnoldi on their own phase LU.
+    midpoints compute phases alone).  ``spectra`` (one row of ``model.dim``
+    eigenvalues per base-grid point, as a spectral flow of the same model
+    holds) gives it directly.  Otherwise dimensions that share a stack
+    (d <= 128) are eigensolved a stack at a time before it is factored, and
+    larger ones get the distance by shift-invert Arnoldi on their own phase
+    LU.
     """
     if n_grid < 16:
         raise ValueError("n_grid must be at least 16")
     grid = theta_grid(n_grid)
     if spectra is not None:
-        if np.shape(spectra)[0] != len(grid):
-            raise ValueError(f"spectra has {np.shape(spectra)[0]} rows for "
-                             f"{len(grid)} base-grid points")
+        if np.shape(spectra) != (len(grid), model.dim):
+            raise ValueError(f"spectra has shape {np.shape(spectra)}, not {len(grid)} "
+                             f"rows (base-grid points) of {model.dim} eigenvalues")
         dists = np.abs(np.asarray(spectra) - ref).min(axis=1)
     else:
         dists = np.empty(len(grid))
@@ -206,9 +207,9 @@ def _winding_core(matrix_fn, ref, n_grid, spectra=None):
             raise GapClosedError(theta, ref) from exc
 
     def phase_at(theta):
-        return factor_at(matrix_fn(theta), theta)[1]
+        return factor_at(model(theta), theta)[1]
 
-    for start, stack in twist_stacks(matrix_fn, grid):
+    for start, stack in twist_stacks(model, grid):
         # the branch follows the dimension, not this stack, which may be a
         # trailing stack of one
         if stack_length(stack.shape[1]) > 1:
@@ -224,7 +225,7 @@ def _winding_core(matrix_fn, ref, n_grid, spectra=None):
             factors, base_phases[start] = factor_at(stack[0], grid[start])
             del stack  # the factors hold no reference to it
             if spectra is None:
-                dists[start] = _nearest_distance(factors, matrix_fn, grid[start], ref)
+                dists[start] = _nearest_distance(factors, model, grid[start], ref)
             del factors  # free them before the next matrix is built
 
     tracker = _PhaseTracker(phase_at, n_grid)
@@ -249,44 +250,37 @@ def _winding_core(matrix_fn, ref, n_grid, spectra=None):
                          grid_size_used=tracker.evaluations)
 
 
-def one_body_winding(h_fn, eps_ref: complex = 0.0,
-                     n_grid: int = DEFAULT_N_GRID) -> WindingResult:
-    """Winding of det[h(theta) - eps_ref] around zero over one twist period."""
-    return _winding_core(h_fn, eps_ref, n_grid)
-
-
-def spin_winding(h_fn, sz, eps_ref: complex = 0.0,
+def spin_winding(model, eps_ref: complex = 0.0,
                  n_grid: int = DEFAULT_N_GRID) -> SpinWindingResult:
-    """Spin-resolved winding (w_up - w_dn)/2 of a spin-diagonal one-body flow.
+    """Spin-resolved winding (w_up - w_dn)/2 of a spin-diagonal one-body model.
 
-    ``sz`` is the +-1 diagonal of s^z in the mode order of ``h_fn``.  The flow
-    must commute with s^z (checked on the base grid); the two spin blocks are
-    then wound independently, which sidesteps the branch cuts of a matrix
-    logarithm while agreeing with it whenever the commutator vanishes.
+    s^z is read from the model's basis (``basis.sz``).  The flow must commute
+    with s^z, which is checked at 17 angles of the twist grid; the two spin
+    blocks are then wound independently (``model.restrict``), which
+    sidesteps the branch cuts of a matrix logarithm while agreeing with it
+    whenever the commutator vanishes.
     """
-    sz = np.asarray(sz)
-    up = np.flatnonzero(sz > 0)
-    dn = np.flatnonzero(sz < 0)
-    for theta in theta_grid(max(n_grid, 16))[:: max(n_grid // 16, 1)]:
-        h = np.asarray(h_fn(theta), dtype=complex)
-        cross = max(np.abs(h[np.ix_(up, dn)]).max(initial=0.0),
-                    np.abs(h[np.ix_(dn, up)]).max(initial=0.0))
-        if cross >= SPIN_COMMUTATOR_TOL:
-            raise SpinSymmetryError(
-                f"spin-parity constraint broken: [s^z, h] = {cross:.3e} "
-                f"at theta={theta:.6f}")
+    sz = model.basis.sz
+    up, dn = sz > 0, sz < 0
+    thetas = theta_grid(max(n_grid, 16))[:: max(n_grid // 16, 1)]
+    mixed = np.outer(up, dn) | np.outer(dn, up)
+    cross = np.abs(model.stack(thetas)[:, mixed]).max(axis=1, initial=0.0)
+    broken = np.flatnonzero(cross >= SPIN_COMMUTATOR_TOL)
+    if len(broken):
+        k = broken[0]
+        raise SpinSymmetryError(
+            f"spin-parity constraint broken: [s^z, h] = {cross[k]:.3e} "
+            f"at theta={thetas[k]:.6f}")
 
-    def block(idx):
-        fn = lambda theta: np.asarray(h_fn(theta), dtype=complex)[np.ix_(idx, idx)]
-        return _winding_core(fn, eps_ref, n_grid)
-
-    w_up, w_dn = block(up), block(dn)
+    w_up = _winding_core(model.restrict(up), eps_ref, n_grid)
+    w_dn = _winding_core(model.restrict(dn), eps_ref, n_grid)
     return SpinWindingResult(Fraction(w_up.value - w_dn.value, 2), w_up, w_dn)
 
 
 def many_body_winding(model, e_ref: complex = 0.0,
                       n_grid: int = DEFAULT_N_GRID, spectra=None) -> WindingResult:
-    """Winding of det[H_(N,P)(theta) - E_ref] for a ``SectorModel``.
+    """Winding of det[H(theta) - E_ref] for a ``SectorModel``: a sector
+    Hamiltonian H_(N,P) or the one-body matrix h(theta).
 
     ``spectra`` - the eigenvalues of the same matrices at the n_grid + 1
     base-grid points, e.g. ``sweep_theta(model, n_grid).spectra`` - gives the

@@ -29,7 +29,7 @@ from pointgap.observables import boundary_sensitivity, product_state_profiles
 from pointgap.oracles import diagonal_flow_winding, dot_sector_diagonal_flows
 from pointgap.presets import preset_config
 from pointgap.spectral import eigendecompose, sweep_theta
-from pointgap.topology import many_body_winding, one_body_winding, spin_winding
+from pointgap.topology import many_body_winding, spin_winding
 from pointgap import checks as checks_mod
 
 DOT = DotParams(lam=1.0, eps_a_up=0.2, eps_a_dn=-0.1, eps_b_up=0.35,
@@ -50,14 +50,14 @@ def _report(criterion, ok, detail, elapsed, budget):
 def test_criterion_1_one_body_invariants():
     t0 = time.perf_counter()
     h_dot = one_body_model(DOT)
-    w_dot = one_body_winding(h_dot, 0.0)
-    ws_dot = spin_winding(h_dot, h_dot.basis.sz, 0.0)
+    w_dot = many_body_winding(h_dot, 0.0)
+    ws_dot = spin_winding(h_dot, 0.0)
     t_dot = time.perf_counter() - t0
 
     t1 = time.perf_counter()
     h_chain = one_body_model(CHAIN)
-    w_chain = one_body_winding(h_chain, 0.0)
-    ws_chain = spin_winding(h_chain, h_chain.basis.sz, 0.0)
+    w_chain = many_body_winding(h_chain, 0.0)
+    ws_chain = spin_winding(h_chain, 0.0)
     t_chain = time.perf_counter() - t1
 
     ok = ((w_dot.value, ws_dot.value) == (0, 1)

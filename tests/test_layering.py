@@ -1,6 +1,6 @@
-"""The engine layers stay model-agnostic: ``spectral`` and ``topology`` take
-matrices and sector models, and only ``models`` (and the CLI, through it)
-turns parameters into them."""
+"""The engine layers stay parameter-agnostic: ``spectral`` and ``topology``
+take sector models (and single matrices), and only ``models`` (and the CLI,
+through it) turns parameters into them."""
 
 import ast
 import os

@@ -310,6 +310,38 @@ def test_sector_models_are_blocks_of_the_full_space_matrix(bc, gauge):
             np.testing.assert_array_equal(h[np.ix_(states, states)], model(theta))
 
 
+def _restrict_cases():
+    yield pytest.param(one_body_model(FIG_DOT), None, id="dot-one-body")
+    for bc in ("twisted", "periodic", "open"):
+        for gauge in ("boundary", "distributed"):
+            yield pytest.param(one_body_model(ChainParams(length=7, bc=bc, gauge=gauge)),
+                               None, id=f"chain-one-body-{bc}-{gauge}")
+    model = chain_model(ChainParams(length=7, j=1.0, v=1.0), 3, -1)
+    keep = np.random.default_rng(3).random(model.dim) < 0.5
+    yield pytest.param(model, keep, id="chain-(3,-1)-mask")
+
+
+@pytest.mark.parametrize("model, mask", _restrict_cases())
+def test_restrict_builds_the_kept_block(model, mask):
+    # a restricted model is, bit for bit, the kept rows and columns of the
+    # model's matrix, on the kept states; one-body models are cut into their
+    # spin blocks
+    masks = [mask] if mask is not None else [model.basis.sz > 0, model.basis.sz < 0]
+    for keep in masks:
+        sub = model.restrict(keep)
+        np.testing.assert_array_equal(sub.basis.states, model.basis.states[keep])
+        assert (sub.basis.n, sub.basis.parity) == (model.basis.n, model.basis.parity)
+        for theta in (0.0, 1.21):
+            np.testing.assert_array_equal(sub(theta), model(theta)[np.ix_(keep, keep)])
+
+
+def test_one_body_basis_refuses_outsiders_by_name():
+    basis = one_body_model(DotParams()).basis
+    assert repr(basis) == "SectorBasis(N=1, P=both, dim=4)"
+    with pytest.raises(KeyError, match="P=both"):
+        basis.index_of(3)  # two fermions
+
+
 def test_param_validation():
     with pytest.raises(ValueError):
         ChainParams(length=1)

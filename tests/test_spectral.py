@@ -152,28 +152,16 @@ def test_twisted_chain_flow_forms_loops_around_zero():
 def test_sweep_matches_pointwise_eigvals_across_stacks():
     # d = 28 stacks 41 matrices at a time: 101 grid points make 41 + 41 + 19
     assert 101 % (STACK_BYTES // (16 * 28 * 28)) != 0
-    for matrix_fn in (chain_model(ChainParams(length=7, t=1.0, j=1.0, v=1.0), 3, -1),
-                      # a plain callable, whose stacks are filled a matrix at a time
-                      one_body_model(ChainParams(length=14, t=1.0)).matrix):
-        flow = sweep_theta(matrix_fn, 100)
+    for model in (chain_model(ChainParams(length=7, t=1.0, j=1.0, v=1.0), 3, -1),
+                  one_body_model(ChainParams(length=14, t=1.0))):
+        flow = sweep_theta(model, 100)
         assert flow.spectra.shape == (101, 28)
         for theta, row in zip(flow.grid, flow.spectra):
-            values = np.linalg.eigvals(np.asarray(matrix_fn(theta), dtype=complex))
+            values = np.linalg.eigvals(model(theta))
             np.testing.assert_array_equal(row, values[np.lexsort((values.imag, values.real))])
 
 
-def test_sweep_builds_each_callable_matrix_once():
-    build = one_body_model(ChainParams(length=14, t=1.0))
-    calls = []
-
-    def matrix_fn(theta):
-        calls.append(theta)
-        return build(theta)
-    flow = sweep_theta(matrix_fn, 100)
-    assert calls == flow.grid.tolist()
-
-
-def test_sweep_eigensolver_failure_names_theta(monkeypatch):
+def test_sweep_eigensolver_failure_names_theta(monkeypatch, matrix_flow):
     grid = theta_grid(32)
     bad = grid[21]
     real_eigvals = np.linalg.eigvals
@@ -183,9 +171,9 @@ def test_sweep_eigensolver_failure_names_theta(monkeypatch):
             raise np.linalg.LinAlgError("eigenvalues did not converge")
         return real_eigvals(a)
     monkeypatch.setattr(np.linalg, "eigvals", failing)
-    matrix_fn = lambda theta: np.diag([99.0 if theta == bad else 1.0, 2.0j])
+    flow = matrix_flow(lambda theta: np.diag([99.0 if theta == bad else 1.0, 2.0j]))
     with pytest.raises(EigensolverError, match=f"theta={bad:.6f}"):
-        sweep_theta(matrix_fn, 32)
+        sweep_theta(flow, 32)
 
 
 def test_eigenvalue_continuity_on_refined_grid():

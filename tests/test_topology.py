@@ -4,9 +4,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from pointgap.fock import SectorBasis, dot_layout
 from pointgap.models import (
+    P_MINUS,
+    P_ONE,
+    P_PLUS,
     ChainParams,
     DotParams,
+    SectorModel,
     chain_model,
     dot_model,
     one_body_model,
@@ -26,7 +31,6 @@ from pointgap.topology import (
     SpinSymmetryError,
     WindingResult,
     many_body_winding,
-    one_body_winding,
     spin_winding,
 )
 
@@ -34,13 +38,19 @@ FIG_DOT = DotParams(lam=1.0, eps_a_up=0.2, eps_a_dn=-0.1, eps_b_up=0.35,
                     eps_b_dn=-0.25)
 
 
-def _diag_flow(entries):
-    return lambda theta: np.diag([e(theta) for e in entries])
+def _a_mode_model(terms):
+    """The model of ``terms`` on the one-fermion states of the dot's a modes,
+    a_up then a_dn."""
+    return SectorModel(terms, SectorBasis(dot_layout(), 1, None, [1, 2]))
 
 
-def test_single_circle_winds_once():
-    w = one_body_winding(_diag_flow([CircleFlow(plus=1.0, const=0.2j)]), 0.0,
-                         n_grid=64)
+def _term(dst, src, coeff, slot):
+    return (coeff, slot, ((dst, True), (src, False)))
+
+
+def test_single_circle_winds_once(matrix_flow):
+    w = many_body_winding(matrix_flow.diagonal([CircleFlow(plus=1.0, const=0.2j)]), 0.0,
+                          n_grid=64)
     assert w.value == 1
     assert abs(w.raw_phase_change - 2 * np.pi) < 1e-6
     assert abs(w.gap_margin - 0.8) < 1e-12
@@ -48,8 +58,8 @@ def test_single_circle_winds_once():
 
 def test_reference_dot_one_body_invariants():
     h = one_body_model(FIG_DOT)
-    w = one_body_winding(h, 0.0)
-    ws = spin_winding(h, h.basis.sz, 0.0)
+    w = many_body_winding(h, 0.0)
+    ws = spin_winding(h, 0.0)
     assert (w.value, ws.value) == (0, 1)
     assert ws.up.value == 1 and ws.down.value == -1
 
@@ -59,48 +69,67 @@ def test_dot_spin_halves_are_one_fermion_sector_windings(ref):
     # the spin-up and spin-down windings are those of the (1, -1) and
     # (1, +1) sectors, margins and phases included
     h = one_body_model(FIG_DOT)
-    ws = spin_winding(h, h.basis.sz, ref, n_grid=64)
+    ws = spin_winding(h, ref, n_grid=64)
     assert ws.up == many_body_winding(dot_model(FIG_DOT, 1, -1), ref, n_grid=64)
     assert ws.down == many_body_winding(dot_model(FIG_DOT, 1, 1), ref, n_grid=64)
 
 
 def test_flat_dot_reference_off_spectrum():
     p = replace(FIG_DOT, lam=0.0)
-    w = one_body_winding(one_body_model(p), 1.0, n_grid=16)
+    w = many_body_winding(one_body_model(p), 1.0, n_grid=16)
     assert w.value == 0
 
 
 def test_chain_one_body_invariants():
     p = ChainParams(length=7, t=1.0)
     h = one_body_model(p)
-    w = one_body_winding(h, 0.0)
-    ws = spin_winding(h, h.basis.sz, 0.0)
+    w = many_body_winding(h, 0.0)
+    ws = spin_winding(h, 0.0)
     assert (w.value, ws.value) == (0, 1)
 
 
+@pytest.mark.parametrize("params", [FIG_DOT, ChainParams(length=7)], ids=["dot", "chain"])
+def test_spin_winding_stacks_once_per_block(params, monkeypatch):
+    """A 256-point spin winding builds its matrices in three stacks: the 17
+    commutator angles, then each spin block's base grid (d <= 7)."""
+    calls = []
+    stack = SectorModel.stack
+
+    def counting(self, thetas):
+        calls.append(len(thetas))
+        return stack(self, thetas)
+    monkeypatch.setattr(SectorModel, "stack", counting)
+    spin_winding(one_body_model(params), 0.0)
+    assert calls == [17, 257, 257]
+
+
 def test_identical_spin_blocks_cancel():
-    # both spins wind the same way: spin winding vanishes
-    flows = [CircleFlow(plus=1.0, const=0.1j), CircleFlow(plus=1.0, const=0.1j)]
-    ws = spin_winding(_diag_flow(flows), np.array([1, -1]), 0.0, n_grid=64)
+    # both spins wind the same way, diag(e^{i theta} + 0.1i) each: spin winding vanishes
+    h = _a_mode_model([_term(m, m, coeff, slot) for m in (0, 1)
+                       for coeff, slot in ((1.0, P_PLUS), (0.1j, P_ONE))])
+    ws = spin_winding(h, 0.0, n_grid=64)
     assert ws.value == Fraction(0)
     assert isinstance(ws.value, Fraction)
 
 
 def test_spin_symmetry_violation_raises():
-    def h(theta):
-        return np.array([[np.exp(1j * theta), 0.5], [0.5, np.exp(-1j * theta)]])
-    with pytest.raises(SpinSymmetryError):
-        spin_winding(h, np.array([1, -1]), 0.0, n_grid=16)
+    # h = [[e^{i theta}, c], [c, e^{-i theta}]] with c = 0.5 (e^{i theta} - 1):
+    # the blocks commute at theta = 0 only, and the next scanned angle is named
+    h = _a_mode_model([_term(0, 0, 1.0, P_PLUS), _term(1, 1, 1.0, P_MINUS)]
+                      + [_term(dst, src, coeff, slot) for dst, src in ((0, 1), (1, 0))
+                         for coeff, slot in ((0.5, P_PLUS), (-0.5, P_ONE))])
+    with pytest.raises(SpinSymmetryError, match=r"theta=0\.392699"):
+        spin_winding(h, 0.0, n_grid=16)
 
 
-def test_gap_closing_raises_with_theta():
+def test_gap_closing_raises_with_theta(matrix_flow):
     # circle through the reference: eigenvalue hits 0 at theta = pi
     with pytest.raises(GapClosedError):
-        one_body_winding(_diag_flow([CircleFlow(plus=1.0, const=1.0)]), 0.0,
-                         n_grid=32)
+        many_body_winding(matrix_flow.diagonal([CircleFlow(plus=1.0, const=1.0)]), 0.0,
+                          n_grid=32)
 
 
-def test_winding_additivity_random_diagonal():
+def test_winding_additivity_random_diagonal(matrix_flow):
     rng = np.random.default_rng(42)
     for _ in range(10):
         entries = []
@@ -116,18 +145,18 @@ def test_winding_additivity_random_diagonal():
             entries.append(flow)
         else:
             try:
-                w = one_body_winding(_diag_flow(entries), 0.0, n_grid=128)
+                w = many_body_winding(matrix_flow.diagonal(entries), 0.0, n_grid=128)
             except GapClosedError:
                 continue  # grazing flow: winding undefined either way
             assert w.value == expected
 
 
-def test_block_additivity():
+def test_block_additivity(matrix_flow):
     a = CircleFlow(plus=1.0, const=0.3j)
     b = CircleFlow(minus=0.7, const=0.1)
-    w_ab = one_body_winding(_diag_flow([a, b]), 0.0, n_grid=64)
-    w_a = one_body_winding(_diag_flow([a]), 0.0, n_grid=64)
-    w_b = one_body_winding(_diag_flow([b]), 0.0, n_grid=64)
+    w_ab = many_body_winding(matrix_flow.diagonal([a, b]), 0.0, n_grid=64)
+    w_a = many_body_winding(matrix_flow.diagonal([a]), 0.0, n_grid=64)
+    w_b = many_body_winding(matrix_flow.diagonal([b]), 0.0, n_grid=64)
     assert w_ab.value == w_a.value + w_b.value
 
 
@@ -184,8 +213,8 @@ def test_gap_closed_error_for_many_body():
         many_body_winding(dot_model(FIG_DOT, 2, -1), 1j * (0.35 - 0.25), n_grid=32)
 
 
-def _pointwise_phase(matrix_fn, ref):
-    return lambda theta: phase_from_factors(*factor_shifted(matrix_fn(theta), ref), ref)[1]
+def _pointwise_phase(model, ref):
+    return lambda theta: phase_from_factors(*factor_shifted(model(theta), ref), ref)[1]
 
 
 @pytest.mark.parametrize("case", ["chain", "dot", "one-body", "chain-182-jv0", "chain-182-jv1"])
@@ -197,23 +226,22 @@ def test_stacked_base_grid_equals_pointwise(case):
     from pointgap.topology import _PhaseTracker
 
     if case == "chain":  # d = 28: stacks of 41, 41 and 19 points
-        matrix_fn = chain_model(ChainParams(length=7, t=1.0, j=1.0, v=1.0), 3, -1)
+        model = chain_model(ChainParams(length=7, t=1.0, j=1.0, v=1.0), 3, -1)
         ref = 0.3j
     elif case.startswith("chain-182"):
         jv = float(case[-1])
-        matrix_fn, ref = chain_model(ChainParams(length=7, j=jv, v=jv), 4, 1), 0.3j
+        model, ref = chain_model(ChainParams(length=7, j=jv, v=jv), 4, 1), 0.3j
     elif case == "dot":
-        matrix_fn, ref = dot_model(replace(FIG_DOT, j=1.0, v=1.0), 2, 1), 0.05 - 0.02j
-    else:
-        # a plain callable, whose stacks are filled a matrix at a time
-        matrix_fn, ref = one_body_model(ChainParams(length=14)).matrix, 0.2j
+        model, ref = dot_model(replace(FIG_DOT, j=1.0, v=1.0), 2, 1), 0.05 - 0.02j
+    else:  # d = 28
+        model, ref = one_body_model(ChainParams(length=14)), 0.2j
     n_grid = 100
     grid = theta_grid(n_grid)
-    phase = _pointwise_phase(matrix_fn, ref)
+    phase = _pointwise_phase(model, ref)
     with blas_threads_for(28):
         expected = [phase(theta) for theta in grid]
         got = []
-        for _, stack in twist_stacks(matrix_fn, grid):
+        for _, stack in twist_stacks(model, grid):
             if stack_length(stack.shape[1]) == 1:  # factored alone, as a band
                 factors, scale = factor_shifted(stack[0], ref)
                 assert factors.perm is not None
@@ -226,31 +254,29 @@ def test_stacked_base_grid_equals_pointwise(case):
         assert got == expected
         tracker = _PhaseTracker(phase, n_grid)
         total = tracker.run(expected)
-    if case == "one-body":
-        result = one_body_winding(matrix_fn, ref, n_grid=n_grid)
-    else:
-        result = many_body_winding(matrix_fn, ref, n_grid=n_grid)
+    result = many_body_winding(model, ref, n_grid=n_grid)
     assert result.raw_phase_change == total
     assert result.grid_size_used == tracker.evaluations
 
 
 @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
-def test_gap_closed_in_later_stack_names_its_theta():
+def test_gap_closed_in_later_stack_names_its_theta(matrix_flow):
     from pointgap.spectral import STACK_BYTES, theta_grid
 
     n_grid, k = 100, 60
     assert k > STACK_BYTES // (16 * 28 * 28)  # d = 28: point k is in the second stack
     grid = theta_grid(n_grid)
     ref = np.exp(1j * grid[k])  # the moving level hits ref exactly at theta_k
-    matrix_fn = lambda theta: np.diag([np.exp(1j * theta)] + [3.0 + j for j in range(27)])
+    flow = matrix_flow(lambda theta: np.diag([np.exp(1j * theta)]
+                                             + [3.0 + j for j in range(27)]))
     with pytest.raises(GapClosedError) as info:
-        one_body_winding(matrix_fn, ref, n_grid=n_grid)
+        many_body_winding(flow, ref, n_grid=n_grid)
     assert info.value.theta == grid[k]
     assert isinstance(info.value.__cause__, SpectrumHitError)  # the pivot test, not the margin
 
 
 @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
-def test_gap_closed_through_band_lu_names_its_theta():
+def test_gap_closed_through_band_lu_names_its_theta(matrix_flow):
     """At d = 200 each matrix is alone in its stack and factored as a band;
     a level that hits ref at theta_k raises there, from the pivot test."""
     from pointgap.spectral import stack_length, theta_grid
@@ -258,11 +284,12 @@ def test_gap_closed_through_band_lu_names_its_theta():
     n_grid, k, d = 64, 23, 200
     grid = theta_grid(n_grid)
     ref = np.exp(1j * grid[k])
-    matrix_fn = lambda theta: np.diag([np.exp(1j * theta)] + [3.0 + j for j in range(d - 1)])
+    flow = matrix_flow(lambda theta: np.diag([np.exp(1j * theta)]
+                                             + [3.0 + j for j in range(d - 1)]))
     assert stack_length(d) == 1
-    assert factor_shifted(matrix_fn(grid[0]), ref)[0].perm is not None  # the band path
+    assert factor_shifted(flow(grid[0]), ref)[0].perm is not None  # the band path
     with pytest.raises(GapClosedError) as info:
-        one_body_winding(matrix_fn, ref, n_grid=n_grid)
+        many_body_winding(flow, ref, n_grid=n_grid)
     assert info.value.theta == grid[k]
     assert isinstance(info.value.__cause__, SpectrumHitError)
 
@@ -326,6 +353,10 @@ def test_margin_from_given_spectra():
     assert given.value == pruned.value
     with pytest.raises(ValueError, match="rows"):
         many_body_winding(model, 0.0, n_grid=32, spectra=flow.spectra)
+    # a flow of another sector on the same grid: 65 rows of 4 eigenvalues, not 28
+    other = sweep_theta(dot_model(FIG_DOT, 2, 1), 64).spectra
+    with pytest.raises(ValueError, match="of 28 eigenvalues"):
+        many_body_winding(model, 0.0, n_grid=64, spectra=other)
 
 
 @pytest.mark.parametrize("jv", [0.0, 1.0])
@@ -360,14 +391,14 @@ def test_arpack_margin_is_nearest_distance(jv, monkeypatch):
     assert fallback.value == res.value
 
 
-def test_trailing_stack_of_one_keeps_eigvals_margin():
+def test_trailing_stack_of_one_keeps_eigvals_margin(matrix_flow):
     """At d = 2 a grid of stack_length(2) + 1 points ends in a stack of one
     matrix; its margin still comes from eigvals (ARPACK needs d >= 3)."""
     from pointgap.spectral import stack_length, theta_grid
 
     n_grid = stack_length(2)
-    flow = lambda theta: np.array([[np.exp(1j * theta), 0.3], [0.0, 2.0]])
-    res = one_body_winding(flow, 0.5j, n_grid=n_grid)
+    flow = matrix_flow(lambda theta: np.array([[np.exp(1j * theta), 0.3], [0.0, 2.0]]))
+    res = many_body_winding(flow, 0.5j, n_grid=n_grid)
     dists = [float(np.abs(np.linalg.eigvals(flow(t)) - 0.5j).min())
              for t in theta_grid(n_grid)]
     assert res.value == 1
@@ -375,12 +406,12 @@ def test_trailing_stack_of_one_keeps_eigvals_margin():
 
 
 @pytest.mark.parametrize("n_grid", [0, 1, 15])
-def test_winding_needs_sixteen_grid_points(n_grid):
+def test_winding_needs_sixteen_grid_points(n_grid, matrix_flow):
     """Below 16 points a winding is refused, not reported as 0."""
-    circle = lambda theta: [[np.exp(1j * theta)]]
+    circle = matrix_flow(lambda theta: [[np.exp(1j * theta)]])
     with pytest.raises(ValueError, match="at least 16"):
-        one_body_winding(circle, 0.0, n_grid=n_grid)
-    assert one_body_winding(circle, 0.0, n_grid=16).value == 1
+        many_body_winding(circle, 0.0, n_grid=n_grid)
+    assert many_body_winding(circle, 0.0, n_grid=16).value == 1
 
 
 # ---------------------------------------------------------------------------
