@@ -37,7 +37,7 @@ REFERENCE_DOT = DotParams(lam=1.0, eps_a_up=0.2, eps_a_dn=-0.1,
 REFERENCE_DOT_INT = replace(REFERENCE_DOT, j=1.0, v=1.0)
 # the chain couplings where the first-order splitting formulas apply; they
 # diagonalize the first-order block in the exchange-imag bookkeeping
-REFERENCE_CHAIN_WEAK = ChainParams(length=7, t=1.0, j=0.02, v=0.03, gauge="distributed",
+REFERENCE_CHAIN_WEAK = ChainParams(length=7, t=1.0, j=0.02, v=0.03,
                                    edge_convention="exchange-imag")
 
 DOT_ORACLE_THETAS = np.linspace(0.0, 2.0 * np.pi, 65)
@@ -166,7 +166,7 @@ def check_block_structure():
         return False, f"dot couples sectors by {defect:.2e}"
     p = ChainParams(length=3, t=1.0, j=0.8, v=0.6)
     lay, terms = chain_terms(p)
-    h = full_space_matrix(lay, terms, theta=1.21, length=3)
+    h = full_space_matrix(lay, terms, theta=1.21)
     defect = _block_defect(h, lay)
     if defect > 0:
         return False, f"chain couples sectors by {defect:.2e}"
@@ -181,20 +181,19 @@ def check_block_structure():
     return True, "dot 16-state and chain L=3 1024-state spaces block-diagonal"
 
 
-def check_gauge_equivalence():
-    """Boundary-link and distributed twists share their spectrum."""
+def check_boundary_twist():
+    """The twist on the boundary link gives the exact J = V = 0 levels of the
+    (3,-1) sector: ``chain_first_order_spectrum``, derived with the twist
+    spread over every link, is exact there, t e^{i(2 pi n +- theta)/L} with
+    each level twice."""
     rng = np.random.default_rng(11)
     worst = 0.0
-    for theta in rng.uniform(0.0, 2.0 * np.pi, 4):
-        pb = ChainParams(length=7, t=1.0, j=0.9, v=0.7, gauge="boundary")
-        pd = replace(pb, gauge="distributed")
-        e1 = np.linalg.eigvals(one_body_model(pb)(theta))
-        e2 = np.linalg.eigvals(one_body_model(pd)(theta))
-        worst = max(worst, eigenvalue_match(e1, e2)[0])
-        m1 = chain_model(pb, 3, -1)(theta)
-        m2 = chain_model(pd, 3, -1)(theta)
-        worst = max(worst, eigenvalue_match(np.linalg.eigvals(m1),
-                                            np.linalg.eigvals(m2))[0])
+    for length in (5, 7):
+        p = ChainParams(length=length, t=1.0)
+        model = chain_model(p, 3, -1)
+        for theta in rng.uniform(0.0, 2.0 * np.pi, 4):
+            worst = max(worst, eigenvalue_match(np.linalg.eigvals(model(theta)),
+                                                chain_first_order_spectrum(p, theta))[0])
     return worst < 1e-10, f"max eigenvalue mismatch {worst:.2e} (tol 1e-10)"
 
 
@@ -206,8 +205,6 @@ def check_theta_periodicity():
         ("dot (2,-1)", dot_model(REFERENCE_DOT_INT, 2, -1)),
         ("chain one-body", one_body_model(ChainParams(length=7))),
         ("chain (3,-1)", chain_model(ChainParams(length=7, j=1.0, v=1.0), 3, -1)),
-        ("chain (3,-1) distributed",
-         chain_model(ChainParams(length=5, j=0.4, v=0.3, gauge="distributed"), 3, -1)),
     ]
     worst, worst_label = 0.0, ""
     for label, model in cases:
@@ -327,7 +324,7 @@ def check_gap_margin_distance():
 CHECKS = [
     ("fermionic anticommutation (8 modes, exhaustive)", check_anticommutation),
     ("sector block structure (dot, chain L=3)", check_block_structure),
-    ("twisted-boundary gauge equivalence", check_gauge_equivalence),
+    ("boundary-link twist vs the J = V = 0 closed form", check_boundary_twist),
     ("theta-periodicity of spectral flows", check_theta_periodicity),
     ("winding grid-doubling stability", check_winding_grid_stability),
     ("determinant / eigenvalue-product consistency", check_det_consistency),

@@ -257,6 +257,9 @@ def execute(cfg: ExperimentConfig, outdir: str, allow_heavy: bool = False) -> di
         dim = _sector_dim(cfg)
     except ValueError as exc:  # a sector this model cannot build
         raise ConfigError(str(exc)) from exc
+    if cfg.sector is not None and dim == 0:
+        n, parity = cfg.sector
+        raise ConfigError(f"sector (N={n}, P={parity:+d}) is empty: it has no states")
     if dim > HEAVY_DIM and not allow_heavy:
         raise ConfigError(
             f"sector dimension {dim} exceeds {HEAVY_DIM}; rerun with --allow-heavy")

@@ -12,12 +12,15 @@ Both models share the structure ``H = H0(theta) + H_int`` with a twist angle
   b fermion at each edge site coupled through on-site spin exchange and
   spin pair terms at ``j = 0`` and ``j = L-1``.
 
-The twist enters either on the single boundary link (``gauge="boundary"``,
-entries exactly periodic in theta) or spread as ``e^{+-i theta/L}`` over every
-link (``gauge="distributed"``); the two are related by a gauge transformation
-and share their spectrum.  Only ``bc="twisted"`` carries the twist: a
-periodic chain closes its ring with plain hops and an open one drops the
-boundary link, so their terms, in either gauge, do not depend on theta.
+A twisted chain (``bc="twisted"``) carries its twist on the boundary link
+alone, as ``e^{+-i theta}`` on the hops from site L-1 to site 0, so its
+entries are exactly periodic in theta.  Spreading the twist as
+``e^{+-i theta/L}`` over every link is a diagonal gauge transformation of
+this matrix (Niu, Thouless & Wu, PRB 31, 3372 (1985)): it leaves the
+spectrum, the phase of det[H(theta) - E] and the occupations |v|^2
+unchanged, so only the boundary-link form is built.  A periodic chain
+closes its ring with plain hops and an open one drops the boundary link, so
+their terms do not depend on theta.
 
 A ``SectorModel`` (from ``dot_model`` or ``chain_model``) is the one way to
 build a sector Hamiltonian: it keeps the sparse term list of one model and
@@ -60,21 +63,16 @@ from .fock import (
 )
 
 # phase slots attached to each term; resolved per theta by phase_table()
-P_ONE, P_PLUS, P_MINUS, P_PLUS_L, P_MINUS_L = range(5)
+P_ONE, P_PLUS, P_MINUS = range(3)
 
 
 # sign of theta in the phase of each slot (P_ONE carries none)
-_SLOT_SIGNS = np.array([0.0, 1.0, -1.0, 1.0, -1.0])
+_SLOT_SIGNS = np.array([0.0, 1.0, -1.0])
 
 
-def phase_table(theta, length: int = 1) -> np.ndarray:
-    """Values of the phase slots: shape (5,) at one theta, (n, 5) at n."""
-    theta = np.asarray(theta, dtype=float)[..., None]
-    angles = theta * _SLOT_SIGNS
-    # the theta / L slots divide in real arithmetic: numpy divides a complex
-    # array by multiplying with 1 / length, which rounds differently
-    angles[..., P_PLUS_L:] = (theta / length) * _SLOT_SIGNS[P_PLUS_L:]
-    return np.exp(1j * angles)
+def phase_table(theta) -> np.ndarray:
+    """Values of the phase slots: shape (3,) at one theta, (n, 3) at n."""
+    return np.exp(1j * (np.asarray(theta, dtype=float)[..., None] * _SLOT_SIGNS))
 
 
 # ---------------------------------------------------------------------------
@@ -128,13 +126,13 @@ def deformation_params(base: DotParams, path: str, s: float) -> DotParams:
 
 
 # Coefficients (exchange, pair) multiplying (S+_a S-_b + S-_a S+_b) and
-# (S+_a S+_b + S-_a S-_b) at the chain edges.  The three bookkeeping variants
-# reflect an ambiguity in how the edge coupling is normalized; "exchange-half"
-# is the default, "exchange-imag" is the variant the first-order splitting
-# formulas of the oracle module diagonalize (see oracles.chain_first_order).
+# (S+_a S+_b + S-_a S-_b) at the chain edges.  The two conventions build
+# different matrices: "exchange-half" is the default, "exchange-imag" is the
+# variant the first-order splitting formulas of the oracle module
+# diagonalize (see oracles.chain_first_order_eigenvalues).  A full-strength
+# exchange J is "exchange-half" at 2J.
 EDGE_CONVENTIONS = {
     "exchange-half": lambda j, v: (0.5 * j + 0j, 1j * v),
-    "exchange-full": lambda j, v: (j + 0j, 1j * v),
     "exchange-imag": lambda j, v: (1j * j, v + 0j),
 }
 
@@ -148,7 +146,6 @@ class ChainParams:
     j: float = 0.0
     v: float = 0.0
     bc: str = "twisted"           # twisted | periodic | open
-    gauge: str = "boundary"       # boundary | distributed
     edge_convention: str = "exchange-half"
 
     def __post_init__(self):
@@ -161,8 +158,6 @@ class ChainParams:
                 f"(layouts above {MAX_MODES} modes are not supported)")
         if self.bc not in ("twisted", "periodic", "open"):
             raise ValueError(f"unknown bc {self.bc!r}")
-        if self.gauge not in ("boundary", "distributed"):
-            raise ValueError(f"unknown gauge {self.gauge!r}")
         if self.edge_convention not in EDGE_CONVENTIONS:
             raise ValueError(f"unknown edge_convention {self.edge_convention!r}")
         _require_finite(self, ("t", "j", "v"))
@@ -212,17 +207,13 @@ def dot_terms(p: DotParams):
 def chain_terms(p: ChainParams):
     lay = chain_layout(p.length)
     L = p.length
-    if p.gauge == "distributed" and p.bc == "twisted":
-        slot_up, slot_dn = P_PLUS_L, P_MINUS_L
-    else:
-        slot_up, slot_dn = P_ONE, P_ONE
     terms = []
     for j in range(L):
         boundary = j == L - 1
         if boundary and p.bc == "open":
             continue
-        up_slot, dn_slot = slot_up, slot_dn
-        if boundary and p.gauge == "boundary" and p.bc == "twisted":
+        up_slot, dn_slot = P_ONE, P_ONE
+        if boundary and p.bc == "twisted":
             up_slot, dn_slot = P_PLUS, P_MINUS
         jn = (j + 1) % L
         terms.append(_hop_term(lay.mode(jn, "a", "up"), lay.mode(j, "a", "up"),
@@ -275,9 +266,8 @@ def terms_to_coo(terms, basis: SectorBasis):
 class SectorModel:
     """Reusable theta -> dense matrix assembler for one model and sector."""
 
-    def __init__(self, terms, basis: SectorBasis, length: int = 1):
+    def __init__(self, terms, basis: SectorBasis):
         self.basis = basis
-        self.length = length
         self._coo = terms_to_coo(terms, basis)
 
     @property
@@ -296,7 +286,7 @@ class SectorModel:
         # accumulate.
         np.add.at(out.reshape(-1),
                   (np.arange(n)[:, None] * (d * d) + (cols * d + rows)).reshape(-1),
-                  (amps * phase_table(thetas, self.length)[:, slots]).reshape(-1))
+                  (amps * phase_table(thetas)[:, slots]).reshape(-1))
         return out.transpose(0, 2, 1)
 
     def restrict(self, keep) -> "SectorModel":
@@ -356,7 +346,7 @@ def dot_model(p: DotParams, n: int, parity: int) -> SectorModel:
 
 def chain_model(p: ChainParams, n: int, parity: int) -> SectorModel:
     _, terms = chain_terms(p)
-    return SectorModel(terms, chain_sector_basis(p, n, parity), length=p.length)
+    return SectorModel(terms, chain_sector_basis(p, n, parity))
 
 
 # cached like the sector bases: _operator_pattern keys on the basis object,
@@ -381,17 +371,16 @@ def one_body_model(p) -> SectorModel:
         lay, terms = dot_terms(p)
         return SectorModel(terms, _one_body_basis(lay))
     lay, terms = chain_terms(p)
-    return SectorModel(terms, _one_body_basis(lay, edge_b_constraints(lay, p.length)),
-                       length=p.length)
+    return SectorModel(terms, _one_body_basis(lay, edge_b_constraints(lay, p.length)))
 
 
-def full_space_matrix(layout, terms, theta: float, length: int = 1) -> np.ndarray:
+def full_space_matrix(layout, terms, theta: float) -> np.ndarray:
     """Hamiltonian on the whole Fock space (no sector restriction).
 
     Exponentially large; intended for small-layout symmetry tests where the
     block structure in (N, P) is verified directly.
     """
-    phases = phase_table(theta, length)
+    phases = phase_table(theta)
     dim = 1 << layout.n_modes
     h = np.zeros((dim, dim), dtype=complex)
     for coeff, slot, ops in terms:

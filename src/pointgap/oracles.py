@@ -68,7 +68,9 @@ def chain_first_order_eigenvalues(p: ChainParams, n: int, theta: float):
     Valid for small couplings; both square-root branches are emitted so no
     solution is dropped by the principal-branch choice.  These formulas
     diagonalize the degenerate first-order block of the edge coupling in its
-    ``exchange-imag`` bookkeeping (see models.EDGE_CONVENTIONS).
+    ``exchange-imag`` bookkeeping (see models.EDGE_CONVENTIONS).  They spread
+    the twist as theta / L over every link, a gauge transformation of the
+    models' boundary-link twist with the same eigenvalues.
     """
     L, t = p.length, p.t
     om, c2_p, c2_m = chain_splitting_coefficients(p, n)

@@ -163,8 +163,12 @@ def _nearest_distance(factors, model, theta, ref):
     return float(1.0 / np.abs(mu).max())
 
 
-def _winding_core(model, ref, n_grid, spectra=None):
-    """Shared driver: track the determinant phase over the twist period.
+def many_body_winding(model, e_ref: complex = 0.0,
+                      n_grid: int = DEFAULT_N_GRID, spectra=None) -> WindingResult:
+    """Winding of det[H(theta) - E_ref] for a ``SectorModel``: a sector
+    Hamiltonian H_(N,P) or the one-body matrix h(theta), tracked over the
+    twist period.  Sectors below ``BLAS_THREAD_CROSSOVER_DIM`` are wound on
+    one BLAS thread.
 
     The base grid is evaluated in the stacks of ``twist_stacks``.  A stack
     of several matrices (d <= 128) is shifted and LU-factored in place
@@ -176,15 +180,20 @@ def _winding_core(model, ref, n_grid, spectra=None):
     matrix alone in its stack is factored with ``factor_shifted`` itself, so
     base-grid points and midpoints agree bit for bit at every size.
 
-    The gap margin is the exact distance from ``ref`` to the nearest
+    The gap margin is the exact distance from ``e_ref`` to the nearest
     eigenvalue, minimized over the n_grid + 1 base-grid points (refinement
-    midpoints compute phases alone).  ``spectra`` (one row of ``model.dim``
-    eigenvalues per base-grid point, as a spectral flow of the same model
-    holds) gives it directly.  Otherwise dimensions that share a stack
-    (d <= 128) are eigensolved a stack at a time before it is factored, and
-    larger ones get the distance by shift-invert Arnoldi on their own phase
-    LU.
+    midpoints compute phases alone).  ``spectra`` - the eigenvalues of the
+    same matrices at those points, one row of ``model.dim`` per point, e.g.
+    ``sweep_theta(model, n_grid).spectra`` - gives it without eigensolving
+    again.  Otherwise dimensions that share a stack (d <= 128) are
+    eigensolved a stack at a time before it is factored, and larger ones get
+    the distance by shift-invert Arnoldi on their own phase LU.  The winding
+    itself always comes from the LU determinant phase.
     """
+    if model.dim == 0:
+        basis = model.basis
+        raise ValueError(f"sector {(basis.n, basis.parity)} is empty: "
+                         "no winding or gap margin")
     if n_grid < 16:
         raise ValueError("n_grid must be at least 16")
     grid = theta_grid(n_grid)
@@ -192,54 +201,55 @@ def _winding_core(model, ref, n_grid, spectra=None):
         if np.shape(spectra) != (len(grid), model.dim):
             raise ValueError(f"spectra has shape {np.shape(spectra)}, not {len(grid)} "
                              f"rows (base-grid points) of {model.dim} eigenvalues")
-        dists = np.abs(np.asarray(spectra) - ref).min(axis=1)
+        dists = np.abs(np.asarray(spectra) - e_ref).min(axis=1)
     else:
         dists = np.empty(len(grid))
     base_phases = np.empty(len(grid))
 
     def factor_at(matrix, theta):
-        """LU and principal phase of ``matrix - ref``; GapClosedError where
+        """LU and principal phase of ``matrix - e_ref``; GapClosedError where
         a pivot falls below the singularity tolerance."""
         try:
-            factors, scale = factor_shifted(matrix, ref)
-            return factors, phase_from_factors(factors, scale, ref)[1]
+            factors, scale = factor_shifted(matrix, e_ref)
+            return factors, phase_from_factors(factors, scale, e_ref)[1]
         except SpectrumHitError as exc:
-            raise GapClosedError(theta, ref) from exc
+            raise GapClosedError(theta, e_ref) from exc
 
     def phase_at(theta):
         return factor_at(model(theta), theta)[1]
 
-    for start, stack in twist_stacks(model, grid):
-        # the branch follows the dimension, not this stack, which may be a
-        # trailing stack of one
-        if stack_length(stack.shape[1]) > 1:
-            points = slice(start, start + len(stack))
-            if spectra is None:  # one batched eigensolve per stack
-                dists[points] = np.abs(stack_eigvals(stack, grid[points]) - ref).min(axis=1)
-            piv, scales = factor_stack(stack, ref)
-            base_phases[points], singular = stack_phases(stack, piv, scales)
-            if singular.any():  # factored alone, the first one in grid order raises
-                phase_at(grid[start + int(np.flatnonzero(singular)[0])])
-            del stack  # free it before the next one is built
-        else:  # alone in its stack: factored as a refinement midpoint is
-            factors, base_phases[start] = factor_at(stack[0], grid[start])
-            del stack  # the factors hold no reference to it
-            if spectra is None:
-                dists[start] = _nearest_distance(factors, model, grid[start], ref)
-            del factors  # free them before the next matrix is built
-
     tracker = _PhaseTracker(phase_at, n_grid)
-    try:
-        total = tracker.run(base_phases.tolist())
-    except WindingUnresolvedError as exc:
-        if exc.looks_like_crossing:
-            raise GapClosedError(0.5 * sum(exc.interval), ref,
-                                 detail=" (determinant sign flip)") from exc
-        raise
+    with blas_threads_for(model.dim):
+        for start, stack in twist_stacks(model, grid):
+            # the branch follows the dimension, not this stack, which may be a
+            # trailing stack of one
+            if stack_length(stack.shape[1]) > 1:
+                points = slice(start, start + len(stack))
+                if spectra is None:  # one batched eigensolve per stack
+                    dists[points] = np.abs(stack_eigvals(stack, grid[points])
+                                           - e_ref).min(axis=1)
+                piv, scales = factor_stack(stack, e_ref)
+                base_phases[points], singular = stack_phases(stack, piv, scales)
+                if singular.any():  # factored alone, the first one in grid order raises
+                    phase_at(grid[start + int(np.flatnonzero(singular)[0])])
+                del stack  # free it before the next one is built
+            else:  # alone in its stack: factored as a refinement midpoint is
+                factors, base_phases[start] = factor_at(stack[0], grid[start])
+                del stack  # the factors hold no reference to it
+                if spectra is None:
+                    dists[start] = _nearest_distance(factors, model, grid[start], e_ref)
+                del factors  # free them before the next matrix is built
+        try:
+            total = tracker.run(base_phases.tolist())
+        except WindingUnresolvedError as exc:
+            if exc.looks_like_crossing:
+                raise GapClosedError(0.5 * sum(exc.interval), e_ref,
+                                     detail=" (determinant sign flip)") from exc
+            raise
     k = int(np.argmin(dists))
     margin = float(dists[k])
     if margin <= 0.0:
-        raise GapClosedError(grid[k], ref)
+        raise GapClosedError(grid[k], e_ref)
 
     value = int(round(total / (2.0 * np.pi)))
     if abs(total / (2.0 * np.pi) - value) >= INTEGER_TOL:
@@ -256,9 +266,9 @@ def spin_winding(model, eps_ref: complex = 0.0,
 
     s^z is read from the model's basis (``basis.sz``).  The flow must commute
     with s^z, which is checked at 17 angles of the twist grid; the two spin
-    blocks are then wound independently (``model.restrict``), which
-    sidesteps the branch cuts of a matrix logarithm while agreeing with it
-    whenever the commutator vanishes.
+    blocks are then wound independently (``model.restrict``, each by
+    ``many_body_winding``), which sidesteps the branch cuts of a matrix
+    logarithm while agreeing with it whenever the commutator vanishes.
     """
     sz = model.basis.sz
     up, dn = sz > 0, sz < 0
@@ -272,28 +282,6 @@ def spin_winding(model, eps_ref: complex = 0.0,
             f"spin-parity constraint broken: [s^z, h] = {cross[k]:.3e} "
             f"at theta={thetas[k]:.6f}")
 
-    w_up = _winding_core(model.restrict(up), eps_ref, n_grid)
-    w_dn = _winding_core(model.restrict(dn), eps_ref, n_grid)
+    w_up = many_body_winding(model.restrict(up), eps_ref, n_grid)
+    w_dn = many_body_winding(model.restrict(dn), eps_ref, n_grid)
     return SpinWindingResult(Fraction(w_up.value - w_dn.value, 2), w_up, w_dn)
-
-
-def many_body_winding(model, e_ref: complex = 0.0,
-                      n_grid: int = DEFAULT_N_GRID, spectra=None) -> WindingResult:
-    """Winding of det[H(theta) - E_ref] for a ``SectorModel``: a sector
-    Hamiltonian H_(N,P) or the one-body matrix h(theta).
-
-    ``spectra`` - the eigenvalues of the same matrices at the n_grid + 1
-    base-grid points, e.g. ``sweep_theta(model, n_grid).spectra`` - gives the
-    gap margin without eigensolving again.  Without it the margin is still
-    the exact distance to the nearest eigenvalue at every sector size (see
-    ``_winding_core``).  The winding itself always comes from the LU
-    determinant phase.  Sectors below ``BLAS_THREAD_CROSSOVER_DIM`` are
-    wound on one BLAS thread.
-    """
-    if model.dim == 0:
-        basis = model.basis
-        raise ValueError(f"sector {(basis.n, basis.parity)} is empty: "
-                         "no winding or gap margin")
-
-    with blas_threads_for(model.dim):
-        return _winding_core(model, e_ref, n_grid, spectra=spectra)

@@ -27,28 +27,23 @@ ORACLE_CONFIGS = {
     "oracle-chain": {
         "model": "chain", "task": "oracle-check", "sector": [3, -1],
         "params": {"length": 7, "t": 1.0, "j": 0.02, "v": 0.03,
-                   "gauge": "distributed", "edge_convention": "exchange-imag"}},
+                   "edge_convention": "exchange-imag"}},
 }
 
 _DOT = {"lam": 1.0, "eps_a_up": 0.2, "eps_a_dn": -0.1, "eps_b_up": 0.35, "eps_b_dn": -0.25}
 _CHAIN = {"length": 7, "t": 1.0, "j": 1.0, "v": 1.0}
 
-# one-body windings of both models, the chain in both gauges, one off zero;
-# and one-body flows of the open and the distributed twisted chain
+# one-body windings of both models, one of each off zero; and the one-body
+# flow of the open chain
 ONE_BODY_CONFIGS = {
     "onebody-dot-winding": {"model": "dot", "task": "winding", "params": _DOT},
     "onebody-dot-winding-offref": {"model": "dot", "task": "winding", "params": _DOT,
                                    "e_ref": [0.3, 0.5]},
     "onebody-chain-winding": {"model": "chain", "task": "winding", "params": _CHAIN},
-    "onebody-chain-winding-distributed": {
-        "model": "chain", "task": "winding",
-        "params": {**_CHAIN, "gauge": "distributed"}},
     "onebody-chain-winding-offref": {"model": "chain", "task": "winding", "params": _CHAIN,
                                      "e_ref": [0.2, 0.3]},
     "onebody-chain-flow-open": {"model": "chain", "task": "flow",
                                 "params": {**_CHAIN, "bc": "open"}},
-    "onebody-chain-flow-distributed": {"model": "chain", "task": "flow",
-                                       "params": {**_CHAIN, "gauge": "distributed"}},
 }
 
 

@@ -60,6 +60,19 @@ def test_config_rejects_bad_values():
                           "params": {"length": 7}})  # sector required
 
 
+def test_preset_hash_listing_configs_validate():
+    """Every config the hash listing tool would run validates (none is run)."""
+    import importlib.util
+
+    path = os.path.join(os.path.dirname(__file__), "fixtures", "preset_hashes.py")
+    spec = importlib.util.spec_from_file_location("preset_hashes", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    names = [name for name, _ in tool.configs()]
+    assert len(names) == len(set(names))
+    assert {"fig1", *tool.ORACLE_CONFIGS, *tool.ONE_BODY_CONFIGS} <= set(names)
+
+
 def test_presets_catalog():
     assert len(PRESETS) >= 16
     for name in PRESETS:
@@ -216,8 +229,7 @@ def test_fig1_preset_traces_drive_circle(tmp_path):
 
 def test_run_oracle_check_chain(tmp_path):
     base = {"model": "chain", "task": "oracle-check", "sector": [3, -1],
-            "params": {"length": 7, "t": 1.0, "j": 0.02, "v": 0.03,
-                       "gauge": "distributed"}}
+            "params": {"length": 7, "t": 1.0, "j": 0.02, "v": 0.03}}
     with pytest.raises(ConfigError, match="sector"):
         config_from_dict({**base, "sector": None})
     # the splitting formulas diagonalize the imag-exchange bookkeeping; the
@@ -282,17 +294,26 @@ def test_main_computation_error_exit_code(tmp_path, capsys):
     assert "computation error" in err and "sector" in err
 
 
-@pytest.mark.parametrize("params, sector, message", [
-    ({"length": 7}, [1, -1], "incompatible with singly occupied edge b sites"),
-    ({"length": 40}, [3, -1], "layouts above 64 modes"),
-], ids=["no-edge-fermions", "too-many-modes"])
-def test_main_unbuildable_sector_is_config_error(tmp_path, capsys, params, sector, message):
+@pytest.mark.parametrize("model, task, params, sector, message", [
+    ("chain", "winding", {"length": 7}, [1, -1],
+     "incompatible with singly occupied edge b sites"),
+    ("chain", "winding", {"length": 40}, [3, -1], "layouts above 64 modes"),
+    ("dot", "winding", {}, [0, -1], "sector (N=0, P=-1) is empty"),
+    ("dot", "deform", {}, [0, -1], "sector (N=0, P=-1) is empty"),
+    ("dot", "flow", {}, [0, -1], "sector (N=0, P=-1) is empty"),
+], ids=["no-edge-fermions", "too-many-modes", "empty-dot-winding", "empty-dot-deform",
+        "empty-dot-flow"])
+def test_main_unbuildable_sector_is_config_error(tmp_path, capsys, model, task, params,
+                                                 sector, message):
+    raw = {"model": model, "task": task, "sector": sector, "params": params}
+    if task == "deform":
+        raw["path"] = "pair-ramp"
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"model": "chain", "task": "winding",
-                                    "sector": sector, "params": params}))
+    cfg_path.write_text(json.dumps(raw))
     assert main(["run", str(cfg_path), "--output-dir", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and message in err
+    assert not (tmp_path / "o").exists()  # refused before any output
 
 
 @pytest.mark.parametrize("raw", [
@@ -307,9 +328,13 @@ def test_main_unbuildable_sector_is_config_error(tmp_path, capsys, params, secto
      "params": {"length": 7, "bc": "open"}},
     {"model": "chain", "task": "skin", "sector": [3, -1], "n_grid": 16,
      "params": {"length": 7, "bc": "periodic"}},
+    {"model": "chain", "task": "flow", "n_grid": 16,
+     "params": {"length": 7, "gauge": "distributed"}},
+    {"model": "chain", "task": "flow", "n_grid": 16,
+     "params": {"length": 7, "edge_convention": "exchange-full"}},
 ], ids=["e_ref-text", "e_ref-nan", "e_ref-beyond-float", "float-length",
         "one-body-too-long", "bool-parity", "bool-n_path", "skin-open-bc",
-        "skin-periodic-bc"])
+        "skin-periodic-bc", "removed-gauge", "removed-exchange-full"])
 def test_main_bad_config_values_exit_two(tmp_path, capsys, raw):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(raw))

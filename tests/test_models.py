@@ -117,20 +117,6 @@ def test_chain_open_blocks_are_nilpotent():
     assert np.abs(np.linalg.matrix_power(h, 6)).max() < 1e-12
 
 
-def test_chain_gauge_spectra_agree():
-    rng = np.random.default_rng(1)
-    for theta in rng.uniform(0, 2 * np.pi, 3):
-        pb = ChainParams(length=5, t=1.0, j=0.3, v=0.8, gauge="boundary")
-        pd = replace(pb, gauge="distributed")
-        e1 = np.linalg.eigvals(one_body_model(pb)(theta))
-        e2 = np.linalg.eigvals(one_body_model(pd)(theta))
-        assert eigenvalue_match(e1, e2)[0] < 1e-12
-        m1 = chain_model(pb, 3, -1)(theta)
-        m2 = chain_model(pd, 3, -1)(theta)
-        assert eigenvalue_match(np.linalg.eigvals(m1),
-                                np.linalg.eigvals(m2))[0] < 1e-10
-
-
 def test_boundary_gauge_entries_periodic():
     model = chain_model(ChainParams(length=5, j=1.0, v=1.0), 3, -1)
     np.testing.assert_allclose(model(2 * np.pi), model(0.0), atol=1e-14)
@@ -238,12 +224,11 @@ def _chain_cases(length, sectors):
             continue
         actions = {}
         for bc in ("twisted", "periodic", "open"):
-            for gauge in ("boundary", "distributed"):
-                for convention in EDGE_CONVENTIONS:
-                    for j, v in ((0.0, 0.0), (0.37, 0.0), (0.0, 0.53), (1.0, 1.0)):
-                        p = ChainParams(length=length, t=0.9, j=j, v=v, bc=bc,
-                                        gauge=gauge, edge_convention=convention)
-                        yield chain_terms(p)[1], basis, actions
+            for convention in EDGE_CONVENTIONS:
+                for j, v in ((0.0, 0.0), (0.37, 0.0), (0.0, 0.53), (1.0, 1.0)):
+                    p = ChainParams(length=length, t=0.9, j=j, v=v, bc=bc,
+                                    edge_convention=convention)
+                    yield chain_terms(p)[1], basis, actions
 
 
 def test_term_scatter_matches_scalar_reference():
@@ -266,24 +251,20 @@ def test_term_scatter_matches_scalar_reference():
 
 def test_phase_table_matches_scalar_phases():
     # a stack's phases are bitwise those of one twist at a time, computed on
-    # Python scalars: (1j * theta) / L divides exactly, where numpy arrays
-    # would multiply by 1 / L
-    for length in (1, 3, 7):
-        thetas = np.linspace(0.0, 2 * np.pi, 257)
-        table = phase_table(thetas, length)
-        for theta, row in zip(thetas.tolist(), table):
-            expected = [1.0, np.exp(1j * theta), np.exp(-1j * theta),
-                        np.exp(1j * theta / length), np.exp(-1j * theta / length)]
-            np.testing.assert_array_equal(row, expected)
-            np.testing.assert_array_equal(phase_table(theta, length), expected)
+    # Python scalars
+    thetas = np.linspace(0.0, 2 * np.pi, 257)
+    table = phase_table(thetas)
+    for theta, row in zip(thetas.tolist(), table):
+        expected = [1.0, np.exp(1j * theta), np.exp(-1j * theta)]
+        np.testing.assert_array_equal(row, expected)
+        np.testing.assert_array_equal(phase_table(theta), expected)
 
 
 @pytest.mark.parametrize("model, periodic", [
     (dot_model(replace(FIG_DOT, j=0.7, v=0.3), 2, 1), False),
     (chain_model(ChainParams(length=7, j=1.0, v=1.0), 3, -1), False),
-    (chain_model(ChainParams(length=7, j=1.0, v=1.0, gauge="distributed"), 3, -1), False),
     (chain_model(ChainParams(length=7, j=1.0, v=1.0, bc="periodic"), 3, -1), True),
-], ids=["dot", "chain-boundary", "chain-distributed", "chain-periodic"])
+], ids=["dot", "chain-boundary", "chain-periodic"])
 def test_stack_slices_equal_single_matrices(model, periodic):
     grid = np.linspace(0.0, 2 * np.pi, 41)
     stack = model.stack(grid)
@@ -295,15 +276,15 @@ def test_stack_slices_equal_single_matrices(model, periodic):
             np.testing.assert_array_equal(stack[k], model(0.0))
 
 
-@pytest.mark.parametrize("bc", ["twisted", "periodic", "open"])
-@pytest.mark.parametrize("gauge", ["boundary", "distributed"])
-def test_sector_models_are_blocks_of_the_full_space_matrix(bc, gauge):
+@pytest.mark.parametrize("bc", ["twisted", "periodic", "open"],
+                         ids=lambda bc: f"boundary-{bc}")
+def test_sector_models_are_blocks_of_the_full_space_matrix(bc):
     # the term list decides the boundary: a sector model is, bit for bit,
     # the block of the whole-space matrix built from the same terms
-    p = ChainParams(length=3, j=0.8, v=0.6, bc=bc, gauge=gauge)
+    p = ChainParams(length=3, j=0.8, v=0.6, bc=bc)
     lay, terms = chain_terms(p)
     for theta in (0.0, 1.21):
-        h = full_space_matrix(lay, terms, theta, 3)
+        h = full_space_matrix(lay, terms, theta)
         # the one-body model is the block of one a fermion
         for model in (chain_model(p, 3, -1), chain_model(p, 4, 1), one_body_model(p)):
             states = model.basis.states.astype(np.intp)
@@ -313,9 +294,8 @@ def test_sector_models_are_blocks_of_the_full_space_matrix(bc, gauge):
 def _restrict_cases():
     yield pytest.param(one_body_model(FIG_DOT), None, id="dot-one-body")
     for bc in ("twisted", "periodic", "open"):
-        for gauge in ("boundary", "distributed"):
-            yield pytest.param(one_body_model(ChainParams(length=7, bc=bc, gauge=gauge)),
-                               None, id=f"chain-one-body-{bc}-{gauge}")
+        yield pytest.param(one_body_model(ChainParams(length=7, bc=bc)),
+                           None, id=f"chain-one-body-{bc}-boundary")
     model = chain_model(ChainParams(length=7, j=1.0, v=1.0), 3, -1)
     keep = np.random.default_rng(3).random(model.dim) < 0.5
     yield pytest.param(model, keep, id="chain-(3,-1)-mask")
@@ -354,11 +334,10 @@ def test_param_validation():
 
 
 def test_edge_convention_coefficients():
-    # the three bookkeeping variants only rescale the two coupling channels
-    base = dict(length=5, t=1.0, j=0.6, v=0.0, bc="twisted")
-    half = chain_model(ChainParams(**base, edge_convention="exchange-half"), 3, -1)
-    full = chain_model(ChainParams(**base, edge_convention="exchange-full"), 3, -1)
-    h_half = half(0.0)
-    h_full = full(0.0)
-    hop = chain_model(ChainParams(**{**base, "j": 0.0}), 3, -1)(0.0)
+    # the exchange channel is linear in J: a full-strength exchange J is the
+    # exchange-half convention at 2J
+    base = dict(length=5, t=1.0, v=0.0, bc="twisted", edge_convention="exchange-half")
+    h_half = chain_model(ChainParams(**base, j=0.6), 3, -1)(0.0)
+    h_full = chain_model(ChainParams(**base, j=1.2), 3, -1)(0.0)
+    hop = chain_model(ChainParams(**base, j=0.0), 3, -1)(0.0)
     np.testing.assert_allclose(h_full - hop, 2 * (h_half - hop), atol=1e-15)

@@ -105,10 +105,10 @@ def _quadruplet_columns(length, basis):
 
 def test_first_order_block_structure():
     """In the hopping eigenbasis the imag-exchange coupling reproduces the
-    closed-form quadruplet blocks exactly."""
+    closed-form quadruplet blocks exactly (at theta = 0, where no hop carries
+    a twist)."""
     L, J, V = 7, 0.37, 0.53
-    p = ChainParams(length=L, t=1.0, j=J, v=V, gauge="distributed",
-                    edge_convention="exchange-imag")
+    p = ChainParams(length=L, t=1.0, j=J, v=V, edge_convention="exchange-imag")
     model = chain_model(p, 3, -1)
     h = model(0.0)
     T = _quadruplet_columns(L, model.basis)
@@ -156,9 +156,12 @@ def test_first_order_equal_couplings_mode_zero():
 
 
 def test_spec_example_mode_one():
+    # the formulas are written with the twist spread over every link; the
+    # model's boundary-link twist is a gauge transformation of that matrix,
+    # with the same eigenvalues
     for scale, budget in ((1.0, 5e-4), (0.5, 1.3e-4)):
         p = ChainParams(length=7, t=1.0, j=0.02 * scale, v=0.03 * scale,
-                        gauge="distributed", edge_convention="exchange-imag")
+                        edge_convention="exchange-imag")
         model = chain_model(p, 3, -1)
         ed = np.linalg.eigvals(model(1.0))
         quad = np.array(chain_first_order_eigenvalues(p, 1, 1.0))

@@ -321,11 +321,10 @@ def test_factor_stack_matches_factor_shifted(model, theta, ref):
 def _band_cases():
     for n, parity in ((4, 1), (4, -1), (5, 1), (5, -1)):
         for jv in (0.0, 1.0):
-            for gauge in ("boundary", "distributed"):
-                for bc in ("twisted", "open"):
-                    p = ChainParams(length=7, t=1.0, j=jv, v=jv, bc=bc, gauge=gauge)
-                    yield pytest.param(p, n, parity,
-                                       id=f"({n},{parity:+d})-jv{jv:g}-{gauge}-{bc}")
+            for bc in ("twisted", "open"):
+                p = ChainParams(length=7, t=1.0, j=jv, v=jv, bc=bc)
+                yield pytest.param(p, n, parity,
+                                   id=f"({n},{parity:+d})-jv{jv:g}-boundary-{bc}")
 
 
 @pytest.mark.parametrize("params, n, parity", _band_cases())
@@ -366,7 +365,7 @@ def test_sector_matrix_is_fortran_ordered_scatter(model, theta):
     # reference: the row-major scatter of the same term list
     rows, cols, amps, slots = model._coo
     expected = np.zeros((model.dim, model.dim), dtype=complex)
-    np.add.at(expected, (rows, cols), amps * phase_table(theta, model.length)[slots])
+    np.add.at(expected, (rows, cols), amps * phase_table(theta)[slots])
     np.testing.assert_array_equal(a, expected)
 
 

@@ -462,6 +462,14 @@ def test_small_sector_wound_on_one_thread(two_blas_threads, monkeypatch):
     assert _thread_counts() == two_blas_threads
 
 
+def test_spin_winding_halves_wound_on_one_thread(two_blas_threads, monkeypatch):
+    seen = _record_threads_during_lu(monkeypatch)
+    spin_winding(one_body_model(ChainParams(length=7, t=1.0, j=1.0, v=1.0)), 0.0,
+                 n_grid=32)
+    assert seen and all(counts == [1] * len(counts) for counts in seen)
+    assert _thread_counts() == two_blas_threads
+
+
 def test_thread_counts_restored_after_gap_closing(two_blas_threads, monkeypatch):
     seen = _record_threads_during_lu(monkeypatch)
     # the a-up level lambda e^{i theta} + 0.2i passes -1 + 0.2i at theta = pi
