@@ -38,7 +38,10 @@ once and apply each operator to it once.  A
 twist sweep builds the matrices in stacks: one dense scatter fills the
 matrices of many angles at once.  Each matrix of a stack is Fortran-ordered,
 the layout LAPACK works in, so a factorization can take one (or a copy of
-one) as it is.
+one) as it is.  A matrix too large to share a stack (d > 128) is not built
+for a winding at all: the model hands ``spectral`` its entries at theta
+(``values``) and the band ordering of its theta-independent pattern
+(``band_layout``, made at its first band factor and kept).
 """
 
 from __future__ import annotations
@@ -46,11 +49,11 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from . import fock
+from . import fock, spectral
 from .fock import (
     MAX_MODES,
     ModeLayout,
@@ -264,7 +267,9 @@ def terms_to_coo(terms, basis: SectorBasis):
 
 
 class SectorModel:
-    """Reusable theta -> dense matrix assembler for one model and sector."""
+    """Reusable theta -> dense matrix assembler for one model and sector,
+    and the source of its matrices' band entries (``values``,
+    ``band_layout``)."""
 
     def __init__(self, terms, basis: SectorBasis):
         self.basis = basis
@@ -289,6 +294,20 @@ class SectorModel:
                   (amps * phase_table(thetas)[:, slots]).reshape(-1))
         return out.transpose(0, 2, 1)
 
+    def values(self, theta: float) -> np.ndarray:
+        """The entries of H(theta) at the term list's (row, col) pairs, in
+        ``stack``'s order: summed in that order, they give its matrix."""
+        amps, slots = self._coo[2:]
+        return amps * phase_table(theta)[slots]
+
+    @cached_property
+    def band_layout(self):
+        """``spectral.band_layout`` of the term list's (row, col) pairs: the
+        band ordering of every H(theta), made at the first band factor and
+        kept, or None where the band would not be smaller than the matrix."""
+        rows, cols = self._coo[:2]
+        return spectral.band_layout(rows, cols, self.dim)
+
     def restrict(self, keep) -> "SectorModel":
         """The model on the basis states selected by the boolean mask ``keep``.
 
@@ -305,6 +324,7 @@ class SectorModel:
         sub.basis = SectorBasis(basis.layout, basis.n, basis.parity, basis.states[keep])
         sub._coo = (position[rows[inside]], position[cols[inside]], amps[inside],
                     slots[inside])
+        sub.__dict__.pop("band_layout", None)  # the kept block orders its own band
         return sub
 
     def matrix(self, theta: float) -> np.ndarray:

@@ -11,14 +11,21 @@ Small matrices, several to a twist stack, are LU-factored dense and in place
 with a handful of nonzeros per column: reverse Cuthill-McKee ordering
 (Cuthill & McKee, 1969) gathers them into a narrow band, and LAPACK's banded
 LU (``zgbtrf``; Anderson et al., *LAPACK Users' Guide*, SIAM 1999) factors
-P (M - E) P^T, whose determinant is det(M - E).  At d = 6864, J = V = 1
-(half-band 707), that took 0.9-1.8 s against 7-12 s for the dense LU on
-2 vCPUs.  A matrix whose band would not be smaller than itself is factored
-dense.
+P (M - E) P^T, whose determinant is det(M - E).  A sector model's pattern
+does not depend on theta, so the model keeps one ``band_layout`` of it, made
+at its first band factor, and each twist point scatters the model's entries
+at theta straight into band storage (``factor_model``): no d x d matrix is
+built, scanned or ordered per point.  At d = 6864, J = V = 1 (half-band 707)
+one point took 0.84 s at a peak RSS of 292 MB that way, against 1.63 s and
+1011 MB through the dense H(theta), and 7-12 s for a dense LU, on 2 vCPUs.
+A plain matrix (``factor_shifted``) is scanned for its nonzeros and then
+takes the same band path.  A matrix whose band would not be smaller than
+itself is factored dense.
 
 This module knows matrices and sector models, not parameters: a sweep
-takes a ``SectorModel`` and builds its matrices with the model's ``stack``.
-Turning parameters into a model is the job of ``models``.
+takes a ``SectorModel`` and builds its matrices with the model's ``stack``,
+or its band entries with ``values``.  Turning parameters into a model is
+the job of ``models``.
 """
 
 from __future__ import annotations
@@ -38,12 +45,13 @@ DEGENERACY_TOL = 1e-8
 SINGULARITY_RTOL = 1e-12
 
 # Below this matrix dimension one BLAS thread beats two.  Measured on 2 cores
-# with OpenBLAS 0.3.31, one thread against two, for the band LU of a J = V = 1
-# chain sector (``factor_shifted``): 0.9-1.2 ms against 1.2-8 ms at d = 182,
-# 9-12 ms against 19-24 ms (at twice the CPU) at d = 728, 1.6-1.8 s against
-# 1.2-1.4 s at d = 6864.  At d = 2002 the LU and ARPACK margin of three
-# twists took 0.51-0.59 s against 0.70-0.83 s.
-BLAS_THREAD_CROSSOVER_DIM = 1000
+# with OpenBLAS 0.3.31, one thread against two, for the band LU and ARPACK
+# gap margin of one twist point of a J = V = 1 chain sector (``factor_model``
+# and the winding's shift-invert margin): 2-5 ms against 3-15 ms at d = 182,
+# 17-24 ms against 30-58 ms at d = 728, 0.13-0.15 s against 0.17-0.20 s (at
+# twice the CPU) at d = 2002, 0.58-1.07 s against 0.66-0.90 s at d = 4004
+# and 2.1-3.2 s against 1.6-2.6 s at d = 6864.
+BLAS_THREAD_CROSSOVER_DIM = 3000
 
 # A twist sweep builds, solves and factors its matrices in stacks of at most
 # this many bytes (one matrix at least): a whole 65-point grid at d = 4, 41
@@ -285,53 +293,108 @@ def factor_shifted(matrix, e_ref: complex):
     of the shift.  M is left unchanged.
 
     A matrix alone in its twist stack (``stack_length(d) == 1``) is factored
-    as a band when its band storage is smaller than the matrix
-    (``_factor_band``).  Any other is copied once and LU-factored in place,
-    as a stack of one (``factor_stack``), so at most two d x d buffers, M and
-    the factors, are live.
+    as a band when its band storage is smaller than the matrix: its nonzeros
+    are found by a scan, ordered by ``band_layout`` and factored by
+    ``_factor_band``.  Any other is copied once and LU-factored in place, as
+    a stack of one (``factor_stack``), so at most two d x d buffers, M and
+    the factors, are live.  A sector model's own matrices skip the scan and
+    the dense matrix (``factor_model``).
     """
     a = np.asarray(matrix)
     if stack_length(a.shape[0]) == 1:
-        band = _factor_band(a, e_ref)
-        if band is not None:
-            return band
+        # the C order of a.T is the memory order of an F-ordered a
+        cols, rows = np.nonzero(a.T)
+        layout = band_layout(rows, cols, a.shape[0])
+        if layout is not None:
+            return _factor_band(layout, a.T[cols, rows], e_ref)
+    return _factor_dense(a, e_ref)
+
+
+def factor_model(model, theta: float, e_ref: complex):
+    """The LU of ``factor_shifted(model(theta), e_ref)``, bit for bit, built
+    from the pattern of a model whose matrices are alone in their stack.
+
+    The model gives its band (``model.band_layout``, a ``band_layout`` of its
+    entries, made once) and its entries at theta (``model.values(theta)``,
+    in the same order), so no d x d matrix is built and nothing is scanned
+    or ordered per point.  A model without a band (``band_layout`` None) is
+    factored dense.
+    """
+    layout = model.band_layout
+    if layout is None:
+        return _factor_dense(model(theta), e_ref)
+    return _factor_band(layout, model.values(theta), e_ref)
+
+
+def _factor_dense(a, e_ref: complex):
     stack = np.array(a, dtype=complex, order="F")[None]
     piv, scales = factor_stack(stack, e_ref)
     return ShiftedLU(stack[0], piv[0]), scales[0]
 
 
-def _factor_band(a, e_ref: complex):
-    """Band LU of (a - e_ref) in reverse Cuthill-McKee order with its scale,
-    or None where band storage, 2 kl + ku + 1 rows, would not be smaller
-    than the matrix.  No d x d buffer is made."""
+@dataclass(frozen=True)
+class BandLayout:
+    """Where the entries of a sparse pattern go in LAPACK band storage.
+
+    The ordered matrix, whose row k is row ``perm[k]`` of the original, has
+    ``kl`` sub- and ``ku`` superdiagonals.  Entry i of the
+    pattern lands at flat index ``index[i]`` of the (2 kl + ku + 1, d)
+    F-ordered band buffer, whose top kl rows are room for fill-in.
+    """
+
+    perm: np.ndarray
+    kl: int
+    ku: int
+    index: np.ndarray
+
+
+def band_layout(rows, cols, dim: int):
+    """The ``BandLayout`` of the entries (rows[i], cols[i]) of a d x d
+    matrix in reverse Cuthill-McKee order, or None where band storage,
+    2 kl + ku + 1 rows, would not be smaller than the matrix.
+
+    Repeated (row, col) pairs are allowed and land at the same index.  The
+    order depends only on the set of pairs, so a matrix scanned for its
+    nonzeros and the term list that built it get the same layout wherever
+    no entry cancels to exactly zero.
+    """
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import reverse_cuthill_mckee  # loads scipy.sparse.linalg
 
-    d = a.shape[0]
-    # the C order of a.T is the memory order of an F-ordered a
-    cols, rows = np.nonzero(a.T)
-    values = a.T[cols, rows]
-    graph = csr_matrix((np.ones(2 * len(rows), dtype=np.int8),
-                        (np.concatenate((rows, cols)), np.concatenate((cols, rows)))),
-                       shape=(d, d))
+    rows = np.asarray(rows, dtype=np.intp)
+    cols = np.asarray(cols, dtype=np.intp)
+    # each pair once, in column-major order: the order of a dense scan
+    pair_cols, pair_rows = np.divmod(np.unique(cols * dim + rows), dim)
+    graph = csr_matrix((np.ones(2 * len(pair_rows), dtype=np.int8),
+                        (np.concatenate((pair_rows, pair_cols)),
+                         np.concatenate((pair_cols, pair_rows)))),
+                       shape=(dim, dim))
     perm = reverse_cuthill_mckee(graph, symmetric_mode=True)
-    position = np.empty(d, dtype=np.intp)
-    position[perm] = np.arange(d)
+    position = np.empty(dim, dtype=np.intp)
+    position[perm] = np.arange(dim)
     r, c = position[rows], position[cols]
     kl = int((r - c).max(initial=0))
     ku = int((c - r).max(initial=0))
-    if 2 * kl + ku + 1 >= d:
+    if 2 * kl + ku + 1 >= dim:
         return None
-    # A(i, j) sits at ab[kl + ku + i - j, j]; the top kl rows are room for fill-in
+    # A(i, j) sits at ab[kl + ku + i - j, j] of the F-ordered band buffer ab
+    return BandLayout(perm, kl, ku, c * (2 * kl + ku + 1) + (kl + ku + r - c))
+
+
+def _factor_band(layout: BandLayout, values, e_ref: complex):
+    """Band LU of (A - e_ref) with its scale, where A has entries ``values``
+    at the pattern of ``layout``; repeated entries add up in their order.
+    No d x d buffer is made."""
+    kl, ku, d = layout.kl, layout.ku, len(layout.perm)
     ab = np.zeros((2 * kl + ku + 1, d), dtype=complex, order="F")
-    ab[kl + ku + r - c, c] = values
+    np.add.at(ab.T.reshape(-1), layout.index, values)
     ab[kl + ku] -= e_ref
     parts = ab.T.view(np.float64).reshape(-1)
     scale = np.sqrt(parts @ parts)
     lu, piv, info = zgbtrf(ab, kl, ku, overwrite_ab=1)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of zgbtrf")
-    return ShiftedLU(lu, piv, kl, ku, perm), scale
+    return ShiftedLU(lu, piv, kl, ku, layout.perm), scale
 
 
 def factor_stack(stack, e_ref: complex):
@@ -413,7 +476,9 @@ def sigma_min_from_factors(factors: ShiftedLU, dim: int, iters: int = 8) -> floa
     """Inverse-iteration estimate of the smallest singular value behind an LU.
 
     The iteration converges to sigma_min from above, so after ``iters`` steps
-    the value is an estimate, not a bound.
+    the value is an estimate, not a bound.  No program path calls it: gap
+    margins are nearest-eigenvalue distances.  Its only caller is the
+    benchmark's ``chain-large`` workload.
     """
     v = np.full(dim, 1.0 / np.sqrt(dim), dtype=complex)
     growth = 0.0

@@ -15,14 +15,16 @@ obstruction, not a numerical failure, and raises ``GapClosedError``.
 
 The margin is an exact nearest-eigenvalue distance at every sector size.
 Small matrices, several to a stack, are eigensolved in one batch before
-their stack is LU-factored.  A larger one, alone in its stack, is factored
-as a refinement midpoint is (``factor_shifted``, a band LU for a sector
-Hamiltonian) and gets the distance from the LU the phase already needs: the
-eigenvalue of (M - E)^-1 largest in modulus is 1 / (lambda - E) for the
-eigenvalue lambda nearest E, found by shift-invert Arnoldi (Lehoucq,
-Sorensen & Yang, *ARPACK Users' Guide*, SIAM 1998).  A smallest singular
-value would not do: for non-normal M, sigma_min(M - E) can lie far below
-dist(E, spec M) (Trefethen & Embree, *Spectra and Pseudospectra*, 2005).
+their stack is LU-factored.  A larger one, alone in its stack, is not
+built: each point, base grid and refinement midpoints alike, is a band LU
+scattered from the model's pattern (``factor_model``).  Its margin comes
+from the LU the phase already needs: the eigenvalue of (M - E)^-1 largest in
+modulus is 1 / (lambda - E) for the eigenvalue lambda nearest E, found by
+shift-invert Arnoldi (Lehoucq, Sorensen & Yang, *ARPACK Users' Guide*, SIAM
+1998); only where that does not converge is H(theta) built and eigensolved
+in full.  A smallest singular value would not do: for non-normal M,
+sigma_min(M - E) can lie far below dist(E, spec M) (Trefethen & Embree,
+*Spectra and Pseudospectra*, 2005).
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .spectral import (
     SpectralError,
     SpectrumHitError,
     blas_threads_for,
+    factor_model,
     factor_shifted,
     factor_stack,
     phase_from_factors,
@@ -177,8 +180,11 @@ def many_body_winding(model, e_ref: complex = 0.0,
     factored again alone, as refinement midpoints are, and raises
     ``GapClosedError``: at these sizes ``factor_shifted`` is ``factor_stack``
     on a stack of one, so both make the same test on the same numbers.  A
-    matrix alone in its stack is factored with ``factor_shifted`` itself, so
-    base-grid points and midpoints agree bit for bit at every size.
+    matrix alone in its stack is not built: every point, base grid and
+    midpoints alike, is factored from the model's pattern by
+    ``factor_model``, which gives the LU of ``factor_shifted(model(theta))``
+    bit for bit and orders the model's band once.  So base-grid points and
+    midpoints agree bit for bit at every size.
 
     The gap margin is the exact distance from ``e_ref`` to the nearest
     eigenvalue, minimized over the n_grid + 1 base-grid points (refinement
@@ -206,24 +212,35 @@ def many_body_winding(model, e_ref: complex = 0.0,
         dists = np.empty(len(grid))
     base_phases = np.empty(len(grid))
 
-    def factor_at(matrix, theta):
-        """LU and principal phase of ``matrix - e_ref``; GapClosedError where
-        a pivot falls below the singularity tolerance."""
+    # one matrix per stack: the branches below follow the dimension, not a
+    # stack, which at d <= 128 may be a trailing stack of one
+    alone = stack_length(model.dim) == 1
+
+    def factor_at(theta):
+        """LU and principal phase of ``model(theta) - e_ref``; GapClosedError
+        where a pivot falls below the singularity tolerance."""
         try:
-            factors, scale = factor_shifted(matrix, e_ref)
+            if alone:
+                factors, scale = factor_model(model, theta, e_ref)
+            else:
+                factors, scale = factor_shifted(model(theta), e_ref)
             return factors, phase_from_factors(factors, scale, e_ref)[1]
         except SpectrumHitError as exc:
             raise GapClosedError(theta, e_ref) from exc
 
     def phase_at(theta):
-        return factor_at(model(theta), theta)[1]
+        return factor_at(theta)[1]
 
     tracker = _PhaseTracker(phase_at, n_grid)
     with blas_threads_for(model.dim):
-        for start, stack in twist_stacks(model, grid):
-            # the branch follows the dimension, not this stack, which may be a
-            # trailing stack of one
-            if stack_length(stack.shape[1]) > 1:
+        if alone:  # factored point by point, as refinement midpoints are
+            for k, theta in enumerate(grid):
+                factors, base_phases[k] = factor_at(theta)
+                if spectra is None:
+                    dists[k] = _nearest_distance(factors, model, theta, e_ref)
+                del factors  # free them before the next point is factored
+        else:
+            for start, stack in twist_stacks(model, grid):
                 points = slice(start, start + len(stack))
                 if spectra is None:  # one batched eigensolve per stack
                     dists[points] = np.abs(stack_eigvals(stack, grid[points])
@@ -233,12 +250,6 @@ def many_body_winding(model, e_ref: complex = 0.0,
                 if singular.any():  # factored alone, the first one in grid order raises
                     phase_at(grid[start + int(np.flatnonzero(singular)[0])])
                 del stack  # free it before the next one is built
-            else:  # alone in its stack: factored as a refinement midpoint is
-                factors, base_phases[start] = factor_at(stack[0], grid[start])
-                del stack  # the factors hold no reference to it
-                if spectra is None:
-                    dists[start] = _nearest_distance(factors, model, grid[start], e_ref)
-                del factors  # free them before the next matrix is built
         try:
             total = tracker.run(base_phases.tolist())
         except WindingUnresolvedError as exc:

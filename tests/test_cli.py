@@ -362,17 +362,24 @@ def test_cli_import_loads_only_linalg_from_scipy():
     """A run imports scipy.linalg up front (every LU needs it, and the BLAS
     thread pin finds scipy's OpenBLAS through it); the oracle, k-d tree,
     sparse (band ordering) and ARPACK modules and the check suite load only
-    when a task uses them."""
+    when a task uses them.  Building a sector model orders no band: that
+    waits for its first band factor."""
     import pointgap
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(pointgap.__file__)))
-    code = ("import sys, pointgap.cli; print(' '.join(m for m in ('scipy.linalg', "
-            "'scipy.optimize', 'scipy.spatial', 'scipy.sparse', 'scipy.sparse.csgraph', "
-            "'scipy.sparse.linalg', 'pointgap.checks') if m in sys.modules))")
+    code = ("import sys, pointgap.cli\n"
+            "from pointgap.models import ChainParams, chain_model\n"
+            "def loaded():\n"
+            "    print(' '.join(m for m in ('scipy.linalg', 'scipy.optimize', "
+            "'scipy.spatial', 'scipy.sparse', 'scipy.sparse.csgraph', "
+            "'scipy.sparse.linalg', 'pointgap.checks') if m in sys.modules))\n"
+            "loaded()\n"
+            "assert chain_model(ChainParams(length=7, j=1.0, v=1.0), 4, 1).dim == 182\n"
+            "loaded()\n")
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True, timeout=120)
-    assert proc.stdout.split() == ["scipy.linalg"]
+    assert proc.stdout.splitlines() == ["scipy.linalg", "scipy.linalg"]
 
 
 def test_main_presets_listing(tmp_path, capsys):

@@ -315,6 +315,24 @@ def test_restrict_builds_the_kept_block(model, mask):
             np.testing.assert_array_equal(sub(theta), model(theta)[np.ix_(keep, keep)])
 
 
+def test_restrict_orders_its_own_band():
+    """A restricted model does not keep its parent's band: it orders the
+    kept block's pattern, and factors as its own matrices do, bit for bit."""
+    from pointgap.spectral import factor_model, factor_shifted
+
+    model = chain_model(ChainParams(length=7, j=1.0, v=1.0), 5, -1)
+    assert model.band_layout is not None and len(model.band_layout.perm) == model.dim
+    keep = np.random.default_rng(4).random(model.dim) < 0.5
+    sub = model.restrict(keep)
+    assert sub.dim > 128 and sub.band_layout is not model.band_layout
+    assert len(sub.band_layout.perm) == sub.dim
+    got, got_scale = factor_model(sub, 1.1, 0.3j)
+    want, want_scale = factor_shifted(sub(1.1), 0.3j)
+    assert got_scale == want_scale and (got.kl, got.ku) == (want.kl, want.ku)
+    for name in ("lu", "piv", "perm"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+
 def test_one_body_basis_refuses_outsiders_by_name():
     basis = one_body_model(DotParams()).basis
     assert repr(basis) == "SectorBasis(N=1, P=both, dim=4)"

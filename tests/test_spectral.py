@@ -23,6 +23,7 @@ from pointgap.spectral import (
     SpectrumHitError,
     cluster_labels,
     eigendecompose,
+    factor_model,
     factor_shifted,
     factor_stack,
     logdet_phase,
@@ -321,7 +322,7 @@ def test_factor_stack_matches_factor_shifted(model, theta, ref):
 def _band_cases():
     for n, parity in ((4, 1), (4, -1), (5, 1), (5, -1)):
         for jv in (0.0, 1.0):
-            for bc in ("twisted", "open"):
+            for bc in ("twisted", "open", "periodic"):
                 p = ChainParams(length=7, t=1.0, j=jv, v=jv, bc=bc)
                 yield pytest.param(p, n, parity,
                                    id=f"({n},{parity:+d})-jv{jv:g}-boundary-{bc}")
@@ -330,13 +331,21 @@ def _band_cases():
 @pytest.mark.parametrize("params, n, parity", _band_cases())
 def test_band_lu_matches_dense(params, n, parity):
     """Band and dense LUs give the same log|det| and phase; at J = V = 0 the
-    pattern's graph falls apart into disconnected blocks."""
+    pattern's graph falls apart into disconnected blocks.  The band a model
+    orders from its term list (``factor_model``) is the band of its scanned
+    matrix, bit for bit."""
     # the open chain at J = V = 0 is nilpotent, and M - E is ill-conditioned
     # for small E (condition number 7e14 at 0.05 + 0.3i, 84 at 2 + i)
-    ref = 0.05 + 0.3j if params.bc == "twisted" else 2.0 + 1.0j
-    a = chain_model(params, n, parity)(1.1)
+    ref = 2.0 + 1.0j if params.bc == "open" else 0.05 + 0.3j
+    model = chain_model(params, n, parity)
+    a = model(1.1)
     factors, scale = factor_shifted(a, ref)
     assert factors.perm is not None and factors.lu.shape[0] < factors.dim
+    from_model, model_scale = factor_model(model, 1.1, ref)
+    assert model_scale == scale
+    assert (from_model.kl, from_model.ku) == (factors.kl, factors.ku)
+    for name in ("lu", "piv", "perm"):
+        np.testing.assert_array_equal(getattr(from_model, name), getattr(factors, name))
     log_mag, phase = phase_from_factors(factors, scale, ref)
     log_ref, phase_ref = phase_from_factors(_dense_lu(a, ref), scale, ref)
     assert abs(log_mag - log_ref) <= 1e-12 * abs(log_ref)

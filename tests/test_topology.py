@@ -294,6 +294,35 @@ def test_gap_closed_through_band_lu_names_its_theta(matrix_flow):
     assert isinstance(info.value.__cause__, SpectrumHitError)
 
 
+def test_band_winding_orders_once_and_builds_no_matrix(monkeypatch):
+    """At d = 182 every point, refinement midpoints included, is factored
+    from the model's pattern: no dense H(theta) is built, and the band is
+    ordered once per model."""
+    import scipy.sparse.csgraph
+
+    from pointgap.spectral import stack_length
+
+    orderings = []
+    rcm = scipy.sparse.csgraph.reverse_cuthill_mckee
+
+    def counting_rcm(*args, **kwargs):
+        orderings.append(args)
+        return rcm(*args, **kwargs)
+
+    def no_stack(self, thetas):  # model(theta) builds through stack too
+        raise AssertionError("a dense H(theta) was built")
+    monkeypatch.setattr(scipy.sparse.csgraph, "reverse_cuthill_mckee", counting_rcm)
+    monkeypatch.setattr(SectorModel, "stack", no_stack)
+    n_grid = 16
+    model = chain_model(ChainParams(length=7, j=0.0, v=0.0), 4, 1)
+    assert model.dim == 182 and stack_length(model.dim) == 1
+    res = many_body_winding(model, 0.3j, n_grid=n_grid)
+    assert res.grid_size_used > n_grid + 1  # midpoints were factored too
+    assert len(orderings) == 1
+    many_body_winding(model, 0.5j, n_grid=n_grid)  # the model keeps its band
+    assert len(orderings) == 1
+
+
 # ---------------------------------------------------------------------------
 # gap margins over the base grid
 # ---------------------------------------------------------------------------
@@ -439,17 +468,19 @@ def two_blas_threads():
 
 def _record_threads_during_lu(monkeypatch):
     """Thread counts seen by each LU of a winding: one per base-grid stack
-    (``factor_stack``) and one per point factored alone (``factor_shifted``)."""
+    (``factor_stack``), one per small matrix factored alone
+    (``factor_shifted``) and one per point of a matrix alone in its stack
+    (``factor_model``)."""
     import pointgap.topology as topology
 
     seen = []
 
     def recording(original):
-        def lu(a, ref):
+        def lu(*args):
             seen.append(_thread_counts())
-            return original(a, ref)
+            return original(*args)
         return lu
-    for name in ("factor_shifted", "factor_stack"):
+    for name in ("factor_shifted", "factor_stack", "factor_model"):
         monkeypatch.setattr(topology, name, recording(getattr(topology, name)))
     return seen
 
@@ -457,9 +488,15 @@ def _record_threads_during_lu(monkeypatch):
 def test_small_sector_wound_on_one_thread(two_blas_threads, monkeypatch):
     seen = _record_threads_during_lu(monkeypatch)
     p = ChainParams(length=7, t=1.0, j=1.0, v=1.0)
-    many_body_winding(chain_model(p, 3, -1), 0.0, n_grid=32)
-    assert seen and all(counts == [1] * len(counts) for counts in seen)
-    assert _thread_counts() == two_blas_threads
+    # stacked (d = 28), and alone in its stack (d = 182)
+    for sector, dim, ref in (((3, -1), 28, 0.0), ((4, 1), 182, 0.3j)):
+        model = chain_model(p, *sector)
+        assert model.dim == dim
+        start = len(seen)
+        many_body_winding(model, ref, n_grid=32)
+        assert len(seen) > start
+        assert all(counts == [1] * len(counts) for counts in seen[start:])
+        assert _thread_counts() == two_blas_threads
 
 
 def test_spin_winding_halves_wound_on_one_thread(two_blas_threads, monkeypatch):
