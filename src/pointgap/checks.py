@@ -13,6 +13,7 @@ import numpy as np
 
 from . import fock
 from .models import (
+    P_PLUS,
     ChainParams,
     DotParams,
     chain_model,
@@ -321,6 +322,34 @@ def check_gap_margin_distance():
     return worst < 1e-12, f"max relative deviation from the eigvals distance {worst:.2e}"
 
 
+def check_mirror_symmetry():
+    """Site reflection times spin flip maps H(theta) to H(-theta) on the
+    even-N chain sectors (4,+1) and (4,-1), and is refused where it does
+    not: odd N, the dot at unequal spin potentials, and a (4,+1) model with
+    one boundary amplitude scaled."""
+    for jv in (0.0, 1.0):
+        for parity in (1, -1):
+            if not chain_model(ChainParams(length=7, j=jv, v=jv), 4, parity).mirror_symmetric:
+                return False, f"chain (4,{parity:+d}) at J = V = {jv} not mirror-symmetric"
+    p = ChainParams(length=7, j=1.0, v=1.0)
+    skewed = chain_model(p, 4, 1)
+    rows, cols, amps, slots = skewed._coo
+    amps = amps.copy()
+    amps[np.flatnonzero(slots == P_PLUS)[0]] *= 1.5
+    skewed._coo = (rows, cols, amps, slots)
+    for label, model in (("chain (3,-1)", chain_model(p, 3, -1)),
+                         ("chain (5,+1)", chain_model(p, 5, 1)),
+                         ("dot (2,+1)", dot_model(REFERENCE_DOT_INT, 2, 1)),
+                         ("skewed chain (4,+1)", skewed)):
+        if model.mirror_symmetric:
+            return False, f"{label} reported mirror-symmetric"
+    model = chain_model(p, 4, 1)
+    worst = eigenvalue_match(np.linalg.eigvals(model(1.1)),
+                             np.linalg.eigvals(model(2.0 * np.pi - 1.1)))[0]
+    return worst < 1e-12, (f"(4,+-1) symmetric, 4 refusals hold; (4,+1) spectra at "
+                           f"theta = 1.1 and 2 pi - 1.1 differ by {worst:.2e} (tol 1e-12)")
+
+
 CHECKS = [
     ("fermionic anticommutation (8 modes, exhaustive)", check_anticommutation),
     ("sector block structure (dot, chain L=3)", check_block_structure),
@@ -332,6 +361,7 @@ CHECKS = [
     ("dot closed-form spectra", check_dot_closed_forms),
     ("chain first-order splitting scaling", check_chain_splitting_scaling),
     ("gap margin is the nearest-eigenvalue distance", check_gap_margin_distance),
+    ("mirror symmetry of even-N chain sectors", check_mirror_symmetry),
 ]
 
 

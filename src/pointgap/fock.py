@@ -236,6 +236,32 @@ def apply_ops_array(states: np.ndarray, ops):
     return index, out, 1.0 - 2.0 * odd
 
 
+def mirror_modes(layout: ModeLayout) -> list:
+    """Image of each mode under site reflection j -> L-1-j times spin flip;
+    the dot's one site maps to itself."""
+    last = max(site for site, _, _ in layout.labels)
+    flip = {UP: DOWN, DOWN: UP}
+    return [layout.mode(last - site, orbital, flip[spin])
+            for site, orbital, spin in layout.labels]
+
+
+def permute_modes_array(states: np.ndarray, image):
+    """The states with each mode m moved to mode ``image[m]``, and the
+    fermionic signs as +-1.0: the parity of the pairs of occupied modes whose
+    images come in the opposite order (a state's creators stand in ascending
+    mode order, as ``sign_below`` counts them)."""
+    states = np.asarray(states, dtype=np.uint64)
+    out = np.zeros_like(states)
+    odd = np.zeros(len(states), dtype=np.uint8)
+    for m, target in enumerate(image):
+        occupied = (states >> np.uint64(m)) & np.uint64(1)
+        # occupied modes below m whose images lie above m's
+        crossed = np.uint64(sum(1 << k for k in range(m) if image[k] > target))
+        odd ^= (occupied & np.bitwise_count(states & crossed)).astype(np.uint8) & 1
+        out |= occupied << np.uint64(target)
+    return out, 1.0 - 2.0 * odd
+
+
 def spin_flip_ops(layout: ModeLayout, site: int, orbital: str, raise_spin: bool):
     """Elementary-operator factorization of S^+ (or S^-) at one site/orbital."""
     m_up = layout.mode(site, orbital, UP)

@@ -41,7 +41,9 @@ the layout LAPACK works in, so a factorization can take one (or a copy of
 one) as it is.  A matrix too large to share a stack (d > 128) is not built
 for a winding at all: the model hands ``spectral`` its entries at theta
 (``values``) and the band ordering of its theta-independent pattern
-(``band_layout``, made at its first band factor and kept).
+(``band_layout``, made at its first band factor and kept).  A model also
+says, at first use, whether site reflection times spin flip maps its
+H(theta) to H(-theta) (``mirror_symmetric``), checked on its term list.
 """
 
 from __future__ import annotations
@@ -308,6 +310,47 @@ class SectorModel:
         rows, cols = self._coo[:2]
         return spectral.band_layout(rows, cols, self.dim)
 
+    @cached_property
+    def mirror_symmetric(self) -> bool:
+        """Whether R H(theta) R^-1 = H(-theta) on this basis, R being site
+        reflection times spin flip (``fock.mirror_modes``) as a signed
+        permutation of the basis states.
+
+        Checked on the term list, not assumed: summed per (row, col) and
+        phase slot, the R-mapped ``P_ONE``, ``P_PLUS`` and ``P_MINUS``
+        entries must equal the ``P_ONE``, ``P_MINUS`` and ``P_PLUS`` ones
+        exactly.  False where R maps a state outside the basis: an odd-N
+        chain sector goes to (N, -P), and a ``restrict``ed basis may not be
+        closed.  Where it holds, every H(theta) has the spectrum of
+        H(2 pi - theta), so det[H(theta) - E] is even in theta.  Made at
+        first use and kept.
+        """
+        basis = self.basis
+        images, signs = fock.permute_modes_array(basis.states,
+                                                 fock.mirror_modes(basis.layout))
+        try:
+            perm = basis.index_of(images)
+        except KeyError:
+            return False
+        rows, cols, amps, slots = self._coo
+        d = self.dim
+
+        def summed(r, c, a):
+            keys, inverse = np.unique(r * d + c, return_inverse=True)
+            sums = np.zeros(len(keys), dtype=complex)
+            np.add.at(sums, inverse, a)
+            nonzero = sums != 0
+            return keys[nonzero], sums[nonzero]
+
+        for slot, partner in ((P_ONE, P_ONE), (P_PLUS, P_MINUS), (P_MINUS, P_PLUS)):
+            mine, theirs = slots == slot, slots == partner
+            r, c = rows[mine], cols[mine]
+            mapped = summed(perm[r], perm[c], signs[r] * signs[c] * amps[mine])
+            own = summed(rows[theirs], cols[theirs], amps[theirs])
+            if not all(np.array_equal(x, y) for x, y in zip(mapped, own)):
+                return False
+        return True
+
     def restrict(self, keep) -> "SectorModel":
         """The model on the basis states selected by the boolean mask ``keep``.
 
@@ -324,7 +367,8 @@ class SectorModel:
         sub.basis = SectorBasis(basis.layout, basis.n, basis.parity, basis.states[keep])
         sub._coo = (position[rows[inside]], position[cols[inside]], amps[inside],
                     slots[inside])
-        sub.__dict__.pop("band_layout", None)  # the kept block orders its own band
+        for cached in ("band_layout", "mirror_symmetric"):  # the kept block makes its own
+            sub.__dict__.pop(cached, None)
         return sub
 
     def matrix(self, theta: float) -> np.ndarray:

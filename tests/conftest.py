@@ -13,7 +13,10 @@ class MatrixFlow:
     of the ``SectorModel`` interface the engine uses: ``dim``, ``stack``,
     ``__call__`` and, for matrices alone in their stack, the pattern pair
     ``band_layout`` and ``values``.  The pattern is every entry nonzero at
-    one of the 17 twists of ``theta_grid(16)``."""
+    one of the 17 twists of ``theta_grid(16)``.  No mirror symmetry is
+    claimed, so every base-grid point gets its own gap margin."""
+
+    mirror_symmetric = False
 
     def __init__(self, fn):
         self.fn = fn

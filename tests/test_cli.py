@@ -294,6 +294,21 @@ def test_main_computation_error_exit_code(tmp_path, capsys):
     assert "computation error" in err and "sector" in err
 
 
+def test_main_mirror_certificate_exit_code(tmp_path, capsys, monkeypatch):
+    # a nonzero winding of the mirror-symmetric chain (4,+1) is refused
+    from pointgap import topology
+
+    monkeypatch.setattr(topology._PhaseTracker, "run", lambda self, phases: 2.0 * np.pi)
+    cfg_path = tmp_path / "mirror.json"
+    cfg_path.write_text(json.dumps(_cfg(model="chain", task="winding", sector=[4, 1],
+                                        params={"length": 7, "j": 1.0, "v": 1.0},
+                                        e_ref=[0.0, 0.3], n_grid=16)))
+    code = main(["run", str(cfg_path), "--output-dir", str(tmp_path / "o")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "mirror-symmetric" in err and "W = 1" in err
+
+
 @pytest.mark.parametrize("model, task, params, sector, message", [
     ("chain", "winding", {"length": 7}, [1, -1],
      "incompatible with singly occupied edge b sites"),

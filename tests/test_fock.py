@@ -14,6 +14,8 @@ from pointgap.fock import (
     dot_layout,
     edge_b_constraints,
     enumerate_sector,
+    mirror_modes,
+    permute_modes_array,
     spin_flip_ops,
 )
 from pointgap.models import ChainParams, chain_sector_basis
@@ -228,3 +230,27 @@ def test_candidate_limit_refuses_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_mirror_modes_reflect_sites_and_flip_spins():
+    lay = chain_layout(3)
+    image = mirror_modes(lay)
+    assert sorted(image) == list(range(lay.n_modes))
+    assert image[lay.mode(0, "a", "up")] == lay.mode(2, "a", "dn")
+    assert image[lay.mode(1, "a", "dn")] == lay.mode(1, "a", "up")
+    assert image[lay.mode(2, "b", "up")] == lay.mode(0, "b", "dn")
+    dot = dot_layout()
+    assert mirror_modes(dot) == [dot.mode(0, "a", "dn"), dot.mode(0, "a", "up"),
+                                 dot.mode(0, "b", "dn"), dot.mode(0, "b", "up")]
+
+
+def test_permute_modes_array_matches_creation_in_image_order():
+    # a state is its creators in ascending mode order on the vacuum; moving
+    # each to its image gives the permuted state with the sign of apply_ops
+    lay = chain_layout(3)
+    image = mirror_modes(lay)
+    states = np.random.default_rng(5).integers(0, 1 << lay.n_modes, 300, dtype=np.uint64)
+    out, signs = permute_modes_array(states, image)
+    for state, got, sign in zip(states.tolist(), out.tolist(), signs.tolist()):
+        ops = tuple((image[m], True) for m in range(lay.n_modes) if state >> m & 1)
+        assert apply_ops(0, ops) == (got, sign)

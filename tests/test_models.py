@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pointgap.fock import apply_ops, dot_layout
+from pointgap.fock import apply_ops, dot_layout, mirror_modes, permute_modes_array
 from pointgap.models import (
     EDGE_CONVENTIONS,
     P_ONE,
@@ -331,6 +331,32 @@ def test_restrict_orders_its_own_band():
     assert got_scale == want_scale and (got.kl, got.ku) == (want.kl, want.ku)
     for name in ("lu", "piv", "perm"):
         np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+
+@pytest.mark.parametrize("bc", ["twisted", "periodic", "open"])
+@pytest.mark.parametrize("parity", [1, -1])
+def test_mirror_conjugates_h_theta_to_h_minus_theta(bc, parity):
+    """The signed permutation R of an even-N chain sector gives
+    R H(theta) R^T = H(-theta) on the dense matrices, bit for bit."""
+    model = chain_model(ChainParams(length=5, j=0.7, v=0.4, bc=bc), 4, parity)
+    assert model.mirror_symmetric
+    images, signs = permute_modes_array(model.basis.states,
+                                        mirror_modes(model.basis.layout))
+    r = np.zeros((model.dim, model.dim))
+    r[model.basis.index_of(images), np.arange(model.dim)] = signs
+    for theta in (0.0, 1.1, 2.9):
+        np.testing.assert_array_equal(r @ model(theta) @ r.T, model(-theta))
+
+
+def test_mirror_of_the_dot_and_of_restricted_models():
+    # the refusals of odd N, unequal dot potentials and a skewed amplitude
+    # are in checks.check_mirror_symmetry
+    assert dot_model(replace(FIG_DOT, eps_a_dn=0.2, eps_b_dn=0.35), 2, 1).mirror_symmetric
+    model = chain_model(ChainParams(length=7, j=1.0, v=1.0), 4, 1)
+    assert model.mirror_symmetric
+    # the cached value is not carried into a restricted model
+    assert model.restrict(np.ones(model.dim, dtype=bool)).mirror_symmetric
+    assert not model.restrict(np.arange(model.dim) < 100).mirror_symmetric
 
 
 def test_one_body_basis_refuses_outsiders_by_name():

@@ -411,13 +411,57 @@ def test_arpack_margin_is_nearest_distance(jv, monkeypatch):
     again = many_body_winding(model, ref, n_grid=n_grid)
     assert (again.gap_margin, again.margin_theta) == (res.gap_margin, res.margin_theta)
 
+    # the sector is mirror-symmetric: the spectra at theta and 2 pi - theta
+    # agree, and only the points theta <= pi are eigensolved
+    assert model.mirror_symmetric
+    for k in range(n_grid + 1):
+        assert abs(dists[k] - dists[n_grid - k]) <= 1e-12 * dists[k]
+    half = dists[: n_grid // 2 + 1]
+
     def no_convergence(*args, **kwargs):
         raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((182, 0)))
     monkeypatch.setattr(scipy.sparse.linalg, "eigs", no_convergence)
     fallback = many_body_winding(model, ref, n_grid=n_grid)
-    assert fallback.gap_margin == best
-    assert fallback.margin_theta == grid[int(np.argmin(dists))]
+    assert fallback.gap_margin == min(half)
+    assert fallback.margin_theta == grid[int(np.argmin(half))]
     assert fallback.value == res.value
+
+
+@pytest.mark.parametrize("sector, calls", [((4, 1), 9), ((5, 1), 17)])
+def test_mirror_halves_the_arpack_margins(sector, calls, monkeypatch):
+    """An even-N chain sector gets its ARPACK margins at theta <= pi only (9
+    of 17 points at n_grid 16), and its margin_theta lies there; an odd-N
+    one gets a margin at every point."""
+    import scipy.sparse.linalg
+
+    from pointgap.spectral import theta_grid
+
+    eigs = scipy.sparse.linalg.eigs
+    count = [0]
+
+    def counted(*args, **kwargs):
+        count[0] += 1
+        return eigs(*args, **kwargs)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigs", counted)
+    model = chain_model(ChainParams(length=7, j=1.0, v=1.0), *sector)
+    res = many_body_winding(model, 0.3j, n_grid=16)
+    assert count[0] == calls
+    assert model.mirror_symmetric == (calls == 9)
+    assert res.margin_theta in list(theta_grid(16))
+    if model.mirror_symmetric:
+        assert res.margin_theta <= np.pi
+
+
+def test_mirror_symmetric_sector_refuses_a_nonzero_winding(monkeypatch):
+    """det[H(theta) - E] of a mirror-symmetric sector is even in theta, so a
+    nonzero tracker result is refused, naming the sector and W."""
+    from pointgap import topology
+    from pointgap.spectral import SpectralError
+
+    monkeypatch.setattr(topology._PhaseTracker, "run", lambda self, phases: 2.0 * np.pi)
+    model = chain_model(ChainParams(length=7, j=1.0, v=1.0), 4, 1)
+    with pytest.raises(SpectralError, match=r"sector \(4, 1\).*W = 1"):
+        many_body_winding(model, 0.3j, n_grid=16)
 
 
 def test_trailing_stack_of_one_keeps_eigvals_margin(matrix_flow):
