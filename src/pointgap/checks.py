@@ -36,10 +36,9 @@ from .topology import many_body_winding, spin_winding
 REFERENCE_DOT = DotParams(lam=1.0, eps_a_up=0.2, eps_a_dn=-0.1,
                           eps_b_up=0.35, eps_b_dn=-0.25)
 REFERENCE_DOT_INT = replace(REFERENCE_DOT, j=1.0, v=1.0)
-# the chain couplings where the first-order splitting formulas apply; they
-# diagonalize the first-order block in the exchange-imag bookkeeping
-REFERENCE_CHAIN_WEAK = ChainParams(length=7, t=1.0, j=0.02, v=0.03,
-                                   edge_convention="exchange-imag")
+# weak chain couplings where the first-order splitting formulas apply: edge
+# amplitudes (exchange, pair) = (0.02, 0.03i)
+REFERENCE_CHAIN_WEAK = ChainParams(length=7, t=1.0, j=0.04, v=0.03)
 
 DOT_ORACLE_THETAS = np.linspace(0.0, 2.0 * np.pi, 65)
 # clear of the isolated angles (pi, 2 pi) where hopping modes from different
@@ -280,9 +279,9 @@ def check_occupation_sum_rules():
             want = round(a_total) if n_a is None else n_a
             if abs(a_total - want) > tol:
                 return False, f"{label}: sum rule off by {abs(a_total-want):.2e}"
-    # noninteracting periodic states are site-uniform per spin
-    model = chain_model(ChainParams(length=7, bc="periodic"), 3, -1)
-    profiles = occupation_profiles(model.matrix(1.0), model.basis)
+    # noninteracting periodic (theta = 0) states are site-uniform per spin
+    model = chain_model(ChainParams(length=7), 3, -1)
+    profiles = occupation_profiles(model.matrix(0.0), model.basis)
     worst = 0.0
     for prof in profiles:
         for spin in (fock.UP, fock.DOWN):

@@ -18,9 +18,10 @@ entries are exactly periodic in theta.  Spreading the twist as
 ``e^{+-i theta/L}`` over every link is a diagonal gauge transformation of
 this matrix (Niu, Thouless & Wu, PRB 31, 3372 (1985)): it leaves the
 spectrum, the phase of det[H(theta) - E] and the occupations |v|^2
-unchanged, so only the boundary-link form is built.  A periodic chain
-closes its ring with plain hops and an open one drops the boundary link, so
-their terms do not depend on theta.
+unchanged, so only the boundary-link form is built.  The periodic chain is
+the twisted one at theta = 0.  An open chain (``bc="open"``) drops the
+boundary link, so its terms do not depend on theta.  Both edges carry the
+same spin-exchange and spin-pair amplitudes (``edge_amplitudes``).
 
 A ``SectorModel`` (from ``dot_model`` or ``chain_model``) is the one way to
 build a sector Hamiltonian: it keeps the sparse term list of one model and
@@ -130,28 +131,17 @@ def deformation_params(base: DotParams, path: str, s: float) -> DotParams:
     raise ValueError(f"unknown deformation path {path!r}")
 
 
-# Coefficients (exchange, pair) multiplying (S+_a S-_b + S-_a S+_b) and
-# (S+_a S+_b + S-_a S-_b) at the chain edges.  The two conventions build
-# different matrices: "exchange-half" is the default, "exchange-imag" is the
-# variant the first-order splitting formulas of the oracle module
-# diagonalize (see oracles.chain_first_order_eigenvalues).  A full-strength
-# exchange J is "exchange-half" at 2J.
-EDGE_CONVENTIONS = {
-    "exchange-half": lambda j, v: (0.5 * j + 0j, 1j * v),
-    "exchange-imag": lambda j, v: (1j * j, v + 0j),
-}
-
-
 @dataclass(frozen=True)
 class ChainParams:
-    """Extended ring chain: L sites, hop t, edge couplings J and V."""
+    """Extended ring chain: L sites, hop t, edge couplings J and V (see
+    ``edge_amplitudes``); ``bc`` is twisted (theta = 0 is the periodic ring)
+    or open."""
 
     length: int
     t: float = 1.0
     j: float = 0.0
     v: float = 0.0
-    bc: str = "twisted"           # twisted | periodic | open
-    edge_convention: str = "exchange-half"
+    bc: str = "twisted"           # twisted | open
 
     def __post_init__(self):
         # 2L itinerant modes and four edge b modes in one bitset
@@ -161,10 +151,8 @@ class ChainParams:
             raise ValueError(
                 f"length must be an integer in [2, {max_length}], got {self.length!r} "
                 f"(layouts above {MAX_MODES} modes are not supported)")
-        if self.bc not in ("twisted", "periodic", "open"):
+        if self.bc not in ("twisted", "open"):
             raise ValueError(f"unknown bc {self.bc!r}")
-        if self.edge_convention not in EDGE_CONVENTIONS:
-            raise ValueError(f"unknown edge_convention {self.edge_convention!r}")
         _require_finite(self, ("t", "j", "v"))
 
 
@@ -209,23 +197,24 @@ def dot_terms(p: DotParams):
     return lay, terms
 
 
+def edge_amplitudes(p: ChainParams):
+    """(exchange, pair) = (J/2, iV): the chain's coefficients of
+    (S+_a S-_b + S-_a S+_b) and (S+_a S+_b + S-_a S-_b) at each edge site."""
+    return 0.5 * p.j, 1j * p.v
+
+
 def chain_terms(p: ChainParams):
     lay = chain_layout(p.length)
     L = p.length
     terms = []
-    for j in range(L):
-        boundary = j == L - 1
-        if boundary and p.bc == "open":
-            continue
-        up_slot, dn_slot = P_ONE, P_ONE
-        if boundary and p.bc == "twisted":
-            up_slot, dn_slot = P_PLUS, P_MINUS
+    for j in range(L - 1 if p.bc == "open" else L):
+        up_slot, dn_slot = (P_PLUS, P_MINUS) if j == L - 1 else (P_ONE, P_ONE)
         jn = (j + 1) % L
         terms.append(_hop_term(lay.mode(jn, "a", "up"), lay.mode(j, "a", "up"),
                                p.t, up_slot))
         terms.append(_hop_term(lay.mode(j, "a", "dn"), lay.mode(jn, "a", "dn"),
                                p.t, dn_slot))
-    exchange, pair = EDGE_CONVENTIONS[p.edge_convention](p.j, p.v)
+    exchange, pair = edge_amplitudes(p)
     for site in (0, L - 1):
         terms += _edge_coupling_terms(lay, site, exchange, pair)
     return lay, terms

@@ -11,12 +11,13 @@ The dot formulas scale the in-root sine term by the hopping amplitude,
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .models import ChainParams, DotParams
+from .models import ChainParams, DotParams, edge_amplitudes
 
 GEOM_EPS = 1e-12
 
@@ -54,12 +55,17 @@ def dot_sector2m1_eigenvalues(p: DotParams, theta: float):
 def chain_splitting_coefficients(p: ChainParams, n: int):
     """Hopping-mode phase and the two squared splitting amplitudes of the
     first-order quadruplet treatment; both are complex through the mode
-    phase in the prefactor."""
-    L, t, J, V = p.length, p.t, p.j, p.v
+    phase in the prefactor.
+
+    With x and y the model's edge amplitudes (``models.edge_amplitudes``),
+    c^2 = [(x^2 + y^2) +- sqrt(x^4 + y^4 + 2 x^2 y^2 Re om^4)] / (t om L)^2.
+    """
+    L, t = p.length, p.t
+    x2, y2 = (a * a for a in edge_amplitudes(p))
     om = np.exp(2j * np.pi * n / L)
-    inner = math.sqrt(max(V**4 + J**4 - 2.0 * V**2 * J**2 * (om**4).real, 0.0))
+    inner = cmath.sqrt(x2**2 + y2**2 + 2.0 * x2 * y2 * (om**4).real)
     pref = 1.0 / (t * om * L) ** 2
-    return om, pref * ((V**2 - J**2) + inner), pref * ((V**2 - J**2) - inner)
+    return om, pref * ((x2 + y2) + inner), pref * ((x2 + y2) - inner)
 
 
 def chain_first_order_eigenvalues(p: ChainParams, n: int, theta: float):
@@ -67,9 +73,9 @@ def chain_first_order_eigenvalues(p: ChainParams, n: int, theta: float):
 
     Valid for small couplings; both square-root branches are emitted so no
     solution is dropped by the principal-branch choice.  These formulas
-    diagonalize the degenerate first-order block of the edge coupling in its
-    ``exchange-imag`` bookkeeping (see models.EDGE_CONVENTIONS).  They spread
-    the twist as theta / L over every link, a gauge transformation of the
+    diagonalize the degenerate first-order block of the edge coupling in the
+    model's own amplitudes (``models.edge_amplitudes``).  They spread the
+    twist as theta / L over every link, a gauge transformation of the
     models' boundary-link twist with the same eigenvalues.
     """
     L, t = p.length, p.t

@@ -128,8 +128,9 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
     if task in ("skin", "deform") and sector is None:
         raise ConfigError(f"task {task!r} requires a sector")
-    if task == "oracle-check" and model == "chain" and sector is None:
-        raise ConfigError("chain oracle-check requires a sector")
+    if task == "oracle-check" and model == "chain" and (sector is None or sector[0] != 3):
+        # the first-order formulas give the 4L quadruplet levels of N = 3
+        raise ConfigError("chain oracle-check requires a sector with N = 3")
     if task == "skin" and (model != "chain" or params.bc != "twisted"):
         raise ConfigError("skin task is defined for the chain model with bc 'twisted'")
 
@@ -245,7 +246,7 @@ PRESETS = {
         model="chain", params=_chain(), sector=[9, -1], task="winding",
         e_ref=[-0.04, 0.0], n_grid=64),
     "figS6": _preset(
-        "chain (9,-1) open-vs-periodic comparison at J = V = 1 "
+        "chain (9,-1) open-vs-twisted comparison at J = V = 1 "
         "(dim 6864: needs --allow-heavy, hours of runtime)",
         model="chain", params=_chain(j=1.0, v=1.0), sector=[9, -1], task="skin",
         e_ref=[-0.04, 0.0], n_grid=32),

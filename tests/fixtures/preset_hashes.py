@@ -26,8 +26,7 @@ ORACLE_CONFIGS = {
                    "eps_b_up": 0.35, "eps_b_dn": -0.25, "j": 1.0, "v": 1.0}},
     "oracle-chain": {
         "model": "chain", "task": "oracle-check", "sector": [3, -1],
-        "params": {"length": 7, "t": 1.0, "j": 0.02, "v": 0.03,
-                   "edge_convention": "exchange-imag"}},
+        "params": {"length": 7, "t": 1.0, "j": 0.04, "v": 0.03}},
 }
 
 _DOT = {"lam": 1.0, "eps_a_up": 0.2, "eps_a_dn": -0.1, "eps_b_up": 0.35, "eps_b_dn": -0.25}

@@ -207,11 +207,10 @@ def test_criterion_6_heavy_half_filled_windings():
 
 def test_criterion_7_perturbation_oracle():
     t0 = time.perf_counter()
-    # the splitting formulas diagonalize the first-order block in the
-    # exchange-imag bookkeeping, so the comparison runs in that convention;
-    # they spread the twist over every link, which has the eigenvalues of
-    # the model's boundary-link twist
-    p = ChainParams(length=7, t=1.0, j=0.02, v=0.03, edge_convention="exchange-imag")
+    # the splitting formulas read the model's own edge amplitudes; they
+    # spread the twist over every link, which has the eigenvalues of the
+    # model's boundary-link twist
+    p = ChainParams(length=7, t=1.0, j=0.04, v=0.03)
     err, err_half = checks_mod.chain_splitting_errors(p, (3, -1))
     ratio = err / err_half
     elapsed = time.perf_counter() - t0

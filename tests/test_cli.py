@@ -229,20 +229,14 @@ def test_fig1_preset_traces_drive_circle(tmp_path):
 
 def test_run_oracle_check_chain(tmp_path):
     base = {"model": "chain", "task": "oracle-check", "sector": [3, -1],
-            "params": {"length": 7, "t": 1.0, "j": 0.02, "v": 0.03}}
+            "params": {"length": 7, "t": 1.0, "j": 0.04, "v": 0.03}}
     with pytest.raises(ConfigError, match="sector"):
         config_from_dict({**base, "sector": None})
-    # the splitting formulas diagonalize the imag-exchange bookkeeping; the
-    # default convention honestly reports first-order (ratio ~2) scaling
-    execute(config_from_dict(base), str(tmp_path / "half"))
-    half = json.loads((tmp_path / "half" / "oracle.json").read_text())
-    assert half["second_order_scaling_ok"] is False
-
-    base["params"]["edge_convention"] = "exchange-imag"
-    execute(config_from_dict(base), str(tmp_path / "imag"))
-    imag = json.loads((tmp_path / "imag" / "oracle.json").read_text())
-    assert imag["second_order_scaling_ok"] is True
-    assert abs(imag["error_ratio_under_halving"] - 4.0) < 0.5
+    # the splitting formulas read the model's own edge amplitudes
+    execute(config_from_dict(base), str(tmp_path))
+    report = json.loads((tmp_path / "oracle.json").read_text())
+    assert report["second_order_scaling_ok"] is True
+    assert abs(report["error_ratio_under_halving"] - 4.0) < 0.5
 
 
 def test_heavy_guard(tmp_path):
@@ -347,14 +341,22 @@ def test_main_unbuildable_sector_is_config_error(tmp_path, capsys, model, task, 
      "params": {"length": 7, "gauge": "distributed"}},
     {"model": "chain", "task": "flow", "n_grid": 16,
      "params": {"length": 7, "edge_convention": "exchange-full"}},
+    {"model": "chain", "task": "flow", "n_grid": 16,
+     "params": {"length": 7, "edge_convention": "exchange-imag"}},
+    {"model": "chain", "task": "flow", "n_grid": 16,
+     "params": {"length": 7, "bc": "periodic"}},
+    {"model": "chain", "task": "oracle-check", "sector": [4, 1],
+     "params": {"length": 7, "j": 0.02, "v": 0.03}},
 ], ids=["e_ref-text", "e_ref-nan", "e_ref-beyond-float", "float-length",
         "one-body-too-long", "bool-parity", "bool-n_path", "skin-open-bc",
-        "skin-periodic-bc", "removed-gauge", "removed-exchange-full"])
+        "skin-periodic-bc", "removed-gauge", "removed-exchange-full",
+        "removed-exchange-imag", "removed-periodic-bc", "oracle-check-beyond-n3"])
 def test_main_bad_config_values_exit_two(tmp_path, capsys, raw):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(raw))
     assert main(["run", str(cfg_path), "--output-dir", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith("config error:")
+    assert not (tmp_path / "o").exists()  # refused before any output
 
 
 def test_main_check_subcommand(capsys, monkeypatch):

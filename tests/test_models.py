@@ -5,7 +5,6 @@ import pytest
 
 from pointgap.fock import apply_ops, dot_layout, mirror_modes, permute_modes_array
 from pointgap.models import (
-    EDGE_CONVENTIONS,
     P_ONE,
     P_PLUS,
     ChainParams,
@@ -103,7 +102,8 @@ def test_noninteracting_dot_sums_of_one_body():
 
 
 def test_chain_one_body_circulant_spectrum():
-    p = ChainParams(length=7, t=1.0, bc="periodic")
+    # the periodic ring is the twisted one at theta = 0
+    p = ChainParams(length=7, t=1.0)
     h = one_body_model(p)(0.0)
     up = h[np.ix_(range(0, 14, 2), range(0, 14, 2))]
     expected = np.exp(2j * np.pi * np.arange(7) / 7)
@@ -120,14 +120,6 @@ def test_chain_open_blocks_are_nilpotent():
 def test_boundary_gauge_entries_periodic():
     model = chain_model(ChainParams(length=5, j=1.0, v=1.0), 3, -1)
     np.testing.assert_allclose(model(2 * np.pi), model(0.0), atol=1e-14)
-
-
-def test_periodic_equals_twisted_at_zero():
-    p_per = ChainParams(length=5, t=1.0, bc="periodic")
-    p_tw = ChainParams(length=5, t=1.0, bc="twisted")
-    periodic, twisted = chain_model(p_per, 3, -1), chain_model(p_tw, 3, -1)
-    for theta in (0.0, 1.0, 3.3):
-        np.testing.assert_allclose(periodic(theta), twisted(0.0), atol=1e-15)
 
 
 def test_chain_open_many_body_nilpotent():
@@ -223,12 +215,10 @@ def _chain_cases(length, sectors):
         except ValueError:  # no room for the two edge b fermions
             continue
         actions = {}
-        for bc in ("twisted", "periodic", "open"):
-            for convention in EDGE_CONVENTIONS:
-                for j, v in ((0.0, 0.0), (0.37, 0.0), (0.0, 0.53), (1.0, 1.0)):
-                    p = ChainParams(length=length, t=0.9, j=j, v=v, bc=bc,
-                                    edge_convention=convention)
-                    yield chain_terms(p)[1], basis, actions
+        for bc in ("twisted", "open"):
+            for j, v in ((0.0, 0.0), (0.37, 0.0), (0.0, 0.53), (1.0, 1.0)):
+                p = ChainParams(length=length, t=0.9, j=j, v=v, bc=bc)
+                yield chain_terms(p)[1], basis, actions
 
 
 def test_term_scatter_matches_scalar_reference():
@@ -260,30 +250,37 @@ def test_phase_table_matches_scalar_phases():
         np.testing.assert_array_equal(phase_table(theta), expected)
 
 
-@pytest.mark.parametrize("model, periodic", [
+@pytest.mark.parametrize("model, untwisted", [
     (dot_model(replace(FIG_DOT, j=0.7, v=0.3), 2, 1), False),
     (chain_model(ChainParams(length=7, j=1.0, v=1.0), 3, -1), False),
-    (chain_model(ChainParams(length=7, j=1.0, v=1.0, bc="periodic"), 3, -1), True),
-], ids=["dot", "chain-boundary", "chain-periodic"])
-def test_stack_slices_equal_single_matrices(model, periodic):
+    (chain_model(ChainParams(length=7, j=1.0, v=1.0, bc="open"), 3, -1), True),
+], ids=["dot", "chain-boundary", "chain-open"])
+def test_stack_slices_equal_single_matrices(model, untwisted):
     grid = np.linspace(0.0, 2 * np.pi, 41)
     stack = model.stack(grid)
     assert stack.shape == (len(grid), model.dim, model.dim)
     for k, theta in enumerate(grid):
         assert stack[k].flags.f_contiguous
         np.testing.assert_array_equal(stack[k], model(theta))
-        if periodic:  # no term carries the twist: every twist gives H(0)
+        if untwisted:  # no term carries the twist: every twist gives H(0)
             np.testing.assert_array_equal(stack[k], model(0.0))
 
 
-@pytest.mark.parametrize("bc", ["twisted", "periodic", "open"],
-                         ids=lambda bc: f"boundary-{bc}")
-def test_sector_models_are_blocks_of_the_full_space_matrix(bc):
+def _boundary(label, thetas):
+    """ChainParams bc and twist angles of a boundary label: the periodic
+    chain is the twisted one at theta = 0."""
+    return ("twisted", (0.0,)) if label == "periodic" else (label, thetas)
+
+
+@pytest.mark.parametrize("label", ["twisted", "periodic", "open"],
+                         ids=lambda label: f"boundary-{label}")
+def test_sector_models_are_blocks_of_the_full_space_matrix(label):
     # the term list decides the boundary: a sector model is, bit for bit,
     # the block of the whole-space matrix built from the same terms
+    bc, thetas = _boundary(label, (0.0, 1.21))
     p = ChainParams(length=3, j=0.8, v=0.6, bc=bc)
     lay, terms = chain_terms(p)
-    for theta in (0.0, 1.21):
+    for theta in thetas:
         h = full_space_matrix(lay, terms, theta)
         # the one-body model is the block of one a fermion
         for model in (chain_model(p, 3, -1), chain_model(p, 4, 1), one_body_model(p)):
@@ -292,17 +289,18 @@ def test_sector_models_are_blocks_of_the_full_space_matrix(bc):
 
 
 def _restrict_cases():
-    yield pytest.param(one_body_model(FIG_DOT), None, id="dot-one-body")
-    for bc in ("twisted", "periodic", "open"):
+    yield pytest.param(one_body_model(FIG_DOT), None, (0.0, 1.21), id="dot-one-body")
+    for label in ("twisted", "periodic", "open"):
+        bc, thetas = _boundary(label, (0.0, 1.21))
         yield pytest.param(one_body_model(ChainParams(length=7, bc=bc)),
-                           None, id=f"chain-one-body-{bc}-boundary")
+                           None, thetas, id=f"chain-one-body-{label}-boundary")
     model = chain_model(ChainParams(length=7, j=1.0, v=1.0), 3, -1)
     keep = np.random.default_rng(3).random(model.dim) < 0.5
-    yield pytest.param(model, keep, id="chain-(3,-1)-mask")
+    yield pytest.param(model, keep, (0.0, 1.21), id="chain-(3,-1)-mask")
 
 
-@pytest.mark.parametrize("model, mask", _restrict_cases())
-def test_restrict_builds_the_kept_block(model, mask):
+@pytest.mark.parametrize("model, mask, thetas", _restrict_cases())
+def test_restrict_builds_the_kept_block(model, mask, thetas):
     # a restricted model is, bit for bit, the kept rows and columns of the
     # model's matrix, on the kept states; one-body models are cut into their
     # spin blocks
@@ -311,7 +309,7 @@ def test_restrict_builds_the_kept_block(model, mask):
         sub = model.restrict(keep)
         np.testing.assert_array_equal(sub.basis.states, model.basis.states[keep])
         assert (sub.basis.n, sub.basis.parity) == (model.basis.n, model.basis.parity)
-        for theta in (0.0, 1.21):
+        for theta in thetas:
             np.testing.assert_array_equal(sub(theta), model(theta)[np.ix_(keep, keep)])
 
 
@@ -333,18 +331,19 @@ def test_restrict_orders_its_own_band():
         np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
 
 
-@pytest.mark.parametrize("bc", ["twisted", "periodic", "open"])
+@pytest.mark.parametrize("label", ["twisted", "periodic", "open"])
 @pytest.mark.parametrize("parity", [1, -1])
-def test_mirror_conjugates_h_theta_to_h_minus_theta(bc, parity):
+def test_mirror_conjugates_h_theta_to_h_minus_theta(label, parity):
     """The signed permutation R of an even-N chain sector gives
     R H(theta) R^T = H(-theta) on the dense matrices, bit for bit."""
+    bc, thetas = _boundary(label, (0.0, 1.1, 2.9))
     model = chain_model(ChainParams(length=5, j=0.7, v=0.4, bc=bc), 4, parity)
     assert model.mirror_symmetric
     images, signs = permute_modes_array(model.basis.states,
                                         mirror_modes(model.basis.layout))
     r = np.zeros((model.dim, model.dim))
     r[model.basis.index_of(images), np.arange(model.dim)] = signs
-    for theta in (0.0, 1.1, 2.9):
+    for theta in thetas:
         np.testing.assert_array_equal(r @ model(theta) @ r.T, model(-theta))
 
 
@@ -372,15 +371,15 @@ def test_param_validation():
     with pytest.raises(ValueError):
         ChainParams(length=4, bc="moebius")
     with pytest.raises(ValueError):
-        ChainParams(length=4, edge_convention="exchange-maybe")
+        ChainParams(length=4, bc="periodic")  # the twisted chain at theta = 0
     with pytest.raises(ValueError):
         DotParams(lam=float("nan"))
 
 
 def test_edge_convention_coefficients():
-    # the exchange channel is linear in J: a full-strength exchange J is the
-    # exchange-half convention at 2J
-    base = dict(length=5, t=1.0, v=0.0, bc="twisted", edge_convention="exchange-half")
+    # the exchange channel is linear in J: its amplitude is J / 2, so a
+    # full-strength exchange J is the chain at 2J
+    base = dict(length=5, t=1.0, v=0.0, bc="twisted")
     h_half = chain_model(ChainParams(**base, j=0.6), 3, -1)(0.0)
     h_full = chain_model(ChainParams(**base, j=1.2), 3, -1)(0.0)
     hop = chain_model(ChainParams(**base, j=0.0), 3, -1)(0.0)

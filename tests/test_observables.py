@@ -28,8 +28,9 @@ def test_profiles_sum_rule_and_bounds():
 
 
 def test_periodic_profiles_uniform():
-    model = chain_model(replace(CHAIN, bc="periodic"), 3, -1)
-    profiles = occupation_profiles(model.matrix(1.0), model.basis)
+    # the periodic ring is the twisted one at theta = 0
+    model = chain_model(CHAIN, 3, -1)
+    profiles = occupation_profiles(model.matrix(0.0), model.basis)
     for prof in profiles:
         for spin in (UP, DOWN):
             w = prof.spin_weights(7, spin)

@@ -3,12 +3,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from pointgap.checks import chain_splitting_errors
 from pointgap.fock import apply_create, chain_layout
 from pointgap.models import (
     ChainParams,
     DotParams,
     chain_model,
     dot_model,
+    edge_amplitudes,
 )
 from pointgap.oracles import (
     CircleFlow,
@@ -104,11 +106,12 @@ def _quadruplet_columns(length, basis):
 
 
 def test_first_order_block_structure():
-    """In the hopping eigenbasis the imag-exchange coupling reproduces the
+    """In the hopping eigenbasis the model's edge coupling reproduces the
     closed-form quadruplet blocks exactly (at theta = 0, where no hop carries
-    a twist)."""
+    a twist), written in its amplitudes x (exchange) and y (pair)."""
     L, J, V = 7, 0.37, 0.53
-    p = ChainParams(length=L, t=1.0, j=J, v=V, edge_convention="exchange-imag")
+    p = ChainParams(length=L, t=1.0, j=J, v=V)
+    x, y = edge_amplitudes(p)
     model = chain_model(p, 3, -1)
     h = model(0.0)
     T = _quadruplet_columns(L, model.basis)
@@ -118,23 +121,33 @@ def test_first_order_block_structure():
         blk = ht[4 * n:4 * n + 4, 4 * n:4 * n + 4].copy()
         blk -= np.diag(np.diag(blk))
         w = om ** (2 * n)
-        v_part = (V / L) * np.array([[0, 0, 1 / w, 1], [0, 0, 0, 0],
-                                     [w, 0, 0, 0], [1, 0, 0, 0]])
-        j_part = (1j * J / L) * np.array([[0, 0, 0, 0], [0, 0, 1, 1 / w],
-                                          [0, 1, 0, 0], [0, w, 0, 0]])
-        np.testing.assert_allclose(blk, v_part + j_part, atol=1e-12)
+        pair_part = (y / L) * np.array([[0, 0, 1 / w, 1], [0, 0, 0, 0],
+                                        [w, 0, 0, 0], [1, 0, 0, 0]])
+        exchange_part = (x / L) * np.array([[0, 0, 0, 0], [0, 0, 1, 1 / w],
+                                            [0, 1, 0, 0], [0, w, 0, 0]])
+        np.testing.assert_allclose(blk, pair_part + exchange_part, atol=1e-12)
 
 
 def test_splitting_coefficients():
     from pointgap.oracles import chain_splitting_coefficients
 
     p = ChainParams(length=7, t=1.0, j=0.3, v=0.5)
+    x, y = edge_amplitudes(p)
     for n in range(7):
         om, c2_p, c2_m = chain_splitting_coefficients(p, n)
         assert abs(om**7 - 1.0) < 1e-14
         # the two amplitudes share the mode-phase prefactor
         pref = 1.0 / (om * 7) ** 2
-        assert abs((c2_p + c2_m) - pref * 2 * (0.5**2 - 0.3**2)) < 1e-14
+        assert abs((c2_p + c2_m) - pref * 2 * (x**2 + y**2)) < 1e-14
+
+
+@pytest.mark.parametrize("j, v", [(0.04, 0.03), (0.03, 0.05), (0.05, 0.0), (0.0, 0.04)])
+@pytest.mark.parametrize("length", [5, 7])
+def test_first_order_error_is_second_order(length, j, v):
+    """On the default chain's (3,-1) sector, halving J and V shrinks the
+    formulas' error fourfold: they hold to first order."""
+    err, err_half = chain_splitting_errors(ChainParams(length=length, j=j, v=v), (3, -1))
+    assert abs(err / err_half - 4.0) < 0.05
 
 
 def test_first_order_collapse_without_coupling():
@@ -148,7 +161,8 @@ def test_first_order_collapse_without_coupling():
 
 
 def test_first_order_equal_couplings_mode_zero():
-    p = ChainParams(length=7, t=1.0, j=0.4, v=0.4)
+    # edge amplitudes of equal size, J / 2 = V: mode zero does not split
+    p = ChainParams(length=7, t=1.0, j=0.8, v=0.4)
     vals = chain_first_order_eigenvalues(p, 0, 1.1)
     expect = {np.exp(1j * 1.1 / 7), np.exp(-1j * 1.1 / 7)}
     for v in vals:
@@ -160,8 +174,7 @@ def test_spec_example_mode_one():
     # model's boundary-link twist is a gauge transformation of that matrix,
     # with the same eigenvalues
     for scale, budget in ((1.0, 5e-4), (0.5, 1.3e-4)):
-        p = ChainParams(length=7, t=1.0, j=0.02 * scale, v=0.03 * scale,
-                        edge_convention="exchange-imag")
+        p = ChainParams(length=7, t=1.0, j=0.04 * scale, v=0.03 * scale)
         model = chain_model(p, 3, -1)
         ed = np.linalg.eigvals(model(1.0))
         quad = np.array(chain_first_order_eigenvalues(p, 1, 1.0))

@@ -320,16 +320,19 @@ def test_factor_stack_matches_factor_shifted(model, theta, ref):
 
 
 def _band_cases():
+    # the periodic chain is the twisted one at theta = 0
+    boundaries = (("twisted", "twisted", 1.1), ("open", "open", 1.1),
+                  ("periodic", "twisted", 0.0))
     for n, parity in ((4, 1), (4, -1), (5, 1), (5, -1)):
         for jv in (0.0, 1.0):
-            for bc in ("twisted", "open", "periodic"):
+            for label, bc, theta in boundaries:
                 p = ChainParams(length=7, t=1.0, j=jv, v=jv, bc=bc)
-                yield pytest.param(p, n, parity,
-                                   id=f"({n},{parity:+d})-jv{jv:g}-boundary-{bc}")
+                yield pytest.param(p, n, parity, theta,
+                                   id=f"({n},{parity:+d})-jv{jv:g}-boundary-{label}")
 
 
-@pytest.mark.parametrize("params, n, parity", _band_cases())
-def test_band_lu_matches_dense(params, n, parity):
+@pytest.mark.parametrize("params, n, parity, theta", _band_cases())
+def test_band_lu_matches_dense(params, n, parity, theta):
     """Band and dense LUs give the same log|det| and phase; at J = V = 0 the
     pattern's graph falls apart into disconnected blocks.  The band a model
     orders from its term list (``factor_model``) is the band of its scanned
@@ -338,10 +341,10 @@ def test_band_lu_matches_dense(params, n, parity):
     # for small E (condition number 7e14 at 0.05 + 0.3i, 84 at 2 + i)
     ref = 2.0 + 1.0j if params.bc == "open" else 0.05 + 0.3j
     model = chain_model(params, n, parity)
-    a = model(1.1)
+    a = model(theta)
     factors, scale = factor_shifted(a, ref)
     assert factors.perm is not None and factors.lu.shape[0] < factors.dim
-    from_model, model_scale = factor_model(model, 1.1, ref)
+    from_model, model_scale = factor_model(model, theta, ref)
     assert model_scale == scale
     assert (from_model.kl, from_model.ku) == (factors.kl, factors.ku)
     for name in ("lu", "piv", "perm"):
