@@ -349,6 +349,42 @@ def check_mirror_symmetry():
                            f"theta = 1.1 and 2 pi - 1.1 differ by {worst:.2e} (tol 1e-12)")
 
 
+def check_conjugation_relations():
+    """D conj(H(theta)) D^-1 = s H(theta0 - theta) (``SectorModel.
+    conjugation_twists``) holds for s = -1 with theta0 = pi and for s = +1
+    with theta0 = 0 on the L = 7 chain sectors (3,-1), (4,+1) and (5,+1), for
+    s = -1 with theta0 = 0 on an L = 6 chain, and for s = -1 alone on the
+    dot; it is refused on a chain (4,+1) with one amplitude turned by
+    e^{0.3i} or by i.  The spectra at theta and theta0 - theta of the models
+    up to d = 200 are -conj or conj of each other."""
+    p = ChainParams(length=7, j=1.0, v=1.0)
+    worst = 0.0
+    for model, want in ((chain_model(p, 3, -1), {-1: np.pi, 1: 0.0}),
+                        (chain_model(p, 4, 1), {-1: np.pi, 1: 0.0}),
+                        (chain_model(p, 5, 1), {-1: np.pi, 1: 0.0}),
+                        (chain_model(replace(p, length=6), 4, 1), {-1: 0.0, 1: 0.0}),
+                        (dot_model(REFERENCE_DOT_INT, 2, -1), {-1: np.pi, 1: None})):
+        if model.conjugation_twists != want:
+            return False, f"{model.basis!r} gave {model.conjugation_twists}, not {want}"
+        if model.dim > 200:
+            continue
+        for sign, theta0 in want.items():
+            if theta0 is not None:
+                worst = max(worst, eigenvalue_match(
+                    sign * np.linalg.eigvals(model(1.1)).conj(),
+                    np.linalg.eigvals(model(theta0 - 1.1)))[0])
+    for turn in (np.exp(0.3j), 1j):
+        turned = chain_model(p, 4, 1)
+        rows, cols, amps, slots = turned._coo
+        amps = amps.copy()
+        amps[np.flatnonzero(slots == P_PLUS)[0]] *= turn
+        turned._coo = (rows, cols, amps, slots)
+        if turned.conjugation_twists != {-1: None, 1: None}:
+            return False, f"an amplitude turned by {turn:.3f} kept a relation"
+    return worst < 1e-12, (f"5 models as expected, 2 refusals hold; spectra at theta = "
+                           f"1.1 and theta0 - 1.1 differ by {worst:.2e} (tol 1e-12)")
+
+
 CHECKS = [
     ("fermionic anticommutation (8 modes, exhaustive)", check_anticommutation),
     ("sector block structure (dot, chain L=3)", check_block_structure),
@@ -361,6 +397,7 @@ CHECKS = [
     ("chain first-order splitting scaling", check_chain_splitting_scaling),
     ("gap margin is the nearest-eigenvalue distance", check_gap_margin_distance),
     ("mirror symmetry of even-N chain sectors", check_mirror_symmetry),
+    ("conjugation relations of twisted sectors", check_conjugation_relations),
 ]
 
 

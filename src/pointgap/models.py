@@ -44,7 +44,9 @@ for a winding at all: the model hands ``spectral`` its entries at theta
 (``values``) and the band ordering of its theta-independent pattern
 (``band_layout``, made at its first band factor and kept).  A model also
 says, at first use, whether site reflection times spin flip maps its
-H(theta) to H(-theta) (``mirror_symmetric``), checked on its term list.
+H(theta) to H(-theta) (``mirror_symmetric``), and for which theta0 a
+diagonal D gives D conj(H(theta)) D^-1 = +-H(theta0 - theta)
+(``conjugation_twists``), each checked on its term list.
 """
 
 from __future__ import annotations
@@ -257,6 +259,27 @@ def terms_to_coo(terms, basis: SectorBasis):
             joined(slots, np.int64))
 
 
+# i^k for k = 0..3: products of these with a float complex are exact
+_POWERS_OF_I = np.array([1, 1j, -1, -1j])
+
+
+def _conjugation_exponents(layout: ModeLayout, sign: int) -> list:
+    """Exponent k_m of each mode's phase i^k_m in the diagonal D of
+    ``SectorModel.conjugation_twists``, for the relation of sign s.
+
+    s = +1: i on each up mode, so D = i^N_up.  s = -1: on a chain,
+    (-1)^site on each a mode, times i on a_up and -i on b_up; on the dot,
+    whose exchange amplitude iJ/2 is imaginary where the chain's J/2 is
+    real, the identity.
+    """
+    if sign > 0:
+        return [int(spin == fock.UP) for _, _, spin in layout.labels]
+    if layout == dot_layout():
+        return [0] * layout.n_modes
+    return [2 * site + (spin == fock.UP) if orbital == fock.ORBITAL_A
+            else 3 * (spin == fock.UP) for site, orbital, spin in layout.labels]
+
+
 class SectorModel:
     """Reusable theta -> dense matrix assembler for one model and sector,
     and the source of its matrices' band entries (``values``,
@@ -340,6 +363,46 @@ class SectorModel:
                 return False
         return True
 
+    @cached_property
+    def conjugation_twists(self) -> dict:
+        """{s: theta0} for s = -1 and +1: the twist theta0 in {0, pi} with
+        D conj(H(theta)) D^-1 = s H(theta0 - theta) on this basis, or None
+        where that relation does not hold.  D is diagonal, a product of a
+        phase in {+-1, +-i} per occupied mode (``_conjugation_exponents``).
+
+        Checked on the term list, not assumed: summed per (row, col) and
+        phase slot, the entries times D_row conj(D_col) and conjugated must
+        equal s times the entries of slot ``P_ONE`` and s times +-1 (+1 for
+        theta0 = 0, -1 for theta0 = pi) times those of ``P_PLUS`` and
+        ``P_MINUS``, exactly: every factor is +-1 or +-i.  Where the s = -1
+        relation holds, spec H(theta0 - theta) is -conj(spec H(theta)), so an
+        imaginary E is as far from both; where the s = +1 one holds, spec
+        H(theta0 - theta) is conj(spec H(theta)), and a real E is.  A model
+        without twisted entries gets theta0 = 0.  Made at first use and kept.
+        """
+        rows, cols, amps, slots = self._coo
+        d = self.dim
+        keys, inverse = np.unique((rows * d + cols) * 3 + slots, return_inverse=True)
+        sums = np.zeros(len(keys), dtype=complex)
+        np.add.at(sums, inverse, amps)
+        pairs, twisted = keys // 3, keys % 3 != P_ONE
+        layout, states = self.basis.layout, self.basis.states
+        twists = {}
+        for sign in (-1, 1):
+            # each state's power of i in D, mod 4
+            exponents = np.zeros(d, dtype=np.int64)
+            for m, e in enumerate(_conjugation_exponents(layout, sign)):
+                exponents += e * ((states >> np.uint64(m)) & np.uint64(1)).astype(np.int64)
+            units = _POWERS_OF_I[(exponents[pairs // d] - exponents[pairs % d]) % 4]
+            mapped = units * sums.conj()
+            twists[sign] = None
+            if np.array_equal(mapped[~twisted], sign * sums[~twisted]):
+                for theta0, factor in ((0.0, 1), (np.pi, -1)):
+                    if np.array_equal(mapped[twisted], sign * factor * sums[twisted]):
+                        twists[sign] = theta0
+                        break
+        return twists
+
     def restrict(self, keep) -> "SectorModel":
         """The model on the basis states selected by the boolean mask ``keep``.
 
@@ -356,7 +419,8 @@ class SectorModel:
         sub.basis = SectorBasis(basis.layout, basis.n, basis.parity, basis.states[keep])
         sub._coo = (position[rows[inside]], position[cols[inside]], amps[inside],
                     slots[inside])
-        for cached in ("band_layout", "mirror_symmetric"):  # the kept block makes its own
+        # the kept block makes its own
+        for cached in ("band_layout", "mirror_symmetric", "conjugation_twists"):
             sub.__dict__.pop(cached, None)
         return sub
 

@@ -161,11 +161,6 @@ def directed_hausdorff_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(cKDTree(pb).query(pa)[0].max())
 
 
-def hausdorff_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Symmetric Hausdorff distance between two point sets in the complex plane."""
-    return max(directed_hausdorff_distance(a, b), directed_hausdorff_distance(b, a))
-
-
 def boundary_sensitivity(p: ChainParams, sector, n_grid: int = 64) -> BoundarySensitivity:
     """Distance from the open-boundary spectrum to the twisted flow, plus
     edge-localization measures of the open-boundary eigenstates."""

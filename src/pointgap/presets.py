@@ -131,6 +131,10 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if task == "oracle-check" and model == "chain" and (sector is None or sector[0] != 3):
         # the first-order formulas give the 4L quadruplet levels of N = 3
         raise ConfigError("chain oracle-check requires a sector with N = 3")
+    if task == "oracle-check" and model == "dot" and sector is not None:
+        # it compares both (2, +-1) closed forms
+        raise ConfigError("dot oracle-check checks the (2,+1) and (2,-1) sectors "
+                          "and takes no sector")
     if task == "skin" and (model != "chain" or params.bc != "twisted"):
         raise ConfigError("skin task is defined for the chain model with bc 'twisted'")
 
@@ -237,12 +241,12 @@ PRESETS = {
         e_ref=[0.0, 0.3], n_grid=64),
     "figS4ef": _preset(
         "chain (9,-1) winding at reference -0.04, J = V = 1 "
-        "(dim 6864: needs --allow-heavy, about 2.7 min)",
+        "(dim 6864: needs --allow-heavy, about 1.6 min)",
         model="chain", params=_chain(j=1.0, v=1.0), sector=[9, -1],
         task="winding", e_ref=[-0.04, 0.0], n_grid=64),
     "figS5": _preset(
         "chain (9,-1) winding at reference -0.04, noninteracting "
-        "(dim 6864: needs --allow-heavy, about 1.8 min)",
+        "(dim 6864: needs --allow-heavy, about 30 s)",
         model="chain", params=_chain(), sector=[9, -1], task="winding",
         e_ref=[-0.04, 0.0], n_grid=64),
     "figS6": _preset(

@@ -25,13 +25,24 @@ shift-invert Arnoldi (Lehoucq, Sorensen & Yang, *ARPACK Users' Guide*, SIAM
 converge is H(theta) built and eigensolved in full.  A smallest singular
 value would not do: for non-normal M, sigma_min(M - E) can lie far below
 dist(E, spec M) (Trefethen & Embree, *Spectra and Pseudospectra*, 2005).
-Where the model is mirror-symmetric (``SectorModel.mirror_symmetric``: site
+The distance to E is the same at several grid points where a verified
+symmetry maps one spectrum to another, each a reflection theta -> theta0 -
+theta of the grid.  The mirror (``SectorModel.mirror_symmetric``: site
 reflection times spin flip maps H(theta) to H(-theta), as on an even-N
-chain sector), the spectra at theta and 2 pi - theta agree, so only the
-base-grid points in [0, pi] are solved and the rest take their mirror
-point's distance; every point still gets its own LU and phase.  There
-det[H(theta) - E] is even in theta, so its winding is 0, and a nonzero one
-from the tracker raises ``SpectralError``.
+chain sector) gives theta0 = 0 for every E.  The antiunitary conjugation
+relations D conj(H(theta)) D^-1 = s H(theta0 - theta)
+(``SectorModel.conjugation_twists``, point-gap symmetries of the kind
+classified by Kawabata, Shiozaki, Ueda & Sato, PRX 9, 041015 (2019)) give
+theta0 for an imaginary E (s = -1, where spec H(theta0 - theta) =
+-conj spec H(theta)) and for a real E (s = +1, where it is conj spec
+H(theta)); theta0 = pi maps grid to grid only for an even n_grid.  Only the
+lowest point of each orbit of the group these reflections generate is
+solved, and the rest take its distance: on the chain, half of the grid for
+an odd-N sector at a real or imaginary E or an even-N one elsewhere, and a
+quarter for an even-N sector at an imaginary E on an odd L.  Every point
+still gets its own LU and phase.  Where the mirror holds, det[H(theta) - E]
+is even in theta, so its winding is 0, and a nonzero one from the tracker
+raises ``SpectralError``.
 """
 
 from __future__ import annotations
@@ -182,6 +193,37 @@ def _nearest_distance(factors, model, theta, ref):
     return float(1.0 / np.abs(mu).max())
 
 
+def _lowest_in_orbit(n_grid, offsets) -> list:
+    """The lowest base-grid index in the orbit of each k = 0..n_grid under
+    the reflections k -> a - k (mod n_grid), a in ``offsets`` (0, n_grid / 2
+    or both), and the shifts k -> k + a - b they compose to: a shift by
+    n_grid / 2 is its own inverse, so these are the whole group.  A
+    reflection takes k = n_grid (theta = 2 pi) where it takes k = 0; with
+    none, every point, theta = 2 pi included, is its own orbit."""
+    if not offsets:
+        return list(range(n_grid + 1))
+    lowest = [min(min((a - k) % n_grid, (k + a - b) % n_grid)
+                  for a in offsets for b in offsets) for k in range(n_grid)]
+    return lowest + [lowest[0]]
+
+
+def _margin_reflections(model, e_ref, n_grid) -> set:
+    """Offsets a of the grid reflections k -> a - k that keep the distance
+    from ``e_ref`` to the spectrum: the mirror (a = 0) where the model has
+    it, the s = -1 conjugation relation for an imaginary ``e_ref`` and the
+    s = +1 one for a real ``e_ref``, each with theta0 = 2 pi a / n_grid.
+    A relation with theta0 = pi needs an even n_grid to map grid to grid."""
+    offsets = {0} if model.mirror_symmetric else set()
+    e_ref = complex(e_ref)
+    for sign, on_axis in ((-1, e_ref.real == 0.0), (1, e_ref.imag == 0.0)):
+        theta0 = model.conjugation_twists[sign] if on_axis else None
+        if theta0 == 0.0:
+            offsets.add(0)
+        elif theta0 is not None and n_grid % 2 == 0:
+            offsets.add(n_grid // 2)
+    return offsets
+
+
 def many_body_winding(model, e_ref: complex = 0.0,
                       n_grid: int = DEFAULT_N_GRID, spectra=None) -> WindingResult:
     """Winding of det[H(theta) - E_ref] for a ``SectorModel``: a sector
@@ -210,12 +252,14 @@ def many_body_winding(model, e_ref: complex = 0.0,
     again.  Otherwise dimensions that share a stack (d <= 128) are
     eigensolved a stack at a time before it is factored, and larger ones get
     the distance by shift-invert Arnoldi on their own phase LU, to
-    ``ARPACK_TOL``.  A larger mirror-symmetric model solves only the points
-    with theta <= pi, the others taking the distance at 2 pi - theta, so its
-    ``margin_theta`` is the lowest grid angle in [0, pi] where the margin
-    lies.  The winding itself always comes from the LU determinant phase;
-    for a larger mirror-symmetric model it must be 0, and any other value
-    raises ``SpectralError``.
+    ``ARPACK_TOL``.  A larger model solves one point per orbit of the grid
+    reflections that keep the distance to ``e_ref`` (the mirror, and the
+    conjugation relation that applies where ``e_ref`` is imaginary or real),
+    the lowest one, and the rest of the orbit take its distance; so
+    ``margin_theta`` is the lowest grid angle where the margin lies, which
+    is in that fundamental domain.  The winding itself always comes from the
+    LU determinant phase; for a larger mirror-symmetric model it must be 0,
+    and any other value raises ``SpectralError``.
     """
     if model.dim == 0:
         basis = model.basis
@@ -252,19 +296,18 @@ def many_body_winding(model, e_ref: complex = 0.0,
     def phase_at(theta):
         return factor_at(theta)[1]
 
-    # R H(theta) R^-1 = H(-theta): det[H(theta) - E] is even in theta and
-    # the spectra at theta_k and theta_(n_grid - k) = 2 pi - theta_k agree
+    # R H(theta) R^-1 = H(-theta): det[H(theta) - E] is even in theta
     mirrored = alone and model.mirror_symmetric
+    if alone and spectra is None:  # each margin is solved at its orbit's lowest point
+        lowest = _lowest_in_orbit(n_grid, _margin_reflections(model, e_ref, n_grid))
     tracker = _PhaseTracker(phase_at, n_grid)
     with blas_threads_for(model.dim):
         if alone:  # factored point by point, as refinement midpoints are
             for k, theta in enumerate(grid):
                 factors, base_phases[k] = factor_at(theta)
                 if spectra is None:
-                    if not mirrored or 2 * k <= n_grid:
-                        dists[k] = _nearest_distance(factors, model, theta, e_ref)
-                    else:
-                        dists[k] = dists[n_grid - k]
+                    dists[k] = (_nearest_distance(factors, model, theta, e_ref)
+                                if lowest[k] == k else dists[lowest[k]])
                 del factors  # free them before the next point is factored
         else:
             for start, stack in twist_stacks(model, grid):

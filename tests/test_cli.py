@@ -347,10 +347,13 @@ def test_main_unbuildable_sector_is_config_error(tmp_path, capsys, model, task, 
      "params": {"length": 7, "bc": "periodic"}},
     {"model": "chain", "task": "oracle-check", "sector": [4, 1],
      "params": {"length": 7, "j": 0.02, "v": 0.03}},
+    {"model": "dot", "task": "oracle-check", "sector": [1, -1],
+     "params": {"j": 1.0, "v": 1.0}},
 ], ids=["e_ref-text", "e_ref-nan", "e_ref-beyond-float", "float-length",
         "one-body-too-long", "bool-parity", "bool-n_path", "skin-open-bc",
         "skin-periodic-bc", "removed-gauge", "removed-exchange-full",
-        "removed-exchange-imag", "removed-periodic-bc", "oracle-check-beyond-n3"])
+        "removed-exchange-imag", "removed-periodic-bc", "oracle-check-beyond-n3",
+        "dot-oracle-check-sector"])
 def test_main_bad_config_values_exit_two(tmp_path, capsys, raw):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(raw))

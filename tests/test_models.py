@@ -358,6 +358,81 @@ def test_mirror_of_the_dot_and_of_restricted_models():
     assert not model.restrict(np.arange(model.dim) < 100).mirror_symmetric
 
 
+def _conjugation_diagonal(basis, sign):
+    """The diagonal of D for the relation of ``sign``, state by state:
+    i^N_up for s = +1; for s = -1, the product over occupied modes of
+    (-1)^site on a modes, times i on a_up and -i on b_up."""
+    factors = []
+    for site, orbital, spin in basis.layout.labels:
+        if sign > 0:
+            factors.append(1j if spin == "up" else 1)
+        elif orbital == "a":
+            factors.append((-1) ** site * (1j if spin == "up" else 1))
+        else:
+            factors.append(-1j if spin == "up" else 1)
+    return np.array([np.prod([complex(f) for m, f in enumerate(factors) if int(s) >> m & 1]
+                             + [1 + 0j]) for s in basis.states])
+
+
+@pytest.mark.parametrize("length", [5, 6])
+@pytest.mark.parametrize("sector", [(3, -1), (4, 1), (5, -1)])
+def test_conjugation_relations_on_dense_matrices(length, sector):
+    """D conj(H(theta)) D^-1 = s H(theta0 - theta) on the dense matrices, bit
+    for bit, with theta0 = pi for s = -1 on odd L and 0 otherwise.
+    H(theta0 - theta) is scattered from the term list in ``stack``'s order,
+    at slot phases e^(+-i(theta0 - theta)) = +-e^(-+i theta) exactly."""
+    model = chain_model(ChainParams(length=length, j=0.7, v=0.4), *sector)
+    rows, cols, amps, slots = model._coo
+
+    def scatter(values):
+        h = np.zeros((model.dim, model.dim), dtype=complex)
+        np.add.at(h, (rows, cols), values)
+        return h
+
+    expected = {-1: np.pi if length % 2 else 0.0, 1: 0.0}
+    assert model.conjugation_twists == expected
+    for sign, theta0 in expected.items():
+        diag = _conjugation_diagonal(model.basis, sign)
+        turn = np.array([1.0, 1.0, 1.0]) if theta0 == 0.0 else np.array([1.0, -1.0, -1.0])
+        for theta in (0.0, 1.1, 2.9):
+            h = model(theta)
+            np.testing.assert_array_equal(scatter(model.values(theta)), h)
+            mapped = diag[:, None] * h.conj() * diag.conj()[None, :]
+            reflected = scatter(amps * (turn * phase_table(theta).conj())[slots])
+            np.testing.assert_array_equal(mapped, sign * reflected)
+        # and the spectra: -conj (s = -1) or conj (s = +1) of those at theta0 - 1.1
+        values = np.linalg.eigvals(model(1.1)).conj() * sign
+        assert eigenvalue_match(values, np.linalg.eigvals(model(theta0 - 1.1)))[0] < 1e-12
+
+
+def test_conjugation_twists_are_checked_lazily(monkeypatch):
+    """Building a model evaluates no relation; a restricted model checks
+    its own; a relation broken in one entry is refused."""
+    from pointgap import models
+
+    calls = []
+    exponents = models._conjugation_exponents
+    monkeypatch.setattr(models, "_conjugation_exponents",
+                        lambda *args: calls.append(args) or exponents(*args))
+    model = chain_model(ChainParams(length=7, j=1.0, v=1.0), 4, 1)
+    assert calls == [] and "conjugation_twists" not in model.__dict__
+    assert model.conjugation_twists == {-1: np.pi, 1: 0.0} and len(calls) == 2
+    sub = model.restrict(np.arange(model.dim) < 100)
+    assert "conjugation_twists" not in sub.__dict__
+    assert sub.conjugation_twists == {-1: np.pi, 1: 0.0} and len(calls) == 4
+    # one off-diagonal amplitude turned by i breaks both relations
+    rows, cols, amps, slots = sub._coo
+    amps = amps.copy()
+    amps[np.flatnonzero((slots == P_ONE) & (rows != cols))[-1]] *= 1j
+    broken = sub.restrict(np.ones(sub.dim, dtype=bool))
+    broken._coo = (rows, cols, amps, slots)
+    assert broken.conjugation_twists == {-1: None, 1: None}
+    # the dot keeps s = -1 only, at unequal potentials, with D = 1: its
+    # exchange amplitude iJ/2 is imaginary
+    dot = dot_model(replace(FIG_DOT, j=1.0, v=1.0), 2, -1)
+    assert dot.conjugation_twists == {-1: np.pi, 1: None}
+
+
 def test_one_body_basis_refuses_outsiders_by_name():
     basis = one_body_model(DotParams()).basis
     assert repr(basis) == "SectorBasis(N=1, P=both, dim=4)"

@@ -8,7 +8,6 @@ from pointgap.models import ChainParams, DotParams, chain_model
 from pointgap.observables import (
     boundary_sensitivity,
     directed_hausdorff_distance,
-    hausdorff_distance,
     occupation_profiles,
     product_state_profiles,
 )
@@ -109,11 +108,16 @@ def test_product_profiles_reject_interactions_and_rings():
         product_state_profiles(CHAIN, (3, -1))  # twisted ring
 
 
+def _hausdorff(a, b):
+    """Symmetric Hausdorff distance, from the directed one both ways."""
+    return max(directed_hausdorff_distance(a, b), directed_hausdorff_distance(b, a))
+
+
 def test_hausdorff_distances():
     a = np.array([0.0 + 0.0j])
     circle = np.exp(1j * np.linspace(0, 2 * np.pi, 400))
     assert abs(directed_hausdorff_distance(a, circle) - 1.0) < 1e-3
-    assert abs(hausdorff_distance(a, circle) - 1.0) < 1e-3
+    assert abs(_hausdorff(a, circle) - 1.0) < 1e-3
     # directed version is asymmetric
     b = np.array([0.0 + 0.0j, 5.0 + 0.0j])
     assert directed_hausdorff_distance(a, b) == 0.0

@@ -14,7 +14,7 @@ from pointgap.models import (
     one_body_model,
     phase_table,
 )
-from pointgap.observables import hausdorff_distance, occupation_profiles
+from pointgap.observables import directed_hausdorff_distance, occupation_profiles
 from pointgap.oracles import dot_sector21_eigenvalues, eigenvalue_match
 from pointgap.spectral import (
     STACK_BYTES,
@@ -180,8 +180,9 @@ def test_sweep_eigensolver_failure_names_theta(monkeypatch, matrix_flow):
 def test_eigenvalue_continuity_on_refined_grid():
     flow = sweep_theta(dot_model(replace(FIG_DOT, j=1.0, v=1.0), 2, 1), 64)
     diameter = np.abs(flow.spectra[:, :, None] - flow.spectra[:, None, :]).max()
-    worst = max(hausdorff_distance(flow.spectra[k], flow.spectra[k + 1])
-                for k in range(len(flow.grid) - 1))
+    # symmetric Hausdorff distance between neighbouring grid points
+    worst = max(max(directed_hausdorff_distance(a, b), directed_hausdorff_distance(b, a))
+                for a, b in zip(flow.spectra[:-1], flow.spectra[1:]))
     assert worst < 0.2 * diameter
 
 

@@ -411,27 +411,38 @@ def test_arpack_margin_is_nearest_distance(jv, monkeypatch):
     again = many_body_winding(model, ref, n_grid=n_grid)
     assert (again.gap_margin, again.margin_theta) == (res.gap_margin, res.margin_theta)
 
-    # the sector is mirror-symmetric: the spectra at theta and 2 pi - theta
-    # agree, and only the points theta <= pi are eigensolved
-    assert model.mirror_symmetric
+    # the sector is mirror-symmetric, and E is imaginary and L odd, so the
+    # s = -1 conjugation relation holds with theta0 = pi: the distances at
+    # theta, 2 pi - theta and pi - theta agree, and only the points
+    # theta <= pi / 2 are eigensolved
+    assert model.mirror_symmetric and model.conjugation_twists[-1] == np.pi
     for k in range(n_grid + 1):
         assert abs(dists[k] - dists[n_grid - k]) <= 1e-12 * dists[k]
-    half = dists[: n_grid // 2 + 1]
+        assert abs(dists[k] - dists[(n_grid // 2 - k) % n_grid]) <= 1e-12 * dists[k]
+    quarter = dists[: n_grid // 4 + 1]
 
     def no_convergence(*args, **kwargs):
         raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((182, 0)))
     monkeypatch.setattr(scipy.sparse.linalg, "eigs", no_convergence)
     fallback = many_body_winding(model, ref, n_grid=n_grid)
-    assert fallback.gap_margin == min(half)
-    assert fallback.margin_theta == grid[int(np.argmin(half))]
+    assert fallback.gap_margin == min(quarter)
+    assert fallback.margin_theta == grid[int(np.argmin(quarter))]
     assert fallback.value == res.value
 
 
-@pytest.mark.parametrize("sector, calls", [((4, 1), 9), ((5, 1), 17)])
-def test_mirror_halves_the_arpack_margins(sector, calls, monkeypatch):
-    """An even-N chain sector gets its ARPACK margins at theta <= pi only (9
-    of 17 points at n_grid 16), and its margin_theta lies there; an odd-N
-    one gets a margin at every point."""
+@pytest.mark.parametrize("sector, ref, n_grid, calls", [
+    ((4, 1), 0.3j, 16, 5), ((5, 1), 0.3j, 16, 9), ((4, 1), 0.05 + 0.3j, 16, 9),
+    ((5, 1), 0.05 + 0.3j, 16, 17), ((5, 1), -0.04, 16, 9), ((4, 1), 0.3j, 17, 9),
+    ((5, 1), 0.3j, 17, 18)],
+    ids=["4+1-imaginary", "5+1-imaginary", "4+1-off-axis", "5+1-off-axis", "5+1-real",
+         "4+1-imaginary-odd-grid", "5+1-imaginary-odd-grid"])
+def test_symmetries_cut_the_arpack_margins(sector, ref, n_grid, calls, monkeypatch):
+    """An ARPACK margin is solved once per orbit of the grid reflections
+    that keep the distance to E: the mirror of an even-N sector (k -> -k),
+    the s = -1 relation with theta0 = pi for an imaginary E (k -> n_grid/2
+    - k, on an even grid only) and the s = +1 one with theta0 = 0 for a
+    real E (k -> -k).  Off both axes only the mirror applies.  margin_theta
+    is the lowest point of its orbit."""
     import scipy.sparse.linalg
 
     from pointgap.spectral import theta_grid
@@ -444,12 +455,23 @@ def test_mirror_halves_the_arpack_margins(sector, calls, monkeypatch):
         return eigs(*args, **kwargs)
     monkeypatch.setattr(scipy.sparse.linalg, "eigs", counted)
     model = chain_model(ChainParams(length=7, j=1.0, v=1.0), *sector)
-    res = many_body_winding(model, 0.3j, n_grid=16)
+    res = many_body_winding(model, ref, n_grid=n_grid)
     assert count[0] == calls
-    assert model.mirror_symmetric == (calls == 9)
-    assert res.margin_theta in list(theta_grid(16))
-    if model.mirror_symmetric:
+    assert model.mirror_symmetric == (sector[0] % 2 == 0)
+    assert res.margin_theta in list(theta_grid(n_grid))
+    if calls == 5:
+        assert res.margin_theta <= np.pi / 2
+    elif model.mirror_symmetric:
         assert res.margin_theta <= np.pi
+
+
+def test_conjugation_relations_are_not_evaluated_off_the_axes():
+    """The relations are checked only for a real or imaginary E."""
+    model = chain_model(ChainParams(length=7, j=1.0, v=1.0), 5, 1)
+    many_body_winding(model, 0.05 + 0.3j, n_grid=16)
+    assert "conjugation_twists" not in model.__dict__
+    many_body_winding(model, 0.3j, n_grid=16)
+    assert "conjugation_twists" in model.__dict__
 
 
 def test_mirror_symmetric_sector_refuses_a_nonzero_winding(monkeypatch):
