@@ -29,7 +29,7 @@ from .oracles import (
     dot_sector2m1_eigenvalues,
     eigenvalue_match,
 )
-from .spectral import logdet_phase, sweep_theta
+from .spectral import logdet_phase, sweep_theta, wrap_phase
 from .observables import occupation_profiles
 from .topology import many_body_winding, spin_winding
 
@@ -385,6 +385,33 @@ def check_conjugation_relations():
                            f"1.1 and theta0 - 1.1 differ by {worst:.2e} (tol 1e-12)")
 
 
+def check_determinant_phase_relations():
+    """The principal phase phi of det[H(theta) - E] obeys the relations a
+    winding above d = 128 rebuilds the loop from, at theta = 1.1 on the
+    L = 7 chain (4,+1) and (5,+1), J = V = 1: phi(-theta) = phi(theta) under
+    the mirror ((4,+1) only), phi(-theta) = -phi(theta) under s = +1 at
+    E = -0.04 and phi(pi - theta) = d pi - phi(theta) under s = -1 at
+    E = 0.3i, each within 1e-9.  The mirror's prediction applied to the
+    s = -1 relation, phi(pi - theta) = phi(theta), is refused."""
+    p, theta, tol = ChainParams(length=7, j=1.0, v=1.0), 1.1, 1e-9
+    worst, refused = 0.0, np.inf
+    for sector in ((4, 1), (5, 1)):
+        model = chain_model(p, *sector)
+        phase = {(at, e_ref): logdet_phase(model(at), e_ref)[1]
+                 for at, e_ref in ((theta, -0.04), (-theta, -0.04), (theta, 0.3j),
+                                   (np.pi - theta, 0.3j), (-theta, 0.3j))}
+        pairs = [(phase[-theta, -0.04], -phase[theta, -0.04]),
+                 (phase[np.pi - theta, 0.3j], model.dim * np.pi - phase[theta, 0.3j])]
+        if sector[0] % 2 == 0:  # the mirror maps even-N sectors to themselves
+            pairs.append((phase[-theta, 0.3j], phase[theta, 0.3j]))
+        worst = max(worst, *(abs(wrap_phase(a - b)) for a, b in pairs))
+        refused = min(refused, abs(wrap_phase(phase[np.pi - theta, 0.3j]
+                                              - phase[theta, 0.3j])))
+    return worst < tol < refused, (f"5 relations hold within {worst:.2e}; the mirror's "
+                                   f"prediction for s = -1 misses by {refused:.2e} "
+                                   f"(tol {tol:.0e})")
+
+
 CHECKS = [
     ("fermionic anticommutation (8 modes, exhaustive)", check_anticommutation),
     ("sector block structure (dot, chain L=3)", check_block_structure),
@@ -398,6 +425,7 @@ CHECKS = [
     ("gap margin is the nearest-eigenvalue distance", check_gap_margin_distance),
     ("mirror symmetry of even-N chain sectors", check_mirror_symmetry),
     ("conjugation relations of twisted sectors", check_conjugation_relations),
+    ("determinant phase relations", check_determinant_phase_relations),
 ]
 
 

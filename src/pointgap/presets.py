@@ -241,12 +241,12 @@ PRESETS = {
         e_ref=[0.0, 0.3], n_grid=64),
     "figS4ef": _preset(
         "chain (9,-1) winding at reference -0.04, J = V = 1 "
-        "(dim 6864: needs --allow-heavy, about 1.6 min)",
+        "(dim 6864: needs --allow-heavy, about 1.1 min)",
         model="chain", params=_chain(j=1.0, v=1.0), sector=[9, -1],
         task="winding", e_ref=[-0.04, 0.0], n_grid=64),
     "figS5": _preset(
         "chain (9,-1) winding at reference -0.04, noninteracting "
-        "(dim 6864: needs --allow-heavy, about 30 s)",
+        "(dim 6864: needs --allow-heavy, about 20 s)",
         model="chain", params=_chain(), sector=[9, -1], task="winding",
         e_ref=[-0.04, 0.0], n_grid=64),
     "figS6": _preset(

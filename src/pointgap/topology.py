@@ -35,14 +35,22 @@ relations D conj(H(theta)) D^-1 = s H(theta0 - theta)
 classified by Kawabata, Shiozaki, Ueda & Sato, PRX 9, 041015 (2019)) give
 theta0 for an imaginary E (s = -1, where spec H(theta0 - theta) =
 -conj spec H(theta)) and for a real E (s = +1, where it is conj spec
-H(theta)); theta0 = pi maps grid to grid only for an even n_grid.  Only the
-lowest point of each orbit of the group these reflections generate is
-solved, and the rest take its distance: on the chain, half of the grid for
-an odd-N sector at a real or imaginary E or an even-N one elsewhere, and a
-quarter for an even-N sector at an imaginary E on an odd L.  Every point
-still gets its own LU and phase.  Where the mirror holds, det[H(theta) - E]
-is even in theta, so its winding is 0, and a nonzero one from the tracker
-raises ``SpectralError``.
+H(theta)); theta0 = pi maps grid to grid only for an even n_grid.
+
+The same reflections fix the principal phase phi of det[H(theta) - E]
+elsewhere from its value on a fundamental arc: phi(-theta) = phi(theta)
+under the mirror (R is a signed permutation), and phi(theta0 - theta) =
+-phi(theta) for s = +1 or d pi - phi(theta) for s = -1, d the dimension.
+So a larger model is factored, phase and margin alike, on that arc only:
+on the chain, half of the grid for an odd-N sector at a real or imaginary
+E or an even-N one elsewhere, and a quarter for an even-N sector at an
+imaginary E on an odd L.  Each margin is solved once per orbit of the
+group the reflections generate, at its lowest point on the arc.  Where the
+mirror holds, det[H(theta) - E] is even in theta, so its winding is 0;
+otherwise the loop's phase change is 2 or 4 times the arc's.  A closing
+anywhere has an image on the arc, where the tracker still finds it.  At an
+arc endpoint that a relation fixes, phi must be 0 or pi (+-pi/2 for
+s = -1 at odd d), and a phase that misses raises ``SpectralError``.
 """
 
 from __future__ import annotations
@@ -149,11 +157,11 @@ class _PhaseTracker:
         return (self._segment(t0, p0, tm, pm, depth + 1, wrap_phase(pm - p0))
                 + self._segment(tm, pm, t1, p1, depth + 1, wrap_phase(p1 - pm)))
 
-    def run(self, base_phases):
-        """Accumulated phase from the principal phases at the n_grid + 1
-        base-grid points; ``phase_fn(theta)`` gives those at refinement
-        midpoints."""
-        grid = theta_grid(self.n_grid)
+    def run(self, base_phases, first=0):
+        """Accumulated phase from the principal phases at the base-grid
+        points first, first + 1, ... (all n_grid + 1 of them by default);
+        ``phase_fn(theta)`` gives those at refinement midpoints."""
+        grid = theta_grid(self.n_grid)[first:first + len(base_phases)]
         self.evaluations += len(grid)
         steps = wrap_phase(np.diff(base_phases)).tolist()
         total = 0.0
@@ -193,35 +201,77 @@ def _nearest_distance(factors, model, theta, ref):
     return float(1.0 / np.abs(mu).max())
 
 
-def _lowest_in_orbit(n_grid, offsets) -> list:
-    """The lowest base-grid index in the orbit of each k = 0..n_grid under
-    the reflections k -> a - k (mod n_grid), a in ``offsets`` (0, n_grid / 2
-    or both), and the shifts k -> k + a - b they compose to: a shift by
-    n_grid / 2 is its own inverse, so these are the whole group.  A
-    reflection takes k = n_grid (theta = 2 pi) where it takes k = 0; with
-    none, every point, theta = 2 pi included, is its own orbit."""
-    if not offsets:
-        return list(range(n_grid + 1))
-    lowest = [min(min((a - k) % n_grid, (k + a - b) % n_grid)
-                  for a in offsets for b in offsets) for k in range(n_grid)]
-    return lowest + [lowest[0]]
-
-
-def _margin_reflections(model, e_ref, n_grid) -> set:
-    """Offsets a of the grid reflections k -> a - k that keep the distance
-    from ``e_ref`` to the spectrum: the mirror (a = 0) where the model has
-    it, the s = -1 conjugation relation for an imaginary ``e_ref`` and the
-    s = +1 one for a real ``e_ref``, each with theta0 = 2 pi a / n_grid.
-    A relation with theta0 = pi needs an even n_grid to map grid to grid."""
-    offsets = {0} if model.mirror_symmetric else set()
+def _grid_reflections(model, e_ref, n_grid) -> list:
+    """(a, s) for each grid reflection k -> a - k (mod n_grid) that maps
+    det[H(theta) - ``e_ref``] to itself or its conjugate, and so keeps the
+    distance from ``e_ref`` to the spectrum: the mirror (a = 0, s None) where
+    the model has it, the s = -1 conjugation relation for an imaginary
+    ``e_ref`` and the s = +1 one for a real ``e_ref``, each with theta0 =
+    2 pi a / n_grid.  A relation with theta0 = pi needs an even n_grid to map
+    grid to grid."""
+    reflections = [(0, None)] if model.mirror_symmetric else []
     e_ref = complex(e_ref)
     for sign, on_axis in ((-1, e_ref.real == 0.0), (1, e_ref.imag == 0.0)):
         theta0 = model.conjugation_twists[sign] if on_axis else None
         if theta0 == 0.0:
-            offsets.add(0)
+            reflections.append((0, sign))
         elif theta0 is not None and n_grid % 2 == 0:
-            offsets.add(n_grid // 2)
-    return offsets
+            reflections.append((n_grid // 2, sign))
+    return reflections
+
+
+def _fundamental_arc(offsets, n_grid):
+    """(first, last, m): the base-grid indices first..last of an arc whose
+    images under the reflections k -> a - k, a in ``offsets``, cover the
+    circle, and the m copies of it that make the loop.  Two reflections,
+    at a = 0 and n_grid / 2, leave a quarter; one leaves the half between
+    its fixed points, at a / 2 and a / 2 + n_grid / 2.  Where those are not
+    grid points, or with no reflection, the arc is the whole circle."""
+    quarter, half = n_grid // 4, n_grid // 2
+    if offsets == {0, half} and n_grid % 4 == 0:
+        return 0, quarter, 4
+    if 0 in offsets and n_grid % 2 == 0:
+        return 0, half, 2
+    if offsets == {half} and n_grid % 4 == 0:
+        return quarter, 3 * quarter, 2
+    return 0, n_grid, 1
+
+
+def _lowest_in_orbit(n_grid, offsets, first, last) -> list:
+    """For each k = first..last, the lowest index in first..last of the orbit
+    of k under the reflections k -> a - k (mod n_grid), a in ``offsets``,
+    and the shifts k -> k + a - b they compose to: a shift by n_grid / 2 is
+    its own inverse, so these are the whole group.  A reflection takes
+    k = n_grid (theta = 2 pi) where it takes k = 0; with none, every point,
+    theta = 2 pi included, is its own orbit."""
+    if not offsets:
+        return list(range(first, last + 1))
+
+    def lowest(k):
+        orbit = {(a - k) % n_grid for a in offsets}
+        orbit |= {(k + a - b) % n_grid for a in offsets for b in offsets}
+        return min(j for m in orbit for j in (m, m + n_grid) if first <= j <= last)
+    return [lowest(k) for k in range(first, last + 1)]
+
+
+def _check_fixed_phases(model, reflections, n_grid, ends):
+    """At a grid point k = a - k (mod n_grid) of a conjugation relation of
+    sign s, the relation fixes the principal phase phi of det[H(theta) - E]:
+    phi = -phi for s = +1 and phi = d pi - phi for s = -1 (mod 2 pi), so phi
+    is 0 or pi, or +-pi/2 for s = -1 at odd d.  ``ends`` holds (k, theta,
+    phi) for the arc's endpoints; one whose phi misses by more than 1e-8
+    (a few 1e-13 on the chain) raises ``SpectralError``."""
+    for k, theta, phi in ends:
+        for a, sign in reflections:
+            if sign is None or (2 * k - a) % n_grid:
+                continue
+            forced = np.pi * (model.dim % 2) if sign < 0 else 0.0
+            if abs(wrap_phase(2.0 * phi - forced)) > 2e-8:
+                basis = model.basis
+                raise SpectralError(
+                    f"sector {(basis.n, basis.parity)}: the s = {sign:+d} conjugation "
+                    f"relation fixes the phase of det[H(theta) - E] at theta={theta:.6f} "
+                    f"to {'+-pi/2' if forced else '0 or pi'}, but the LU gave {phi:.6f}")
 
 
 def many_body_winding(model, e_ref: complex = 0.0,
@@ -244,22 +294,30 @@ def many_body_winding(model, e_ref: complex = 0.0,
     bit for bit and orders the model's band once.  So base-grid points and
     midpoints agree bit for bit at every size.
 
+    A larger model is wound over a fundamental arc only, of the grid
+    reflections (``_grid_reflections``) that the mirror and the conjugation
+    relation for a real or imaginary ``e_ref`` give; elsewhere the phase
+    follows from the arc's.  With the mirror among them the winding is 0
+    and ``raw_phase_change`` 0.0, and the arc is still tracked, so a closing
+    there (the image of any closing) raises ``GapClosedError``.  Otherwise
+    the phase change over the loop is m times that over the arc, m = 2 for a
+    half and 4 for a quarter.  Where an arc endpoint is a fixed point of a
+    relation, the relation fixes its phase, and a phase that misses raises
+    ``SpectralError``.  ``grid_size_used`` counts the LUs: arc points plus
+    refinement midpoints.
+
     The gap margin is the exact distance from ``e_ref`` to the nearest
-    eigenvalue, minimized over the n_grid + 1 base-grid points (refinement
-    midpoints compute phases alone).  ``spectra`` - the eigenvalues of the
-    same matrices at those points, one row of ``model.dim`` per point, e.g.
+    eigenvalue, minimized over the base grid (refinement midpoints compute
+    phases alone).  ``spectra`` - the eigenvalues of the same matrices at the
+    n_grid + 1 base-grid points, one row of ``model.dim`` per point, e.g.
     ``sweep_theta(model, n_grid).spectra`` - gives it without eigensolving
     again.  Otherwise dimensions that share a stack (d <= 128) are
     eigensolved a stack at a time before it is factored, and larger ones get
-    the distance by shift-invert Arnoldi on their own phase LU, to
-    ``ARPACK_TOL``.  A larger model solves one point per orbit of the grid
-    reflections that keep the distance to ``e_ref`` (the mirror, and the
-    conjugation relation that applies where ``e_ref`` is imaginary or real),
-    the lowest one, and the rest of the orbit take its distance; so
-    ``margin_theta`` is the lowest grid angle where the margin lies, which
-    is in that fundamental domain.  The winding itself always comes from the
-    LU determinant phase; for a larger mirror-symmetric model it must be 0,
-    and any other value raises ``SpectralError``.
+    the distance by shift-invert Arnoldi on their own phase LU of the arc, to
+    ``ARPACK_TOL``, once per orbit of the grid reflections, at its lowest
+    point on the arc; the rest of the orbit take its distance.  So
+    ``margin_theta`` is the lowest arc angle where the margin lies; for an
+    arc that starts at theta = 0 it is the lowest grid angle.
     """
     if model.dim == 0:
         basis = model.basis
@@ -268,18 +326,23 @@ def many_body_winding(model, e_ref: complex = 0.0,
     if n_grid < 16:
         raise ValueError("n_grid must be at least 16")
     grid = theta_grid(n_grid)
+    # one matrix per stack: the branches below follow the dimension, not a
+    # stack, which at d <= 128 may be a trailing stack of one
+    alone = stack_length(model.dim) == 1
+    reflections = _grid_reflections(model, e_ref, n_grid) if alone else []
+    offsets = {a for a, _ in reflections}
+    first, last, copies = _fundamental_arc(offsets, n_grid)
+    arc = grid[first:last + 1]
     if spectra is not None:
         if np.shape(spectra) != (len(grid), model.dim):
             raise ValueError(f"spectra has shape {np.shape(spectra)}, not {len(grid)} "
                              f"rows (base-grid points) of {model.dim} eigenvalues")
+        margin_grid = grid
         dists = np.abs(np.asarray(spectra) - e_ref).min(axis=1)
     else:
-        dists = np.empty(len(grid))
-    base_phases = np.empty(len(grid))
-
-    # one matrix per stack: the branches below follow the dimension, not a
-    # stack, which at d <= 128 may be a trailing stack of one
-    alone = stack_length(model.dim) == 1
+        margin_grid = arc
+        dists = np.empty(len(arc))
+    base_phases = np.empty(len(arc))
 
     def factor_at(theta):
         """LU and principal phase of ``model(theta) - e_ref``; GapClosedError
@@ -296,18 +359,16 @@ def many_body_winding(model, e_ref: complex = 0.0,
     def phase_at(theta):
         return factor_at(theta)[1]
 
-    # R H(theta) R^-1 = H(-theta): det[H(theta) - E] is even in theta
-    mirrored = alone and model.mirror_symmetric
-    if alone and spectra is None:  # each margin is solved at its orbit's lowest point
-        lowest = _lowest_in_orbit(n_grid, _margin_reflections(model, e_ref, n_grid))
     tracker = _PhaseTracker(phase_at, n_grid)
     with blas_threads_for(model.dim):
         if alone:  # factored point by point, as refinement midpoints are
-            for k, theta in enumerate(grid):
-                factors, base_phases[k] = factor_at(theta)
-                if spectra is None:
-                    dists[k] = (_nearest_distance(factors, model, theta, e_ref)
-                                if lowest[k] == k else dists[lowest[k]])
+            lowest = _lowest_in_orbit(n_grid, offsets, first, last)
+            for i, theta in enumerate(arc):
+                factors, base_phases[i] = factor_at(theta)
+                if spectra is None:  # each orbit is solved at its lowest arc point
+                    j = lowest[i] - first
+                    dists[i] = (_nearest_distance(factors, model, theta, e_ref)
+                                if j == i else dists[j])
                 del factors  # free them before the next point is factored
         else:
             for start, stack in twist_stacks(model, grid):
@@ -321,7 +382,7 @@ def many_body_winding(model, e_ref: complex = 0.0,
                     phase_at(grid[start + int(np.flatnonzero(singular)[0])])
                 del stack  # free it before the next one is built
         try:
-            total = tracker.run(base_phases.tolist())
+            total = copies * tracker.run(base_phases.tolist(), first)
         except WindingUnresolvedError as exc:
             if exc.looks_like_crossing:
                 raise GapClosedError(0.5 * sum(exc.interval), e_ref,
@@ -330,19 +391,19 @@ def many_body_winding(model, e_ref: complex = 0.0,
     k = int(np.argmin(dists))
     margin = float(dists[k])
     if margin <= 0.0:
-        raise GapClosedError(grid[k], e_ref)
+        raise GapClosedError(margin_grid[k], e_ref)
+    _check_fixed_phases(model, reflections, n_grid,
+                        [(first, arc[0], base_phases[0]), (last, arc[-1], base_phases[-1])])
 
-    value = int(round(total / (2.0 * np.pi)))
-    if abs(total / (2.0 * np.pi) - value) >= INTEGER_TOL:
-        raise WindingUnresolvedError(0.0, 2.0 * np.pi)
-    if mirrored and value != 0:
-        basis = model.basis
-        raise SpectralError(
-            f"sector {(basis.n, basis.parity)} is mirror-symmetric, so its winding "
-            f"is 0, but the phase tracker gave W = {value}")
+    if (0, None) in reflections:  # R H(theta) R^-1 = H(-theta): det is even in theta
+        value, total = 0, 0.0
+    else:
+        value = int(round(total / (2.0 * np.pi)))
+        if abs(total / (2.0 * np.pi) - value) >= INTEGER_TOL:
+            raise WindingUnresolvedError(0.0, 2.0 * np.pi)
     return WindingResult(value=value, raw_phase_change=float(total),
                          max_phase_step=float(tracker.max_step),
-                         gap_margin=margin, margin_theta=float(grid[k]),
+                         gap_margin=margin, margin_theta=float(margin_grid[k]),
                          grid_size_used=tracker.evaluations)
 
 

@@ -190,7 +190,7 @@ def test_criterion_6_larger_sector_windings():
 
 @pytest.mark.heavy
 def test_criterion_6_heavy_half_filled_windings():
-    """Half-filled chain sector (dim 6864); about 2 minutes on 2 vCPUs, run
+    """Half-filled chain sector (dim 6864); about 70 s on 2 vCPUs, run
     explicitly with ``pytest -m heavy``."""
     t0 = time.perf_counter()
     values = {}

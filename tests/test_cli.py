@@ -288,19 +288,28 @@ def test_main_computation_error_exit_code(tmp_path, capsys):
     assert "computation error" in err and "sector" in err
 
 
-def test_main_mirror_certificate_exit_code(tmp_path, capsys, monkeypatch):
-    # a nonzero winding of the mirror-symmetric chain (4,+1) is refused
+def test_main_fixed_phase_exit_code(tmp_path, capsys, monkeypatch):
+    # chain (4,+1) at E = 0.3i: the s = -1 relation fixes the phase of
+    # det[H - E] at theta = pi / 2, the end of the quarter arc; a pivot
+    # turned there is refused
     from pointgap import topology
 
-    monkeypatch.setattr(topology._PhaseTracker, "run", lambda self, phases: 2.0 * np.pi)
-    cfg_path = tmp_path / "mirror.json"
+    factor_model = topology.factor_model
+
+    def turned(model, theta, e_ref):
+        factors, scale = factor_model(model, theta, e_ref)
+        if theta == np.pi / 2:
+            factors.lu[factors.kl + factors.ku, 0] *= np.exp(0.01j)
+        return factors, scale
+    monkeypatch.setattr(topology, "factor_model", turned)
+    cfg_path = tmp_path / "fixed.json"
     cfg_path.write_text(json.dumps(_cfg(model="chain", task="winding", sector=[4, 1],
                                         params={"length": 7, "j": 1.0, "v": 1.0},
                                         e_ref=[0.0, 0.3], n_grid=16)))
     code = main(["run", str(cfg_path), "--output-dir", str(tmp_path / "o")])
     assert code == 3
     err = capsys.readouterr().err
-    assert "mirror-symmetric" in err and "W = 1" in err
+    assert "sector (4, 1)" in err and "s = -1 conjugation relation" in err
 
 
 @pytest.mark.parametrize("model, task, params, sector, message", [

@@ -221,7 +221,9 @@ def _pointwise_phase(model, ref):
 def test_stacked_base_grid_equals_pointwise(case):
     """Base-grid phases from stacks, and the winding built on them, equal
     factor_shifted + phase_from_factors point by point, bit for bit.  At
-    d = 182 every matrix is alone in its stack and factored as a band."""
+    d = 182 every matrix is alone in its stack and factored as a band, and
+    the winding tracks the quarter arc theta <= pi / 2 only: its steps are
+    those of the pointwise phases there, and its W that of the full circle."""
     from pointgap.spectral import blas_threads_for, stack_length, theta_grid
     from pointgap.topology import _PhaseTracker
 
@@ -254,9 +256,18 @@ def test_stacked_base_grid_equals_pointwise(case):
         assert got == expected
         tracker = _PhaseTracker(phase, n_grid)
         total = tracker.run(expected)
+        if case.startswith("chain-182"):  # mirror-symmetric: W = 0 on the quarter arc
+            full_value = round(total / (2.0 * np.pi))
+            tracker = _PhaseTracker(phase, n_grid)
+            tracker.run(expected[:n_grid // 4 + 1])
+            total = 0.0
     result = many_body_winding(model, ref, n_grid=n_grid)
     assert result.raw_phase_change == total
+    assert result.max_phase_step == tracker.max_step
     assert result.grid_size_used == tracker.evaluations
+    if case.startswith("chain-182"):
+        assert result.value == full_value == 0
+        assert result.grid_size_used < n_grid // 2
 
 
 @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
@@ -317,7 +328,8 @@ def test_band_winding_orders_once_and_builds_no_matrix(monkeypatch):
     model = chain_model(ChainParams(length=7, j=0.0, v=0.0), 4, 1)
     assert model.dim == 182 and stack_length(model.dim) == 1
     res = many_body_winding(model, 0.3j, n_grid=n_grid)
-    assert res.grid_size_used > n_grid + 1  # midpoints were factored too
+    # the arc theta <= pi / 2 holds 5 base-grid points; midpoints were factored too
+    assert res.grid_size_used > n_grid // 4 + 1
     assert len(orderings) == 1
     many_body_winding(model, 0.5j, n_grid=n_grid)  # the model keeps its band
     assert len(orderings) == 1
@@ -474,15 +486,78 @@ def test_conjugation_relations_are_not_evaluated_off_the_axes():
     assert "conjugation_twists" in model.__dict__
 
 
-def test_mirror_symmetric_sector_refuses_a_nonzero_winding(monkeypatch):
-    """det[H(theta) - E] of a mirror-symmetric sector is even in theta, so a
-    nonzero tracker result is refused, naming the sector and W."""
+@pytest.mark.parametrize("sector, couplings, ref, n_grid, expected", [
+    ((4, 1), (0.0, 0.0), 0.3j, 16, 0), ((4, 1), (1.0, 1.0), 0.3j, 16, 0),
+    ((5, 1), (1.0, 1.0), -0.6, 16, -1), ((5, 1), (1.0, 1.0), 0.5, 16, 2),
+    ((5, 1), (1.0, 1.0), 0.3j, 16, -1), ((5, -1), (1.0, 1.0), -0.7j, 16, 4),
+    ((5, 1), (1.0, 2.0), 0.0, 16, -2), ((5, 1), (1.0, 1.0), 0.0, 18, 0),
+    ((5, 1), (1.0, 1.0), 0.05 + 0.3j, 16, 1), ((4, 1), (1.0, 1.0), 0.3j, 17, 0)],
+    ids=["4+1-jv0-mirror-quarter", "4+1-mirror-quarter", "5+1-real-half",
+         "5+1-real-half-w2", "5+1-imaginary-half-at-pi", "5-1-imaginary-w4",
+         "5+1-zero-quarter-v2", "5+1-zero-half-grid-2-mod-4", "5+1-off-axis-full",
+         "4+1-odd-grid-full"])
+def test_fundamental_arc_winding_matches_full_circle(sector, couplings, ref, n_grid,
+                                                     expected, monkeypatch):
+    """Above d = 128 the phase is tracked over a fundamental arc of the grid
+    reflections only: a quarter (m = 4) or a half (m = 2), or the whole
+    circle where the reflections leave no arc of grid points (off both axes,
+    an odd n_grid).  W and the phase change equal those of the pointwise
+    tracker over the full grid; the margins equal the full-circle winding's
+    bit for bit on an arc that starts at theta = 0, and within 1e-12 on the
+    half arc [pi / 2, 3 pi / 2] of a relation with theta0 = pi alone."""
+    from pointgap import topology
+    from pointgap.spectral import blas_threads_for, theta_grid
+    from pointgap.topology import _PhaseTracker
+
+    j, v = couplings
+    model = chain_model(ChainParams(length=7, j=j, v=v), *sector)
+    grid = theta_grid(n_grid)
+    phase = _pointwise_phase(model, ref)
+    with blas_threads_for(model.dim):
+        full = _PhaseTracker(phase, n_grid)
+        total = full.run([phase(theta) for theta in grid])
+    assert round(total / (2.0 * np.pi)) == expected
+    res = many_body_winding(model, ref, n_grid=n_grid)
+    assert res.value == expected
+    assert abs(res.raw_phase_change - total) <= 1e-9
+    first, last, _ = topology._fundamental_arc(
+        {a for a, _ in topology._grid_reflections(model, ref, n_grid)}, n_grid)
+    if n_grid % 2 or ref.real and ref.imag:
+        assert (first, last) == (0, n_grid)
+        assert res.grid_size_used == full.evaluations
+        assert res.max_phase_step == full.max_step
+    else:
+        assert last - first <= n_grid // 2 and res.grid_size_used < full.evaluations
+    assert grid[first] <= res.margin_theta <= grid[last]
+
+    monkeypatch.setattr(topology, "_fundamental_arc", lambda offsets, n: (0, n, 1))
+    circle = many_body_winding(model, ref, n_grid=n_grid)
+    assert circle.value == expected and circle.grid_size_used == full.evaluations
+    if first == 0:
+        assert (res.gap_margin, res.margin_theta) == (circle.gap_margin, circle.margin_theta)
+    else:
+        assert abs(res.gap_margin - circle.gap_margin) <= 1e-12 * circle.gap_margin
+
+
+def test_fixed_point_phase_is_checked(monkeypatch):
+    """At theta = pi / 2, the end of the quarter arc of chain (4,+1) at
+    E = 0.3i, the s = -1 relation with theta0 = pi fixes the phase of
+    det[H - E] to 0 or pi (d = 182 is even); a pivot turned by 0.01 there is
+    refused, naming the sector and the relation."""
     from pointgap import topology
     from pointgap.spectral import SpectralError
 
-    monkeypatch.setattr(topology._PhaseTracker, "run", lambda self, phases: 2.0 * np.pi)
     model = chain_model(ChainParams(length=7, j=1.0, v=1.0), 4, 1)
-    with pytest.raises(SpectralError, match=r"sector \(4, 1\).*W = 1"):
+    assert many_body_winding(model, 0.3j, n_grid=16).value == 0
+    factor_model = topology.factor_model
+
+    def turned(model, theta, e_ref):
+        factors, scale = factor_model(model, theta, e_ref)
+        if theta == np.pi / 2:
+            factors.lu[factors.kl + factors.ku, 0] *= np.exp(0.01j)
+        return factors, scale
+    monkeypatch.setattr(topology, "factor_model", turned)
+    with pytest.raises(SpectralError, match=r"sector \(4, 1\): the s = -1 .*theta=1.570796"):
         many_body_winding(model, 0.3j, n_grid=16)
 
 
