@@ -29,7 +29,14 @@ from .oracles import (
     dot_sector2m1_eigenvalues,
     eigenvalue_match,
 )
-from .spectral import logdet_phase, sweep_theta, wrap_phase
+from .spectral import (
+    grid_reflections,
+    logdet_phase,
+    sweep_theta,
+    theta_grid,
+    twist_orbits,
+    wrap_phase,
+)
 from .observables import occupation_profiles
 from .topology import many_body_winding, spin_winding
 
@@ -198,7 +205,9 @@ def check_boundary_twist():
 
 
 def check_theta_periodicity():
-    """Every flow closes: spectra at theta = 0 and 2 pi agree as multisets."""
+    """Every flow closes: spectra solved at theta = 0 and 2 pi agree as
+    multisets.  Both are solved directly, never taken from a sweep, which
+    may fill theta = 2 pi as the image of theta = 0."""
     cases = [
         ("dot one-body", one_body_model(REFERENCE_DOT)),
         ("dot (2,1)", dot_model(REFERENCE_DOT_INT, 2, 1)),
@@ -208,8 +217,8 @@ def check_theta_periodicity():
     ]
     worst, worst_label = 0.0, ""
     for label, model in cases:
-        spectra = sweep_theta(model, 32).spectra
-        d = eigenvalue_match(spectra[0], spectra[-1])[0]
+        d = eigenvalue_match(np.linalg.eigvals(model(0.0)),
+                             np.linalg.eigvals(model(2.0 * np.pi)))[0]
         if d > worst:
             worst, worst_label = d, label
     return worst < 1e-8, f"max end-to-end defect {worst:.2e} in {worst_label!r}"
@@ -308,15 +317,18 @@ def check_chain_splitting_scaling():
 def check_gap_margin_distance():
     """A winding's gap margin, and the distance at its margin_theta, equal the
     nearest-eigenvalue distance over the base grid, for chain (4,+1) at
-    reference 0.3i (d = 182, where the margin comes from ARPACK)."""
+    reference 0.3i (d = 182, where the margin comes from ARPACK).  The
+    reference distances come from ``eigvals`` at every grid point, not from
+    a sweep, whose rows off the fundamental arc are images of the arc's."""
     worst = 0.0
+    grid = theta_grid(16)
     for jv in (0.0, 1.0):
         model = chain_model(ChainParams(length=7, j=jv, v=jv), 4, 1)
         w = many_body_winding(model, 0.3j, n_grid=16)
-        flow = sweep_theta(model, 16)
-        dists = np.abs(flow.spectra - 0.3j).min(axis=1)
+        dists = np.array([np.abs(np.linalg.eigvals(model(theta)) - 0.3j).min()
+                          for theta in grid])
         best = dists.min()
-        at_theta = dists[list(flow.grid).index(w.margin_theta)]
+        at_theta = dists[list(grid).index(w.margin_theta)]
         worst = max(worst, abs(w.gap_margin - best) / best, abs(at_theta - best) / best)
     return worst < 1e-12, f"max relative deviation from the eigvals distance {worst:.2e}"
 
@@ -412,6 +424,22 @@ def check_determinant_phase_relations():
                                    f"(tol {tol:.0e})")
 
 
+def check_flow_images():
+    """Every row of a twist sweep, solved or filled as the image of a solved
+    row under a verified relation, matches ``eigvals`` at its theta within
+    1e-12: chain (3,-1) at L = 7, J = V = 1, n_grid 64 (17 of 65 rows
+    solved) and chain (4,+1) there at n_grid 16 (5 of 17)."""
+    p = ChainParams(length=7, j=1.0, v=1.0)
+    worst, images = 0.0, 0
+    for model, n_grid in ((chain_model(p, 3, -1), 64), (chain_model(p, 4, 1), 16)):
+        flow = sweep_theta(model, n_grid)
+        images += n_grid + 1 - len(twist_orbits(n_grid, grid_reflections(model, n_grid)).solved)
+        for theta, row in zip(flow.grid, flow.spectra):
+            worst = max(worst, eigenvalue_match(row, np.linalg.eigvals(model(theta)))[0])
+    return worst < 1e-12 and images == 60, (
+        f"{images} image rows (want 60); every row within {worst:.2e} of eigvals (tol 1e-12)")
+
+
 CHECKS = [
     ("fermionic anticommutation (8 modes, exhaustive)", check_anticommutation),
     ("sector block structure (dot, chain L=3)", check_block_structure),
@@ -426,6 +454,7 @@ CHECKS = [
     ("mirror symmetry of even-N chain sectors", check_mirror_symmetry),
     ("conjugation relations of twisted sectors", check_conjugation_relations),
     ("determinant phase relations", check_determinant_phase_relations),
+    ("flow images match direct eigensolves", check_flow_images),
 ]
 
 

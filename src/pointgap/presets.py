@@ -204,12 +204,14 @@ PRESETS = {
         e_ref=[0.0, 0.0], n_grid=64),
     "fig4a": _preset(
         "chain (9,-1) half-filled skin analysis, noninteracting "
-        "(dim 6864: needs --allow-heavy, hours of runtime)",
+        "(dim 6864: needs --allow-heavy; the flow eigensolves 9 of its 33 "
+        "twist points, each dense at that size)",
         model="chain", params=_chain(), sector=[9, -1], task="skin",
         e_ref=[-0.04, 0.0], n_grid=32),
     "fig4b": _preset(
         "chain (9,-1) half-filled skin analysis at J = V = 1 "
-        "(dim 6864: needs --allow-heavy, hours of runtime)",
+        "(dim 6864: needs --allow-heavy; the flow eigensolves 9 of its 33 "
+        "twist points, each dense at that size)",
         model="chain", params=_chain(j=1.0, v=1.0), sector=[9, -1], task="skin",
         e_ref=[-0.04, 0.0], n_grid=32),
     "figS1a": _preset(
@@ -251,7 +253,8 @@ PRESETS = {
         e_ref=[-0.04, 0.0], n_grid=64),
     "figS6": _preset(
         "chain (9,-1) open-vs-twisted comparison at J = V = 1 "
-        "(dim 6864: needs --allow-heavy, hours of runtime)",
+        "(dim 6864: needs --allow-heavy; the flow eigensolves 9 of its 33 "
+        "twist points, each dense at that size)",
         model="chain", params=_chain(j=1.0, v=1.0), sector=[9, -1], task="skin",
         e_ref=[-0.04, 0.0], n_grid=32),
 }

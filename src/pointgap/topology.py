@@ -50,7 +50,10 @@ mirror holds, det[H(theta) - E] is even in theta, so its winding is 0;
 otherwise the loop's phase change is 2 or 4 times the arc's.  A closing
 anywhere has an image on the arc, where the tracker still finds it.  At an
 arc endpoint that a relation fixes, phi must be 0 or pi (+-pi/2 for
-s = -1 at odd d), and a phase that misses raises ``SpectralError``.
+s = -1 at odd d), and a phase that misses raises ``SpectralError``.  The
+reflections, the arc and the orbits are ``spectral.grid_reflections`` and
+``spectral.twist_orbits``, which a twist sweep shares; the winding takes
+only the relations that keep the distance to E.
 """
 
 from __future__ import annotations
@@ -67,11 +70,13 @@ from .spectral import (
     factor_model,
     factor_shifted,
     factor_stack,
+    grid_reflections,
     phase_from_factors,
     stack_eigvals,
     stack_length,
     stack_phases,
     theta_grid,
+    twist_orbits,
     twist_stacks,
     wrap_phase,
 )
@@ -163,9 +168,16 @@ class _PhaseTracker:
         ``phase_fn(theta)`` gives those at refinement midpoints."""
         grid = theta_grid(self.n_grid)[first:first + len(base_phases)]
         self.evaluations += len(grid)
-        steps = wrap_phase(np.diff(base_phases)).tolist()
+        steps = wrap_phase(np.diff(base_phases))
+        largest = np.abs(steps).max(initial=0.0)
+        if largest <= PHASE_STEP_BOUND:
+            # no step to refine: the loop's sum, in its order (a cumulative
+            # sum is sequential; + 0.0 gives the loop's 0.0 for an all -0.0
+            # sum), and its largest step, without a call per step
+            self.max_step = max(self.max_step, float(largest))
+            return float(np.cumsum(steps)[-1]) + 0.0
         total = 0.0
-        for k, step in enumerate(steps):
+        for k, step in enumerate(steps.tolist()):
             total += self._segment(grid[k], base_phases[k], grid[k + 1],
                                    base_phases[k + 1], 0, step)
         return total
@@ -199,59 +211,6 @@ def _nearest_distance(factors, model, theta, ref):
     except ArpackNoConvergence:
         return float(np.abs(np.linalg.eigvals(model(theta)) - ref).min())
     return float(1.0 / np.abs(mu).max())
-
-
-def _grid_reflections(model, e_ref, n_grid) -> list:
-    """(a, s) for each grid reflection k -> a - k (mod n_grid) that maps
-    det[H(theta) - ``e_ref``] to itself or its conjugate, and so keeps the
-    distance from ``e_ref`` to the spectrum: the mirror (a = 0, s None) where
-    the model has it, the s = -1 conjugation relation for an imaginary
-    ``e_ref`` and the s = +1 one for a real ``e_ref``, each with theta0 =
-    2 pi a / n_grid.  A relation with theta0 = pi needs an even n_grid to map
-    grid to grid."""
-    reflections = [(0, None)] if model.mirror_symmetric else []
-    e_ref = complex(e_ref)
-    for sign, on_axis in ((-1, e_ref.real == 0.0), (1, e_ref.imag == 0.0)):
-        theta0 = model.conjugation_twists[sign] if on_axis else None
-        if theta0 == 0.0:
-            reflections.append((0, sign))
-        elif theta0 is not None and n_grid % 2 == 0:
-            reflections.append((n_grid // 2, sign))
-    return reflections
-
-
-def _fundamental_arc(offsets, n_grid):
-    """(first, last, m): the base-grid indices first..last of an arc whose
-    images under the reflections k -> a - k, a in ``offsets``, cover the
-    circle, and the m copies of it that make the loop.  Two reflections,
-    at a = 0 and n_grid / 2, leave a quarter; one leaves the half between
-    its fixed points, at a / 2 and a / 2 + n_grid / 2.  Where those are not
-    grid points, or with no reflection, the arc is the whole circle."""
-    quarter, half = n_grid // 4, n_grid // 2
-    if offsets == {0, half} and n_grid % 4 == 0:
-        return 0, quarter, 4
-    if 0 in offsets and n_grid % 2 == 0:
-        return 0, half, 2
-    if offsets == {half} and n_grid % 4 == 0:
-        return quarter, 3 * quarter, 2
-    return 0, n_grid, 1
-
-
-def _lowest_in_orbit(n_grid, offsets, first, last) -> list:
-    """For each k = first..last, the lowest index in first..last of the orbit
-    of k under the reflections k -> a - k (mod n_grid), a in ``offsets``,
-    and the shifts k -> k + a - b they compose to: a shift by n_grid / 2 is
-    its own inverse, so these are the whole group.  A reflection takes
-    k = n_grid (theta = 2 pi) where it takes k = 0; with none, every point,
-    theta = 2 pi included, is its own orbit."""
-    if not offsets:
-        return list(range(first, last + 1))
-
-    def lowest(k):
-        orbit = {(a - k) % n_grid for a in offsets}
-        orbit |= {(k + a - b) % n_grid for a in offsets for b in offsets}
-        return min(j for m in orbit for j in (m, m + n_grid) if first <= j <= last)
-    return [lowest(k) for k in range(first, last + 1)]
 
 
 def _check_fixed_phases(model, reflections, n_grid, ends):
@@ -295,11 +254,12 @@ def many_body_winding(model, e_ref: complex = 0.0,
     midpoints agree bit for bit at every size.
 
     A larger model is wound over a fundamental arc only, of the grid
-    reflections (``_grid_reflections``) that the mirror and the conjugation
-    relation for a real or imaginary ``e_ref`` give; elsewhere the phase
-    follows from the arc's.  With the mirror among them the winding is 0
-    and ``raw_phase_change`` 0.0, and the arc is still tracked, so a closing
-    there (the image of any closing) raises ``GapClosedError``.  Otherwise
+    reflections (``grid_reflections``, ``twist_orbits``) that the mirror and
+    the conjugation relation for a real or imaginary ``e_ref`` give;
+    elsewhere the phase follows from the arc's.  With the mirror among them
+    the winding is 0 and ``raw_phase_change`` 0.0, and the arc is still
+    tracked, so a closing there (the image of any closing) raises
+    ``GapClosedError``.  Otherwise
     the phase change over the loop is m times that over the arc, m = 2 for a
     half and 4 for a quarter.  Where an arc endpoint is a fixed point of a
     relation, the relation fixes its phase, and a phase that misses raises
@@ -329,9 +289,8 @@ def many_body_winding(model, e_ref: complex = 0.0,
     # one matrix per stack: the branches below follow the dimension, not a
     # stack, which at d <= 128 may be a trailing stack of one
     alone = stack_length(model.dim) == 1
-    reflections = _grid_reflections(model, e_ref, n_grid) if alone else []
-    offsets = {a for a, _ in reflections}
-    first, last, copies = _fundamental_arc(offsets, n_grid)
+    orbits = twist_orbits(n_grid, grid_reflections(model, n_grid, e_ref) if alone else ())
+    reflections, first, last = orbits.reflections, orbits.first, orbits.last
     arc = grid[first:last + 1]
     if spectra is not None:
         if np.shape(spectra) != (len(grid), model.dim):
@@ -362,7 +321,7 @@ def many_body_winding(model, e_ref: complex = 0.0,
     tracker = _PhaseTracker(phase_at, n_grid)
     with blas_threads_for(model.dim):
         if alone:  # factored point by point, as refinement midpoints are
-            lowest = _lowest_in_orbit(n_grid, offsets, first, last)
+            lowest = orbits.source[first:last + 1].tolist()
             for i, theta in enumerate(arc):
                 factors, base_phases[i] = factor_at(theta)
                 if spectra is None:  # each orbit is solved at its lowest arc point
@@ -382,7 +341,7 @@ def many_body_winding(model, e_ref: complex = 0.0,
                     phase_at(grid[start + int(np.flatnonzero(singular)[0])])
                 del stack  # free it before the next one is built
         try:
-            total = copies * tracker.run(base_phases.tolist(), first)
+            total = orbits.copies * tracker.run(base_phases.tolist(), first)
         except WindingUnresolvedError as exc:
             if exc.looks_like_crossing:
                 raise GapClosedError(0.5 * sum(exc.interval), e_ref,

@@ -6,6 +6,7 @@ import pytest
 from scipy.linalg import lu_factor
 
 from pointgap.models import (
+    P_PLUS,
     ChainParams,
     DotParams,
     chain_model,
@@ -26,11 +27,13 @@ from pointgap.spectral import (
     factor_model,
     factor_shifted,
     factor_stack,
+    grid_reflections,
     logdet_phase,
     phase_from_factors,
     sigma_min_from_factors,
     sweep_theta,
     theta_grid,
+    twist_orbits,
     wrap_phase,
 )
 from pointgap.topology import many_body_winding
@@ -150,16 +153,85 @@ def test_twisted_chain_flow_forms_loops_around_zero():
     assert gaps.max() < 0.1  # no angular gap: the loop closes around zero
 
 
+def _sorted(values):
+    return values[np.lexsort((values.imag, values.real))]
+
+
+def _turned(model, turn):
+    """``model`` with its first ``P_PLUS`` amplitude times ``turn``."""
+    rows, cols, amps, slots = model._coo
+    amps = amps.copy()
+    amps[np.flatnonzero(slots == P_PLUS)[0]] *= turn
+    model._coo = (rows, cols, amps, slots)
+    return model
+
+
 def test_sweep_matches_pointwise_eigvals_across_stacks():
-    # d = 28 stacks 41 matrices at a time: 101 grid points make 41 + 41 + 19
+    """A sweep longer than one stack (d = 28 stacks 41 matrices) solves the
+    lowest point of each orbit of its model's grid reflections: the quarter
+    arc of chain (3,-1) at L = 7 for an n_grid divisible by 4, 26 of 101
+    points at n_grid 100, the 33 points up to pi at the odd n_grid 65 (no
+    theta0 = pi map) and the half arc of the L = 14 one-body chain.  Those
+    rows equal pointwise eigvals bit for bit.  Every other row equals its
+    source row mapped (conj, -conj, negation or identity) and sorted again,
+    bit for bit, and eigvals at its own theta within 1e-12.  A model with a
+    twisted amplitude turned by e^{0.3i} keeps no relation, and its 101
+    points are all solved, in stacks of 41 + 41 + 19."""
     assert 101 % (STACK_BYTES // (16 * 28 * 28)) != 0
-    for model in (chain_model(ChainParams(length=7, t=1.0, j=1.0, v=1.0), 3, -1),
-                  one_body_model(ChainParams(length=14, t=1.0))):
-        flow = sweep_theta(model, 100)
-        assert flow.spectra.shape == (101, 28)
-        for theta, row in zip(flow.grid, flow.spectra):
-            values = np.linalg.eigvals(model(theta))
-            np.testing.assert_array_equal(row, values[np.lexsort((values.imag, values.real))])
+    p = ChainParams(length=7, t=1.0, j=1.0, v=1.0)
+    turned = _turned(chain_model(p, 3, -1), np.exp(0.3j))
+    assert not turned.mirror_symmetric and turned.conjugation_twists == {-1: None, 1: None}
+    cases = [(chain_model(p, 3, -1), 256, 65),
+             (chain_model(replace(p, j=0.0, v=0.0), 3, -1), 64, 17),
+             (chain_model(p, 3, -1), 100, 26), (chain_model(p, 3, -1), 65, 33),
+             (one_body_model(ChainParams(length=14, t=1.0)), 100, 51),
+             (turned, 100, 101)]
+    for model, n_grid, n_solved in cases:
+        solved, stack = [], model.stack
+        model.stack = lambda thetas: (solved.append(len(thetas)), stack(thetas))[1]
+        flow = sweep_theta(model, n_grid)
+        assert flow.spectra.shape == (n_grid + 1, 28)
+        assert sum(solved) == n_solved and max(solved) <= 41
+        orbits = twist_orbits(n_grid, grid_reflections(model, n_grid))
+        np.testing.assert_array_equal(orbits.solved, np.arange(n_solved))
+        for k, (theta, row) in enumerate(zip(flow.grid, flow.spectra)):
+            direct = _sorted(np.linalg.eigvals(model(theta)))
+            source = orbits.source[k]
+            if source == k:
+                np.testing.assert_array_equal(row, direct)
+                continue
+            image = flow.spectra[source]
+            image = image.conj() if orbits.conjugate[k] else image
+            image = -image if orbits.negate[k] else image
+            np.testing.assert_array_equal(row, _sorted(image))
+            assert eigenvalue_match(row, direct)[0] <= 1e-12
+
+
+def test_single_stack_sweep_looks_no_relation_up():
+    """A grid that fits one stack is solved whole: the dot's (2,+-1) sectors
+    never evaluate their mirror or conjugation relations."""
+    for parity in (1, -1):
+        model = dot_model(replace(FIG_DOT, j=1.0, v=1.0), 2, parity)
+        sweep_theta(model, 64)
+        assert "mirror_symmetric" not in model.__dict__
+        assert "conjugation_twists" not in model.__dict__
+
+
+def test_twist_orbits_of_the_chain_reflections():
+    """The quarter arc of s = -1 at theta0 = pi and s = +1 at theta0 = 0:
+    rows (n/4, n/2] are -conj images, (n/2, 3n/4) negations (the shift by
+    pi), [3n/4, n) conjugates and theta = 2 pi the identity image of 0."""
+    n = 16
+    orbits = twist_orbits(n, ((n // 2, -1), (0, 1)))
+    assert (orbits.first, orbits.last, orbits.copies) == (0, 4, 4)
+    k = np.arange(n + 1)
+    want = np.where(k <= 4, k, np.where(k <= 8, 8 - k, np.where(k < 12, k - 8, (n - k) % n)))
+    np.testing.assert_array_equal(orbits.source, want)
+    np.testing.assert_array_equal(orbits.negate, (k > 4) & (k < 12))
+    np.testing.assert_array_equal(orbits.conjugate, ((k > 4) & (k <= 8)) | ((k >= 12) & (k < n)))
+    alone = twist_orbits(n)
+    np.testing.assert_array_equal(alone.source, k)
+    assert (alone.first, alone.last, alone.copies) == (0, n, 1)
 
 
 def test_sweep_eigensolver_failure_names_theta(monkeypatch, matrix_flow):

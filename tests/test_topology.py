@@ -505,7 +505,7 @@ def test_fundamental_arc_winding_matches_full_circle(sector, couplings, ref, n_g
     tracker over the full grid; the margins equal the full-circle winding's
     bit for bit on an arc that starts at theta = 0, and within 1e-12 on the
     half arc [pi / 2, 3 pi / 2] of a relation with theta0 = pi alone."""
-    from pointgap import topology
+    from pointgap import spectral
     from pointgap.spectral import blas_threads_for, theta_grid
     from pointgap.topology import _PhaseTracker
 
@@ -520,8 +520,8 @@ def test_fundamental_arc_winding_matches_full_circle(sector, couplings, ref, n_g
     res = many_body_winding(model, ref, n_grid=n_grid)
     assert res.value == expected
     assert abs(res.raw_phase_change - total) <= 1e-9
-    first, last, _ = topology._fundamental_arc(
-        {a for a, _ in topology._grid_reflections(model, ref, n_grid)}, n_grid)
+    orbits = spectral.twist_orbits(n_grid, spectral.grid_reflections(model, n_grid, ref))
+    first, last = orbits.first, orbits.last
     if n_grid % 2 or ref.real and ref.imag:
         assert (first, last) == (0, n_grid)
         assert res.grid_size_used == full.evaluations
@@ -530,13 +530,25 @@ def test_fundamental_arc_winding_matches_full_circle(sector, couplings, ref, n_g
         assert last - first <= n_grid // 2 and res.grid_size_used < full.evaluations
     assert grid[first] <= res.margin_theta <= grid[last]
 
-    monkeypatch.setattr(topology, "_fundamental_arc", lambda offsets, n: (0, n, 1))
+    monkeypatch.setattr(spectral, "_fundamental_arc", lambda offsets, n: (0, n, 1))
     circle = many_body_winding(model, ref, n_grid=n_grid)
     assert circle.value == expected and circle.grid_size_used == full.evaluations
     if first == 0:
         assert (res.gap_margin, res.margin_theta) == (circle.gap_margin, circle.margin_theta)
     else:
         assert abs(res.gap_margin - circle.gap_margin) <= 1e-12 * circle.gap_margin
+
+
+@pytest.mark.xfail(strict=True, reason="the sampled tracker misses a fast phase turn "
+                   "near theta = 4.669 that no point of the 17-point grid lies near, and "
+                   "reports W = 0 with a gap margin 12x the true one")
+def test_odd_grid_winding_agrees_with_the_even_grid():
+    """Chain (5,+1) at L = 7, J = V = 1, E = 0.3i winds W = -1 at n_grid 16
+    (and 20 to 128); the gap stays open (nearest eigenvalue 6.3e-4 from E),
+    so n_grid 17 must give the same W."""
+    model = chain_model(ChainParams(length=7, j=1.0, v=1.0), 5, 1)
+    assert many_body_winding(model, 0.3j, n_grid=16).value == -1
+    assert many_body_winding(model, 0.3j, n_grid=17).value == -1
 
 
 def test_fixed_point_phase_is_checked(monkeypatch):
