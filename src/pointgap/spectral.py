@@ -196,13 +196,8 @@ class SpectralFlow:
         return self.spectra.shape[1]
 
 
-@lru_cache(maxsize=32)
 def theta_grid(n_grid: int) -> np.ndarray:
-    """theta_k = 2 pi k / n_grid for k = 0..n_grid, made once per n_grid and
-    shared read-only."""
-    grid = np.linspace(0.0, 2.0 * np.pi, n_grid + 1)
-    grid.flags.writeable = False
-    return grid
+    return np.linspace(0.0, 2.0 * np.pi, n_grid + 1)
 
 
 def twist_stacks(model, thetas):

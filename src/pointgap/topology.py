@@ -169,18 +169,14 @@ class _PhaseTracker:
         grid = theta_grid(self.n_grid)[first:first + len(base_phases)]
         self.evaluations += len(grid)
         steps = wrap_phase(np.diff(base_phases))
-        largest = np.abs(steps).max(initial=0.0)
-        if largest <= PHASE_STEP_BOUND:
-            # no step to refine: the loop's sum, in its order (a cumulative
-            # sum is sequential; + 0.0 gives the loop's 0.0 for an all -0.0
-            # sum), and its largest step, without a call per step
-            self.max_step = max(self.max_step, float(largest))
-            return float(np.cumsum(steps)[-1]) + 0.0
-        total = 0.0
-        for k, step in enumerate(steps.tolist()):
-            total += self._segment(grid[k], base_phases[k], grid[k + 1],
-                                   base_phases[k + 1], 0, step)
-        return total
+        small = np.abs(steps) <= PHASE_STEP_BOUND
+        self.max_step = max(self.max_step,
+                            float(np.abs(steps[small]).max(initial=0.0)))
+        for k in np.flatnonzero(~small).tolist():
+            steps[k] = self._segment(grid[k], base_phases[k], grid[k + 1],
+                                     base_phases[k + 1], 0, float(steps[k]))
+        # summed in grid order from 0.0: a cumulative sum is sequential
+        return float(np.concatenate(([0.0], steps)).cumsum()[-1])
 
 
 # Relative accuracy of the ARPACK margin's Ritz value (scipy's default is
