@@ -399,7 +399,7 @@ def check_conjugation_relations():
 
 def check_determinant_phase_relations():
     """The principal phase phi of det[H(theta) - E] obeys the relations a
-    winding above d = 128 rebuilds the loop from, at theta = 1.1 on the
+    winding over a fundamental arc rebuilds the loop from, at theta = 1.1 on the
     L = 7 chain (4,+1) and (5,+1), J = V = 1: phi(-theta) = phi(theta) under
     the mirror ((4,+1) only), phi(-theta) = -phi(theta) under s = +1 at
     E = -0.04 and phi(pi - theta) = d pi - phi(theta) under s = -1 at

@@ -38,8 +38,8 @@ from .models import (
 )
 from .observables import boundary_sensitivity, product_state_profiles
 from .presets import PRESETS, HEAVY_DIM, ConfigError, ExperimentConfig, config_from_dict
-from .spectral import SpectralError, SpectralFlow, sweep_theta, theta_grid
-from .topology import many_body_winding, spin_winding
+from .spectral import SpectralError, sweep_theta
+from .topology import WindingResult, many_body_winding, spin_winding
 
 
 def _fmt(x) -> str:
@@ -135,22 +135,27 @@ def run_flow(cfg, outdir):
 
 def run_winding(cfg, outdir):
     model = _model(cfg)
-    w = many_body_winding(model, cfg.e_ref, cfg.n_grid)
+    ws = spin_winding(model, cfg.e_ref, cfg.n_grid) if cfg.sector is None else None
+    if ws is None:
+        w = many_body_winding(model, cfg.e_ref, cfg.n_grid)
+    else:  # det(h - E) = det(h_up - E) det(h_dn - E): the margin is the nearer block's
+        up, dn = ws.up, ws.down
+        near = dn if dn.gap_margin < up.gap_margin else up
+        w = WindingResult(up.value + dn.value, up.raw_phase_change + dn.raw_phase_change,
+                          max(up.max_phase_step, dn.max_phase_step), near.gap_margin,
+                          near.margin_theta, up.grid_size_used + dn.grid_size_used)
     payload = _winding_payload(w, cfg.sector, cfg.e_ref)
-    if cfg.sector is None:
-        ws = spin_winding(model, cfg.e_ref, cfg.n_grid)
-        payload["spin_winding"] = [ws.value.numerator, ws.value.denominator]
-    _write_json(os.path.join(outdir, "winding.json"), payload)
     summary = {k: payload[k] for k in ("winding", "gap_margin", "grid_size_used")}
-    if "spin_winding" in payload:
-        summary["spin_winding"] = payload["spin_winding"]
+    if ws is not None:
+        payload["spin_winding"] = summary["spin_winding"] = [ws.value.numerator,
+                                                             ws.value.denominator]
+    _write_json(os.path.join(outdir, "winding.json"), payload)
     return summary, ["winding.json"]
 
 
 def run_skin(cfg, outdir):
     bs = boundary_sensitivity(cfg.params, cfg.sector, cfg.n_grid)
-    flow = SpectralFlow(theta_grid(cfg.n_grid), bs.flow_spectra)
-    write_flow_csv(os.path.join(outdir, "flow.csv"), flow)
+    write_flow_csv(os.path.join(outdir, "flow.csv"), bs.flow)
     write_spectrum_csv(os.path.join(outdir, "obc_spectrum.csv"), bs.obc_spectrum)
 
     obc = replace(cfg.params, bc="open")
@@ -165,7 +170,7 @@ def run_skin(cfg, outdir):
 
     # the flow above is of the winding's own model
     w = many_body_winding(bs.twisted_model, cfg.e_ref, cfg.n_grid,
-                          spectra=bs.flow_spectra)
+                          spectra=bs.flow.spectra)
     _write_json(os.path.join(outdir, "winding.json"),
                 _winding_payload(w, cfg.sector, cfg.e_ref))
     sens = {

@@ -24,7 +24,7 @@ from .models import (
     chain_sector_basis,
     one_body_model,
 )
-from .spectral import EigenSolution, eigendecompose, sweep_theta
+from .spectral import EigenSolution, SpectralFlow, eigendecompose, sweep_theta
 
 
 @dataclass
@@ -139,15 +139,15 @@ class BoundarySensitivity:
     eigenvalue sits from the flow.  The reverse direction is not informative
     here - the theta-swept union always extends beyond one fixed-boundary
     snapshot - so it would swamp the sensitivity signal being measured.
-    ``twisted_model`` is the sector model behind the flow, for a winding
-    of the same matrices.
+    ``flow`` is the twisted flow and ``twisted_model`` the sector model
+    behind it, for a winding of the same matrices.
     """
 
     hausdorff_obc_pbc: float
     edge_weight: float
     max_site_occupation: float
     obc_spectrum: np.ndarray
-    flow_spectra: np.ndarray
+    flow: SpectralFlow
     obc_profiles: list
     twisted_model: SectorModel
 
@@ -191,7 +191,7 @@ def boundary_sensitivity(p: ChainParams, sector, n_grid: int = 64) -> BoundarySe
         edge_weight=edge,
         max_site_occupation=peak,
         obc_spectrum=sol.values,
-        flow_spectra=flow.spectra,
+        flow=flow,
         obc_profiles=profiles,
         twisted_model=twisted_model,
     )

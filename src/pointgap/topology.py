@@ -41,10 +41,10 @@ The same reflections fix the principal phase phi of det[H(theta) - E]
 elsewhere from its value on a fundamental arc: phi(-theta) = phi(theta)
 under the mirror (R is a signed permutation), and phi(theta0 - theta) =
 -phi(theta) for s = +1 or d pi - phi(theta) for s = -1, d the dimension.
-So a larger model is factored, phase and margin alike, on that arc only:
-on the chain, half of the grid for an odd-N sector at a real or imaginary
-E or an even-N one elsewhere, and a quarter for an even-N sector at an
-imaginary E on an odd L.  Each margin is solved once per orbit of the
+So a model is factored, phase and margin alike, on that arc only: on the
+chain, half of the grid for an odd-N sector at a real or imaginary E or
+an even-N one elsewhere, and a quarter for an even-N sector at an
+imaginary E on an odd L.  An ARPACK margin is solved once per orbit of the
 group the reflections generate, at its lowest point on the arc.  Where the
 mirror holds, det[H(theta) - E] is even in theta, so its winding is 0;
 otherwise the loop's phase change is 2 or 4 times the arc's.  A closing
@@ -52,8 +52,9 @@ anywhere has an image on the arc, where the tracker still finds it.  At an
 arc endpoint that a relation fixes, phi must be 0 or pi (+-pi/2 for
 s = -1 at odd d), and a phase that misses raises ``SpectralError``.  The
 reflections, the arc and the orbits are ``spectral.grid_reflections`` and
-``spectral.twist_orbits``, which a twist sweep shares; the winding takes
-only the relations that keep the distance to E.
+``spectral.twist_orbits``, which a twist sweep shares and which decide
+where relations are used; the winding takes only the relations that keep
+the distance to E.
 """
 
 from __future__ import annotations
@@ -68,7 +69,6 @@ from .spectral import (
     SpectrumHitError,
     blas_threads_for,
     factor_model,
-    factor_shifted,
     factor_stack,
     grid_reflections,
     phase_from_factors,
@@ -236,44 +236,41 @@ def many_body_winding(model, e_ref: complex = 0.0,
     twist period.  Sectors below ``BLAS_THREAD_CROSSOVER_DIM`` are wound on
     one BLAS thread.
 
-    The base grid is evaluated in the stacks of ``twist_stacks``.  A stack
-    of several matrices (d <= 128) is shifted and LU-factored in place
-    (``factor_stack``) and its phases and singularity test are taken
-    together (``stack_phases``).  The first singular point in grid order is
-    factored again alone, as refinement midpoints are, and raises
-    ``GapClosedError``: at these sizes ``factor_shifted`` is ``factor_stack``
-    on a stack of one, so both make the same test on the same numbers.  A
-    matrix alone in its stack is not built: every point, base grid and
-    midpoints alike, is factored from the model's pattern by
-    ``factor_model``, which gives the LU of ``factor_shifted(model(theta))``
-    bit for bit and orders the model's band once.  So base-grid points and
-    midpoints agree bit for bit at every size.
+    The model is wound over a fundamental arc only, of the grid reflections
+    (``grid_reflections``, ``twist_orbits``) that the mirror and the
+    conjugation relation for a real or imaginary ``e_ref`` give; elsewhere
+    the phase follows from the arc's.  With the mirror among them the
+    winding is 0 and ``raw_phase_change`` 0.0, and the arc is still tracked,
+    so a closing there (the image of any closing) raises ``GapClosedError``.
+    Otherwise the phase change over the loop is m times that over the arc,
+    m = 2 for a half and 4 for a quarter.  Where an arc endpoint is a fixed
+    point of a relation, the relation fixes its phase, and a phase that
+    misses raises ``SpectralError``.  ``grid_size_used`` counts the LUs: arc
+    points plus refinement midpoints.
 
-    A larger model is wound over a fundamental arc only, of the grid
-    reflections (``grid_reflections``, ``twist_orbits``) that the mirror and
-    the conjugation relation for a real or imaginary ``e_ref`` give;
-    elsewhere the phase follows from the arc's.  With the mirror among them
-    the winding is 0 and ``raw_phase_change`` 0.0, and the arc is still
-    tracked, so a closing there (the image of any closing) raises
-    ``GapClosedError``.  Otherwise
-    the phase change over the loop is m times that over the arc, m = 2 for a
-    half and 4 for a quarter.  Where an arc endpoint is a fixed point of a
-    relation, the relation fixes its phase, and a phase that misses raises
-    ``SpectralError``.  ``grid_size_used`` counts the LUs: arc points plus
-    refinement midpoints.
+    The arc is evaluated in the stacks of ``twist_stacks``.  A stack of
+    several matrices is shifted and LU-factored in place (``factor_stack``)
+    and its phases and singularity test are taken together
+    (``stack_phases``); its first singular point is factored again alone
+    and raises ``GapClosedError``.  Every point factored alone, refinement
+    midpoints too, is ``factor_model``'s LU: ``factor_stack`` on a stack of
+    one where matrices share a stack, and a band LU from the model's
+    pattern, with no matrix built, where each is alone in its stack.  So
+    base-grid points and midpoints agree bit for bit at every size.
 
     The gap margin is the exact distance from ``e_ref`` to the nearest
-    eigenvalue, minimized over the base grid (refinement midpoints compute
-    phases alone).  ``spectra`` - the eigenvalues of the same matrices at the
-    n_grid + 1 base-grid points, one row of ``model.dim`` per point, e.g.
-    ``sweep_theta(model, n_grid).spectra`` - gives it without eigensolving
-    again.  Otherwise dimensions that share a stack (d <= 128) are
-    eigensolved a stack at a time before it is factored, and larger ones get
-    the distance by shift-invert Arnoldi on their own phase LU of the arc, to
-    ``ARPACK_TOL``, once per orbit of the grid reflections, at its lowest
-    point on the arc; the rest of the orbit take its distance.  So
-    ``margin_theta`` is the lowest arc angle where the margin lies; for an
-    arc that starts at theta = 0 it is the lowest grid angle.
+    eigenvalue, minimized over the arc's base-grid points (refinement
+    midpoints compute phases alone).  ``spectra`` - the eigenvalues of the
+    same matrices at the n_grid + 1 base-grid points, one row of
+    ``model.dim`` per point, e.g. ``sweep_theta(model, n_grid).spectra`` -
+    gives it from the arc's rows without eigensolving again.  Otherwise a
+    stack of several matrices is eigensolved in one batch before it is
+    factored, and a matrix alone in its stack gets the distance by
+    shift-invert Arnoldi on its own phase LU, to ``ARPACK_TOL``, once per
+    orbit of the grid reflections, at its lowest point on the arc; the rest
+    of the orbit take its distance.  So ``margin_theta`` is the lowest arc
+    angle where the margin lies; for an arc that starts at theta = 0 it is
+    the lowest grid angle.
     """
     if model.dim == 0:
         basis = model.basis
@@ -282,20 +279,15 @@ def many_body_winding(model, e_ref: complex = 0.0,
     if n_grid < 16:
         raise ValueError("n_grid must be at least 16")
     grid = theta_grid(n_grid)
-    # one matrix per stack: the branches below follow the dimension, not a
-    # stack, which at d <= 128 may be a trailing stack of one
-    alone = stack_length(model.dim) == 1
-    orbits = twist_orbits(n_grid, grid_reflections(model, n_grid, e_ref) if alone else ())
+    orbits = twist_orbits(n_grid, grid_reflections(model, n_grid, e_ref))
     reflections, first, last = orbits.reflections, orbits.first, orbits.last
     arc = grid[first:last + 1]
     if spectra is not None:
         if np.shape(spectra) != (len(grid), model.dim):
             raise ValueError(f"spectra has shape {np.shape(spectra)}, not {len(grid)} "
                              f"rows (base-grid points) of {model.dim} eigenvalues")
-        margin_grid = grid
-        dists = np.abs(np.asarray(spectra) - e_ref).min(axis=1)
+        dists = np.abs(np.asarray(spectra)[first:last + 1] - e_ref).min(axis=1)
     else:
-        margin_grid = arc
         dists = np.empty(len(arc))
     base_phases = np.empty(len(arc))
 
@@ -303,10 +295,7 @@ def many_body_winding(model, e_ref: complex = 0.0,
         """LU and principal phase of ``model(theta) - e_ref``; GapClosedError
         where a pivot falls below the singularity tolerance."""
         try:
-            if alone:
-                factors, scale = factor_model(model, theta, e_ref)
-            else:
-                factors, scale = factor_shifted(model(theta), e_ref)
+            factors, scale = factor_model(model, theta, e_ref)
             return factors, phase_from_factors(factors, scale, e_ref)[1]
         except SpectrumHitError as exc:
             raise GapClosedError(theta, e_ref) from exc
@@ -316,7 +305,7 @@ def many_body_winding(model, e_ref: complex = 0.0,
 
     tracker = _PhaseTracker(phase_at, n_grid)
     with blas_threads_for(model.dim):
-        if alone:  # factored point by point, as refinement midpoints are
+        if stack_length(model.dim) == 1:  # point by point (not a trailing stack of one)
             lowest = orbits.source[first:last + 1].tolist()
             for i, theta in enumerate(arc):
                 factors, base_phases[i] = factor_at(theta)
@@ -326,15 +315,15 @@ def many_body_winding(model, e_ref: complex = 0.0,
                                 if j == i else dists[j])
                 del factors  # free them before the next point is factored
         else:
-            for start, stack in twist_stacks(model, grid):
+            for start, stack in twist_stacks(model, arc):
                 points = slice(start, start + len(stack))
                 if spectra is None:  # one batched eigensolve per stack
-                    dists[points] = np.abs(stack_eigvals(stack, grid[points])
+                    dists[points] = np.abs(stack_eigvals(stack, arc[points])
                                            - e_ref).min(axis=1)
                 piv, scales = factor_stack(stack, e_ref)
                 base_phases[points], singular = stack_phases(stack, piv, scales)
                 if singular.any():  # factored alone, the first one in grid order raises
-                    phase_at(grid[start + int(np.flatnonzero(singular)[0])])
+                    phase_at(arc[start + int(np.flatnonzero(singular)[0])])
                 del stack  # free it before the next one is built
         try:
             total = orbits.copies * tracker.run(base_phases.tolist(), first)
@@ -346,7 +335,7 @@ def many_body_winding(model, e_ref: complex = 0.0,
     k = int(np.argmin(dists))
     margin = float(dists[k])
     if margin <= 0.0:
-        raise GapClosedError(margin_grid[k], e_ref)
+        raise GapClosedError(arc[k], e_ref)
     _check_fixed_phases(model, reflections, n_grid,
                         [(first, arc[0], base_phases[0]), (last, arc[-1], base_phases[-1])])
 
@@ -358,7 +347,7 @@ def many_body_winding(model, e_ref: complex = 0.0,
             raise WindingUnresolvedError(0.0, 2.0 * np.pi)
     return WindingResult(value=value, raw_phase_change=float(total),
                          max_phase_step=float(tracker.max_step),
-                         gap_margin=margin, margin_theta=float(margin_grid[k]),
+                         gap_margin=margin, margin_theta=float(arc[k]),
                          grid_size_used=tracker.evaluations)
 
 

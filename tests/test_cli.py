@@ -110,13 +110,35 @@ def test_run_determinism(tmp_path):
 
 
 def test_run_winding_one_body(tmp_path):
-    cfg = config_from_dict(_cfg(task="winding", n_grid=64))
-    execute(cfg, str(tmp_path))
-    payload = json.loads((tmp_path / "winding.json").read_text())
-    assert payload["sector"] is None
-    assert payload["winding"] == 0
-    assert payload["spin_winding"] == [1, 1]
-    _check_margin_keys(payload, 64)
+    """Without a sector, h is wound once, as its spin blocks: det(h - E) is
+    det(h_up - E) det(h_dn - E), so the phases add and the margin is the
+    nearer block's; the step is the larger block's and the LUs both blocks'."""
+    from pointgap.models import one_body_model
+    from pointgap.topology import many_body_winding, spin_winding
+
+    chain = {"model": "chain", "params": {"length": 7, "t": 1.0, "j": 1.0, "v": 1.0}}
+    for name, raw in (("dot", _cfg(task="winding", n_grid=64)),
+                      ("chain", _cfg(task="winding", n_grid=64, **chain))):
+        cfg = config_from_dict(raw)
+        execute(cfg, str(tmp_path / name))
+        payload = json.loads((tmp_path / name / "winding.json").read_text())
+        assert payload["sector"] is None
+        assert payload["winding"] == 0
+        assert payload["spin_winding"] == [1, 1]
+        _check_margin_keys(payload, 64)
+        model = one_body_model(cfg.params)
+        ws = spin_winding(model, 0.0, 64)
+        up, dn = ws.up, ws.down
+        near = dn if dn.gap_margin < up.gap_margin else up
+        assert payload["winding"] == up.value + dn.value
+        assert payload["raw_phase_change"] == up.raw_phase_change + dn.raw_phase_change
+        assert (payload["gap_margin"], payload["margin_theta"]) == (near.gap_margin,
+                                                                    near.margin_theta)
+        assert payload["max_phase_step"] == max(up.max_phase_step, dn.max_phase_step)
+        assert payload["grid_size_used"] == up.grid_size_used + dn.grid_size_used
+        whole = many_body_winding(model, 0.0, 64)
+        assert whole.value == payload["winding"]
+        assert abs(whole.gap_margin - payload["gap_margin"]) <= 1e-12 * whole.gap_margin
 
 
 def _check_margin_keys(payload, n_grid):

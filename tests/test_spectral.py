@@ -208,13 +208,17 @@ def test_sweep_matches_pointwise_eigvals_across_stacks():
 
 
 def test_single_stack_sweep_looks_no_relation_up():
-    """A grid that fits one stack is solved whole: the dot's (2,+-1) sectors
-    never evaluate their mirror or conjugation relations."""
+    """A grid that fits one stack is solved, or factored, whole: a sweep or
+    a winding of the dot's (2,+-1) sectors never evaluates their mirror or
+    conjugation relations."""
+    runs = (lambda model: sweep_theta(model, 64),
+            lambda model: many_body_winding(model, 0.3j, n_grid=64))
     for parity in (1, -1):
-        model = dot_model(replace(FIG_DOT, j=1.0, v=1.0), 2, parity)
-        sweep_theta(model, 64)
-        assert "mirror_symmetric" not in model.__dict__
-        assert "conjugation_twists" not in model.__dict__
+        for run in runs:
+            model = dot_model(replace(FIG_DOT, j=1.0, v=1.0), 2, parity)
+            run(model)
+            assert "mirror_symmetric" not in model.__dict__
+            assert "conjugation_twists" not in model.__dict__
 
 
 def test_twist_orbits_of_the_chain_reflections():

@@ -19,6 +19,7 @@ from pointgap.models import (
 from pointgap.oracles import CircleFlow, circle_flow_winding
 from pointgap.spectral import (
     SpectrumHitError,
+    factor_model,
     factor_shifted,
     factor_stack,
     openblas_thread_controls,
@@ -221,10 +222,19 @@ def _pointwise_phase(model, ref):
 def test_stacked_base_grid_equals_pointwise(case):
     """Base-grid phases from stacks, and the winding built on them, equal
     factor_shifted + phase_from_factors point by point, bit for bit.  At
-    d = 182 every matrix is alone in its stack and factored as a band, and
-    the winding tracks the quarter arc theta <= pi / 2 only: its steps are
+    d = 182 every matrix is alone in its stack and factored as a band.  The
+    winding tracks the fundamental arc of its grid reflections only: the
+    quarter arc theta <= pi / 2 at d = 182, the half arc [pi / 2, 3 pi / 2]
+    of chain (3,-1), the half arc theta <= pi of the one-body chain, and
+    the whole circle of the dot, whose grid fits one stack.  Its steps are
     those of the pointwise phases there, and its W that of the full circle."""
-    from pointgap.spectral import blas_threads_for, stack_length, theta_grid
+    from pointgap.spectral import (
+        blas_threads_for,
+        grid_reflections,
+        stack_length,
+        theta_grid,
+        twist_orbits,
+    )
     from pointgap.topology import _PhaseTracker
 
     if case == "chain":  # d = 28: stacks of 41, 41 and 19 points
@@ -254,20 +264,26 @@ def test_stacked_base_grid_equals_pointwise(case):
             assert not singular.any()
             got += phases.tolist()
         assert got == expected
+        full_value = round(_PhaseTracker(phase, n_grid).run(expected) / (2.0 * np.pi))
+        orbits = twist_orbits(n_grid, grid_reflections(model, n_grid, ref))
+        first, last = orbits.first, orbits.last
+        assert (first, last) == {"chain": (25, 75), "dot": (0, n_grid),
+                                 "one-body": (0, 50)}.get(case, (0, 25))
         tracker = _PhaseTracker(phase, n_grid)
-        total = tracker.run(expected)
-        if case.startswith("chain-182"):  # mirror-symmetric: W = 0 on the quarter arc
-            full_value = round(total / (2.0 * np.pi))
-            tracker = _PhaseTracker(phase, n_grid)
-            tracker.run(expected[:n_grid // 4 + 1])
+        total = orbits.copies * tracker.run(expected[first:last + 1], first)
+        if (0, None) in orbits.reflections:  # mirror-symmetric: W = 0
             total = 0.0
     result = many_body_winding(model, ref, n_grid=n_grid)
     assert result.raw_phase_change == total
     assert result.max_phase_step == tracker.max_step
     assert result.grid_size_used == tracker.evaluations
+    assert result.value == full_value
     if case.startswith("chain-182"):
-        assert result.value == full_value == 0
-        assert result.grid_size_used < n_grid // 2
+        assert result.value == 0 and result.grid_size_used < n_grid // 2
+    else:  # matrices that share a stack: factor_model is dense and orders no band
+        factors, scale = factor_model(model, grid[1], ref)
+        assert factors.perm is None and phase_from_factors(factors, scale, ref)[1] == expected[1]
+        assert "band_layout" not in model.__dict__
 
 
 @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
@@ -491,22 +507,31 @@ def test_conjugation_relations_are_not_evaluated_off_the_axes():
     ((5, 1), (1.0, 1.0), -0.6, 16, -1), ((5, 1), (1.0, 1.0), 0.5, 16, 2),
     ((5, 1), (1.0, 1.0), 0.3j, 16, -1), ((5, -1), (1.0, 1.0), -0.7j, 16, 4),
     ((5, 1), (1.0, 2.0), 0.0, 16, -2), ((5, 1), (1.0, 1.0), 0.0, 18, 0),
-    ((5, 1), (1.0, 1.0), 0.05 + 0.3j, 16, 1), ((4, 1), (1.0, 1.0), 0.3j, 17, 0)],
+    ((5, 1), (1.0, 1.0), 0.05 + 0.3j, 16, 1), ((4, 1), (1.0, 1.0), 0.3j, 17, 0),
+    *(((3, -1), (jv, jv), ref, 256, 0) for jv in (0.0, 1.0) for ref in (0.0, 0.3j, -0.04)),
+    ((3, -1), (1.0, 1.0), 0.0, 65, 0)],
     ids=["4+1-jv0-mirror-quarter", "4+1-mirror-quarter", "5+1-real-half",
          "5+1-real-half-w2", "5+1-imaginary-half-at-pi", "5-1-imaginary-w4",
          "5+1-zero-quarter-v2", "5+1-zero-half-grid-2-mod-4", "5+1-off-axis-full",
-         "4+1-odd-grid-full"])
+         "4+1-odd-grid-full", "3-1-jv0-zero-quarter", "3-1-jv0-imaginary-half-at-pi",
+         "3-1-jv0-real-half", "3-1-zero-quarter", "3-1-imaginary-half-at-pi",
+         "3-1-real-half", "3-1-odd-grid-full"])
 def test_fundamental_arc_winding_matches_full_circle(sector, couplings, ref, n_grid,
                                                      expected, monkeypatch):
-    """Above d = 128 the phase is tracked over a fundamental arc of the grid
-    reflections only: a quarter (m = 4) or a half (m = 2), or the whole
-    circle where the reflections leave no arc of grid points (off both axes,
-    an odd n_grid).  W and the phase change equal those of the pointwise
-    tracker over the full grid; the margins equal the full-circle winding's
-    bit for bit on an arc that starts at theta = 0, and within 1e-12 on the
-    half arc [pi / 2, 3 pi / 2] of a relation with theta0 = pi alone."""
+    """The phase is tracked over a fundamental arc of the grid reflections
+    only: a quarter (m = 4) or a half (m = 2), or the whole circle where the
+    reflections leave no arc of grid points (off both axes, an odd n_grid).
+    Chain (3,-1) (d = 28) is factored and eigensolved in stacks, (4,+-1) and
+    (5,+-1) (d = 182 and 728) point by point as bands.  W and the phase
+    change equal those of the pointwise tracker over the full grid.  The
+    margins equal the full-circle winding's bit for bit where one ARPACK
+    margin is solved per orbit on an arc that starts at theta = 0.  They
+    agree within 1e-12 on the half arc [pi / 2, 3 pi / 2] of a relation with
+    theta0 = pi alone, and where every point is eigensolved in its stack:
+    there the circle's winding eigensolves each image point itself, which
+    agrees with its arc point only to rounding."""
     from pointgap import spectral
-    from pointgap.spectral import blas_threads_for, theta_grid
+    from pointgap.spectral import blas_threads_for, stack_length, theta_grid
     from pointgap.topology import _PhaseTracker
 
     j, v = couplings
@@ -533,7 +558,7 @@ def test_fundamental_arc_winding_matches_full_circle(sector, couplings, ref, n_g
     monkeypatch.setattr(spectral, "_fundamental_arc", lambda offsets, n: (0, n, 1))
     circle = many_body_winding(model, ref, n_grid=n_grid)
     assert circle.value == expected and circle.grid_size_used == full.evaluations
-    if first == 0:
+    if first == 0 and stack_length(model.dim) == 1:
         assert (res.gap_margin, res.margin_theta) == (circle.gap_margin, circle.margin_theta)
     else:
         assert abs(res.gap_margin - circle.gap_margin) <= 1e-12 * circle.gap_margin
@@ -621,9 +646,7 @@ def two_blas_threads():
 
 def _record_threads_during_lu(monkeypatch):
     """Thread counts seen by each LU of a winding: one per base-grid stack
-    (``factor_stack``), one per small matrix factored alone
-    (``factor_shifted``) and one per point of a matrix alone in its stack
-    (``factor_model``)."""
+    (``factor_stack``) and one per point factored alone (``factor_model``)."""
     import pointgap.topology as topology
 
     seen = []
@@ -633,7 +656,7 @@ def _record_threads_during_lu(monkeypatch):
             seen.append(_thread_counts())
             return original(*args)
         return lu
-    for name in ("factor_shifted", "factor_stack", "factor_model"):
+    for name in ("factor_stack", "factor_model"):
         monkeypatch.setattr(topology, name, recording(getattr(topology, name)))
     return seen
 
