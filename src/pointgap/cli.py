@@ -72,10 +72,12 @@ def write_flow_csv(path, flow):
 
 
 def write_deform_csv(path, path_values, flows):
+    """The flows are swept on one twist grid, whose reprs are made once."""
+    thetas = [f"{theta!r}," for theta in flows[0].grid.tolist()]
     lines = []
     for s, flow in zip(path_values.tolist(), flows):
-        heads = [f"{s!r},{theta!r}," for theta in flow.grid.tolist()]
-        lines += _spectra_lines(heads, flow.spectra)
+        head = f"{s!r},"
+        lines += _spectra_lines([head + theta for theta in thetas], flow.spectra)
     _write_lines(path, ("path_param", "theta", "eig_index", "re_e", "im_e"), lines)
 
 

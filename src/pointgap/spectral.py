@@ -1,12 +1,14 @@
 """Dense non-Hermitian eigendecomposition, twist sweeps, and determinant phases.
 
-The winding primitive is the phase of ``det[H(theta) - E_ref]`` accumulated
-factor-by-factor from a pivoted LU decomposition; tracking that phase avoids
-any eigenvalue pairing across theta (trajectories cross and permute freely).
-Eigendecompositions are used for full spectral flows, gap margins and
-occupation observables.
+The winding primitive is the phase of ``det[H(theta) - E_ref]``, accumulated
+factor by factor: from a pivoted LU decomposition, or from eigenvalues
+already at hand, as det[H - E] = prod_i (lambda_i - E).  Tracking that
+phase avoids any eigenvalue pairing across theta (trajectories cross and
+permute freely).  Eigendecompositions are used for full spectral flows, gap
+margins and occupation observables.
 
-Small matrices, several to a twist stack, are LU-factored dense and in place
+Small matrices, several to a twist stack, are eigensolved in one batch
+(``stack_eigvals``) and LU-factored dense and in place, one at a time
 (``zgetrf``).  A matrix alone in its stack (d > 128) is a sector Hamiltonian
 with a handful of nonzeros per column: reverse Cuthill-McKee ordering
 (Cuthill & McKee, 1969) gathers them into a narrow band, and LAPACK's banded
@@ -31,7 +33,7 @@ theta) (s = +1) or -conj spec H(theta0 - theta) (s = -1).  The orbits they
 generate and the fundamental arc that meets every orbit (``twist_orbits``)
 are shared by the sweep and the winding: a sweep eigensolves the lowest
 arc point of each orbit and fills every other row as the exact image of
-that row, and a winding factors the arc only.
+that row, and a winding tracks the arc only.
 
 This module knows matrices and sector models, not parameters: a sweep
 takes a ``SectorModel`` and builds its matrices with the model's ``stack``,
@@ -64,7 +66,7 @@ SINGULARITY_RTOL = 1e-12
 # and 2.1-3.2 s against 1.6-2.6 s at d = 6864.
 BLAS_THREAD_CROSSOVER_DIM = 3000
 
-# A twist sweep builds, solves and factors its matrices in stacks of at most
+# A twist sweep builds and solves its matrices in stacks of at most
 # this many bytes (one matrix at least): a whole 65-point grid at d = 4, 41
 # matrices at d = 28, one at d >= 182.  One stack per call amortizes Python's per-call overhead
 # over the small sectors; stacking a whole 257-point grid at d = 28 instead
@@ -446,9 +448,9 @@ def factor_shifted(matrix, e_ref: complex):
     A matrix alone in its twist stack (``stack_length(d) == 1``) is factored
     as a band when its band storage is smaller than the matrix: its nonzeros
     are found by a scan, ordered by ``band_layout`` and factored by
-    ``_factor_band``.  Any other is copied once and LU-factored in place, as
-    a stack of one (``factor_stack``), so at most two d x d buffers, M and
-    the factors, are live.  A sector model's own matrices skip the scan and
+    ``_factor_band``.  Any other is copied once and LU-factored in place
+    (``_factor_dense``), so at most two d x d buffers, M and the factors,
+    are live.  A sector model's own matrices skip the scan and
     the dense matrix (``factor_model``).
     """
     a = np.asarray(matrix)
@@ -478,9 +480,16 @@ def factor_model(model, theta: float, e_ref: complex):
 
 
 def _factor_dense(a, e_ref: complex):
-    stack = np.array(a, dtype=complex, order="F")[None]
-    piv, scales = factor_stack(stack, e_ref)
-    return ShiftedLU(stack[0], piv[0]), scales[0]
+    """Dense LU of (a - e_ref) with its Frobenius scale: ``a`` is copied once
+    and the copy shifted and factored in place (``zgetrf``)."""
+    lu = np.array(a, dtype=complex, order="F")
+    lu.flat[:: len(lu) + 1] -= e_ref  # the diagonal
+    parts = lu.T.view(np.float64).reshape(-1)
+    scale = np.sqrt(parts @ parts)
+    lu, piv, info = zgetrf(lu, overwrite_a=1)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of zgetrf")
+    return ShiftedLU(lu, piv), scale
 
 
 @dataclass(frozen=True)
@@ -548,65 +557,16 @@ def _factor_band(layout: BandLayout, values, e_ref: complex):
     return ShiftedLU(lu, piv, kl, ku, layout.perm), scale
 
 
-def factor_stack(stack, e_ref: complex):
-    """Pivoted LUs of (M_k - e_ref) over a stack, in place.
-
-    The stack must be one contiguous buffer of F-contiguous matrices, as
-    ``twist_stacks`` makes them.  Each matrix is shifted and factored where
-    it lies, so no copy is made and the stack ends up holding the factors.
-    Returns the pivots, one row per matrix, and the Frobenius norm of each
-    shifted matrix.  ``factor_shifted``'s dense LU is the one-matrix case.
-    """
-    n, d = stack.shape[:2]
-    # each matrix in memory order: one row per matrix, and a view of the stack
-    # only when the whole stack is contiguous; zgetrf also needs complex128
-    flat = stack.transpose(0, 2, 1)
-    if stack.dtype != np.complex128 or not flat.flags.c_contiguous:
-        raise ValueError("factor_stack needs a contiguous complex stack of "
-                         "F-contiguous matrices")
-    flat = flat.reshape(n, d * d)
-    flat[:, :: d + 1] -= e_ref  # the diagonals
-    # Frobenius norms over each matrix's real and imaginary parts, without
-    # the stack-sized temporaries of linalg.norm: one dot product per matrix,
-    # so a matrix has the same scale in any stack, a stack of one included
-    parts = flat.view(np.float64)
-    scales = np.sqrt((parts[:, None, :] @ parts[:, :, None])[:, 0, 0])
-    piv = np.empty((n, d), dtype=np.int32)
-    for k in range(n):
-        _, piv[k], info = zgetrf(stack[k], overwrite_a=1)
-        if info < 0:
-            raise ValueError(f"illegal value in argument {-info} of zgetrf")
-    return piv, scales
-
-
-def _singular(diag, scale):
-    """Whether the smallest |pivot| (last axis) is below the singularity tolerance."""
-    return (np.abs(diag).min(axis=-1, initial=np.inf)
-            <= SINGULARITY_RTOL * np.maximum(scale, 1e-300))
-
-
-def _det_phase(diag, piv):
-    """Principal phase of the determinant from LU diagonals and pivots (last axis)."""
-    swaps = np.count_nonzero(piv != np.arange(diag.shape[-1]), axis=-1)
-    return wrap_phase(np.sum(np.angle(diag), axis=-1) + np.pi * (swaps % 2))
-
-
-def stack_phases(stack, piv, scales):
-    """Principal determinant phases behind a stack factored by ``factor_stack``,
-    and a mask of the matrices with a pivot below the singularity tolerance."""
-    diag = np.diagonal(stack, axis1=1, axis2=2)
-    return _det_phase(diag, piv), _singular(diag, scales)
-
-
 def phase_from_factors(factors: ShiftedLU, scale: float, e_ref: complex):
     """(log magnitude, principal phase) of the determinant behind an LU."""
     diag = factors.diagonal()
-    if _singular(diag, scale):
+    if np.abs(diag).min(initial=np.inf) <= SINGULARITY_RTOL * max(scale, 1e-300):
         raise SpectrumHitError(
             f"reference energy {e_ref} lies on the spectrum "
             f"(pivot {np.abs(diag).min():.3e})")
     log_mag = float(np.sum(np.log(np.abs(diag))))
-    return log_mag, _det_phase(diag, factors.piv)
+    swaps = np.count_nonzero(factors.piv != np.arange(len(diag)))
+    return log_mag, wrap_phase(np.sum(np.angle(diag)) + np.pi * (swaps % 2))
 
 
 def logdet_phase(matrix, e_ref: complex = 0.0):

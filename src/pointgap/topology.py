@@ -8,16 +8,23 @@ period divided by 2 pi is the winding.  Every winding takes a
 ``SectorModel``, the one-body matrix h(theta) included, and none sees model
 parameters, which ``models`` turns into sector models.
 
+The phase at a base-grid point comes from the eigenvalues there wherever a
+winding holds them: det[M - E] = prod_i (lambda_i - E), so its principal
+phase is the wrapped sum of arg(lambda_i - E), and no eigenvalue is paired
+across theta.  Refinement midpoints, and every point of a large matrix
+wound without given spectra, are LU-sampled (``factor_model``).
+
 Every result carries its gap margin - the smallest distance between the
 spectrum on the base grid and the reference energy - so a trivial winding can
 be told apart from a barely resolved one.  A closed gap is a physical
 obstruction, not a numerical failure, and raises ``GapClosedError``.
 
 The margin is an exact nearest-eigenvalue distance at every sector size.
-Small matrices, several to a stack, are eigensolved in one batch before
-their stack is LU-factored.  A larger one, alone in its stack, is not
-built: each point, base grid and refinement midpoints alike, is a band LU
-scattered from the model's pattern (``factor_model``).  Its margin comes
+Small matrices, several to a stack, are eigensolved in one batch, which
+gives their margins and phases alike.  A larger one, alone in its stack
+and wound without given spectra, is not built: each point, base grid and
+refinement midpoints alike, is a band LU scattered from the model's
+pattern (``factor_model``).  Its margin comes
 from the LU the phase already needs: the eigenvalue of (M - E)^-1 largest in
 modulus is 1 / (lambda - E) for the eigenvalue lambda nearest E, found by
 shift-invert Arnoldi (Lehoucq, Sorensen & Yang, *ARPACK Users' Guide*, SIAM
@@ -41,7 +48,7 @@ The same reflections fix the principal phase phi of det[H(theta) - E]
 elsewhere from its value on a fundamental arc: phi(-theta) = phi(theta)
 under the mirror (R is a signed permutation), and phi(theta0 - theta) =
 -phi(theta) for s = +1 or d pi - phi(theta) for s = -1, d the dimension.
-So a model is factored, phase and margin alike, on that arc only: on the
+So a model is sampled, phase and margin alike, on that arc only: on the
 chain, half of the grid for an odd-N sector at a real or imaginary E or
 an even-N one elsewhere, and a quarter for an even-N sector at an
 imaginary E on an odd L.  An ARPACK margin is solved once per orbit of the
@@ -65,16 +72,16 @@ from fractions import Fraction
 import numpy as np
 
 from .spectral import (
+    DEGENERACY_TOL,
+    SINGULARITY_RTOL,
     SpectralError,
     SpectrumHitError,
     blas_threads_for,
     factor_model,
-    factor_stack,
     grid_reflections,
     phase_from_factors,
     stack_eigvals,
     stack_length,
-    stack_phases,
     theta_grid,
     twist_orbits,
     twist_stacks,
@@ -226,7 +233,28 @@ def _check_fixed_phases(model, reflections, n_grid, ends):
                 raise SpectralError(
                     f"sector {(basis.n, basis.parity)}: the s = {sign:+d} conjugation "
                     f"relation fixes the phase of det[H(theta) - E] at theta={theta:.6f} "
-                    f"to {'+-pi/2' if forced else '0 or pi'}, but the LU gave {phi:.6f}")
+                    f"to {'+-pi/2' if forced else '0 or pi'}, but it is {phi:.6f}")
+
+
+def _eigenvalue_phases(values, e_ref, thetas):
+    """Principal phases of det[H(theta) - E] = prod_i (lambda_i - E), the
+    wrapped sum of arg(lambda_i - E), and distances from E to the nearest
+    eigenvalue, from ``values``: one row of eigenvalues per theta of
+    ``thetas``.  The first row with an eigenvalue within ``SINGULARITY_RTOL``
+    times sqrt(sum_i |lambda_i - E|^2) of E raises ``GapClosedError`` at its
+    theta.  That scale is at most ||H - E||_F, the LU's (Schur's
+    inequality), and equals it for a normal H."""
+    shifted = values - e_ref
+    moduli = np.abs(shifted)
+    dists = moduli.min(axis=1)
+    scales = np.sqrt((moduli * moduli).sum(axis=1))
+    hits = np.flatnonzero(dists <= SINGULARITY_RTOL * scales)
+    if len(hits):
+        k = int(hits[0])
+        raise GapClosedError(thetas[k], e_ref) from SpectrumHitError(
+            f"an eigenvalue lies {dists[k]:.3e} from the reference energy {e_ref}, "
+            f"within {SINGULARITY_RTOL:.0e} of the spectrum's scale {scales[k]:.3e}")
+    return wrap_phase(np.angle(shifted).sum(axis=1)), dists
 
 
 def many_body_winding(model, e_ref: complex = 0.0,
@@ -245,32 +273,25 @@ def many_body_winding(model, e_ref: complex = 0.0,
     Otherwise the phase change over the loop is m times that over the arc,
     m = 2 for a half and 4 for a quarter.  Where an arc endpoint is a fixed
     point of a relation, the relation fixes its phase, and a phase that
-    misses raises ``SpectralError``.  ``grid_size_used`` counts the LUs: arc
-    points plus refinement midpoints.
+    misses raises ``SpectralError``.  ``grid_size_used`` counts the phase
+    evaluations: arc points plus refinement midpoints.
 
-    The arc is evaluated in the stacks of ``twist_stacks``.  A stack of
-    several matrices is shifted and LU-factored in place (``factor_stack``)
-    and its phases and singularity test are taken together
-    (``stack_phases``); its first singular point is factored again alone
-    and raises ``GapClosedError``.  Every point factored alone, refinement
-    midpoints too, is ``factor_model``'s LU: ``factor_stack`` on a stack of
-    one where matrices share a stack, and a band LU from the model's
-    pattern, with no matrix built, where each is alone in its stack.  So
-    base-grid points and midpoints agree bit for bit at every size.
+    Where the winding holds the arc's eigenvalues - ``spectra``, those of
+    the same matrices at the n_grid + 1 base-grid points, one row of
+    ``model.dim`` per point (e.g. ``sweep_theta(model, n_grid).spectra``),
+    at any size, or else one batched eigensolve per stack of
+    ``twist_stacks`` where matrices share a stack - its base-grid phases
+    and distances to E come from them (``_eigenvalue_phases``), and only
+    refinement midpoints are LU-factored (``factor_model``).  A matrix alone
+    in its stack, wound without ``spectra``, is a band LU from the model's
+    pattern at every point, with no matrix built, and its distance to E
+    comes from shift-invert Arnoldi on that LU, to ``ARPACK_TOL``, once per
+    orbit of the grid reflections, at its lowest point on the arc.
 
-    The gap margin is the exact distance from ``e_ref`` to the nearest
-    eigenvalue, minimized over the arc's base-grid points (refinement
-    midpoints compute phases alone).  ``spectra`` - the eigenvalues of the
-    same matrices at the n_grid + 1 base-grid points, one row of
-    ``model.dim`` per point, e.g. ``sweep_theta(model, n_grid).spectra`` -
-    gives it from the arc's rows without eigensolving again.  Otherwise a
-    stack of several matrices is eigensolved in one batch before it is
-    factored, and a matrix alone in its stack gets the distance by
-    shift-invert Arnoldi on its own phase LU, to ``ARPACK_TOL``, once per
-    orbit of the grid reflections, at its lowest point on the arc; the rest
-    of the orbit take its distance.  So ``margin_theta`` is the lowest arc
-    angle where the margin lies; for an arc that starts at theta = 0 it is
-    the lowest grid angle.
+    The gap margin is the smallest of those distances over the arc's
+    base-grid points, and ``margin_theta`` the lowest arc angle whose
+    distance lies within ``DEGENERACY_TOL`` (relative) of it, so rounding
+    does not pick among tied points.
     """
     if model.dim == 0:
         basis = model.basis
@@ -282,14 +303,9 @@ def many_body_winding(model, e_ref: complex = 0.0,
     orbits = twist_orbits(n_grid, grid_reflections(model, n_grid, e_ref))
     reflections, first, last = orbits.reflections, orbits.first, orbits.last
     arc = grid[first:last + 1]
-    if spectra is not None:
-        if np.shape(spectra) != (len(grid), model.dim):
-            raise ValueError(f"spectra has shape {np.shape(spectra)}, not {len(grid)} "
-                             f"rows (base-grid points) of {model.dim} eigenvalues")
-        dists = np.abs(np.asarray(spectra)[first:last + 1] - e_ref).min(axis=1)
-    else:
-        dists = np.empty(len(arc))
-    base_phases = np.empty(len(arc))
+    if spectra is not None and np.shape(spectra) != (len(grid), model.dim):
+        raise ValueError(f"spectra has shape {np.shape(spectra)}, not {len(grid)} "
+                         f"rows (base-grid points) of {model.dim} eigenvalues")
 
     def factor_at(theta):
         """LU and principal phase of ``model(theta) - e_ref``; GapClosedError
@@ -300,31 +316,27 @@ def many_body_winding(model, e_ref: complex = 0.0,
         except SpectrumHitError as exc:
             raise GapClosedError(theta, e_ref) from exc
 
-    def phase_at(theta):
-        return factor_at(theta)[1]
-
-    tracker = _PhaseTracker(phase_at, n_grid)
+    tracker = _PhaseTracker(lambda theta: factor_at(theta)[1], n_grid)
     with blas_threads_for(model.dim):
-        if stack_length(model.dim) == 1:  # point by point (not a trailing stack of one)
+        if spectra is None and stack_length(model.dim) == 1:  # band LUs, ARPACK margins
+            base_phases, dists = np.empty(len(arc)), np.empty(len(arc))
             lowest = orbits.source[first:last + 1].tolist()
             for i, theta in enumerate(arc):
                 factors, base_phases[i] = factor_at(theta)
-                if spectra is None:  # each orbit is solved at its lowest arc point
-                    j = lowest[i] - first
-                    dists[i] = (_nearest_distance(factors, model, theta, e_ref)
-                                if j == i else dists[j])
+                j = lowest[i] - first  # each orbit is solved at its lowest arc point
+                dists[i] = (_nearest_distance(factors, model, theta, e_ref)
+                            if j == i else dists[j])
                 del factors  # free them before the next point is factored
         else:
-            for start, stack in twist_stacks(model, arc):
-                points = slice(start, start + len(stack))
-                if spectra is None:  # one batched eigensolve per stack
-                    dists[points] = np.abs(stack_eigvals(stack, arc[points])
-                                           - e_ref).min(axis=1)
-                piv, scales = factor_stack(stack, e_ref)
-                base_phases[points], singular = stack_phases(stack, piv, scales)
-                if singular.any():  # factored alone, the first one in grid order raises
-                    phase_at(arc[start + int(np.flatnonzero(singular)[0])])
-                del stack  # free it before the next one is built
+            if spectra is None:  # one batched eigensolve per stack
+                values = np.empty((len(arc), model.dim), dtype=complex)
+                for start, stack in twist_stacks(model, arc):
+                    points = slice(start, start + len(stack))
+                    values[points] = stack_eigvals(stack, arc[points])
+                    del stack  # free it before the next one is built
+            else:
+                values = np.asarray(spectra)[first:last + 1]
+            base_phases, dists = _eigenvalue_phases(values, e_ref, arc)
         try:
             total = orbits.copies * tracker.run(base_phases.tolist(), first)
         except WindingUnresolvedError as exc:
@@ -332,8 +344,8 @@ def many_body_winding(model, e_ref: complex = 0.0,
                 raise GapClosedError(0.5 * sum(exc.interval), e_ref,
                                      detail=" (determinant sign flip)") from exc
             raise
-    k = int(np.argmin(dists))
-    margin = float(dists[k])
+    margin = float(dists.min())
+    k = int(np.flatnonzero(dists - margin <= DEGENERACY_TOL * margin)[0])
     if margin <= 0.0:
         raise GapClosedError(arc[k], e_ref)
     _check_fixed_phases(model, reflections, n_grid,

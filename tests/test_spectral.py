@@ -26,7 +26,6 @@ from pointgap.spectral import (
     eigendecompose,
     factor_model,
     factor_shifted,
-    factor_stack,
     grid_reflections,
     logdet_phase,
     phase_from_factors,
@@ -385,15 +384,26 @@ def test_factor_shifted_matches_explicit_shift(model, theta, ref):
     (chain_model(ChainParams(length=7, t=1.0, j=1.0, v=1.0), 3, -1), 1.3, 0.3j),
     _lu_matrices()[1],
 ], ids=["chain", "dot"])
-def test_factor_stack_matches_factor_shifted(model, theta, ref):
-    thetas = [theta, theta + 0.5, theta + 1.0]
-    stack = model.stack(thetas)
-    piv, scales = factor_stack(stack, ref)
-    for k, t in enumerate(thetas):
-        factors, scale = factor_shifted(model(t), ref)
-        np.testing.assert_array_equal(stack[k], factors.lu)  # factored in place
-        np.testing.assert_array_equal(piv[k], factors.piv)
-        assert scales[k] == scale
+def test_dense_factor_matches_lu_factor(model, theta, ref):
+    """A matrix that shares a stack is copied once, shifted and factored in
+    place (``_factor_dense``): the LU and pivots of ``lu_factor`` of M - E
+    bit for bit, the Frobenius norm of M - E as its scale, M unchanged, and
+    the same LU through ``factor_shifted`` and ``factor_model``."""
+    from pointgap.spectral import _factor_dense
+
+    a = model(theta)
+    before = a.copy()
+    factors, scale = _factor_dense(a, ref)
+    expected = _dense_lu(a, ref)
+    np.testing.assert_array_equal(factors.lu, expected.lu)
+    np.testing.assert_array_equal(factors.piv, expected.piv)
+    shifted = a - ref * np.eye(len(a))
+    assert abs(scale - np.linalg.norm(shifted)) <= 1e-15 * scale
+    np.testing.assert_array_equal(a, before)
+    for other, other_scale in (factor_shifted(a, ref), factor_model(model, theta, ref)):
+        assert other.perm is None and other_scale == scale
+        np.testing.assert_array_equal(other.lu, factors.lu)
+        np.testing.assert_array_equal(other.piv, factors.piv)
 
 
 def _band_cases():

@@ -21,10 +21,8 @@ from pointgap.spectral import (
     SpectrumHitError,
     factor_model,
     factor_shifted,
-    factor_stack,
     openblas_thread_controls,
     phase_from_factors,
-    stack_phases,
     twist_stacks,
 )
 from pointgap.topology import (
@@ -220,20 +218,26 @@ def _pointwise_phase(model, ref):
 
 @pytest.mark.parametrize("case", ["chain", "dot", "one-body", "chain-182-jv0", "chain-182-jv1"])
 def test_stacked_base_grid_equals_pointwise(case):
-    """Base-grid phases from stacks, and the winding built on them, equal
-    factor_shifted + phase_from_factors point by point, bit for bit.  At
-    d = 182 every matrix is alone in its stack and factored as a band.  The
-    winding tracks the fundamental arc of its grid reflections only: the
-    quarter arc theta <= pi / 2 at d = 182, the half arc [pi / 2, 3 pi / 2]
-    of chain (3,-1), the half arc theta <= pi of the one-body chain, and
-    the whole circle of the dot, whose grid fits one stack.  Its steps are
-    those of the pointwise phases there, and its W that of the full circle."""
+    """Base-grid phases, and the winding built on them, equal phases taken
+    point by point.  Where matrices share a stack (d = 28, and the dot's
+    d = 4) a base-grid phase is read from the eigenvalues: bit for bit the
+    wrapped sum of arg(lambda - E) over ``eigvals`` at that point alone, and
+    within 1e-12 rad of factor_shifted + phase_from_factors there.  At
+    d = 182 every matrix is alone in its stack and factored as a band, bit
+    for bit as factor_shifted does.  The winding tracks the fundamental arc
+    of its grid reflections only: the quarter arc theta <= pi / 2 at
+    d = 182, the half arc [pi / 2, 3 pi / 2] of chain (3,-1), the half arc
+    theta <= pi of the one-body chain, and the whole circle of the dot,
+    whose grid fits one stack.  Its steps are those of the pointwise phases
+    there, its W that of the full circle, and it evaluates as many phases
+    as the pointwise LU tracker over the arc."""
     from pointgap.spectral import (
         blas_threads_for,
         grid_reflections,
         stack_length,
         theta_grid,
         twist_orbits,
+        wrap_phase,
     )
     from pointgap.topology import _PhaseTracker
 
@@ -252,31 +256,32 @@ def test_stacked_base_grid_equals_pointwise(case):
     phase = _pointwise_phase(model, ref)
     with blas_threads_for(28):
         expected = [phase(theta) for theta in grid]
-        got = []
-        for _, stack in twist_stacks(model, grid):
-            if stack_length(stack.shape[1]) == 1:  # factored alone, as a band
+        if stack_length(model.dim) > 1:  # read from the eigenvalues
+            got = [wrap_phase(np.angle(np.linalg.eigvals(model(theta)) - ref).sum())
+                   for theta in grid]
+            assert max(abs(wrap_phase(a - b)) for a, b in zip(got, expected)) <= 1e-12
+        else:  # factored alone, as a band
+            got = []
+            for _, stack in twist_stacks(model, grid):
                 factors, scale = factor_shifted(stack[0], ref)
                 assert factors.perm is not None
                 got.append(phase_from_factors(factors, scale, ref)[1])
-                continue
-            piv, scales = factor_stack(stack, ref)
-            phases, singular = stack_phases(stack, piv, scales)
-            assert not singular.any()
-            got += phases.tolist()
-        assert got == expected
+            assert got == expected
         full_value = round(_PhaseTracker(phase, n_grid).run(expected) / (2.0 * np.pi))
         orbits = twist_orbits(n_grid, grid_reflections(model, n_grid, ref))
         first, last = orbits.first, orbits.last
         assert (first, last) == {"chain": (25, 75), "dot": (0, n_grid),
                                  "one-body": (0, 50)}.get(case, (0, 25))
         tracker = _PhaseTracker(phase, n_grid)
-        total = orbits.copies * tracker.run(expected[first:last + 1], first)
+        total = orbits.copies * tracker.run(got[first:last + 1], first)
+        pointwise = _PhaseTracker(phase, n_grid)
+        pointwise.run(expected[first:last + 1], first)
         if (0, None) in orbits.reflections:  # mirror-symmetric: W = 0
             total = 0.0
     result = many_body_winding(model, ref, n_grid=n_grid)
     assert result.raw_phase_change == total
     assert result.max_phase_step == tracker.max_step
-    assert result.grid_size_used == tracker.evaluations
+    assert result.grid_size_used == tracker.evaluations == pointwise.evaluations
     assert result.value == full_value
     if case.startswith("chain-182"):
         assert result.value == 0 and result.grid_size_used < n_grid // 2
@@ -299,7 +304,107 @@ def test_gap_closed_in_later_stack_names_its_theta(matrix_flow):
     with pytest.raises(GapClosedError) as info:
         many_body_winding(flow, ref, n_grid=n_grid)
     assert info.value.theta == grid[k]
-    assert isinstance(info.value.__cause__, SpectrumHitError)  # the pivot test, not the margin
+    # the eigenvalue-distance test at a base point, not the margin
+    assert isinstance(info.value.__cause__, SpectrumHitError)
+    assert "an eigenvalue lies" in str(info.value.__cause__)
+
+
+def _count_factor_model(monkeypatch):
+    """The thetas of every LU a winding makes (``factor_model``)."""
+    import pointgap.topology as topology
+
+    thetas = []
+    factor_model = topology.factor_model
+
+    def counted(model, theta, e_ref):
+        thetas.append(theta)
+        return factor_model(model, theta, e_ref)
+    monkeypatch.setattr(topology, "factor_model", counted)
+    return thetas
+
+
+def _triangular_flow(matrix_flow, diagonal, dim=28, seed=11):
+    """A non-normal flow: diag(diagonal(theta) + [3, 4, ...]) plus a fixed
+    strictly upper triangle, so its eigenvalues are the diagonal."""
+    rng = np.random.default_rng(seed)
+    upper = np.triu(rng.standard_normal((dim, dim)), 1)
+    return matrix_flow(lambda theta: upper + np.diag(
+        list(diagonal(theta)) + [3.0 + j for j in range(dim - len(diagonal(theta)))]))
+
+
+@pytest.mark.parametrize("case", ["fast-flow", "fast-flow-spectra", "chain-28-spectra",
+                                  "chain-182-spectra"])
+def test_winding_holding_eigenvalues_factors_only_midpoints(case, matrix_flow,
+                                                            monkeypatch):
+    """A winding that holds the eigenvalues of its arc - eigensolved in
+    stacks at d <= 128, or given as ``spectra`` at any size - reads its
+    base-grid phases from them and makes an LU at refinement midpoints only.
+    The fast flow's level e^{5 i theta} turns 5 pi / 8 per step of a
+    16-point grid, so every step is refined once."""
+    from pointgap.spectral import grid_reflections, sweep_theta, theta_grid, twist_orbits
+
+    n_grid, ref = 16, 0.3j
+    if case.startswith("fast-flow"):
+        model = _triangular_flow(matrix_flow, lambda theta: [np.exp(5j * theta)], dim=3)
+        ref = 0.0
+    elif case == "chain-28-spectra":
+        model, n_grid = chain_model(ChainParams(length=7, j=1.0, v=1.0), 3, -1), 64
+    else:
+        model = chain_model(ChainParams(length=7, j=1.0, v=1.0), 4, 1)
+    spectra = sweep_theta(model, n_grid).spectra if case.endswith("spectra") else None
+    lus = _count_factor_model(monkeypatch)
+    res = many_body_winding(model, ref, n_grid=n_grid, spectra=spectra)
+    orbits = twist_orbits(n_grid, grid_reflections(model, n_grid, ref))
+    arc = orbits.last - orbits.first + 1
+    assert len(lus) == res.grid_size_used - arc
+    assert not set(lus) & set(theta_grid(n_grid))
+    if case.startswith("fast-flow"):
+        assert (res.value, len(lus)) == (5, n_grid)
+
+
+@pytest.mark.parametrize("jv", [0.0, 1.0])
+@pytest.mark.parametrize("ref", [0.3j, -0.04])
+def test_spectra_given_band_winding_matches_band_path(jv, ref):
+    """Chain (4,+1) at d = 182 wound with its sweep's spectra - phases from
+    eigenvalues, margin from the rows - gives the band path's W, margin
+    (ARPACK, within 1e-12 relative), margin_theta and phase evaluations, and
+    its largest phase step within 2e-12 rad."""
+    from pointgap.spectral import sweep_theta
+
+    n_grid = 16
+    model = chain_model(ChainParams(length=7, j=jv, v=jv), 4, 1)
+    band = many_body_winding(model, ref, n_grid=n_grid)
+    given = many_body_winding(model, ref, n_grid=n_grid,
+                              spectra=sweep_theta(model, n_grid).spectra)
+    assert given.value == band.value
+    assert abs(given.gap_margin - band.gap_margin) <= 1e-12 * band.gap_margin
+    assert given.margin_theta == band.margin_theta
+    assert given.grid_size_used == band.grid_size_used
+    assert abs(given.max_phase_step - band.max_phase_step) <= 2e-12
+
+
+@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+@pytest.mark.parametrize("given", [False, True], ids=["stacked", "spectra"])
+def test_gap_closed_at_stacked_base_point_names_its_theta(given, matrix_flow,
+                                                          monkeypatch):
+    """A non-normal d = 28 flow whose levels e^{i theta} and e^{-i theta}
+    meet E = e^{i theta_60} at theta_60 and theta_40 of a 100-point grid, in
+    its second and first stacks: the eigenvalue-distance test raises at
+    theta_40, the first in grid order, before any LU is made."""
+    from pointgap.spectral import sweep_theta, theta_grid
+
+    n_grid = 100
+    grid = theta_grid(n_grid)
+    ref = np.exp(1j * grid[60])
+    flow = _triangular_flow(matrix_flow,
+                            lambda theta: [np.exp(1j * theta), np.exp(-1j * theta)])
+    spectra = sweep_theta(flow, n_grid).spectra if given else None
+    lus = _count_factor_model(monkeypatch)
+    with pytest.raises(GapClosedError) as info:
+        many_body_winding(flow, ref, n_grid=n_grid, spectra=spectra)
+    assert info.value.theta == grid[40]
+    assert "an eigenvalue lies" in str(info.value.__cause__)
+    assert lus == []
 
 
 @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
@@ -521,15 +626,18 @@ def test_fundamental_arc_winding_matches_full_circle(sector, couplings, ref, n_g
     """The phase is tracked over a fundamental arc of the grid reflections
     only: a quarter (m = 4) or a half (m = 2), or the whole circle where the
     reflections leave no arc of grid points (off both axes, an odd n_grid).
-    Chain (3,-1) (d = 28) is factored and eigensolved in stacks, (4,+-1) and
-    (5,+-1) (d = 182 and 728) point by point as bands.  W and the phase
+    Chain (3,-1) (d = 28) is eigensolved in stacks, (4,+-1) and (5,+-1)
+    (d = 182 and 728) factored point by point as bands.  W and the phase
     change equal those of the pointwise tracker over the full grid.  The
     margins equal the full-circle winding's bit for bit where one ARPACK
     margin is solved per orbit on an arc that starts at theta = 0.  They
     agree within 1e-12 on the half arc [pi / 2, 3 pi / 2] of a relation with
     theta0 = pi alone, and where every point is eigensolved in its stack:
     there the circle's winding eigensolves each image point itself, which
-    agrees with its arc point only to rounding."""
+    agrees with its arc point only to rounding.  Over the whole circle the
+    largest phase step is the pointwise tracker's: bit for bit for the band
+    LUs, and within 2e-12 rad (two phases, each within 1e-12 of the LU's)
+    where chain (3,-1)'s phases are read from its eigenvalues."""
     from pointgap import spectral
     from pointgap.spectral import blas_threads_for, stack_length, theta_grid
     from pointgap.topology import _PhaseTracker
@@ -550,7 +658,10 @@ def test_fundamental_arc_winding_matches_full_circle(sector, couplings, ref, n_g
     if n_grid % 2 or ref.real and ref.imag:
         assert (first, last) == (0, n_grid)
         assert res.grid_size_used == full.evaluations
-        assert res.max_phase_step == full.max_step
+        if stack_length(model.dim) == 1:  # the same band LUs
+            assert res.max_phase_step == full.max_step
+        else:  # phases from eigenvalues, each within 1e-12 rad of the LU's
+            assert abs(res.max_phase_step - full.max_step) <= 2e-12
     else:
         assert last - first <= n_grid // 2 and res.grid_size_used < full.evaluations
     assert grid[first] <= res.margin_theta <= grid[last]
@@ -645,8 +756,9 @@ def two_blas_threads():
 
 
 def _record_threads_during_lu(monkeypatch):
-    """Thread counts seen by each LU of a winding: one per base-grid stack
-    (``factor_stack``) and one per point factored alone (``factor_model``)."""
+    """Thread counts seen by each eigensolve and LU of a winding: one per
+    base-grid stack (``stack_eigvals``) and one per point factored alone
+    (``factor_model``)."""
     import pointgap.topology as topology
 
     seen = []
@@ -656,7 +768,7 @@ def _record_threads_during_lu(monkeypatch):
             seen.append(_thread_counts())
             return original(*args)
         return lu
-    for name in ("factor_stack", "factor_model"):
+    for name in ("stack_eigvals", "factor_model"):
         monkeypatch.setattr(topology, name, recording(getattr(topology, name)))
     return seen
 
@@ -689,7 +801,8 @@ def test_thread_counts_restored_after_gap_closing(two_blas_threads, monkeypatch)
     with pytest.raises(GapClosedError) as info:
         many_body_winding(dot_model(FIG_DOT, 1, -1), -1.0 + 0.2j, n_grid=32)
     assert 0.0 < info.value.theta < 2 * np.pi
-    assert len(seen) > 1  # raised mid-sweep, under the pin
+    # raised from the stack's eigenvalues, solved under the pin
+    assert seen and all(counts == [1] * len(counts) for counts in seen)
     assert _thread_counts() == two_blas_threads
 
 
