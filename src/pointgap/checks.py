@@ -30,7 +30,6 @@ from .oracles import (
     eigenvalue_match,
 )
 from .spectral import (
-    grid_reflections,
     logdet_phase,
     sweep_theta,
     theta_grid,
@@ -60,9 +59,9 @@ class CheckResult:
     detail: str
 
 
-def dot_closed_form_distance(first: DotParams, seed: int) -> float:
-    """Largest distance between exact and closed-form spectra of the dot's
-    (2,+1) and (2,-1) sectors.
+def dot_closed_form_verdict(first: DotParams, seed: int):
+    """The largest distance between exact and closed-form spectra of the
+    dot's (2,+1) and (2,-1) sectors, and whether it is below 1e-10.
 
     Compares on the 65-point twist grid, at ``first`` and at 20 random
     parameter draws from ``seed``.
@@ -83,22 +82,19 @@ def dot_closed_form_distance(first: DotParams, seed: int) -> float:
             for theta in DOT_ORACLE_THETAS:
                 worst = max(worst, eigenvalue_match(np.linalg.eigvals(model(theta)),
                                                     formula(p, theta))[0])
-    return worst
-
-
-def dot_closed_form_verdict(first: DotParams, seed: int):
-    """``dot_closed_form_distance`` and whether it is below 1e-10."""
-    worst = dot_closed_form_distance(first, seed)
     return worst, worst < 1e-10
 
 
-def chain_splitting_errors(p: ChainParams, sector):
-    """Distances between exact chain spectra and the first-order splitting
-    formulas, at the couplings of ``p`` and at half of them.
+def chain_splitting_verdict(p: ChainParams, sector):
+    """(err, err_half, ratio, ok): the distances between exact chain
+    spectra and the first-order splitting formulas, at the couplings of
+    ``p`` and at half of them, their ratio, and whether the ratio is
+    4 +- 0.5.
 
-    Each is the largest mean assignment distance over the twist window.  The
-    formulas are first order, so halving J and V should shrink the
-    distance fourfold.
+    Each distance is the largest mean assignment distance over the twist
+    window.  The formulas are first order, so halving J and V should shrink
+    the distance fourfold: the second-order scaling of a first-order error.
+    An exact halved spectrum gives an infinite ratio, which fails.
     """
     errs = []
     for scale in (1.0, 0.5):
@@ -108,14 +104,7 @@ def chain_splitting_errors(p: ChainParams, sector):
             eigenvalue_match(np.linalg.eigvals(model(theta)),
                              chain_first_order_spectrum(q, theta))[1]
             for theta in CHAIN_ORACLE_THETAS))
-    return tuple(errs)
-
-
-def chain_splitting_verdict(p: ChainParams, sector):
-    """``chain_splitting_errors``, their ratio, and whether the ratio is
-    4 +- 0.5: the second-order scaling of a first-order error.  An exact
-    halved spectrum gives an infinite ratio, which fails."""
-    err, err_half = chain_splitting_errors(p, sector)
+    err, err_half = errs
     ratio = err / err_half if err_half > 0 else float("inf")
     return err, err_half, ratio, 3.5 <= ratio <= 4.5
 
@@ -333,68 +322,58 @@ def check_gap_margin_distance():
     return worst < 1e-12, f"max relative deviation from the eigvals distance {worst:.2e}"
 
 
-def check_mirror_symmetry():
-    """Site reflection times spin flip maps H(theta) to H(-theta) on the
-    even-N chain sectors (4,+1) and (4,-1), and is refused where it does
-    not: odd N, the dot at unequal spin potentials, and a (4,+1) model with
-    one boundary amplitude scaled."""
-    for jv in (0.0, 1.0):
-        for parity in (1, -1):
-            if not chain_model(ChainParams(length=7, j=jv, v=jv), 4, parity).mirror_symmetric:
-                return False, f"chain (4,{parity:+d}) at J = V = {jv} not mirror-symmetric"
-    p = ChainParams(length=7, j=1.0, v=1.0)
-    skewed = chain_model(p, 4, 1)
-    rows, cols, amps, slots = skewed._coo
+def _turned(model, factor):
+    """``model`` with its first ``P_PLUS`` amplitude times ``factor``."""
+    rows, cols, amps, slots = model._coo
     amps = amps.copy()
-    amps[np.flatnonzero(slots == P_PLUS)[0]] *= 1.5
-    skewed._coo = (rows, cols, amps, slots)
-    for label, model in (("chain (3,-1)", chain_model(p, 3, -1)),
-                         ("chain (5,+1)", chain_model(p, 5, 1)),
-                         ("dot (2,+1)", dot_model(REFERENCE_DOT_INT, 2, 1)),
-                         ("skewed chain (4,+1)", skewed)):
-        if model.mirror_symmetric:
-            return False, f"{label} reported mirror-symmetric"
-    model = chain_model(p, 4, 1)
-    worst = eigenvalue_match(np.linalg.eigvals(model(1.1)),
-                             np.linalg.eigvals(model(2.0 * np.pi - 1.1)))[0]
-    return worst < 1e-12, (f"(4,+-1) symmetric, 4 refusals hold; (4,+1) spectra at "
-                           f"theta = 1.1 and 2 pi - 1.1 differ by {worst:.2e} (tol 1e-12)")
+    amps[np.flatnonzero(slots == P_PLUS)[0]] *= factor
+    model._coo = (rows, cols, amps, slots)
+    return model
 
 
-def check_conjugation_relations():
-    """D conj(H(theta)) D^-1 = s H(theta0 - theta) (``SectorModel.
-    conjugation_twists``) holds for s = -1 with theta0 = pi and for s = +1
-    with theta0 = 0 on the L = 7 chain sectors (3,-1), (4,+1) and (5,+1), for
-    s = -1 with theta0 = 0 on an L = 6 chain, and for s = -1 alone on the
-    dot; it is refused on a chain (4,+1) with one amplitude turned by
-    e^{0.3i} or by i.  The spectra at theta and theta0 - theta of the models
-    up to d = 200 are -conj or conj of each other."""
+def check_twist_relations():
+    """The relations U H(theta)^(*) U^-1 = s H(theta0 - theta) of
+    ``SectorModel.twist_relations``: the mirror (site reflection times spin
+    flip, unitary, s = +1, theta0 = 0) holds on the even-N chain sectors
+    (4,+-1) at J = V in {0, 1}; the conjugations hold for s = -1 with
+    theta0 = pi and for s = +1 with theta0 = 0 on the L = 7 chain sectors
+    (3,-1), (4,+1) and (5,+1), for s = -1 with theta0 = 0 on an L = 6
+    chain, and for s = -1 alone on the dot.  The mirror is refused on odd N,
+    on the dot at unequal spin potentials and on a (4,+1) model with one
+    boundary amplitude scaled by 1.5, which keeps both conjugations; every
+    relation is refused on a (4,+1) model with one amplitude turned by
+    e^{0.3i} or by i.  The spectra at theta and theta0 - theta of the
+    models up to d = 200 are s times each other, conjugated where U is
+    antiunitary."""
     p = ChainParams(length=7, j=1.0, v=1.0)
+    mirror, conjugations = (0.0, 1, False), ((np.pi, -1, True), (0.0, 1, True))
+    cases = [(f"chain (4,{parity:+d}) at J = V = {jv}",
+              chain_model(replace(p, j=jv, v=jv), 4, parity), (mirror, *conjugations))
+             for jv in (0.0, 1.0) for parity in (1, -1)]
+    cases += [("chain (3,-1)", chain_model(p, 3, -1), conjugations),
+              ("chain (5,+1)", chain_model(p, 5, 1), conjugations),
+              ("L = 6 chain (4,+1)", chain_model(replace(p, length=6), 4, 1),
+               (mirror, (0.0, -1, True), (0.0, 1, True))),
+              ("dot (2,-1)", dot_model(REFERENCE_DOT_INT, 2, -1), conjugations[:1]),
+              ("dot (2,+1)", dot_model(REFERENCE_DOT_INT, 2, 1), conjugations[:1]),
+              ("skewed chain (4,+1)", _turned(chain_model(p, 4, 1), 1.5), conjugations),
+              *((f"chain (4,+1) turned by {turn:.3f}", _turned(chain_model(p, 4, 1), turn), ())
+                for turn in (np.exp(0.3j), 1j))]
     worst = 0.0
-    for model, want in ((chain_model(p, 3, -1), {-1: np.pi, 1: 0.0}),
-                        (chain_model(p, 4, 1), {-1: np.pi, 1: 0.0}),
-                        (chain_model(p, 5, 1), {-1: np.pi, 1: 0.0}),
-                        (chain_model(replace(p, length=6), 4, 1), {-1: 0.0, 1: 0.0}),
-                        (dot_model(REFERENCE_DOT_INT, 2, -1), {-1: np.pi, 1: None})):
-        if model.conjugation_twists != want:
-            return False, f"{model.basis!r} gave {model.conjugation_twists}, not {want}"
+    for label, model, want in cases:
+        if model.twist_relations != want:
+            return False, f"{label} gave {model.twist_relations}, not {want}"
         if model.dim > 200:
             continue
-        for sign, theta0 in want.items():
-            if theta0 is not None:
-                worst = max(worst, eigenvalue_match(
-                    sign * np.linalg.eigvals(model(1.1)).conj(),
-                    np.linalg.eigvals(model(theta0 - 1.1)))[0])
-    for turn in (np.exp(0.3j), 1j):
-        turned = chain_model(p, 4, 1)
-        rows, cols, amps, slots = turned._coo
-        amps = amps.copy()
-        amps[np.flatnonzero(slots == P_PLUS)[0]] *= turn
-        turned._coo = (rows, cols, amps, slots)
-        if turned.conjugation_twists != {-1: None, 1: None}:
-            return False, f"an amplitude turned by {turn:.3f} kept a relation"
-    return worst < 1e-12, (f"5 models as expected, 2 refusals hold; spectra at theta = "
-                           f"1.1 and theta0 - 1.1 differ by {worst:.2e} (tol 1e-12)")
+        values = np.linalg.eigvals(model(1.1))
+        for theta0, sign, antiunitary in want:
+            worst = max(worst, eigenvalue_match(
+                sign * (values.conj() if antiunitary else values),
+                np.linalg.eigvals(model(theta0 - 1.1)))[0])
+    mirrored = sum(mirror in want for _, _, want in cases)
+    return worst < 1e-12, (f"{len(cases)} models as expected, {mirrored} with the mirror; "
+                           f"spectra at theta = 1.1 and theta0 - 1.1 differ by "
+                           f"{worst:.2e} (tol 1e-12)")
 
 
 def check_determinant_phase_relations():
@@ -433,7 +412,7 @@ def check_flow_images():
     worst, images = 0.0, 0
     for model, n_grid in ((chain_model(p, 3, -1), 64), (chain_model(p, 4, 1), 16)):
         flow = sweep_theta(model, n_grid)
-        images += n_grid + 1 - len(twist_orbits(n_grid, grid_reflections(model, n_grid)).solved)
+        images += n_grid + 1 - len(twist_orbits(model, n_grid).solved)
         for theta, row in zip(flow.grid, flow.spectra):
             worst = max(worst, eigenvalue_match(row, np.linalg.eigvals(model(theta)))[0])
     return worst < 1e-12 and images == 60, (
@@ -450,7 +429,7 @@ def check_eigenvalue_phases():
     grid = theta_grid(n_grid)
     for model in (chain_model(ChainParams(length=7, j=1.0, v=1.0), 3, -1),
                   dot_model(REFERENCE_DOT_INT, 2, 1), dot_model(REFERENCE_DOT_INT, 2, -1)):
-        orbits = twist_orbits(n_grid, grid_reflections(model, n_grid, e_ref))
+        orbits = twist_orbits(model, n_grid, e_ref)
         for theta in grid[orbits.first:orbits.last + 1]:
             h = model(theta)
             phase = np.angle(np.linalg.eigvals(h) - e_ref).sum()
@@ -471,8 +450,7 @@ CHECKS = [
     ("dot closed-form spectra", check_dot_closed_forms),
     ("chain first-order splitting scaling", check_chain_splitting_scaling),
     ("gap margin is the nearest-eigenvalue distance", check_gap_margin_distance),
-    ("mirror symmetry of even-N chain sectors", check_mirror_symmetry),
-    ("conjugation relations of twisted sectors", check_conjugation_relations),
+    ("twist relations of sector models", check_twist_relations),
     ("determinant phase relations", check_determinant_phase_relations),
     ("flow images match direct eigensolves", check_flow_images),
     ("eigenvalue phases match LU phases", check_eigenvalue_phases),

@@ -43,15 +43,14 @@ one) as it is.  A matrix too large to share a stack (d > 128) is not built
 for a winding at all: the model hands ``spectral`` its entries at theta
 (``values``) and the band ordering of its theta-independent pattern
 (``band_layout``, made at its first band factor and kept).  A model also
-says, at first use, whether site reflection times spin flip maps its
-H(theta) to H(-theta) (``mirror_symmetric``), and for which theta0 a
-diagonal D gives D conj(H(theta)) D^-1 = +-H(theta0 - theta)
-(``conjugation_twists``), each checked on its term list.
+lists, at first use, the relations U H(theta)^(*) U^-1 = s H(theta0 - theta)
+that hold on its term list (``twist_relations``): the unitary mirror, site
+reflection times spin flip, and the antiunitary conjugations by a diagonal
+D of either sign.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
@@ -262,10 +261,13 @@ def terms_to_coo(terms, basis: SectorBasis):
 # i^k for k = 0..3: products of these with a float complex are exact
 _POWERS_OF_I = np.array([1, 1j, -1, -1j])
 
+# each phase slot's partner under theta -> -theta
+_SWAPPED_SLOTS = np.array([P_ONE, P_MINUS, P_PLUS])
+
 
 def _conjugation_exponents(layout: ModeLayout, sign: int) -> list:
-    """Exponent k_m of each mode's phase i^k_m in the diagonal D of
-    ``SectorModel.conjugation_twists``, for the relation of sign s.
+    """Exponent k_m of each mode's phase i^k_m in the diagonal D of the
+    antiunitary relation of sign s (``SectorModel.twist_relations``).
 
     s = +1: i on each up mode, so D = i^N_up.  s = -1: on a chain,
     (-1)^site on each a mode, times i on a_up and -i on b_up; on the dot,
@@ -323,105 +325,93 @@ class SectorModel:
         return spectral.band_layout(rows, cols, self.dim)
 
     @cached_property
-    def mirror_symmetric(self) -> bool:
-        """Whether R H(theta) R^-1 = H(-theta) on this basis, R being site
-        reflection times spin flip (``fock.mirror_modes``) as a signed
-        permutation of the basis states.
+    def twist_relations(self) -> tuple:
+        """(theta0, s, antiunitary) for each relation U H(theta)^(*) U^-1 =
+        s H(theta0 - theta) that holds on this basis, theta0 in {0, pi}, in
+        this order: the mirror (s = +1, unitary), U = R, site reflection
+        times spin flip (``fock.mirror_modes``) as a signed permutation of
+        the basis states; then the conjugations U = D conj of s = -1 and
+        s = +1, D diagonal with a phase in {+-1, +-i} per occupied mode
+        (``_conjugation_exponents``).  H^(*) is conj(H) where U is
+        antiunitary.
 
         Checked on the term list, not assumed: summed per (row, col) and
-        phase slot, the R-mapped ``P_ONE``, ``P_PLUS`` and ``P_MINUS``
-        entries must equal the ``P_ONE``, ``P_MINUS`` and ``P_PLUS`` ones
-        exactly.  False where R maps a state outside the basis: an odd-N
-        chain sector goes to (N, -P), and a ``restrict``ed basis may not be
-        closed.  Where it holds, every H(theta) has the spectrum of
-        H(2 pi - theta), so det[H(theta) - E] is even in theta.  Made at
-        first use and kept.
-        """
-        basis = self.basis
-        images, signs = fock.permute_modes_array(basis.states,
-                                                 fock.mirror_modes(basis.layout))
-        try:
-            perm = basis.index_of(images)
-        except KeyError:
-            return False
-        rows, cols, amps, slots = self._coo
-        d = self.dim
+        phase slot, the entries mapped by U - moved by its permutation,
+        times its phases U_row conj(U_col), conjugated where U is
+        antiunitary and with ``P_PLUS`` and ``P_MINUS`` swapped where it is
+        unitary - must equal s times the entries, times -1 on ``P_PLUS`` and
+        ``P_MINUS`` for theta0 = pi, exactly: every factor is +-1 or +-i.
+        theta0 = 0 is tried first, so a model without twisted entries gets
+        it.  The mirror is refused where R maps a state outside the basis:
+        an odd-N chain sector goes to (N, -P), and a ``restrict``ed basis
+        may not be closed.
 
-        def summed(r, c, a):
-            keys, inverse = np.unique(r * d + c, return_inverse=True)
-            sums = np.zeros(len(keys), dtype=complex)
-            np.add.at(sums, inverse, a)
-            nonzero = sums != 0
-            return keys[nonzero], sums[nonzero]
-
-        for slot, partner in ((P_ONE, P_ONE), (P_PLUS, P_MINUS), (P_MINUS, P_PLUS)):
-            mine, theirs = slots == slot, slots == partner
-            r, c = rows[mine], cols[mine]
-            mapped = summed(perm[r], perm[c], signs[r] * signs[c] * amps[mine])
-            own = summed(rows[theirs], cols[theirs], amps[theirs])
-            if not all(np.array_equal(x, y) for x, y in zip(mapped, own)):
-                return False
-        return True
-
-    @cached_property
-    def conjugation_twists(self) -> dict:
-        """{s: theta0} for s = -1 and +1: the twist theta0 in {0, pi} with
-        D conj(H(theta)) D^-1 = s H(theta0 - theta) on this basis, or None
-        where that relation does not hold.  D is diagonal, a product of a
-        phase in {+-1, +-i} per occupied mode (``_conjugation_exponents``).
-
-        Checked on the term list, not assumed: summed per (row, col) and
-        phase slot, the entries times D_row conj(D_col) and conjugated must
-        equal s times the entries of slot ``P_ONE`` and s times +-1 (+1 for
-        theta0 = 0, -1 for theta0 = pi) times those of ``P_PLUS`` and
-        ``P_MINUS``, exactly: every factor is +-1 or +-i.  Where the s = -1
-        relation holds, spec H(theta0 - theta) is -conj(spec H(theta)), so an
-        imaginary E is as far from both; where the s = +1 one holds, spec
-        H(theta0 - theta) is conj(spec H(theta)), and a real E is.  A model
-        without twisted entries gets theta0 = 0.  Made at first use and kept.
+        Where a relation holds, spec H(theta0 - theta) is s times spec
+        H(theta), conjugated where U is antiunitary: the mirror keeps every
+        E at the same distance from both, s = -1 an imaginary E and s = +1
+        a real one.  Made at first use and kept.
         """
         rows, cols, amps, slots = self._coo
         d = self.dim
         keys, inverse = np.unique((rows * d + cols) * 3 + slots, return_inverse=True)
         sums = np.zeros(len(keys), dtype=complex)
         np.add.at(sums, inverse, amps)
-        pairs, twisted = keys // 3, keys % 3 != P_ONE
-        layout, states = self.basis.layout, self.basis.states
-        twists = {}
-        for sign in (-1, 1):
-            # each state's power of i in D, mod 4
-            exponents = np.zeros(d, dtype=np.int64)
-            for m, e in enumerate(_conjugation_exponents(layout, sign)):
-                exponents += e * ((states >> np.uint64(m)) & np.uint64(1)).astype(np.int64)
-            units = _POWERS_OF_I[(exponents[pairs // d] - exponents[pairs % d]) % 4]
-            mapped = units * sums.conj()
-            twists[sign] = None
-            if np.array_equal(mapped[~twisted], sign * sums[~twisted]):
-                for theta0, factor in ((0.0, 1), (np.pi, -1)):
-                    if np.array_equal(mapped[twisted], sign * factor * sums[twisted]):
-                        twists[sign] = theta0
-                        break
-        return twists
+        keys, sums = keys[sums != 0], sums[sums != 0]
+        pairs, slot = np.divmod(keys, 3)
+        r, c = np.divmod(pairs, d)
+        at_pi = np.where(slot == P_ONE, 1, -1)  # each slot's phase at theta0 = pi
+        relations = []
+        for sign, antiunitary, perm, exponents in self._relation_candidates():
+            mapped_keys = (perm[r] * d + perm[c]) * 3 + (slot if antiunitary
+                                                         else _SWAPPED_SLOTS[slot])
+            order = np.argsort(mapped_keys)
+            if not np.array_equal(mapped_keys[order], keys):
+                continue
+            units = _POWERS_OF_I[(exponents[r] - exponents[c]) % 4]
+            mapped = (units * (sums.conj() if antiunitary else sums))[order]
+            for theta0, factor in ((0.0, 1), (np.pi, at_pi)):
+                if np.array_equal(mapped, sign * factor * sums):
+                    relations.append((theta0, sign, antiunitary))
+                    break
+        return tuple(relations)
+
+    def _relation_candidates(self):
+        """(s, antiunitary, permutation, exponents) of each candidate U of
+        ``twist_relations``, in its order: U maps state k to i^exponents[k]
+        times state permutation[k]."""
+        basis = self.basis
+        images, signs = fock.permute_modes_array(basis.states,
+                                                 fock.mirror_modes(basis.layout))
+        try:
+            perm = basis.index_of(images)
+        except KeyError:
+            perm = None
+        if perm is not None:
+            yield 1, False, perm, np.where(signs < 0, 2, 0)
+        modes = np.arange(basis.layout.n_modes, dtype=np.uint64)
+        occupied = ((basis.states[:, None] >> modes) & np.uint64(1)).astype(np.int64)
+        for sign in (-1, 1):  # each state's power of i in D
+            yield sign, True, np.arange(self.dim), occupied @ np.array(
+                _conjugation_exponents(basis.layout, sign), dtype=np.int64)
 
     def restrict(self, keep) -> "SectorModel":
         """The model on the basis states selected by the boolean mask ``keep``.
 
         Its entries are this model's, in the same order, with both indices
         kept, so every matrix it builds equals ``self(theta)[np.ix_(keep,
-        keep)]`` bit for bit.  Its basis keeps the layout, N and parity.
+        keep)]`` bit for bit.  Its basis keeps the layout, N and parity.  It
+        is a new model made from that basis and those entries alone, so no
+        cached property of this one is carried into it.
         """
         keep = np.asarray(keep, dtype=bool)
         basis = self.basis
         position = np.cumsum(keep) - 1
         rows, cols, amps, slots = self._coo
         inside = keep[rows] & keep[cols]
-        sub = copy.copy(self)
+        sub = SectorModel.__new__(SectorModel)
         sub.basis = SectorBasis(basis.layout, basis.n, basis.parity, basis.states[keep])
         sub._coo = (position[rows[inside]], position[cols[inside]], amps[inside],
                     slots[inside])
-        # the kept block makes its own
-        for cached in ("band_layout", "mirror_symmetric", "conjugation_twists"):
-            sub.__dict__.pop(cached, None)
         return sub
 
     def matrix(self, theta: float) -> np.ndarray:

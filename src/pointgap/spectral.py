@@ -25,15 +25,14 @@ takes the same band path.  A matrix whose band would not be smaller than
 itself is factored dense.
 
 A twist grid is reflected onto itself by a sector model's verified
-relations (``grid_reflections``): the mirror maps spec H(theta) to spec
-H(-theta), and the conjugation relations D conj(H(theta)) D^-1 = s H(theta0
-- theta), point-gap symmetries of the kind classified by Kawabata,
-Shiozaki, Ueda & Sato, PRX 9, 041015 (2019), map it to conj spec H(theta0 -
-theta) (s = +1) or -conj spec H(theta0 - theta) (s = -1).  The orbits they
-generate and the fundamental arc that meets every orbit (``twist_orbits``)
-are shared by the sweep and the winding: a sweep eigensolves the lowest
-arc point of each orbit and fills every other row as the exact image of
-that row, and a winding tracks the arc only.
+relations U H(theta)^(*) U^-1 = s H(theta0 - theta)
+(``SectorModel.twist_relations``), point-gap symmetries of the kind
+classified by Kawabata, Shiozaki, Ueda & Sato, PRX 9, 041015 (2019): each
+maps spec H(theta) to spec H(theta0 - theta) times s, conjugated where U is
+antiunitary.  The orbits they generate and the fundamental arc that meets
+every orbit (``twist_orbits``) are shared by the sweep and the winding: a
+sweep eigensolves the lowest arc point of each orbit and fills every other
+row as the exact image of that row, and a winding tracks the arc only.
 
 This module knows matrices and sector models, not parameters: a sweep
 takes a ``SectorModel`` and builds its matrices with the model's ``stack``,
@@ -234,41 +233,6 @@ def stack_eigvals(stack, thetas):
     return values
 
 
-def grid_reflections(model, n_grid: int, e_ref=None) -> tuple:
-    """(a, s) for each verified relation of a ``SectorModel`` that maps its
-    twist grid to itself by the reflection k -> a - k (mod n_grid), theta0 =
-    2 pi a / n_grid: the mirror (a = 0, s None; ``model.mirror_symmetric``)
-    and the conjugation relations D conj(H(theta)) D^-1 = s H(theta0 -
-    theta) (``model.conjugation_twists``).  A relation with theta0 = pi
-    needs an even n_grid.
-
-    With ``e_ref`` None every relation is taken.  With an ``e_ref`` only
-    those that keep the distance from it to the spectrum (and fix
-    det[H(theta) - e_ref] up to conjugation) are: the mirror always, s = -1
-    for an imaginary ``e_ref`` and s = +1 for a real one; the conjugation
-    relations are not looked up off both axes.
-
-    The one rule for sweeps and windings alike: a grid whose n_grid + 1
-    points fit one stack (``stack_length(d) > n_grid``) gets none, and no
-    relation is looked up, since that stack costs less whole than the lookup
-    (0.36 ms per dot deformation model, 0.85 ms for chain (3,-1) at d = 28).
-    """
-    if stack_length(model.dim) > n_grid:
-        return ()
-    reflections = [(0, None)] if model.mirror_symmetric else []
-    axes = {-1: True, 1: True}
-    if e_ref is not None:
-        e_ref = complex(e_ref)
-        axes = {-1: e_ref.real == 0.0, 1: e_ref.imag == 0.0}
-    for sign, on_axis in axes.items():
-        theta0 = model.conjugation_twists[sign] if on_axis else None
-        if theta0 == 0.0:
-            reflections.append((0, sign))
-        elif theta0 is not None and n_grid % 2 == 0:
-            reflections.append((n_grid // 2, sign))
-    return tuple(reflections)
-
-
 def _fundamental_arc(offsets, n_grid):
     """(first, last, m): the base-grid indices first..last of an arc whose
     images under the reflections k -> a - k, a in ``offsets``, cover the
@@ -286,22 +250,17 @@ def _fundamental_arc(offsets, n_grid):
     return 0, n_grid, 1
 
 
-# how each relation maps the spectrum at theta onto that at its image:
-# (negate, conjugate); the mirror keeps it, s = +1 conjugates it and s = -1
-# takes it to -conj
-_SPECTRUM_MAPS = {None: (False, False), 1: (False, True), -1: (True, True)}
-
-
 @dataclass(frozen=True)
 class TwistOrbits:
     """The orbits of the twist grid k = 0..n_grid under grid reflections.
 
-    ``first``..``last`` is the fundamental arc and ``copies`` the m copies of
-    it that make the loop.  Point k lies in the orbit of the arc point
-    ``source[k]``, the lowest arc point of its orbit, and spec H(theta_k) is
-    spec H(theta_source[k]), negated where ``negate[k]`` and conjugated where
-    ``conjugate[k]``.  ``solved`` holds the points that are their own source:
-    one per orbit.
+    ``reflections`` holds (a, s, antiunitary) for each relation the grid
+    uses, a reflection k -> a - k (mod n_grid).  ``first``..``last`` is the
+    fundamental arc and ``copies`` the m copies of it that make the loop.
+    Point k lies in the orbit of the arc point ``source[k]``, the lowest arc
+    point of its orbit, and spec H(theta_k) is spec H(theta_source[k]),
+    negated where ``negate[k]`` and conjugated where ``conjugate[k]``.
+    ``solved`` holds the points that are their own source: one per orbit.
     """
 
     reflections: tuple
@@ -317,28 +276,52 @@ class TwistOrbits:
         return np.flatnonzero(self.source == np.arange(len(self.source)))
 
 
-def twist_orbits(n_grid: int, reflections=()) -> TwistOrbits:
-    """The ``TwistOrbits`` of the reflections (a, s) of ``grid_reflections``.
+def twist_orbits(model, n_grid: int, e_ref=None) -> TwistOrbits:
+    """The ``TwistOrbits`` of a ``SectorModel``'s twist grid under its
+    verified relations U H(theta)^(*) U^-1 = s H(theta0 - theta)
+    (``model.twist_relations``).  Each maps the grid to itself by the
+    reflection k -> a - k (mod n_grid), theta0 = 2 pi a / n_grid, and spec
+    H(theta) to spec H(theta0 - theta) negated where s < 0 and conjugated
+    where U is antiunitary.  A relation with theta0 = pi needs an even
+    n_grid.
 
-    The group they generate holds the identity, each reflection k -> a - k
+    With ``e_ref`` None every relation is taken.  With an ``e_ref`` only
+    those that keep the distance from it to the spectrum, and fix
+    det[H(theta) - e_ref] up to conjugation, are: those with s e_ref^(*) =
+    e_ref, conjugated where U is antiunitary.  The unitary mirror keeps
+    every E, s = -1 an imaginary one and s = +1 a real one.
+
+    The one rule for sweeps and windings alike: a grid whose n_grid + 1
+    points fit one stack (``stack_length(d) > n_grid``) gets none, and no
+    relation is looked up, since that stack costs less whole than the lookup
+    (0.16 ms for a dot sector, 0.29 ms for chain (3,-1) at d = 28, on
+    2 vCPUs).
+
+    The group the reflections generate holds the identity, each reflection
     and the shifts k -> k + b - a that two of them compose to (a shift by
     n_grid / 2 is its own inverse, so that is the whole group); a composed
-    shift maps spectra by both relations' maps, so the s = +1 and s = -1
-    relations give a negation.  Each point takes its source from the first group
-    element, in that order, that maps the lowest arc point of its orbit to
-    it, so a source maps to itself by the identity.  A reflection takes
-    k = n_grid (theta = 2 pi) where it takes k = 0; with none, every point,
-    theta = 2 pi included, is its own orbit.
+    shift maps spectra by both relations' maps.  Each point takes its source
+    from the first group element, in that order, that maps the lowest arc
+    point of its orbit to it, so a source maps to itself by the identity.  A
+    reflection takes k = n_grid (theta = 2 pi) where it takes k = 0; with
+    none, every point, theta = 2 pi included, is its own orbit.
     """
-    reflections = tuple(reflections)
-    first, last, copies = _fundamental_arc({a for a, _ in reflections}, n_grid)
+    reflections = ()
+    if stack_length(model.dim) <= n_grid:
+        reflections = tuple(
+            (0 if theta0 == 0.0 else n_grid // 2, sign, antiunitary)
+            for theta0, sign, antiunitary in model.twist_relations
+            if (theta0 == 0.0 or n_grid % 2 == 0)
+            and (e_ref is None
+                 or sign * (np.conj(e_ref) if antiunitary else e_ref) == e_ref))
+    first, last, copies = _fundamental_arc({a for a, _, _ in reflections}, n_grid)
     points = np.arange(n_grid + 1)
     negate = np.zeros(n_grid + 1, dtype=bool)
     conjugate = np.zeros(n_grid + 1, dtype=bool)
     if not reflections:
         return TwistOrbits(reflections, first, last, copies, points, negate, conjugate)
     # group elements (c, e, negate, conjugate): theta_j -> theta_(c + e j)
-    maps = [(a, -1, *_SPECTRUM_MAPS[s]) for a, s in reflections]
+    maps = [(a, -1, sign < 0, antiunitary) for a, sign, antiunitary in reflections]
     elements = [(0, 1, False, False), *maps,
                 *((b - a, 1, n1 != n2, c1 != c2)
                   for a, _, n1, c1 in maps for b, _, n2, c2 in maps)]
@@ -355,13 +338,14 @@ def sweep_theta(model, n_grid: int) -> SpectralFlow:
     k = 0..n_grid (inclusive), one row per point, each sorted by (real,
     imag) for reproducible output.
 
-    The grid is solved at one point per orbit of the model's verified grid
-    reflections (``grid_reflections``, every relation whatever the reference
-    energy; ``twist_orbits``): the lowest point of each orbit on the
-    fundamental arc, in stacks.  Every other row is the exact image of its
-    orbit's solved row - the same values, their conjugates (s = +1), -conj
-    (s = -1) or their negatives (a shift by pi that two relations compose
-    to) - sorted again.  On a chain sector with both conjugation relations,
+    The grid is solved at one point per orbit of the model's verified
+    relations (``twist_orbits``, every relation whatever the reference
+    energy): the lowest point of each orbit on the fundamental arc, in
+    stacks.  Every other row is the exact image of its orbit's solved row -
+    negated where the relation's s < 0 and conjugated where it is
+    antiunitary, so the same values under the mirror, their conjugates
+    (s = +1), -conj (s = -1) or their negatives (a shift by pi that two
+    relations compose to) - sorted again.  On a chain sector with both conjugation relations,
     at an even n_grid divisible by 4, that is the quarter arc theta in
     [0, pi / 2]: 65 of 257 points at n_grid 256.  Image rows agree with a
     direct eigensolve at their own theta to rounding, not bit for bit:
@@ -371,7 +355,7 @@ def sweep_theta(model, n_grid: int) -> SpectralFlow:
     if n_grid < 16:
         raise ValueError("n_grid must be at least 16")
     grid = theta_grid(n_grid)
-    orbits = twist_orbits(n_grid, grid_reflections(model, n_grid))
+    orbits = twist_orbits(model, n_grid)
     solved = orbits.solved
     spectra = np.empty((len(grid), model.dim), dtype=complex)
     for start, stack in twist_stacks(model, grid[solved]):

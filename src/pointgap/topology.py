@@ -34,34 +34,34 @@ value would not do: for non-normal M, sigma_min(M - E) can lie far below
 dist(E, spec M) (Trefethen & Embree, *Spectra and Pseudospectra*, 2005).
 The distance to E is the same at several grid points where a verified
 symmetry maps one spectrum to another, each a reflection theta -> theta0 -
-theta of the grid.  The mirror (``SectorModel.mirror_symmetric``: site
-reflection times spin flip maps H(theta) to H(-theta), as on an even-N
-chain sector) gives theta0 = 0 for every E.  The antiunitary conjugation
-relations D conj(H(theta)) D^-1 = s H(theta0 - theta)
-(``SectorModel.conjugation_twists``, point-gap symmetries of the kind
-classified by Kawabata, Shiozaki, Ueda & Sato, PRX 9, 041015 (2019)) give
-theta0 for an imaginary E (s = -1, where spec H(theta0 - theta) =
--conj spec H(theta)) and for a real E (s = +1, where it is conj spec
-H(theta)); theta0 = pi maps grid to grid only for an even n_grid.
+theta of the grid.  The model lists its relations U H(theta)^(*) U^-1 =
+s H(theta0 - theta) (``SectorModel.twist_relations``, point-gap symmetries
+of the kind classified by Kawabata, Shiozaki, Ueda & Sato, PRX 9, 041015
+(2019)), each of which maps spec H(theta) to spec H(theta0 - theta) times
+s, conjugated where U is antiunitary.  A relation keeps the distance to E
+where s E^(*) = E: the unitary mirror (site reflection times spin flip,
+s = +1, theta0 = 0, as on an even-N chain sector) for every E, the
+antiunitary conjugations for an imaginary E (s = -1) and for a real E
+(s = +1).  theta0 = pi maps grid to grid only for an even n_grid.
 
 The same reflections fix the principal phase phi of det[H(theta) - E]
-elsewhere from its value on a fundamental arc: phi(-theta) = phi(theta)
-under the mirror (R is a signed permutation), and phi(theta0 - theta) =
--phi(theta) for s = +1 or d pi - phi(theta) for s = -1, d the dimension.
-So a model is sampled, phase and margin alike, on that arc only: on the
-chain, half of the grid for an odd-N sector at a real or imaginary E or
-an even-N one elsewhere, and a quarter for an even-N sector at an
-imaginary E on an odd L.  An ARPACK margin is solved once per orbit of the
-group the reflections generate, at its lowest point on the arc.  Where the
-mirror holds, det[H(theta) - E] is even in theta, so its winding is 0;
-otherwise the loop's phase change is 2 or 4 times the arc's.  A closing
-anywhere has an image on the arc, where the tracker still finds it.  At an
-arc endpoint that a relation fixes, phi must be 0 or pi (+-pi/2 for
-s = -1 at odd d), and a phase that misses raises ``SpectralError``.  The
-reflections, the arc and the orbits are ``spectral.grid_reflections`` and
-``spectral.twist_orbits``, which a twist sweep shares and which decide
-where relations are used; the winding takes only the relations that keep
-the distance to E.
+elsewhere from its value on a fundamental arc: phi(theta0 - theta) =
+phi(theta) under a unitary relation (the mirror's R is a signed
+permutation), and -phi(theta) for an antiunitary one with s = +1 or
+d pi - phi(theta) with s = -1, d the dimension.  So a model is sampled,
+phase and margin alike, on that arc only: on the chain, half of the grid
+for an odd-N sector at a real or imaginary E or an even-N one elsewhere,
+and a quarter for an even-N sector at an imaginary E on an odd L.  An
+ARPACK margin is solved once per orbit of the group the reflections
+generate, at its lowest point on the arc.  Where a unitary relation
+holds, phi(theta0 - theta) = phi(theta) runs the loop backwards with the
+same phase, so the winding is 0; otherwise the loop's phase change is 2
+or 4 times the arc's.  A closing anywhere has an image on the arc, where
+the tracker still finds it.  At an arc endpoint that an antiunitary
+relation fixes, phi must be 0 or pi (+-pi/2 for s = -1 at odd d), and a
+phase that misses raises ``SpectralError``.  The relations kept for E,
+the arc and the orbits are ``spectral.twist_orbits``, which a twist sweep
+shares and which decides where relations are used.
 """
 
 from __future__ import annotations
@@ -78,7 +78,6 @@ from .spectral import (
     SpectrumHitError,
     blas_threads_for,
     factor_model,
-    grid_reflections,
     phase_from_factors,
     stack_eigvals,
     stack_length,
@@ -217,15 +216,16 @@ def _nearest_distance(factors, model, theta, ref):
 
 
 def _check_fixed_phases(model, reflections, n_grid, ends):
-    """At a grid point k = a - k (mod n_grid) of a conjugation relation of
+    """At a grid point k = a - k (mod n_grid) of an antiunitary relation of
     sign s, the relation fixes the principal phase phi of det[H(theta) - E]:
     phi = -phi for s = +1 and phi = d pi - phi for s = -1 (mod 2 pi), so phi
-    is 0 or pi, or +-pi/2 for s = -1 at odd d.  ``ends`` holds (k, theta,
-    phi) for the arc's endpoints; one whose phi misses by more than 1e-8
-    (a few 1e-13 on the chain) raises ``SpectralError``."""
+    is 0 or pi, or +-pi/2 for s = -1 at odd d.  A unitary relation fixes
+    none.  ``ends`` holds (k, theta, phi) for the arc's endpoints; one whose
+    phi misses by more than 1e-8 (a few 1e-13 on the chain) raises
+    ``SpectralError``."""
     for k, theta, phi in ends:
-        for a, sign in reflections:
-            if sign is None or (2 * k - a) % n_grid:
+        for a, sign, antiunitary in reflections:
+            if not antiunitary or (2 * k - a) % n_grid:
                 continue
             forced = np.pi * (model.dim % 2) if sign < 0 else 0.0
             if abs(wrap_phase(2.0 * phi - forced)) > 2e-8:
@@ -264,17 +264,17 @@ def many_body_winding(model, e_ref: complex = 0.0,
     twist period.  Sectors below ``BLAS_THREAD_CROSSOVER_DIM`` are wound on
     one BLAS thread.
 
-    The model is wound over a fundamental arc only, of the grid reflections
-    (``grid_reflections``, ``twist_orbits``) that the mirror and the
-    conjugation relation for a real or imaginary ``e_ref`` give; elsewhere
-    the phase follows from the arc's.  With the mirror among them the
+    The model is wound over a fundamental arc only, of the relations that
+    keep the distance to ``e_ref`` (``twist_orbits``: the mirror for every
+    E, an antiunitary one of sign s where s conj(E) = E); elsewhere the
+    phase follows from the arc's.  With a unitary relation among them the
     winding is 0 and ``raw_phase_change`` 0.0, and the arc is still tracked,
     so a closing there (the image of any closing) raises ``GapClosedError``.
     Otherwise the phase change over the loop is m times that over the arc,
     m = 2 for a half and 4 for a quarter.  Where an arc endpoint is a fixed
-    point of a relation, the relation fixes its phase, and a phase that
-    misses raises ``SpectralError``.  ``grid_size_used`` counts the phase
-    evaluations: arc points plus refinement midpoints.
+    point of an antiunitary relation, the relation fixes its phase, and a
+    phase that misses raises ``SpectralError``.  ``grid_size_used`` counts
+    the phase evaluations: arc points plus refinement midpoints.
 
     Where the winding holds the arc's eigenvalues - ``spectra``, those of
     the same matrices at the n_grid + 1 base-grid points, one row of
@@ -286,7 +286,7 @@ def many_body_winding(model, e_ref: complex = 0.0,
     in its stack, wound without ``spectra``, is a band LU from the model's
     pattern at every point, with no matrix built, and its distance to E
     comes from shift-invert Arnoldi on that LU, to ``ARPACK_TOL``, once per
-    orbit of the grid reflections, at its lowest point on the arc.
+    orbit of those relations, at its lowest point on the arc.
 
     The gap margin is the smallest of those distances over the arc's
     base-grid points, and ``margin_theta`` the lowest arc angle whose
@@ -300,7 +300,7 @@ def many_body_winding(model, e_ref: complex = 0.0,
     if n_grid < 16:
         raise ValueError("n_grid must be at least 16")
     grid = theta_grid(n_grid)
-    orbits = twist_orbits(n_grid, grid_reflections(model, n_grid, e_ref))
+    orbits = twist_orbits(model, n_grid, e_ref)
     reflections, first, last = orbits.reflections, orbits.first, orbits.last
     arc = grid[first:last + 1]
     if spectra is not None and np.shape(spectra) != (len(grid), model.dim):
@@ -351,7 +351,8 @@ def many_body_winding(model, e_ref: complex = 0.0,
     _check_fixed_phases(model, reflections, n_grid,
                         [(first, arc[0], base_phases[0]), (last, arc[-1], base_phases[-1])])
 
-    if (0, None) in reflections:  # R H(theta) R^-1 = H(-theta): det is even in theta
+    if not all(antiunitary for _, _, antiunitary in reflections):
+        # a unitary relation gives phi(theta0 - theta) = phi(theta): W = 0
         value, total = 0, 0.0
     else:
         value = int(round(total / (2.0 * np.pi)))
@@ -368,7 +369,9 @@ def spin_winding(model, eps_ref: complex = 0.0,
     """Spin-resolved winding (w_up - w_dn)/2 of a spin-diagonal one-body model.
 
     s^z is read from the model's basis (``basis.sz``).  The flow must commute
-    with s^z, which is checked at 17 angles of the twist grid; the two spin
+    with s^z, which is checked at the twist-grid points k = 0, m, 2m, ...
+    up to n_grid, m = n_grid // 16: 17 angles where 16 divides n_grid, up
+    to 32 otherwise (25 at n_grid 24, 21 at 40); the two spin
     blocks are then wound independently (``model.restrict``, each by
     ``many_body_winding``), which sidesteps the branch cuts of a matrix
     logarithm while agreeing with it whenever the commutator vanishes.

@@ -13,12 +13,11 @@ class MatrixFlow:
     of the ``SectorModel`` interface the engine uses: ``dim``, ``stack``,
     ``__call__`` and, for matrices alone in their stack, the pattern pair
     ``band_layout`` and ``values``.  The pattern is every entry nonzero at
-    one of the 17 twists of ``theta_grid(16)``.  No mirror symmetry or
-    conjugation relation is claimed, so every base-grid point gets its own
-    gap margin and every sweep point is solved."""
+    one of the 17 twists of ``theta_grid(16)``.  No twist relation is
+    claimed, so every base-grid point gets its own gap margin and every
+    sweep point is solved."""
 
-    mirror_symmetric = False
-    conjugation_twists = {-1: None, 1: None}
+    twist_relations = ()
 
     def __init__(self, fn):
         self.fn = fn

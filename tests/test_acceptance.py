@@ -70,9 +70,9 @@ def test_criterion_1_one_body_invariants():
 
 def test_criterion_2_closed_form_equivalence():
     t0 = time.perf_counter()
-    worst = checks_mod.dot_closed_form_distance(replace(DOT, j=1.0, v=1.0), seed=7)
+    worst, ok = checks_mod.dot_closed_form_verdict(replace(DOT, j=1.0, v=1.0), seed=7)
     elapsed = time.perf_counter() - t0
-    _report(2, worst < 1e-10,
+    _report(2, ok,
             f"max closed-form vs ED distance {worst:.2e} over 21 draws", elapsed, 5.0)
 
 
@@ -211,10 +211,9 @@ def test_criterion_7_perturbation_oracle():
     # spread the twist over every link, which has the eigenvalues of the
     # model's boundary-link twist
     p = ChainParams(length=7, t=1.0, j=0.04, v=0.03)
-    err, err_half = checks_mod.chain_splitting_errors(p, (3, -1))
-    ratio = err / err_half
+    err, err_half, ratio, ok = checks_mod.chain_splitting_verdict(p, (3, -1))
     elapsed = time.perf_counter() - t0
-    _report(7, 3.5 <= ratio <= 4.5,
+    _report(7, ok,
             f"assignment distance {err:.3e} -> {err_half:.3e}, "
             f"halving ratio {ratio:.3f} (want 4 +- 0.5)", elapsed, 30.0)
 

@@ -338,7 +338,7 @@ def test_mirror_conjugates_h_theta_to_h_minus_theta(label, parity):
     R H(theta) R^T = H(-theta) on the dense matrices, bit for bit."""
     bc, thetas = _boundary(label, (0.0, 1.1, 2.9))
     model = chain_model(ChainParams(length=5, j=0.7, v=0.4, bc=bc), 4, parity)
-    assert model.mirror_symmetric
+    assert model.twist_relations[0] == (0.0, 1, False)
     images, signs = permute_modes_array(model.basis.states,
                                         mirror_modes(model.basis.layout))
     r = np.zeros((model.dim, model.dim))
@@ -349,13 +349,15 @@ def test_mirror_conjugates_h_theta_to_h_minus_theta(label, parity):
 
 def test_mirror_of_the_dot_and_of_restricted_models():
     # the refusals of odd N, unequal dot potentials and a skewed amplitude
-    # are in checks.check_mirror_symmetry
-    assert dot_model(replace(FIG_DOT, eps_a_dn=0.2, eps_b_dn=0.35), 2, 1).mirror_symmetric
+    # are in checks.check_twist_relations
+    mirror = (0.0, 1, False)
+    dot = dot_model(replace(FIG_DOT, eps_a_dn=0.2, eps_b_dn=0.35), 2, 1)
+    assert mirror in dot.twist_relations
     model = chain_model(ChainParams(length=7, j=1.0, v=1.0), 4, 1)
-    assert model.mirror_symmetric
+    assert mirror in model.twist_relations
     # the cached value is not carried into a restricted model
-    assert model.restrict(np.ones(model.dim, dtype=bool)).mirror_symmetric
-    assert not model.restrict(np.arange(model.dim) < 100).mirror_symmetric
+    assert mirror in model.restrict(np.ones(model.dim, dtype=bool)).twist_relations
+    assert mirror not in model.restrict(np.arange(model.dim) < 100).twist_relations
 
 
 def _conjugation_diagonal(basis, sign):
@@ -390,7 +392,8 @@ def test_conjugation_relations_on_dense_matrices(length, sector):
         return h
 
     expected = {-1: np.pi if length % 2 else 0.0, 1: 0.0}
-    assert model.conjugation_twists == expected
+    assert [relation for relation in model.twist_relations if relation[2]] == [
+        (theta0, sign, True) for sign, theta0 in expected.items()]
     for sign, theta0 in expected.items():
         diag = _conjugation_diagonal(model.basis, sign)
         turn = np.array([1.0, 1.0, 1.0]) if theta0 == 0.0 else np.array([1.0, -1.0, -1.0])
@@ -406,31 +409,32 @@ def test_conjugation_relations_on_dense_matrices(length, sector):
 
 
 def test_conjugation_twists_are_checked_lazily(monkeypatch):
-    """Building a model evaluates no relation; a restricted model checks
-    its own; a relation broken in one entry is refused."""
+    """Building a model evaluates no twist relation; a restricted model
+    checks its own; a relation broken in one entry is refused."""
     from pointgap import models
 
     calls = []
     exponents = models._conjugation_exponents
     monkeypatch.setattr(models, "_conjugation_exponents",
                         lambda *args: calls.append(args) or exponents(*args))
+    conjugations = ((np.pi, -1, True), (0.0, 1, True))
     model = chain_model(ChainParams(length=7, j=1.0, v=1.0), 4, 1)
-    assert calls == [] and "conjugation_twists" not in model.__dict__
-    assert model.conjugation_twists == {-1: np.pi, 1: 0.0} and len(calls) == 2
+    assert calls == [] and "twist_relations" not in model.__dict__
+    assert model.twist_relations == ((0.0, 1, False), *conjugations) and len(calls) == 2
     sub = model.restrict(np.arange(model.dim) < 100)
-    assert "conjugation_twists" not in sub.__dict__
-    assert sub.conjugation_twists == {-1: np.pi, 1: 0.0} and len(calls) == 4
+    assert "twist_relations" not in sub.__dict__
+    assert sub.twist_relations == conjugations and len(calls) == 4
     # one off-diagonal amplitude turned by i breaks both relations
     rows, cols, amps, slots = sub._coo
     amps = amps.copy()
     amps[np.flatnonzero((slots == P_ONE) & (rows != cols))[-1]] *= 1j
     broken = sub.restrict(np.ones(sub.dim, dtype=bool))
     broken._coo = (rows, cols, amps, slots)
-    assert broken.conjugation_twists == {-1: None, 1: None}
+    assert broken.twist_relations == ()
     # the dot keeps s = -1 only, at unequal potentials, with D = 1: its
     # exchange amplitude iJ/2 is imaginary
     dot = dot_model(replace(FIG_DOT, j=1.0, v=1.0), 2, -1)
-    assert dot.conjugation_twists == {-1: np.pi, 1: None}
+    assert dot.twist_relations == conjugations[:1]
 
 
 def test_one_body_basis_refuses_outsiders_by_name():

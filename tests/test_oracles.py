@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pointgap.checks import chain_splitting_errors
+from pointgap.checks import chain_splitting_verdict
 from pointgap.fock import apply_create, chain_layout
 from pointgap.models import (
     ChainParams,
@@ -146,8 +146,8 @@ def test_splitting_coefficients():
 def test_first_order_error_is_second_order(length, j, v):
     """On the default chain's (3,-1) sector, halving J and V shrinks the
     formulas' error fourfold: they hold to first order."""
-    err, err_half = chain_splitting_errors(ChainParams(length=length, j=j, v=v), (3, -1))
-    assert abs(err / err_half - 4.0) < 0.05
+    ratio = chain_splitting_verdict(ChainParams(length=length, j=j, v=v), (3, -1))[2]
+    assert abs(ratio - 4.0) < 0.05
 
 
 def test_first_order_collapse_without_coupling():

@@ -1,12 +1,13 @@
 import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.linalg import lu_factor
 
+from pointgap.checks import _turned
 from pointgap.models import (
-    P_PLUS,
     ChainParams,
     DotParams,
     chain_model,
@@ -26,7 +27,6 @@ from pointgap.spectral import (
     eigendecompose,
     factor_model,
     factor_shifted,
-    grid_reflections,
     logdet_phase,
     phase_from_factors,
     sigma_min_from_factors,
@@ -156,15 +156,6 @@ def _sorted(values):
     return values[np.lexsort((values.imag, values.real))]
 
 
-def _turned(model, turn):
-    """``model`` with its first ``P_PLUS`` amplitude times ``turn``."""
-    rows, cols, amps, slots = model._coo
-    amps = amps.copy()
-    amps[np.flatnonzero(slots == P_PLUS)[0]] *= turn
-    model._coo = (rows, cols, amps, slots)
-    return model
-
-
 def test_sweep_matches_pointwise_eigvals_across_stacks():
     """A sweep longer than one stack (d = 28 stacks 41 matrices) solves the
     lowest point of each orbit of its model's grid reflections: the quarter
@@ -179,7 +170,7 @@ def test_sweep_matches_pointwise_eigvals_across_stacks():
     assert 101 % (STACK_BYTES // (16 * 28 * 28)) != 0
     p = ChainParams(length=7, t=1.0, j=1.0, v=1.0)
     turned = _turned(chain_model(p, 3, -1), np.exp(0.3j))
-    assert not turned.mirror_symmetric and turned.conjugation_twists == {-1: None, 1: None}
+    assert turned.twist_relations == ()
     cases = [(chain_model(p, 3, -1), 256, 65),
              (chain_model(replace(p, j=0.0, v=0.0), 3, -1), 64, 17),
              (chain_model(p, 3, -1), 100, 26), (chain_model(p, 3, -1), 65, 33),
@@ -191,7 +182,7 @@ def test_sweep_matches_pointwise_eigvals_across_stacks():
         flow = sweep_theta(model, n_grid)
         assert flow.spectra.shape == (n_grid + 1, 28)
         assert sum(solved) == n_solved and max(solved) <= 41
-        orbits = twist_orbits(n_grid, grid_reflections(model, n_grid))
+        orbits = twist_orbits(model, n_grid)
         np.testing.assert_array_equal(orbits.solved, np.arange(n_solved))
         for k, (theta, row) in enumerate(zip(flow.grid, flow.spectra)):
             direct = _sorted(np.linalg.eigvals(model(theta)))
@@ -216,8 +207,7 @@ def test_single_stack_sweep_looks_no_relation_up():
         for run in runs:
             model = dot_model(replace(FIG_DOT, j=1.0, v=1.0), 2, parity)
             run(model)
-            assert "mirror_symmetric" not in model.__dict__
-            assert "conjugation_twists" not in model.__dict__
+            assert "twist_relations" not in model.__dict__
 
 
 def test_twist_orbits_of_the_chain_reflections():
@@ -225,16 +215,50 @@ def test_twist_orbits_of_the_chain_reflections():
     rows (n/4, n/2] are -conj images, (n/2, 3n/4) negations (the shift by
     pi), [3n/4, n) conjugates and theta = 2 pi the identity image of 0."""
     n = 16
-    orbits = twist_orbits(n, ((n // 2, -1), (0, 1)))
+    chain = SimpleNamespace(dim=200, twist_relations=((np.pi, -1, True), (0.0, 1, True)))
+    orbits = twist_orbits(chain, n)
+    assert orbits.reflections == ((n // 2, -1, True), (0, 1, True))
     assert (orbits.first, orbits.last, orbits.copies) == (0, 4, 4)
     k = np.arange(n + 1)
     want = np.where(k <= 4, k, np.where(k <= 8, 8 - k, np.where(k < 12, k - 8, (n - k) % n)))
     np.testing.assert_array_equal(orbits.source, want)
     np.testing.assert_array_equal(orbits.negate, (k > 4) & (k < 12))
     np.testing.assert_array_equal(orbits.conjugate, ((k > 4) & (k <= 8)) | ((k >= 12) & (k < n)))
-    alone = twist_orbits(n)
+    alone = twist_orbits(SimpleNamespace(dim=200, twist_relations=()), n)
     np.testing.assert_array_equal(alone.source, k)
     assert (alone.first, alone.last, alone.copies) == (0, n, 1)
+
+
+_RELATIONS = ((0.0, 1, False), (np.pi, -1, True), (0.0, 1, True))
+
+
+@pytest.mark.parametrize("e_ref, kept", [(0.0, (0, 1, 2)), (0.3j, (0, 1)),
+                                         (-0.04, (0, 2)), (0.05 + 0.3j, (0,))])
+@pytest.mark.parametrize("n_grid", [16, 17])
+def test_twist_orbits_keep_the_relations_that_fix_e_ref(e_ref, kept, n_grid):
+    """Of the mirror, (pi, -1, antiunitary) and (0, +1, antiunitary), a
+    winding at E keeps exactly the relations with s E^(*) = E (conjugated
+    where antiunitary): the mirror always, s = -1 for an imaginary E and
+    s = +1 for a real one, in the model's order.  theta0 = pi is dropped on
+    an odd n_grid.  A relation alone maps each point it moves by
+    (negate, conjugate) = (s < 0, antiunitary); theta = 2 pi is the image
+    of 0 by periodicity.  A grid of one stack keeps none."""
+    model = SimpleNamespace(dim=200, twist_relations=_RELATIONS)
+    for i, (_, sign, antiunitary) in enumerate(_RELATIONS):
+        assert (sign * (np.conj(e_ref) if antiunitary else e_ref) == e_ref) == (i in kept)
+    want = [(0 if theta0 == 0.0 else n_grid // 2, sign, antiunitary)
+            for theta0, sign, antiunitary in (_RELATIONS[i] for i in kept)
+            if theta0 == 0.0 or n_grid % 2 == 0]
+    assert list(twist_orbits(model, n_grid, e_ref).reflections) == want
+    for a, sign, antiunitary in want:
+        alone = twist_orbits(SimpleNamespace(
+            dim=200, twist_relations=[(np.pi if a else 0.0, sign, antiunitary)]), n_grid)
+        moved = np.flatnonzero(alone.source[:n_grid] != np.arange(n_grid))
+        assert len(moved) == n_grid // 2 - 1 + n_grid % 2
+        assert (alone.negate[moved] == (sign < 0)).all()
+        assert (alone.conjugate[moved] == antiunitary).all()
+    assert twist_orbits(SimpleNamespace(dim=28, twist_relations=_RELATIONS), 16,
+                        e_ref).reflections == ()
 
 
 def test_sweep_eigensolver_failure_names_theta(monkeypatch, matrix_flow):

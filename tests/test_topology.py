@@ -233,7 +233,6 @@ def test_stacked_base_grid_equals_pointwise(case):
     as the pointwise LU tracker over the arc."""
     from pointgap.spectral import (
         blas_threads_for,
-        grid_reflections,
         stack_length,
         theta_grid,
         twist_orbits,
@@ -268,7 +267,7 @@ def test_stacked_base_grid_equals_pointwise(case):
                 got.append(phase_from_factors(factors, scale, ref)[1])
             assert got == expected
         full_value = round(_PhaseTracker(phase, n_grid).run(expected) / (2.0 * np.pi))
-        orbits = twist_orbits(n_grid, grid_reflections(model, n_grid, ref))
+        orbits = twist_orbits(model, n_grid, ref)
         first, last = orbits.first, orbits.last
         assert (first, last) == {"chain": (25, 75), "dot": (0, n_grid),
                                  "one-body": (0, 50)}.get(case, (0, 25))
@@ -276,7 +275,7 @@ def test_stacked_base_grid_equals_pointwise(case):
         total = orbits.copies * tracker.run(got[first:last + 1], first)
         pointwise = _PhaseTracker(phase, n_grid)
         pointwise.run(expected[first:last + 1], first)
-        if (0, None) in orbits.reflections:  # mirror-symmetric: W = 0
+        if (0, 1, False) in orbits.reflections:  # mirror-symmetric: W = 0
             total = 0.0
     result = many_body_winding(model, ref, n_grid=n_grid)
     assert result.raw_phase_change == total
@@ -341,7 +340,7 @@ def test_winding_holding_eigenvalues_factors_only_midpoints(case, matrix_flow,
     base-grid phases from them and makes an LU at refinement midpoints only.
     The fast flow's level e^{5 i theta} turns 5 pi / 8 per step of a
     16-point grid, so every step is refined once."""
-    from pointgap.spectral import grid_reflections, sweep_theta, theta_grid, twist_orbits
+    from pointgap.spectral import sweep_theta, theta_grid, twist_orbits
 
     n_grid, ref = 16, 0.3j
     if case.startswith("fast-flow"):
@@ -354,7 +353,7 @@ def test_winding_holding_eigenvalues_factors_only_midpoints(case, matrix_flow,
     spectra = sweep_theta(model, n_grid).spectra if case.endswith("spectra") else None
     lus = _count_factor_model(monkeypatch)
     res = many_body_winding(model, ref, n_grid=n_grid, spectra=spectra)
-    orbits = twist_orbits(n_grid, grid_reflections(model, n_grid, ref))
+    orbits = twist_orbits(model, n_grid, ref)
     arc = orbits.last - orbits.first + 1
     assert len(lus) == res.grid_size_used - arc
     assert not set(lus) & set(theta_grid(n_grid))
@@ -548,7 +547,7 @@ def test_arpack_margin_is_nearest_distance(jv, monkeypatch):
     # s = -1 conjugation relation holds with theta0 = pi: the distances at
     # theta, 2 pi - theta and pi - theta agree, and only the points
     # theta <= pi / 2 are eigensolved
-    assert model.mirror_symmetric and model.conjugation_twists[-1] == np.pi
+    assert model.twist_relations[:2] == ((0.0, 1, False), (np.pi, -1, True))
     for k in range(n_grid + 1):
         assert abs(dists[k] - dists[n_grid - k]) <= 1e-12 * dists[k]
         assert abs(dists[k] - dists[(n_grid // 2 - k) % n_grid]) <= 1e-12 * dists[k]
@@ -590,21 +589,13 @@ def test_symmetries_cut_the_arpack_margins(sector, ref, n_grid, calls, monkeypat
     model = chain_model(ChainParams(length=7, j=1.0, v=1.0), *sector)
     res = many_body_winding(model, ref, n_grid=n_grid)
     assert count[0] == calls
-    assert model.mirror_symmetric == (sector[0] % 2 == 0)
+    mirrored = (0.0, 1, False) in model.twist_relations
+    assert mirrored == (sector[0] % 2 == 0)
     assert res.margin_theta in list(theta_grid(n_grid))
     if calls == 5:
         assert res.margin_theta <= np.pi / 2
-    elif model.mirror_symmetric:
+    elif mirrored:
         assert res.margin_theta <= np.pi
-
-
-def test_conjugation_relations_are_not_evaluated_off_the_axes():
-    """The relations are checked only for a real or imaginary E."""
-    model = chain_model(ChainParams(length=7, j=1.0, v=1.0), 5, 1)
-    many_body_winding(model, 0.05 + 0.3j, n_grid=16)
-    assert "conjugation_twists" not in model.__dict__
-    many_body_winding(model, 0.3j, n_grid=16)
-    assert "conjugation_twists" in model.__dict__
 
 
 @pytest.mark.parametrize("sector, couplings, ref, n_grid, expected", [
@@ -653,7 +644,7 @@ def test_fundamental_arc_winding_matches_full_circle(sector, couplings, ref, n_g
     res = many_body_winding(model, ref, n_grid=n_grid)
     assert res.value == expected
     assert abs(res.raw_phase_change - total) <= 1e-9
-    orbits = spectral.twist_orbits(n_grid, spectral.grid_reflections(model, n_grid, ref))
+    orbits = spectral.twist_orbits(model, n_grid, ref)
     first, last = orbits.first, orbits.last
     if n_grid % 2 or ref.real and ref.imag:
         assert (first, last) == (0, n_grid)
