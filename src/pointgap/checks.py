@@ -331,34 +331,15 @@ def _turned(model, factor):
     return model
 
 
-def check_twist_relations():
-    """The relations U H(theta)^(*) U^-1 = s H(theta0 - theta) of
-    ``SectorModel.twist_relations``: the mirror (site reflection times spin
-    flip, unitary, s = +1, theta0 = 0) holds on the even-N chain sectors
-    (4,+-1) at J = V in {0, 1}; the conjugations hold for s = -1 with
-    theta0 = pi and for s = +1 with theta0 = 0 on the L = 7 chain sectors
-    (3,-1), (4,+1) and (5,+1), for s = -1 with theta0 = 0 on an L = 6
-    chain, and for s = -1 alone on the dot.  The mirror is refused on odd N,
-    on the dot at unequal spin potentials and on a (4,+1) model with one
-    boundary amplitude scaled by 1.5, which keeps both conjugations; every
-    relation is refused on a (4,+1) model with one amplitude turned by
-    e^{0.3i} or by i.  The spectra at theta and theta0 - theta of the
-    models up to d = 200 are s times each other, conjugated where U is
-    antiunitary."""
-    p = ChainParams(length=7, j=1.0, v=1.0)
-    mirror, conjugations = (0.0, 1, False), ((np.pi, -1, True), (0.0, 1, True))
-    cases = [(f"chain (4,{parity:+d}) at J = V = {jv}",
-              chain_model(replace(p, j=jv, v=jv), 4, parity), (mirror, *conjugations))
-             for jv in (0.0, 1.0) for parity in (1, -1)]
-    cases += [("chain (3,-1)", chain_model(p, 3, -1), conjugations),
-              ("chain (5,+1)", chain_model(p, 5, 1), conjugations),
-              ("L = 6 chain (4,+1)", chain_model(replace(p, length=6), 4, 1),
-               (mirror, (0.0, -1, True), (0.0, 1, True))),
-              ("dot (2,-1)", dot_model(REFERENCE_DOT_INT, 2, -1), conjugations[:1]),
-              ("dot (2,+1)", dot_model(REFERENCE_DOT_INT, 2, 1), conjugations[:1]),
-              ("skewed chain (4,+1)", _turned(chain_model(p, 4, 1), 1.5), conjugations),
-              *((f"chain (4,+1) turned by {turn:.3f}", _turned(chain_model(p, 4, 1), turn), ())
-                for turn in (np.exp(0.3j), 1j))]
+_MIRROR = (0.0, 1, False)
+_CONJUGATIONS = ((np.pi, -1, True), (0.0, 1, True))
+
+
+def _twist_relation_verdict(cases):
+    """Compare each case's ``SectorModel.twist_relations`` with the wanted
+    tuple, and the spectra at theta = 1.1 and theta0 - 1.1 of the models up
+    to d = 200 under each wanted relation: s times each other, conjugated
+    where U is antiunitary.  Returns (ok, detail)."""
     worst = 0.0
     for label, model, want in cases:
         if model.twist_relations != want:
@@ -370,10 +351,46 @@ def check_twist_relations():
             worst = max(worst, eigenvalue_match(
                 sign * (values.conj() if antiunitary else values),
                 np.linalg.eigvals(model(theta0 - 1.1)))[0])
-    mirrored = sum(mirror in want for _, _, want in cases)
-    return worst < 1e-12, (f"{len(cases)} models as expected, {mirrored} with the mirror; "
-                           f"spectra at theta = 1.1 and theta0 - 1.1 differ by "
-                           f"{worst:.2e} (tol 1e-12)")
+    return worst < 1e-12, (f"{len(cases)} models as expected; spectra at theta = 1.1 and "
+                           f"theta0 - 1.1 differ by {worst:.2e} (tol 1e-12)")
+
+
+def check_mirror_symmetry():
+    """The mirror relation of ``SectorModel.twist_relations`` (site
+    reflection times spin flip, unitary, s = +1, theta0 = 0) holds on the
+    even-N chain sectors (4,+-1) at J = V in {0, 1}, and is refused where
+    it does not: odd N, the dot at unequal spin potentials, and a (4,+1)
+    model with one boundary amplitude scaled by 1.5, which keeps both
+    conjugations.  Every case's whole relation tuple is compared."""
+    p = ChainParams(length=7, j=1.0, v=1.0)
+    cases = [(f"chain (4,{parity:+d}) at J = V = {jv}",
+              chain_model(replace(p, j=jv, v=jv), 4, parity), (_MIRROR, *_CONJUGATIONS))
+             for jv in (0.0, 1.0) for parity in (1, -1)]
+    cases += [("chain (3,-1)", chain_model(p, 3, -1), _CONJUGATIONS),
+              ("chain (5,+1)", chain_model(p, 5, 1), _CONJUGATIONS),
+              ("dot (2,+1)", dot_model(REFERENCE_DOT_INT, 2, 1), _CONJUGATIONS[:1]),
+              ("skewed chain (4,+1)", _turned(chain_model(p, 4, 1), 1.5), _CONJUGATIONS)]
+    return _twist_relation_verdict(cases)
+
+
+def check_conjugation_relations():
+    """The conjugation relations D conj(H(theta)) D^-1 = s H(theta0 - theta)
+    of ``SectorModel.twist_relations`` hold for s = -1 with theta0 = pi and
+    for s = +1 with theta0 = 0 on the L = 7 chain sectors (3,-1), (4,+1)
+    and (5,+1), for s = -1 with theta0 = 0 on an L = 6 chain, and for
+    s = -1 alone on the dot; every relation is refused on a chain (4,+1)
+    with one amplitude turned by e^{0.3i} or by i.  Every case's whole
+    relation tuple is compared, so the even-N chains also carry the mirror."""
+    p = ChainParams(length=7, j=1.0, v=1.0)
+    cases = [("chain (3,-1)", chain_model(p, 3, -1), _CONJUGATIONS),
+             ("chain (4,+1)", chain_model(p, 4, 1), (_MIRROR, *_CONJUGATIONS)),
+             ("chain (5,+1)", chain_model(p, 5, 1), _CONJUGATIONS),
+             ("L = 6 chain (4,+1)", chain_model(replace(p, length=6), 4, 1),
+              (_MIRROR, (0.0, -1, True), (0.0, 1, True))),
+             ("dot (2,-1)", dot_model(REFERENCE_DOT_INT, 2, -1), _CONJUGATIONS[:1])]
+    cases += [(f"chain (4,+1) turned by {turn:.3f}", _turned(chain_model(p, 4, 1), turn), ())
+              for turn in (np.exp(0.3j), 1j)]
+    return _twist_relation_verdict(cases)
 
 
 def check_determinant_phase_relations():
@@ -450,7 +467,8 @@ CHECKS = [
     ("dot closed-form spectra", check_dot_closed_forms),
     ("chain first-order splitting scaling", check_chain_splitting_scaling),
     ("gap margin is the nearest-eigenvalue distance", check_gap_margin_distance),
-    ("twist relations of sector models", check_twist_relations),
+    ("mirror symmetry of even-N chain sectors", check_mirror_symmetry),
+    ("conjugation relations of twisted sectors", check_conjugation_relations),
     ("determinant phase relations", check_determinant_phase_relations),
     ("flow images match direct eigensolves", check_flow_images),
     ("eigenvalue phases match LU phases", check_eigenvalue_phases),

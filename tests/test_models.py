@@ -349,7 +349,7 @@ def test_mirror_conjugates_h_theta_to_h_minus_theta(label, parity):
 
 def test_mirror_of_the_dot_and_of_restricted_models():
     # the refusals of odd N, unequal dot potentials and a skewed amplitude
-    # are in checks.check_twist_relations
+    # are in checks.check_mirror_symmetry
     mirror = (0.0, 1, False)
     dot = dot_model(replace(FIG_DOT, eps_a_dn=0.2, eps_b_dn=0.35), 2, 1)
     assert mirror in dot.twist_relations
