@@ -39,10 +39,13 @@ once and apply each operator to it once.  A
 twist sweep builds the matrices in stacks: one dense scatter fills the
 matrices of many angles at once.  Each matrix of a stack is Fortran-ordered,
 the layout LAPACK works in, so a factorization can take one (or a copy of
-one) as it is.  A matrix too large to share a stack (d > 128) is not built
-for a winding at all: the model hands ``spectral`` its entries at theta
-(``values``) and the band ordering of its theta-independent pattern
-(``band_layout``, made at its first band factor and kept).  A model also
+one) as it is.  A stack of one matrix (d > 128) lives on lazily zeroed
+pages: its resident size is the pages its entries are written to, and
+``tracemalloc`` does not see it.  A matrix too large to share a stack
+(d > 128) is not built for a winding at all: the model hands ``spectral``
+its entries at theta (``values``) and the band ordering of its
+theta-independent pattern (``band_layout``, made at its first band factor
+and kept).  A model also
 lists, at first use, the relations U H(theta)^(*) U^-1 = s H(theta0 - theta)
 that hold on its term list (``twist_relations``): the unitary mirror, site
 reflection times spin flip, and the antiunitary conjugations by a diagonal
@@ -52,6 +55,7 @@ D of either sign.
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
@@ -296,11 +300,25 @@ class SectorModel:
         return self.basis.dim
 
     def stack(self, thetas) -> np.ndarray:
-        """H(theta_k) for each twist, as an (n, d, d) array of F-contiguous slices."""
+        """H(theta_k) for each twist, as an (n, d, d) array of writable
+        F-contiguous slices.
+
+        A stack of one matrix too large to share it (d > 128) lives in a
+        private anonymous mapping: its pages stay the kernel's shared zero
+        page until written, so its resident size is the pages the scatter
+        writes (building the 754 MB H(theta) of d = 6864, J = V = 1, grows
+        a process by 95 MB), and ``tracemalloc`` does not see it.  numpy
+        advises its own zeroed buffers of 4 MiB or more onto 2 MiB huge
+        pages, and nearly every huge page of a sector matrix holds an entry.
+        """
         thetas = np.asarray(thetas, dtype=float)
         rows, cols, amps, slots = self._coo
         n, d = len(thetas), self.dim
-        out = np.zeros((n, d, d), dtype=complex)
+        if n and spectral.stack_length(d) == 1 and hasattr(mmap, "MAP_PRIVATE"):
+            out = np.frombuffer(mmap.mmap(-1, 16 * n * d * d, flags=mmap.MAP_PRIVATE),
+                                dtype=complex).reshape(n, d, d)
+        else:
+            out = np.zeros((n, d, d), dtype=complex)
         # slice k of the C-ordered buffer holds H(theta_k) transposed, so
         # entry (r, c) sits at flat index k*d*d + c*d + r and the returned
         # transpose has F-contiguous slices.  Duplicate (row, col) pairs
@@ -415,7 +433,8 @@ class SectorModel:
         return sub
 
     def matrix(self, theta: float) -> np.ndarray:
-        """H(theta) as an F-contiguous (d, d) array."""
+        """H(theta) as an F-contiguous (d, d) array; above d = 128 its
+        untouched pages are lazily zeroed, as ``stack`` says."""
         return self.stack([theta])[0]
 
     def __call__(self, theta: float) -> np.ndarray:

@@ -1,3 +1,8 @@
+import mmap
+import os
+import subprocess
+import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -311,6 +316,81 @@ def test_restrict_builds_the_kept_block(model, mask, thetas):
         assert (sub.basis.n, sub.basis.parity) == (model.basis.n, model.basis.parity)
         for theta in thetas:
             np.testing.assert_array_equal(sub(theta), model(theta)[np.ix_(keep, keep)])
+
+
+def _one_matrix_stack_cases():
+    for n, parity in ((4, 1), (5, 1)):
+        model = chain_model(ChainParams(length=7, j=1.0, v=1.0), n, parity)
+        yield pytest.param(model, id=f"chain-({n},{parity:+d})-d{model.dim}")
+    model = chain_model(ChainParams(length=7, j=1.0, v=1.0), 5, 1)
+    block = model.restrict(np.random.default_rng(6).random(model.dim) < 0.5)
+    yield pytest.param(block, id=f"chain-(5,+1)-restricted-d{block.dim}")
+
+
+@pytest.mark.parametrize("model", _one_matrix_stack_cases())
+def test_one_matrix_stack_is_the_row_major_scatter(model):
+    """A stack of one matrix (d > 128) lives on lazily zeroed pages, and
+    holds, bit for bit, what the row-major scatter of the term list gives,
+    in writable F-contiguous slices; ``tracemalloc`` does not see it."""
+    from pointgap.spectral import stack_length
+
+    d, theta = model.dim, 1.3
+    assert stack_length(d) == 1
+    rows, cols, amps, slots = model._coo
+    expected = np.zeros((d, d), dtype=complex)
+    np.add.at(expected, (rows, cols), amps * phase_table(theta)[slots])
+    for a in (model.stack([theta])[0], model(theta)):
+        np.testing.assert_array_equal(a, expected)
+        assert a.flags.f_contiguous and a.flags.writeable
+        a[d - 1, 0] += 1.0
+        assert a[d - 1, 0] == expected[d - 1, 0] + 1.0
+    assert model.stack([]).shape == (0, d, d)
+    if hasattr(mmap, "MAP_PRIVATE"):
+        tracemalloc.start()
+        try:
+            model(theta)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * d * d / 2
+
+
+def _transparent_huge_pages():
+    try:
+        with open("/sys/kernel/mm/transparent_hugepage/enabled") as fh:
+            return fh.read()
+    except OSError:
+        return ""
+
+
+@pytest.mark.skipif("[always]" in _transparent_huge_pages(),
+                    reason="huge pages are faulted in for every written page "
+                           "when transparent huge pages are [always] on")
+@pytest.mark.skipif(not os.access("/proc/self/status", os.R_OK),
+                    reason="/proc is unreadable, so VmRSS cannot be read")
+@pytest.mark.skipif(not hasattr(mmap, "MAP_PRIVATE"),
+                    reason="no private anonymous mappings: stacks are np.zeros")
+def test_large_matrix_keeps_only_the_pages_it_writes():
+    """The (7,-1) H(theta) is 256 MB dense; building it in a fresh process
+    grows VmRSS by less than half of that (48 MB at J = V = 1)."""
+    import pointgap
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pointgap.__file__)))
+    code = ("from pointgap.models import ChainParams, chain_model\n"
+            "def rss():\n"
+            "    with open('/proc/self/status') as fh:\n"
+            "        return next(int(line.split()[1]) * 1024 for line in fh\n"
+            "                    if line.startswith('VmRSS:'))\n"
+            "model = chain_model(ChainParams(length=7, j=1.0, v=1.0), 7, -1)\n"
+            "before = rss()\n"
+            "a = model(1.3)\n"
+            "print(a.nbytes, rss() - before)\n")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    nbytes, grown = map(int, proc.stdout.split())
+    assert nbytes == 16 * 4004 ** 2
+    assert grown < 128 * 2 ** 20
 
 
 def test_restrict_orders_its_own_band():
