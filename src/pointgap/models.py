@@ -304,19 +304,24 @@ class SectorModel:
         F-contiguous slices.
 
         A stack of one matrix too large to share it (d > 128) lives in a
-        private anonymous mapping: its pages stay the kernel's shared zero
-        page until written, so its resident size is the pages the scatter
-        writes (building the 754 MB H(theta) of d = 6864, J = V = 1, grows
-        a process by 95 MB), and ``tracemalloc`` does not see it.  numpy
-        advises its own zeroed buffers of 4 MiB or more onto 2 MiB huge
-        pages, and nearly every huge page of a sector matrix holds an entry.
+        private anonymous mapping kept off huge pages: its pages stay the
+        kernel's shared zero page until written, so its resident size is
+        the pages the scatter writes (building the 754 MB H(theta) of
+        d = 6864, J = V = 1, grows a process by 95 MB), and ``tracemalloc``
+        does not see it.  numpy advises its own zeroed buffers of 4 MiB or
+        more onto 2 MiB huge pages, and nearly every huge page of a sector
+        matrix holds an entry.  Shared stacks (d <= 128) have nearly every
+        page written and keep ``np.zeros``, whose memory the allocator
+        reuses from stack to stack.
         """
         thetas = np.asarray(thetas, dtype=float)
         rows, cols, amps, slots = self._coo
         n, d = len(thetas), self.dim
         if n and spectral.stack_length(d) == 1 and hasattr(mmap, "MAP_PRIVATE"):
-            out = np.frombuffer(mmap.mmap(-1, 16 * n * d * d, flags=mmap.MAP_PRIVATE),
-                                dtype=complex).reshape(n, d, d)
+            buf = mmap.mmap(-1, 16 * n * d * d, flags=mmap.MAP_PRIVATE)
+            if hasattr(mmap, "MADV_NOHUGEPAGE"):  # even where huge pages are always on
+                buf.madvise(mmap.MADV_NOHUGEPAGE)
+            out = np.frombuffer(buf, dtype=complex).reshape(n, d, d)
         else:
             out = np.zeros((n, d, d), dtype=complex)
         # slice k of the C-ordered buffer holds H(theta_k) transposed, so

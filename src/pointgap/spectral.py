@@ -22,11 +22,9 @@ one point took 0.84 s at a peak RSS of 292 MB that way, against 1.63 s
 through the dense H(theta), and 7-12 s for a dense LU, on 2 vCPUs.  The
 (7,-1) and (9,-1) points through dense H(theta) peak at 389 MB, where they
 took 1013 MB before ``SectorModel.stack`` left unwritten pages lazily zeroed.
-A plain matrix (``factor_shifted``) is read once, in its memory order, one
-vectorized compare per block of about 4 MiB, for its nonzeros, and then
-takes the same band path: 0.11 + 0.29 s for those two lazily zeroed
-matrices, where ``np.nonzero`` took 0.18 + 0.47 s.  A matrix whose band would
-not be smaller than itself is factored dense.
+A plain matrix (``factor_shifted``) is scanned for its nonzeros and then
+takes the same band path.  A matrix whose band would not be smaller than
+itself is factored dense.
 
 A twist grid is reflected onto itself by a sector model's verified
 relations U H(theta)^(*) U^-1 = s H(theta0 - theta)
@@ -443,41 +441,12 @@ def factor_shifted(matrix, e_ref: complex):
     """
     a = np.asarray(matrix)
     if stack_length(a.shape[0]) == 1:
-        cols, rows = _nonzeros_by_column(a)
+        # the C order of a.T is the memory order of an F-ordered a
+        cols, rows = np.nonzero(a.T)
         layout = band_layout(rows, cols, a.shape[0])
         if layout is not None:
             return _factor_band(layout, a.T[cols, rows], e_ref)
     return _factor_dense(a, e_ref)
-
-
-def _nonzeros_by_column(a):
-    """``np.nonzero(a.T)`` of a square matrix: the (cols, rows) of its
-    nonzeros, column by column.
-
-    The matrix is read once, in its memory order, by one vectorized compare
-    per block of about 4 MiB; a complex entry is nonzero where either of
-    its two floats is (-0.0 is zero, NaN is not).  Each unwritten page of a
-    lazily zeroed matrix (``SectorModel.stack``) costs a fault on the first
-    read, and ``np.nonzero`` read such a matrix 1.6 times as slowly.
-    """
-    d = len(a)
-    by_column = a.flags.f_contiguous
-    lines = a.T if by_column else a  # each row of ``lines`` is a run of memory
-    step = max(1, (4 << 20) // (d * a.itemsize))  # lines per block
-    keys = []
-    for start in range(0, d, step):
-        block = np.ascontiguousarray(lines[start:start + step])
-        if np.iscomplexobj(block):  # the two bools of an entry read as one uint16
-            hit = (block.view(block.real.dtype) != 0).view(np.uint16) != 0
-        else:
-            hit = block != 0
-        line, offset = np.nonzero(hit)
-        keys.append((line + start) * d + offset)
-    keys = np.concatenate(keys)
-    if not by_column:  # row-major keys, re-keyed column-major
-        rows, cols = np.divmod(keys, d)
-        keys = np.sort(cols * d + rows)
-    return np.divmod(keys, d)
 
 
 def factor_model(model, theta: float, e_ref: complex):

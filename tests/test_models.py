@@ -355,17 +355,6 @@ def test_one_matrix_stack_is_the_row_major_scatter(model):
         assert peak < 16 * d * d / 2
 
 
-def _transparent_huge_pages():
-    try:
-        with open("/sys/kernel/mm/transparent_hugepage/enabled") as fh:
-            return fh.read()
-    except OSError:
-        return ""
-
-
-@pytest.mark.skipif("[always]" in _transparent_huge_pages(),
-                    reason="huge pages are faulted in for every written page "
-                           "when transparent huge pages are [always] on")
 @pytest.mark.skipif(not os.access("/proc/self/status", os.R_OK),
                     reason="/proc is unreadable, so VmRSS cannot be read")
 @pytest.mark.skipif(not hasattr(mmap, "MAP_PRIVATE"),

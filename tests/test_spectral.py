@@ -492,43 +492,6 @@ def test_sector_matrix_is_fortran_ordered_scatter(model, theta):
     np.testing.assert_array_equal(a, expected)
 
 
-def _scan_input(d, kind, order):
-    rng = np.random.default_rng(8)
-    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    a[rng.random((d, d)) < 0.97] = 0.0
-    a[rng.random((d, d)) < 0.01] = -0.0
-    a[rng.random((d, d)) < 0.01] = complex(-0.0, -0.0)
-    a[rng.random((d, d)) < 0.005] = complex(0.0, 1.5)  # nonzero in one part
-    a[rng.random((d, d)) < 0.005] = complex(-2.0, -0.0)
-    a[rng.random((d, d)) < 0.002] = complex(np.nan, 0.0)
-    a[rng.random((d, d)) < 0.002] = complex(0.0, np.nan)
-    a[:, 7] = 0.0
-    a[:, d - 1] = -0.0
-    if kind == "real":
-        a = a.real.copy()
-        a[rng.random((d, d)) < 0.002] = np.nan
-    return np.array(a, order=order)
-
-
-@pytest.mark.parametrize("order", "FC")
-@pytest.mark.parametrize("kind", ["complex", "real"])
-@pytest.mark.parametrize("d", [129, 1100])
-def test_nonzero_scan_is_numpy_nonzero(d, kind, order):
-    """The blocked scan of ``factor_shifted`` finds ``np.nonzero(a.T)``, in
-    its order, whatever the matrix's memory order: -0.0 counts as zero, NaN
-    as nonzero, and an all-zero column adds nothing.  At d = 1100 the scan
-    reads a matrix in several blocks of about 4 MiB: 3 real, 5 complex."""
-    from pointgap.spectral import _nonzeros_by_column
-
-    a = _scan_input(d, kind, order)
-    got = _nonzeros_by_column(a)
-    want = np.nonzero(a.T)
-    assert len(got) == 2 and 0 < len(want[0]) < a.size
-    assert d == 129 or a.nbytes > 2 * (4 << 20)
-    for g, w in zip(got, want):
-        np.testing.assert_array_equal(g, w)
-
-
 def test_factor_shifted_holds_one_copy():
     # tracemalloc sees numpy's buffers: an eye temporary or a second copy of
     # the d x d matrix would double the traced peak
