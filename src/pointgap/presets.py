@@ -11,6 +11,7 @@ import math
 from dataclasses import asdict, dataclass
 
 from .models import DEFORM_PATHS, ChainParams, DotParams
+from .topology import DEFAULT_N_GRID
 
 TASKS = ("flow", "winding", "skin", "deform", "oracle-check")
 HEAVY_DIM = 2000
@@ -41,7 +42,7 @@ class ExperimentConfig:
     sector: tuple | None
     task: str
     e_ref: complex = 0.0
-    n_grid: int = 256
+    n_grid: int = DEFAULT_N_GRID
     output_dir: str | None = None
     path: str | None = None     # deform task only
     n_path: int | None = None   # deform task only
@@ -108,7 +109,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raise ConfigError("e_ref must be a finite number or [re, im] of finite numbers")
     e_ref = complex(float(parts[0]), float(parts[1]))
 
-    n_grid = raw.get("n_grid", 256)
+    n_grid = raw.get("n_grid", DEFAULT_N_GRID)
     if not _is_int(n_grid) or n_grid < 16:
         raise ConfigError("n_grid must be an integer >= 16")
 
@@ -166,6 +167,14 @@ def _preset(desc, **cfg):
     return {"description": desc, "config": cfg}
 
 
+# fig4b and figS6 are one run: figS6 is built from this config
+_FIG4B = _preset(
+    "chain (9,-1) half-filled skin analysis at J = V = 1, the same run as figS6 "
+    "(dim 6864: needs --allow-heavy; the flow eigensolves 9 of its 33 "
+    "twist points, each dense at that size)",
+    model="chain", params=_chain(j=1.0, v=1.0), sector=[9, -1], task="skin",
+    e_ref=[-0.04, 0.0], n_grid=32)
+
 PRESETS = {
     "fig1": _preset(
         "dot one-body spectral flow at the reference potential set",
@@ -208,12 +217,7 @@ PRESETS = {
         "twist points, each dense at that size)",
         model="chain", params=_chain(), sector=[9, -1], task="skin",
         e_ref=[-0.04, 0.0], n_grid=32),
-    "fig4b": _preset(
-        "chain (9,-1) half-filled skin analysis at J = V = 1 "
-        "(dim 6864: needs --allow-heavy; the flow eigensolves 9 of its 33 "
-        "twist points, each dense at that size)",
-        model="chain", params=_chain(j=1.0, v=1.0), sector=[9, -1], task="skin",
-        e_ref=[-0.04, 0.0], n_grid=32),
+    "fig4b": _FIG4B,
     "figS1a": _preset(
         "dot (2,-1) sector flow, noninteracting",
         model="dot", params=_dot(), sector=[2, -1], task="flow", n_grid=256),
@@ -252,11 +256,10 @@ PRESETS = {
         model="chain", params=_chain(), sector=[9, -1], task="winding",
         e_ref=[-0.04, 0.0], n_grid=64),
     "figS6": _preset(
-        "chain (9,-1) open-vs-twisted comparison at J = V = 1 "
-        "(dim 6864: needs --allow-heavy; the flow eigensolves 9 of its 33 "
-        "twist points, each dense at that size)",
-        model="chain", params=_chain(j=1.0, v=1.0), sector=[9, -1], task="skin",
-        e_ref=[-0.04, 0.0], n_grid=32),
+        "chain (9,-1) open-vs-twisted comparison at J = V = 1: the same run "
+        "as fig4b, whose skin task writes that comparison "
+        "(dim 6864: needs --allow-heavy)",
+        **_FIG4B["config"]),
 }
 
 

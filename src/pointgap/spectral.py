@@ -8,7 +8,8 @@ permute freely).  Eigendecompositions are used for full spectral flows, gap
 margins and occupation observables.
 
 Small matrices, several to a twist stack, are eigensolved in one batch
-(``stack_eigvals``) and LU-factored dense and in place, one at a time
+(``stack_eigvals``) by a twist sweep (``sweep_theta``), whose rows their
+windings read, and LU-factored dense and in place, one at a time
 (``zgetrf``).  A matrix alone in its stack (d > 128) is a sector Hamiltonian
 with a handful of nonzeros per column: reverse Cuthill-McKee ordering
 (Cuthill & McKee, 1969) gathers them into a narrow band, and LAPACK's banded
@@ -202,21 +203,10 @@ def theta_grid(n_grid: int) -> np.ndarray:
     return np.linspace(0.0, 2.0 * np.pi, n_grid + 1)
 
 
-def twist_stacks(model, thetas):
-    """Yield ``(start, stack)`` pairs covering ``thetas`` in order.
-
-    ``stack[k]`` is the F-contiguous matrix at ``thetas[start + k]``, built
-    with one ``model.stack`` call per stack, and a stack holds at most
-    ``STACK_BYTES`` of matrices (one matrix at least).
-    """
-    step = stack_length(model.dim)
-    for start in range(0, len(thetas), step):
-        yield start, model.stack(thetas[start:start + step])
-
-
 def stack_length(dim: int) -> int:
-    """Matrices per stack of ``twist_stacks`` at dimension ``dim``; with
-    ``STACK_BYTES`` at 512 KiB, one for every dim above 128."""
+    """Matrices per stack that ``sweep_theta`` builds and eigensolves at
+    once, at dimension ``dim``; with ``STACK_BYTES`` at 512 KiB, one for
+    every dim above 128."""
     return max(1, STACK_BYTES // max(16 * dim * dim, 1))
 
 
@@ -360,8 +350,10 @@ def sweep_theta(model, n_grid: int) -> SpectralFlow:
     orbits = twist_orbits(model, n_grid)
     solved = orbits.solved
     spectra = np.empty((len(grid), model.dim), dtype=complex)
-    for start, stack in twist_stacks(model, grid[solved]):
-        rows = solved[start:start + len(stack)]
+    step = stack_length(model.dim)
+    for start in range(0, len(solved), step):
+        rows = solved[start:start + step]
+        stack = model.stack(grid[rows])
         spectra[rows] = _sorted_rows(stack_eigvals(stack, grid[rows]))
         del stack  # free it before the next one is built
     images = np.flatnonzero(orbits.source != np.arange(len(grid)))

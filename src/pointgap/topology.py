@@ -11,8 +11,11 @@ parameters, which ``models`` turns into sector models.
 The phase at a base-grid point comes from the eigenvalues there wherever a
 winding holds them: det[M - E] = prod_i (lambda_i - E), so its principal
 phase is the wrapped sum of arg(lambda_i - E), and no eigenvalue is paired
-across theta.  Refinement midpoints, and every point of a large matrix
-wound without given spectra, are LU-sampled (``factor_model``).
+across theta.  A winding holds them when it is given a flow's spectra, and
+wherever matrices share a stack (d <= 128), where it reads the rows of
+``spectral.sweep_theta``: the rows the ``flow`` and ``skin`` tasks write.
+Refinement midpoints, and every point of a large matrix wound without
+given spectra, are LU-sampled (``factor_model``).
 
 Every result carries its gap margin - the smallest distance between the
 spectrum on the base grid and the reference energy - so a trivial winding can
@@ -20,11 +23,11 @@ be told apart from a barely resolved one.  A closed gap is a physical
 obstruction, not a numerical failure, and raises ``GapClosedError``.
 
 The margin is an exact nearest-eigenvalue distance at every sector size.
-Small matrices, several to a stack, are eigensolved in one batch, which
-gives their margins and phases alike.  A larger one, alone in its stack
-and wound without given spectra, is not built: each point, base grid and
-refinement midpoints alike, is a band LU scattered from the model's
-pattern (``factor_model``).  Its margin comes
+The eigenvalues of small matrices, several to a stack, give their margins
+and phases alike.  A larger one, alone in its stack and wound without
+given spectra, is not built: each point, base grid and refinement
+midpoints alike, is a band LU scattered from the model's pattern
+(``factor_model``).  Its margin comes
 from the LU the phase already needs: the eigenvalue of (M - E)^-1 largest in
 modulus is 1 / (lambda - E) for the eigenvalue lambda nearest E, found by
 shift-invert Arnoldi (Lehoucq, Sorensen & Yang, *ARPACK Users' Guide*, SIAM
@@ -79,11 +82,10 @@ from .spectral import (
     blas_threads_for,
     factor_model,
     phase_from_factors,
-    stack_eigvals,
     stack_length,
+    sweep_theta,
     theta_grid,
     twist_orbits,
-    twist_stacks,
     wrap_phase,
 )
 
@@ -279,10 +281,11 @@ def many_body_winding(model, e_ref: complex = 0.0,
     Where the winding holds the arc's eigenvalues - ``spectra``, those of
     the same matrices at the n_grid + 1 base-grid points, one row of
     ``model.dim`` per point (e.g. ``sweep_theta(model, n_grid).spectra``),
-    at any size, or else one batched eigensolve per stack of
-    ``twist_stacks`` where matrices share a stack - its base-grid phases
-    and distances to E come from them (``_eigenvalue_phases``), and only
-    refinement midpoints are LU-factored (``factor_model``).  A matrix alone
+    at any size, or else ``sweep_theta(model, n_grid).spectra`` itself
+    where matrices share a stack - its base-grid phases and distances to E
+    come from them (``_eigenvalue_phases``), and only refinement midpoints
+    are LU-factored (``factor_model``).  So at d <= 128 a winding given its
+    sweep's spectra and one given none agree bit for bit.  A matrix alone
     in its stack, wound without ``spectra``, is a band LU from the model's
     pattern at every point, with no matrix built, and its distance to E
     comes from shift-invert Arnoldi on that LU, to ``ARPACK_TOL``, once per
@@ -318,7 +321,9 @@ def many_body_winding(model, e_ref: complex = 0.0,
 
     tracker = _PhaseTracker(lambda theta: factor_at(theta)[1], n_grid)
     with blas_threads_for(model.dim):
-        if spectra is None and stack_length(model.dim) == 1:  # band LUs, ARPACK margins
+        if spectra is None and stack_length(model.dim) > 1:
+            spectra = sweep_theta(model, n_grid).spectra
+        if spectra is None:  # band LUs, ARPACK margins
             base_phases, dists = np.empty(len(arc)), np.empty(len(arc))
             lowest = orbits.source[first:last + 1].tolist()
             for i, theta in enumerate(arc):
@@ -328,15 +333,8 @@ def many_body_winding(model, e_ref: complex = 0.0,
                             if j == i else dists[j])
                 del factors  # free them before the next point is factored
         else:
-            if spectra is None:  # one batched eigensolve per stack
-                values = np.empty((len(arc), model.dim), dtype=complex)
-                for start, stack in twist_stacks(model, arc):
-                    points = slice(start, start + len(stack))
-                    values[points] = stack_eigvals(stack, arc[points])
-                    del stack  # free it before the next one is built
-            else:
-                values = np.asarray(spectra)[first:last + 1]
-            base_phases, dists = _eigenvalue_phases(values, e_ref, arc)
+            base_phases, dists = _eigenvalue_phases(
+                np.asarray(spectra)[first:last + 1], e_ref, arc)
         try:
             total = orbits.copies * tracker.run(base_phases.tolist(), first)
         except WindingUnresolvedError as exc:

@@ -82,6 +82,7 @@ def test_presets_catalog():
     assert fig2b.params.lam == fig2b.params.v == fig2b.params.j == 1.0
     heavy = preset_config("figS4ef")
     assert heavy.sector == (9, -1) and heavy.e_ref == -0.04 + 0j
+    assert PRESETS["figS6"]["config"] == PRESETS["fig4b"]["config"]  # one run
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +169,18 @@ def test_run_skin_outputs(tmp_path):
     tied = np.flatnonzero(dists - dists.min() <= DEGENERACY_TOL * dists.min())
     assert winding["margin_theta"] == flow[tied[0], 0] == 0.0
     assert manifest["summary"]["hausdorff_obc_pbc"] == pytest.approx(1.0, abs=1e-6)
+
+
+def test_winding_and_skin_tasks_write_the_same_winding(tmp_path):
+    """A ``winding`` and a ``skin`` task on one sector, E and n_grid wind
+    from the same sweep rows, so their winding.json files are equal."""
+    raw = {"model": "chain", "sector": [3, -1], "e_ref": [0.0, 0.3], "n_grid": 64,
+           "params": {"length": 7, "t": 1.0, "j": 1.0, "v": 1.0}}
+    payloads = {}
+    for task in ("winding", "skin"):
+        execute(config_from_dict({**raw, "task": task}), str(tmp_path / task))
+        payloads[task] = json.loads((tmp_path / task / "winding.json").read_text())
+    assert payloads["winding"] == payloads["skin"]
 
 
 def test_run_deform_constant_winding(tmp_path):

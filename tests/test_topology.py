@@ -23,7 +23,6 @@ from pointgap.spectral import (
     factor_shifted,
     openblas_thread_controls,
     phase_from_factors,
-    twist_stacks,
 )
 from pointgap.topology import (
     GapClosedError,
@@ -221,19 +220,20 @@ def test_stacked_base_grid_equals_pointwise(case):
     """Base-grid phases, and the winding built on them, equal phases taken
     point by point.  Where matrices share a stack (d = 28, and the dot's
     d = 4) a base-grid phase is read from the eigenvalues: bit for bit the
-    wrapped sum of arg(lambda - E) over ``eigvals`` at that point alone, and
-    within 1e-12 rad of factor_shifted + phase_from_factors there.  At
-    d = 182 every matrix is alone in its stack and factored as a band, bit
-    for bit as factor_shifted does.  The winding tracks the fundamental arc
-    of its grid reflections only: the quarter arc theta <= pi / 2 at
-    d = 182, the half arc [pi / 2, 3 pi / 2] of chain (3,-1), the half arc
-    theta <= pi of the one-body chain, and the whole circle of the dot,
-    whose grid fits one stack.  Its steps are those of the pointwise phases
-    there, its W that of the full circle, and it evaluates as many phases
-    as the pointwise LU tracker over the arc."""
+    wrapped sum of arg(lambda - E) over the twist sweep's row at that
+    point, and within 1e-12 rad of factor_shifted + phase_from_factors
+    there.  At d = 182 every matrix is alone in its stack and factored as
+    a band, bit for bit as factor_shifted does.  The winding tracks the
+    fundamental arc of its grid reflections only: the quarter arc
+    theta <= pi / 2 at d = 182, the half arc [pi / 2, 3 pi / 2] of chain
+    (3,-1), the half arc theta <= pi of the one-body chain, and the whole
+    circle of the dot, whose grid fits one stack.  Its steps are those of
+    the pointwise phases there, its W that of the full circle, and it
+    evaluates as many phases as the pointwise LU tracker over the arc."""
     from pointgap.spectral import (
         blas_threads_for,
         stack_length,
+        sweep_theta,
         theta_grid,
         twist_orbits,
         wrap_phase,
@@ -255,14 +255,14 @@ def test_stacked_base_grid_equals_pointwise(case):
     phase = _pointwise_phase(model, ref)
     with blas_threads_for(28):
         expected = [phase(theta) for theta in grid]
-        if stack_length(model.dim) > 1:  # read from the eigenvalues
-            got = [wrap_phase(np.angle(np.linalg.eigvals(model(theta)) - ref).sum())
-                   for theta in grid]
+        if stack_length(model.dim) > 1:  # read from the sweep's eigenvalues
+            got = wrap_phase(np.angle(sweep_theta(model, n_grid).spectra - ref)
+                             .sum(axis=1)).tolist()
             assert max(abs(wrap_phase(a - b)) for a, b in zip(got, expected)) <= 1e-12
         else:  # factored alone, as a band
             got = []
-            for _, stack in twist_stacks(model, grid):
-                factors, scale = factor_shifted(stack[0], ref)
+            for theta in grid:
+                factors, scale = factor_shifted(model(theta), ref)
                 assert factors.perm is not None
                 got.append(phase_from_factors(factors, scale, ref)[1])
             assert got == expected
@@ -380,6 +380,17 @@ def test_spectra_given_band_winding_matches_band_path(jv, ref):
     assert given.margin_theta == band.margin_theta
     assert given.grid_size_used == band.grid_size_used
     assert abs(given.max_phase_step - band.max_phase_step) <= 2e-12
+
+
+@pytest.mark.parametrize("ref", [0.0, 0.3j, 0.05 + 0.3j, -0.5])
+def test_stacked_winding_reads_its_sweep(ref):
+    """Where matrices share a stack (chain (3,-1), d = 28) a winding given no
+    spectra reads its sweep's, so it equals one given them, bit for bit."""
+    from pointgap.spectral import sweep_theta
+
+    model = chain_model(ChainParams(length=7, j=1.0, v=1.0), 3, -1)
+    assert many_body_winding(model, ref, 64) == many_body_winding(
+        model, ref, 64, spectra=sweep_theta(model, 64).spectra)
 
 
 @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
@@ -748,8 +759,9 @@ def two_blas_threads():
 
 def _record_threads_during_lu(monkeypatch):
     """Thread counts seen by each eigensolve and LU of a winding: one per
-    base-grid stack (``stack_eigvals``) and one per point factored alone
-    (``factor_model``)."""
+    base-grid stack of its sweep (``spectral.stack_eigvals``) and one per
+    point factored alone (``factor_model``)."""
+    import pointgap.spectral as spectral
     import pointgap.topology as topology
 
     seen = []
@@ -759,8 +771,8 @@ def _record_threads_during_lu(monkeypatch):
             seen.append(_thread_counts())
             return original(*args)
         return lu
-    for name in ("stack_eigvals", "factor_model"):
-        monkeypatch.setattr(topology, name, recording(getattr(topology, name)))
+    for module, name in ((spectral, "stack_eigvals"), (topology, "factor_model")):
+        monkeypatch.setattr(module, name, recording(getattr(module, name)))
     return seen
 
 
