@@ -12,7 +12,10 @@ Exit codes: 0 success, 2 configuration or validation error, 3 computation
 error (a closed gap, an unresolved winding, solver failure); stderr carries
 the structured context.  Identical configs reproduce byte-identical data
 files: eigenvalues are emitted in sorted order, eigenvector phases are fixed,
-and floats are written as shortest round-trip decimals.
+and floats are written as shortest round-trip decimals (their ``repr``).  A
+spectral CSV makes that repr once per distinct 64-bit pattern in the file
+and writes one block of lines per flow; its bytes are those of one repr per
+float.
 """
 
 from __future__ import annotations
@@ -52,38 +55,48 @@ def _write_lines(path, header, lines):
         fh.write("\n".join([",".join(header), *lines, ""]))
 
 
-def _spectra_lines(heads, spectra):
-    """One line ``<head><index>,<re>,<im>`` per eigenvalue, row by row.
+def _write_spectra(path, header, heads, spectra):
+    """Write ``header``, then one line ``<head><index>,<re>,<im>`` per
+    eigenvalue, one block of rows per flow: ``heads[i][r]`` leads row ``r``
+    of ``spectra[i]``.
 
-    The repr of a Python float (from ``tolist``) is its shortest round-trip
-    decimal, as ``_fmt`` writes it, without a call per component.
+    The file's floats are told apart by their 64-bit patterns, so -0.0 is not
+    0.0, and the repr of each distinct one (``_fmt``'s shortest round-trip
+    decimal) is made once: a flow's twist-orbit image rows copy or negate its
+    solved rows, so fig3b's flow.csv holds 14,392 floats but 4,069 distinct
+    ones.  The bytes are those of one repr per float.
     """
-    index = [str(k) for k in range(spectra.shape[-1])]
-    lines = []
-    for head, re_row, im_row in zip(heads, spectra.real.tolist(), spectra.imag.tolist()):
-        lines += [f"{head}{k},{re!r},{im!r}" for k, re, im in zip(index, re_row, im_row)]
-    return lines
+    values = np.concatenate(spectra, dtype=complex).view(np.float64)  # re, im interleaved
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    texts = np.array([repr(x) for x in bits.view(np.float64).tolist()], dtype=object)
+    table = texts[inverse].reshape(values.shape)
+    index = [f"{k}," for k in range(values.shape[1] // 2)]
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        start = 0
+        for block_heads in heads:
+            rows = table[start:start + len(block_heads)].tolist()
+            start += len(block_heads)
+            fh.write("".join([f"{head}{k}{re},{im}\n"
+                              for head, row in zip(block_heads, rows)
+                              for k, re, im in zip(index, row[0::2], row[1::2])]))
 
 
 def write_flow_csv(path, flow):
     heads = [f"{theta!r}," for theta in flow.grid.tolist()]
-    _write_lines(path, ("theta", "eig_index", "re_e", "im_e"),
-                 _spectra_lines(heads, flow.spectra))
+    _write_spectra(path, ("theta", "eig_index", "re_e", "im_e"), [heads], [flow.spectra])
 
 
 def write_deform_csv(path, path_values, flows):
     """The flows are swept on one twist grid, whose reprs are made once."""
     thetas = [f"{theta!r}," for theta in flows[0].grid.tolist()]
-    lines = []
-    for s, flow in zip(path_values.tolist(), flows):
-        head = f"{s!r},"
-        lines += _spectra_lines([head + theta for theta in thetas], flow.spectra)
-    _write_lines(path, ("path_param", "theta", "eig_index", "re_e", "im_e"), lines)
+    heads = [[f"{s!r},{theta}" for theta in thetas] for s in path_values.tolist()]
+    _write_spectra(path, ("path_param", "theta", "eig_index", "re_e", "im_e"), heads,
+                   [flow.spectra for flow in flows])
 
 
 def write_spectrum_csv(path, values):
-    _write_lines(path, ("eig_index", "re_e", "im_e"),
-                 _spectra_lines([""], np.asarray(values)[None]))
+    _write_spectra(path, ("eig_index", "re_e", "im_e"), [[""]], [np.asarray(values)[None]])
 
 
 def write_occupations_csv(path, profiles):

@@ -149,11 +149,11 @@ class SpinWindingResult:
 
 
 class _PhaseTracker:
-    """Adaptive accumulation of principal-phase increments over [0, 2 pi]."""
+    """Adaptive accumulation of principal-phase increments along an arc of
+    the twist grid."""
 
-    def __init__(self, phase_fn, n_grid):
+    def __init__(self, phase_fn):
         self.phase_fn = phase_fn
-        self.n_grid = n_grid
         self.evaluations = 0
         self.max_step = 0.0
 
@@ -170,11 +170,10 @@ class _PhaseTracker:
         return (self._segment(t0, p0, tm, pm, depth + 1, wrap_phase(pm - p0))
                 + self._segment(tm, pm, t1, p1, depth + 1, wrap_phase(p1 - pm)))
 
-    def run(self, base_phases, first=0):
-        """Accumulated phase from the principal phases at the base-grid
-        points first, first + 1, ... (all n_grid + 1 of them by default);
-        ``phase_fn(theta)`` gives those at refinement midpoints."""
-        grid = theta_grid(self.n_grid)[first:first + len(base_phases)]
+    def run(self, grid, base_phases):
+        """Accumulated phase from the principal phases ``base_phases`` at the
+        consecutive base-grid points ``grid``; ``phase_fn(theta)`` gives
+        those at refinement midpoints."""
         self.evaluations += len(grid)
         steps = wrap_phase(np.diff(base_phases))
         small = np.abs(steps) <= PHASE_STEP_BOUND
@@ -319,7 +318,7 @@ def many_body_winding(model, e_ref: complex = 0.0,
         except SpectrumHitError as exc:
             raise GapClosedError(theta, e_ref) from exc
 
-    tracker = _PhaseTracker(lambda theta: factor_at(theta)[1], n_grid)
+    tracker = _PhaseTracker(lambda theta: factor_at(theta)[1])
     with blas_threads_for(model.dim):
         if spectra is None and stack_length(model.dim) > 1:
             spectra = sweep_theta(model, n_grid).spectra
@@ -336,7 +335,7 @@ def many_body_winding(model, e_ref: complex = 0.0,
             base_phases, dists = _eigenvalue_phases(
                 np.asarray(spectra)[first:last + 1], e_ref, arc)
         try:
-            total = orbits.copies * tracker.run(base_phases.tolist(), first)
+            total = orbits.copies * tracker.run(arc, base_phases.tolist())
         except WindingUnresolvedError as exc:
             if exc.looks_like_crossing:
                 raise GapClosedError(0.5 * sum(exc.interval), e_ref,

@@ -12,12 +12,27 @@ listings are equal:
 
     PYTHONPATH=src python tests/fixtures/preset_hashes.py > hashes.txt
     diff hashes.txt other_hashes.txt
+
+``--check`` compares the listing with the committed ``preset_hashes.txt``,
+prints the lines that differ and exits 1 on any difference:
+
+    PYTHONPATH=src python tests/fixtures/preset_hashes.py --check
+
+The committed listing was made with numpy 2.4.6 and scipy 1.17.1; another
+numpy, scipy or BLAS build may change the last bits of an eigenvalue, so
+the check is run by hand, not by the test suite.
 """
 
+import argparse
+import difflib
+import os
+import sys
 import tempfile
 
 from pointgap.cli import _sector_dim, execute
 from pointgap.presets import HEAVY_DIM, PRESETS, config_from_dict
+
+LISTING = os.path.join(os.path.dirname(os.path.abspath(__file__)), "preset_hashes.txt")
 
 ORACLE_CONFIGS = {
     "oracle-dot": {
@@ -56,13 +71,31 @@ def configs():
         yield name, config_from_dict(raw)
 
 
-def main():
+def listing():
+    """The ``<name>/<file> <sha256>`` lines, one per data file, as they come."""
     with tempfile.TemporaryDirectory() as root:
         for name, cfg in configs():
             manifest = execute(cfg, f"{root}/{name}")
             for out in manifest["outputs"]:
-                print(f"{name}/{out['path']} {out['sha256']}", flush=True)
+                yield f"{name}/{out['path']} {out['sha256']}"
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", action="store_true",
+                        help=f"compare with {os.path.basename(LISTING)}; exit 1 if they differ")
+    args = parser.parse_args(argv)
+    if not args.check:
+        for line in listing():
+            print(line, flush=True)
+        return 0
+    with open(LISTING) as fh:
+        expected = fh.read().splitlines()
+    got = list(listing())
+    diff = list(difflib.unified_diff(expected, got, LISTING, "this checkout", lineterm=""))
+    print("\n".join(diff) if diff else f"all {len(got)} hashes match {LISTING}")
+    return 1 if diff else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

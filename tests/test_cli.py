@@ -60,17 +60,50 @@ def test_config_rejects_bad_values():
                           "params": {"length": 7}})  # sector required
 
 
-def test_preset_hash_listing_configs_validate():
-    """Every config the hash listing tool would run validates (none is run)."""
+def _load_script(*parts):
+    """A script outside the package, loaded as a module (its ``main`` is not run)."""
     import importlib.util
 
-    path = os.path.join(os.path.dirname(__file__), "fixtures", "preset_hashes.py")
-    spec = importlib.util.spec_from_file_location("preset_hashes", path)
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), *parts)
+    spec = importlib.util.spec_from_file_location(os.path.splitext(parts[-1])[0], path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_preset_hash_listing_configs_validate():
+    """Every config the hash listing tool would run validates (none is run)."""
+    tool = _load_script("tests", "fixtures", "preset_hashes.py")
     names = [name for name, _ in tool.configs()]
     assert len(names) == len(set(names))
     assert {"fig1", *tool.ORACLE_CONFIGS, *tool.ONE_BODY_CONFIGS} <= set(names)
+
+
+def test_committed_hash_listing_names_every_config():
+    """The listing ``preset_hashes.py --check`` compares with names the
+    configs the tool runs, in its order (nothing is run)."""
+    tool = _load_script("tests", "fixtures", "preset_hashes.py")
+    with open(tool.LISTING) as fh:
+        entries = [line.split() for line in fh.read().splitlines()]
+    assert all(len(entry) == 2 and len(entry[1]) == 64 for entry in entries)
+    listed = list(dict.fromkeys(entry[0].split("/")[0] for entry in entries))
+    assert listed == [name for name, _ in tool.configs()]
+
+
+def test_traced_writers_take_the_output_path_first():
+    """The benchmark's tracer wraps these names for ``cli.write_s`` and sizes
+    ``args[0]`` for ``cli.bytes_written``: each must exist with the output
+    path as its first parameter."""
+    import inspect
+
+    from pointgap import cli
+
+    tracing = _load_script("perfbench", "tracing.py")
+    names = [name for module, name, *_ in tracing.targets() if module == "pointgap.cli"]
+    assert {"write_flow_csv", "write_deform_csv", "write_spectrum_csv"} <= set(names)
+    for name in names:
+        assert callable(getattr(cli, name, None)), name
+        assert next(iter(inspect.signature(getattr(cli, name)).parameters)) == "path", name
 
 
 def test_presets_catalog():
@@ -98,6 +131,55 @@ def test_run_flow_writes_artifacts(tmp_path):
     assert header == "theta,eig_index,re_e,im_e"
     assert manifest["outputs"][0]["path"] == "flow.csv"
     assert len(manifest["outputs"][0]["sha256"]) == 64
+
+
+def _spectra_reference(header, rows):
+    """A spectral CSV as one ``_fmt`` per float writes it: ``rows`` holds
+    (leading values, spectrum row) pairs."""
+    from pointgap.cli import _fmt
+
+    lines = [",".join(header)]
+    for lead, row in rows:
+        head = "".join(f"{_fmt(x)}," for x in lead)
+        lines += [f"{head}{k},{_fmt(z.real)},{_fmt(z.imag)}" for k, z in enumerate(row)]
+    return "\n".join([*lines, ""])
+
+
+def test_spectral_writers_bytes(tmp_path):
+    """The spectral writers write each float as its own repr would, bit
+    pattern by bit pattern (+0.0 and -0.0 apart), with values repeated across
+    rows, across path points and between real and imaginary parts."""
+    from types import SimpleNamespace
+
+    from pointgap.cli import write_deform_csv, write_flow_csv, write_spectrum_csv
+
+    re = np.array([[0.0, -0.0, 5e-324, 1e-5],
+                   [0.1, 1e16, -0.0, 0.0],
+                   [9.999999999999999e-05, 9999999999999998.0, 0.1, -5e-324]])
+    im = np.array([[-0.0, 0.0, 0.1, 1e16],
+                   [5e-324, -0.1, 1e-5, -0.0],
+                   [9999999999999998.0, 9.999999999999999e-05, 0.0, 0.1]])
+    spectra = np.empty(re.shape, dtype=complex)
+    spectra.real, spectra.imag = re, im
+    grid = np.array([0.0, 0.1, 2.0 * np.pi])
+    flows = [SimpleNamespace(grid=grid, spectra=spectra),
+             SimpleNamespace(grid=grid, spectra=-spectra[::-1]),
+             SimpleNamespace(grid=grid, spectra=spectra.conj())]
+    path_values = np.array([0.0, 1e-5, 1.0])
+
+    write_flow_csv(tmp_path / "flow.csv", flows[1])
+    assert (tmp_path / "flow.csv").read_text() == _spectra_reference(
+        ("theta", "eig_index", "re_e", "im_e"),
+        [((theta,), row) for theta, row in zip(grid, flows[1].spectra)])
+    write_deform_csv(tmp_path / "deform.csv", path_values, flows)
+    assert (tmp_path / "deform.csv").read_text() == _spectra_reference(
+        ("path_param", "theta", "eig_index", "re_e", "im_e"),
+        [((s, theta), row) for s, flow in zip(path_values, flows)
+         for theta, row in zip(grid, flow.spectra)])
+    for values in (spectra[2], spectra[0, 1:2]):
+        write_spectrum_csv(tmp_path / "obc_spectrum.csv", values)
+        assert (tmp_path / "obc_spectrum.csv").read_text() == _spectra_reference(
+            ("eig_index", "re_e", "im_e"), [((), values)])
 
 
 def test_run_determinism(tmp_path):

@@ -266,15 +266,16 @@ def test_stacked_base_grid_equals_pointwise(case):
                 assert factors.perm is not None
                 got.append(phase_from_factors(factors, scale, ref)[1])
             assert got == expected
-        full_value = round(_PhaseTracker(phase, n_grid).run(expected) / (2.0 * np.pi))
+        full_value = round(_PhaseTracker(phase).run(grid, expected) / (2.0 * np.pi))
         orbits = twist_orbits(model, n_grid, ref)
         first, last = orbits.first, orbits.last
         assert (first, last) == {"chain": (25, 75), "dot": (0, n_grid),
                                  "one-body": (0, 50)}.get(case, (0, 25))
-        tracker = _PhaseTracker(phase, n_grid)
-        total = orbits.copies * tracker.run(got[first:last + 1], first)
-        pointwise = _PhaseTracker(phase, n_grid)
-        pointwise.run(expected[first:last + 1], first)
+        arc = grid[first:last + 1]
+        tracker = _PhaseTracker(phase)
+        total = orbits.copies * tracker.run(arc, got[first:last + 1])
+        pointwise = _PhaseTracker(phase)
+        pointwise.run(arc, expected[first:last + 1])
         if (0, 1, False) in orbits.reflections:  # mirror-symmetric: W = 0
             total = 0.0
     result = many_body_winding(model, ref, n_grid=n_grid)
@@ -482,8 +483,8 @@ def test_phase_tracker_labels_every_base_point():
         def phase(theta):
             seen.append(theta)
             return float(np.angle(np.exp(1j * turns * theta)))
-        tracker = _PhaseTracker(phase, n_grid)
-        total = tracker.run([float(np.angle(np.exp(1j * turns * t))) for t in grid])
+        tracker = _PhaseTracker(phase)
+        total = tracker.run(grid, [float(np.angle(np.exp(1j * turns * t))) for t in grid])
         assert round(total / (2 * np.pi)) == turns
         # base phases are taken by position; the callback sees midpoints only
         assert seen == list(0.5 * (grid[:-1] + grid[1:]))
@@ -649,8 +650,8 @@ def test_fundamental_arc_winding_matches_full_circle(sector, couplings, ref, n_g
     grid = theta_grid(n_grid)
     phase = _pointwise_phase(model, ref)
     with blas_threads_for(model.dim):
-        full = _PhaseTracker(phase, n_grid)
-        total = full.run([phase(theta) for theta in grid])
+        full = _PhaseTracker(phase)
+        total = full.run(grid, [phase(theta) for theta in grid])
     assert round(total / (2.0 * np.pi)) == expected
     res = many_body_winding(model, ref, n_grid=n_grid)
     assert res.value == expected
