@@ -28,7 +28,7 @@ from .models import (
 )
 from .observables import (
     BoundarySensitivity,
-    OccupationProfile,
+    Occupations,
     boundary_sensitivity,
     occupation_profiles,
     product_state_profiles,

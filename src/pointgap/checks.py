@@ -30,6 +30,7 @@ from .oracles import (
     eigenvalue_match,
 )
 from .spectral import (
+    eigendecompose,
     logdet_phase,
     sweep_theta,
     theta_grid,
@@ -266,25 +267,22 @@ def check_occupation_sum_rules():
             ChainParams(length=7, j=0.5, v=0.5, bc="open"), 4, 1), 2),
     ]
     for label, model, n_a in cases:
-        profiles = occupation_profiles(model.matrix(0.9), model.basis)
-        for prof in profiles:
-            vals = np.array(list(prof.per_site.values()))
-            excursion = max(-vals.min(), vals.max() - 1.0)
-            if excursion > tol:
-                return False, f"{label}: value outside [0,1] by {excursion:.2e}"
-            a_total = sum(v for (j, orb, s), v in prof.per_site.items()
-                          if orb == fock.ORBITAL_A)
-            want = round(a_total) if n_a is None else n_a
-            if abs(a_total - want) > tol:
-                return False, f"{label}: sum rule off by {abs(a_total-want):.2e}"
+        occ = occupation_profiles(eigendecompose(model.matrix(0.9)), model.basis)
+        excursion = max(-occ.weights.min(), occ.weights.max() - 1.0)
+        if excursion > tol:
+            return False, f"{label}: value outside [0,1] by {excursion:.2e}"
+        a_total = (occ.spin_weights(fock.UP).sum(axis=1)
+                   + occ.spin_weights(fock.DOWN).sum(axis=1))
+        off = np.abs(a_total - (np.round(a_total) if n_a is None else n_a)).max()
+        if off > tol:
+            return False, f"{label}: sum rule off by {off:.2e}"
     # noninteracting periodic (theta = 0) states are site-uniform per spin
     model = chain_model(ChainParams(length=7), 3, -1)
-    profiles = occupation_profiles(model.matrix(0.0), model.basis)
+    occ = occupation_profiles(eigendecompose(model.matrix(0.0)), model.basis)
     worst = 0.0
-    for prof in profiles:
-        for spin in (fock.UP, fock.DOWN):
-            w = prof.spin_weights(7, spin)
-            worst = max(worst, float(np.abs(w - w.sum() / 7).max()))
+    for spin in (fock.UP, fock.DOWN):
+        w = occ.spin_weights(spin)
+        worst = max(worst, float(np.abs(w - w.mean(axis=1, keepdims=True)).max()))
     if worst > tol:
         return False, f"periodic profiles deviate from uniformity by {worst:.2e}"
     return True, "sum rules, bounds and periodic uniformity hold"

@@ -13,9 +13,9 @@ error (a closed gap, an unresolved winding, solver failure); stderr carries
 the structured context.  Identical configs reproduce byte-identical data
 files: eigenvalues are emitted in sorted order, eigenvector phases are fixed,
 and floats are written as shortest round-trip decimals (their ``repr``).  A
-spectral CSV makes that repr once per distinct 64-bit pattern in the file
-and writes one block of lines per flow; its bytes are those of one repr per
-float.
+spectral or occupations CSV makes that repr once per distinct 64-bit pattern
+in the file (a spectral one writes one block of lines per flow); its bytes
+are those of one repr per float.
 """
 
 from __future__ import annotations
@@ -50,9 +50,13 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _write_lines(path, header, lines):
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join([",".join(header), *lines, ""]))
+def _reprs(values):
+    """``_fmt`` of each float of ``values``, as an object array of its shape;
+    made once per distinct 64-bit pattern, so -0.0 stays apart from 0.0."""
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    texts = np.array([repr(x) for x in bits.view(np.float64).tolist()], dtype=object)
+    return texts[inverse].reshape(values.shape)
 
 
 def _write_spectra(path, header, heads, spectra):
@@ -60,16 +64,13 @@ def _write_spectra(path, header, heads, spectra):
     eigenvalue, one block of rows per flow: ``heads[i][r]`` leads row ``r``
     of ``spectra[i]``.
 
-    The file's floats are told apart by their 64-bit patterns, so -0.0 is not
-    0.0, and the repr of each distinct one (``_fmt``'s shortest round-trip
-    decimal) is made once: a flow's twist-orbit image rows copy or negate its
-    solved rows, so fig3b's flow.csv holds 14,392 floats but 4,069 distinct
-    ones.  The bytes are those of one repr per float.
+    The file's reprs come from one ``_reprs``: a flow's twist-orbit image
+    rows copy or negate its solved rows, so fig3b's flow.csv holds 14,392
+    floats but 4,069 distinct ones.  The bytes are those of one repr per
+    float.
     """
     values = np.concatenate(spectra, dtype=complex).view(np.float64)  # re, im interleaved
-    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    texts = np.array([repr(x) for x in bits.view(np.float64).tolist()], dtype=object)
-    table = texts[inverse].reshape(values.shape)
+    table = _reprs(values)
     index = [f"{k}," for k in range(values.shape[1] // 2)]
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
@@ -99,15 +100,20 @@ def write_spectrum_csv(path, values):
     _write_spectra(path, ("eig_index", "re_e", "im_e"), [[""]], [np.asarray(values)[None]])
 
 
-def write_occupations_csv(path, profiles):
-    lines = []
-    for prof in profiles:
-        head = (f"{prof.eigenstate_index},{_fmt(prof.eigenvalue.real)},"
-                f"{_fmt(prof.eigenvalue.imag)}")
-        for (site, orbital, spin), value in sorted(prof.per_site.items()):
-            lines.append(f"{head},{site},{orbital},{spin},{_fmt(value)}")
-    _write_lines(path, ("state_index", "re_e", "im_e", "site", "orbital",
-                        "spin", "value"), lines)
+def write_occupations_csv(path, occupations):
+    """One line ``<state>,<re>,<im>,<site>,<orbital>,<spin>,<value>`` per
+    state and mode, states in record order and modes in sorted label order."""
+    labels = occupations.layout.labels
+    order = sorted(range(len(labels)), key=labels.__getitem__)
+    values = occupations.values
+    table = _reprs(np.column_stack([values.real, values.imag, occupations.weights[:, order]]))
+    heads = (np.arange(len(table)).astype(str).astype(object)
+             + "," + table[:, 0] + "," + table[:, 1] + ",")
+    modes = np.array([f"{site},{orbital},{spin}," for site, orbital, spin in
+                      (labels[m] for m in order)], dtype=object)
+    lines = (heads[:, None] + modes + table[:, 2:]).ravel().tolist()
+    with open(path, "w", newline="") as fh:
+        fh.write("\n".join(["state_index,re_e,im_e,site,orbital,spin,value", *lines, ""]))
 
 
 def _write_json(path, payload):
@@ -171,16 +177,15 @@ def run_winding(cfg, outdir):
 def run_skin(cfg, outdir):
     bs = boundary_sensitivity(cfg.params, cfg.sector, cfg.n_grid)
     write_flow_csv(os.path.join(outdir, "flow.csv"), bs.flow)
-    write_spectrum_csv(os.path.join(outdir, "obc_spectrum.csv"), bs.obc_spectrum)
+    write_spectrum_csv(os.path.join(outdir, "obc_spectrum.csv"), bs.obc_occupations.values)
 
     obc = replace(cfg.params, bc="open")
-    write_occupations_csv(os.path.join(outdir, "occupations.csv"), bs.obc_profiles)
+    write_occupations_csv(os.path.join(outdir, "occupations.csv"), bs.obc_occupations)
     artifacts = ["flow.csv", "obc_spectrum.csv", "occupations.csv",
                  "sensitivity.json", "winding.json"]
     if cfg.params.j == 0.0 and cfg.params.v == 0.0:
-        pprofiles = product_state_profiles(obc, cfg.sector)
         write_occupations_csv(os.path.join(outdir, "product_occupations.csv"),
-                              pprofiles)
+                              product_state_profiles(obc, cfg.sector))
         artifacts.append("product_occupations.csv")
 
     # the flow above is of the winding's own model

@@ -1,22 +1,24 @@
-"""Right-eigenstate occupation profiles and skin-effect diagnostics.
+"""Right-eigenstate occupations and skin-effect diagnostics.
 
 Expectation values use unit-normalized right eigenstates, so for a Fock-basis
 vector ``v`` the occupation of mode ``m`` is the plain weighted bit count
 ``sum_s bit(s, m) |v_s|^2`` (number operators are diagonal in this basis).
-Profiles inherit the engine's defectiveness flag: in a maximally defective
+A set of eigenstates is one ``Occupations`` record, whose ``ambiguous``
+flag is the engine's defectiveness flag: in a maximally defective
 open-boundary block the individual vectors are convention artifacts of the
 solver, and the product-state construction below is the documented
-alternative built from one-body data.
+alternative built from one-body data.  No output file carries the flag.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import combinations
+from itertools import combinations, product
+from math import comb
 
 import numpy as np
 
-from .fock import DOWN, ORBITAL_A, UP, SectorBasis
+from .fock import DOWN, ORBITAL_A, ORBITAL_B, UP, ModeLayout, SectorBasis
 from .models import (
     ChainParams,
     SectorModel,
@@ -28,106 +30,98 @@ from .spectral import EigenSolution, SpectralFlow, eigendecompose, sweep_theta
 
 
 @dataclass
-class OccupationProfile:
-    """Per-mode occupation expectations of one right eigenstate."""
-
-    eigenstate_index: int
-    eigenvalue: complex
-    per_site: dict
-    degeneracy_cluster: int
-    jordan_ambiguous: bool = False
-
-    def spin_weights(self, length: int, spin: str) -> np.ndarray:
-        return np.array([self.per_site[(j, ORBITAL_A, spin)] for j in range(length)])
-
-
-def occupation_profiles(matrix, basis: SectorBasis, solution: EigenSolution = None):
-    """One profile per right eigenstate of a sector matrix.
-
-    Profiles of defective clusters are marked ``jordan_ambiguous``; their
-    individual vectors (hence values) are solver-convention dependent.
+class Occupations:
+    """Right-eigenstate occupations: row k of the (states x modes)
+    ``weights`` is state k's occupation of each mode of ``layout``, with the
+    states' energies ``values``, degeneracy ``clusters`` (-1 where none was
+    computed) and ``ambiguous`` flags (weights that are a convention).
     """
-    sol = solution if solution is not None else eigendecompose(matrix)
+
+    layout: ModeLayout
+    values: np.ndarray
+    weights: np.ndarray
+    clusters: np.ndarray
+    ambiguous: np.ndarray
+
+    def spin_weights(self, spin: str) -> np.ndarray:
+        """(states x sites): each state's a-orbital occupation of ``spin``,
+        site by site."""
+        labels = self.layout.labels
+        sites = sorted({site for site, orbital, _ in labels if orbital == ORBITAL_A})
+        return self.weights[:, [self.layout.mode(j, ORBITAL_A, spin) for j in sites]]
+
+
+def occupation_profiles(solution: EigenSolution, basis: SectorBasis) -> Occupations:
+    """The occupations of every right eigenvector of ``solution``, the
+    eigensolution of a sector matrix on ``basis``.
+
+    States of defective clusters are marked ``ambiguous``; their individual
+    vectors (hence weights) are solver-convention dependent.
+    """
     layout = basis.layout
-    probs = np.abs(sol.right_vectors) ** 2
     # weights[k, m] = sum_s bit(states[s], m) |v_k[s]|^2
     bits = (basis.states[:, None] >> np.arange(layout.n_modes, dtype=np.uint64)) & np.uint64(1)
-    weights = probs.T @ bits.astype(np.float64)
-    profiles = []
-    for k in range(sol.dim):
-        per_site = {lbl: float(weights[k, m]) for m, lbl in enumerate(layout.labels)}
-        profiles.append(OccupationProfile(
-            eigenstate_index=k,
-            eigenvalue=complex(sol.values[k]),
-            per_site=per_site,
-            degeneracy_cluster=int(sol.clusters[k]),
-            jordan_ambiguous=bool(sol.defective[k]),
-        ))
-    return profiles
+    weights = (np.abs(solution.right_vectors) ** 2).T @ bits.astype(np.float64)
+    return Occupations(layout, solution.values, weights, solution.clusters,
+                       solution.defective)
 
 
-def product_state_profiles(p: ChainParams, sector):
-    """Noninteracting occupation profiles from one-body right eigenvectors.
+def product_state_profiles(p: ChainParams, sector) -> Occupations:
+    """Noninteracting occupations from one-body right eigenvectors.
 
     Valid only for the open-boundary chain at J = V = 0, where every
     many-body eigenstate is a product of one-body states per spin block and
     frozen edge b fermions; occupations are summed mode-wise over the chosen
-    unit-norm one-body vectors.  When a one-body block is defective the
-    chosen vectors are not independent and multi-fermion profiles are marked
-    ``jordan_ambiguous`` (their values are a convention, not an observable).
+    unit-norm one-body vectors.  States run over the up count, the two edge
+    b spins, then the up and down orbital subsets in lexicographic order.
+    When a one-body block is defective the chosen vectors are not
+    independent and multi-fermion states are marked ``ambiguous`` (their
+    weights are a convention, not an observable).
     """
     if p.bc != "open":
         raise ValueError("product-state construction requires the open chain")
     if p.j != 0.0 or p.v != 0.0:
         raise ValueError("product-state construction is noninteracting only (J=V=0)")
     n, parity = sector
-    basis = chain_sector_basis(p, n, parity)  # validates sector/constraints
+    layout = chain_sector_basis(p, n, parity).layout  # validates sector/constraints
     L = p.length
-    layout = basis.layout
-    # the one-body blocks per spin, and the (site, a, spin) label of each row
+    # the one-body blocks per spin, and the mode of each of their rows
     one_body = one_body_model(p)
     up = one_body.basis.sz > 0
-    sols, rows = {}, {}
+    sols, modes = {}, {}
     for spin, keep in ((UP, up), (DOWN, ~up)):
         block = one_body.restrict(keep)
         sols[spin] = eigendecompose(block(0.0))
-        rows[spin] = [layout.labels[int(s).bit_length() - 1] for s in block.basis.states]
+        modes[spin] = [int(s).bit_length() - 1 for s in block.basis.states]
     block_defective = {s: bool(sols[s].defective.any()) for s in (UP, DOWN)}
 
     n_a = n - 2
-    profiles = []
-    k = 0
+    # subsets[k]: every k-subset of the L orbitals as a row, lexicographic
+    subsets = [np.array(list(combinations(range(L), k)), dtype=np.intp).reshape(comb(L, k), k)
+               for k in range(n_a + 1)]
+    blocks = []  # (energies, weights, ambiguous) per (n_up, b0, bl)
     for n_up in range(n_a + 1):
         n_dn = n_a - n_up
-        for b0 in (UP, DOWN):
-            for bl in (UP, DOWN):
-                b_ups = (b0 == UP) + (bl == UP)
-                if (-1) ** (n_up + b_ups) != parity:
-                    continue
-                for up_set in combinations(range(L), n_up):
-                    for dn_set in combinations(range(L), n_dn):
-                        per_site = {lbl: 0.0 for lbl in layout.labels}
-                        energy = 0.0 + 0.0j
-                        for spin, chosen in ((UP, up_set), (DOWN, dn_set)):
-                            sol = sols[spin]
-                            for m in chosen:
-                                energy += sol.values[m]
-                                w = np.abs(sol.right_vectors[:, m]) ** 2
-                                for label, wj in zip(rows[spin], w):
-                                    per_site[label] += float(wj)
-                        per_site[(0, "b", b0)] = 1.0
-                        per_site[(L - 1, "b", bl)] = 1.0
-                        ambiguous = ((n_up > 1 and block_defective[UP])
-                                     or (n_dn > 1 and block_defective[DOWN]))
-                        profiles.append(OccupationProfile(
-                            eigenstate_index=k,
-                            eigenvalue=complex(energy),
-                            per_site=per_site,
-                            degeneracy_cluster=-1,
-                            jordan_ambiguous=ambiguous,
-                        ))
-                        k += 1
-    return profiles
+        # every (up set, down set) pair, up sets outermost; energies and
+        # weights are added orbital by orbital from zero, up spins first
+        up_sets, dn_sets = subsets[n_up], subsets[n_dn]
+        chosen = {UP: np.repeat(up_sets, len(dn_sets), axis=0),
+                  DOWN: np.tile(dn_sets, (len(up_sets), 1))}
+        energy = np.zeros(len(up_sets) * len(dn_sets), dtype=complex)
+        a_weights = np.zeros((len(energy), layout.n_modes))
+        for spin in (UP, DOWN):
+            probs = np.abs(sols[spin].right_vectors.T) ** 2  # row m: orbital m's weights
+            for orbital in chosen[spin].T:
+                energy += sols[spin].values[orbital]
+                a_weights[:, modes[spin]] += probs[orbital]
+        flagged = (n_up > 1 and block_defective[UP]) or (n_dn > 1 and block_defective[DOWN])
+        for b0, bl in product((UP, DOWN), repeat=2):
+            if (-1) ** (n_up + (b0 == UP) + (bl == UP)) == parity:
+                w = a_weights.copy()
+                w[:, [layout.mode(0, ORBITAL_B, b0), layout.mode(L - 1, ORBITAL_B, bl)]] = 1.0
+                blocks.append((energy, w, np.full(len(energy), flagged)))
+    values, weights, ambiguous = (np.concatenate(part) for part in zip(*blocks))
+    return Occupations(layout, values, weights, np.full(len(values), -1), ambiguous)
 
 
 @dataclass
@@ -140,15 +134,16 @@ class BoundarySensitivity:
     here - the theta-swept union always extends beyond one fixed-boundary
     snapshot - so it would swamp the sensitivity signal being measured.
     ``flow`` is the twisted flow and ``twisted_model`` the sector model
-    behind it, for a winding of the same matrices.
+    behind it, for a winding of the same matrices.  ``obc_occupations``
+    holds the open-boundary spectrum (its ``values``) and the eigenstates
+    the two edge measures are read from.
     """
 
     hausdorff_obc_pbc: float
     edge_weight: float
     max_site_occupation: float
-    obc_spectrum: np.ndarray
     flow: SpectralFlow
-    obc_profiles: list
+    obc_occupations: Occupations
     twisted_model: SectorModel
 
 
@@ -161,9 +156,11 @@ def directed_hausdorff_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(cKDTree(pb).query(pa)[0].max())
 
 
-def boundary_sensitivity(p: ChainParams, sector, n_grid: int = 64) -> BoundarySensitivity:
-    """Distance from the open-boundary spectrum to the twisted flow, plus
-    edge-localization measures of the open-boundary eigenstates."""
+def boundary_sensitivity(p: ChainParams, sector, n_grid: int) -> BoundarySensitivity:
+    """Distance from the open-boundary spectrum to the twisted flow (swept
+    on ``n_grid`` twist intervals), plus edge-localization measures of the
+    open-boundary eigenstates: the largest weight a state of either spin
+    puts on the two end sites, and the largest single-site weight."""
     if not isinstance(p, ChainParams):
         raise TypeError("boundary sensitivity is defined for chain models only")
     n, parity = sector
@@ -171,27 +168,23 @@ def boundary_sensitivity(p: ChainParams, sector, n_grid: int = 64) -> BoundarySe
     twisted = replace(p, bc="twisted")
 
     obc_model = chain_model(obc, n, parity)
-    matrix = obc_model.matrix(0.0)
-    sol = eigendecompose(matrix)
-    profiles = occupation_profiles(matrix, obc_model.basis, solution=sol)
+    sol = eigendecompose(obc_model.matrix(0.0))
+    occupations = occupation_profiles(sol, obc_model.basis)
 
     twisted_model = chain_model(twisted, n, parity)
     flow = sweep_theta(twisted_model, n_grid)
 
-    L = p.length
     edge = 0.0
     peak = 0.0
-    for prof in profiles:
-        for spin in (UP, DOWN):
-            w = prof.spin_weights(L, spin)
-            edge = max(edge, float(w[0] + w[-1]))
-            peak = max(peak, float(w.max()))
+    for spin in (UP, DOWN):
+        w = occupations.spin_weights(spin)
+        edge = max(edge, float((w[:, 0] + w[:, -1]).max()))
+        peak = max(peak, float(w.max()))
     return BoundarySensitivity(
         hausdorff_obc_pbc=directed_hausdorff_distance(sol.values, flow.spectra.ravel()),
         edge_weight=edge,
         max_site_occupation=peak,
-        obc_spectrum=sol.values,
         flow=flow,
-        obc_profiles=profiles,
+        obc_occupations=occupations,
         twisted_model=twisted_model,
     )

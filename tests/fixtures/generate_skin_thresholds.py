@@ -28,14 +28,10 @@ def measure():
             "edge_weight": bs.edge_weight,
             "max_site_occupation": bs.max_site_occupation,
         }
-    profiles = product_state_profiles(ChainParams(length=7, t=1.0, bc="open"),
-                                      (3, -1))
-    fracs = []
-    for prof in profiles:
-        w = prof.spin_weights(7, UP)
-        if w.sum() > 1e-9:
-            fracs.append(float((w[-2] + w[-1]) / w.sum()))
-    out["min_up_weight_rightmost_two"] = min(fracs)
+    w = product_state_profiles(ChainParams(length=7, t=1.0, bc="open"),
+                               (3, -1)).spin_weights(UP)
+    w = w[w.sum(axis=1) > 1e-9]
+    out["min_up_weight_rightmost_two"] = float(((w[:, -2] + w[:, -1]) / w.sum(axis=1)).min())
     return out
 
 

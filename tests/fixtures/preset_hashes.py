@@ -19,8 +19,10 @@ prints the lines that differ and exits 1 on any difference:
     PYTHONPATH=src python tests/fixtures/preset_hashes.py --check
 
 The committed listing was made with numpy 2.4.6 and scipy 1.17.1; another
-numpy, scipy or BLAS build may change the last bits of an eigenvalue, so
-the check is run by hand, not by the test suite.
+numpy, scipy or BLAS build may change the last bits of an eigenvalue.  The
+test suite compares the listing with it too
+(``test_preset_outputs_match_the_committed_hash_listing``), and skips that
+test, saying why, under any other numpy or scipy version.
 """
 
 import argparse

@@ -139,9 +139,9 @@ def test_criterion_5_skin_effect_fragility():
 
     w = many_body_winding(chain_model(CHAIN, 3, -1), 0.0, n_grid=n_grid)
 
-    profiles = product_state_profiles(obc, (3, -1))
-    fracs = [float((q.spin_weights(7, UP)[-2:] / q.spin_weights(7, UP).sum()).sum())
-             for q in profiles if q.spin_weights(7, UP).sum() > 1e-9]
+    up = product_state_profiles(obc, (3, -1)).spin_weights(UP)
+    up = up[up.sum(axis=1) > 1e-9]
+    fracs = (up[:, -2:] / up.sum(axis=1, keepdims=True)).sum(axis=1)
 
     bs0 = boundary_sensitivity(CHAIN, (3, -1), n_grid=n_grid)
     bs1 = boundary_sensitivity(replace(CHAIN, j=1.0, v=1.0), (3, -1), n_grid=n_grid)

@@ -5,6 +5,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy
 
 from pointgap.cli import execute, main
 from pointgap.models import DotParams, dot_model
@@ -88,6 +89,19 @@ def test_committed_hash_listing_names_every_config():
     assert all(len(entry) == 2 and len(entry[1]) == 64 for entry in entries)
     listed = list(dict.fromkeys(entry[0].split("/")[0] for entry in entries))
     assert listed == [name for name, _ in tool.configs()]
+
+
+@pytest.mark.skipif(
+    (np.__version__, scipy.__version__) != ("2.4.6", "1.17.1"),
+    reason="the committed hash listing was made with numpy 2.4.6 and scipy 1.17.1; "
+           "another build may change the last bits of an eigenvalue")
+def test_preset_outputs_match_the_committed_hash_listing():
+    """Every data file of the listed runs has the committed sha256, line for
+    line (what ``preset_hashes.py --check`` compares)."""
+    tool = _load_script("tests", "fixtures", "preset_hashes.py")
+    with open(tool.LISTING) as fh:
+        expected = fh.read().splitlines()
+    assert list(tool.listing()) == expected
 
 
 def test_traced_writers_take_the_output_path_first():
@@ -180,6 +194,31 @@ def test_spectral_writers_bytes(tmp_path):
         write_spectrum_csv(tmp_path / "obc_spectrum.csv", values)
         assert (tmp_path / "obc_spectrum.csv").read_text() == _spectra_reference(
             ("eig_index", "re_e", "im_e"), [((), values)])
+
+
+def test_occupations_writer_bytes(tmp_path):
+    """The occupations writer writes each float as its own repr would (+0.0
+    and -0.0 apart), one line per state and mode, modes in sorted label
+    order whatever the layout's order."""
+    from pointgap.cli import _fmt, write_occupations_csv
+    from pointgap.fock import ModeLayout
+    from pointgap.observables import Occupations
+
+    labels = ((1, "a", "up"), (0, "b", "dn"), (0, "a", "up"), (1, "a", "dn"))
+    weights = np.array([[0.0, -0.0, 5e-324, 1e16],
+                        [0.1, 0.0, 0.1, -0.0],
+                        [1e16, 5e-324, -0.0, 0.1]])
+    values = np.array([complex(-0.0, 0.0), complex(0.1, -0.0), complex(1e16, 5e-324)])
+    occupations = Occupations(ModeLayout(n_modes=4, up_mask=0b0101, labels=labels),
+                              values, weights, np.array([0, 1, 2]), np.zeros(3, dtype=bool))
+    write_occupations_csv(tmp_path / "occupations.csv", occupations)
+
+    lines = ["state_index,re_e,im_e,site,orbital,spin,value"]
+    for k, (e, row) in enumerate(zip(values, weights)):
+        head = f"{k},{_fmt(e.real)},{_fmt(e.imag)}"
+        for (site, orbital, spin), value in sorted(zip(labels, row)):
+            lines.append(f"{head},{site},{orbital},{spin},{_fmt(value)}")
+    assert (tmp_path / "occupations.csv").read_text() == "\n".join([*lines, ""])
 
 
 def test_run_determinism(tmp_path):

@@ -77,8 +77,8 @@ def test_eigendecompose_flags_jordan_block():
     assert np.abs(sol.values).max() < 1e-8
     assert sol.defective.all()
     # the whole block is one degeneracy cluster
-    profiles = occupation_profiles(model.matrix(0.0), model.basis, solution=sol)
-    assert [p.degeneracy_cluster for p in profiles] == [0] * model.dim
+    occ = occupation_profiles(sol, model.basis)
+    assert occ.clusters.tolist() == [0] * model.dim
     # the contract still delivers a full set of unit vectors
     np.testing.assert_allclose(np.linalg.norm(sol.right_vectors, axis=0), 1.0,
                                atol=1e-12)
