@@ -46,13 +46,13 @@ from .spectral import (
     SpectralError,
     SpectralFlow,
     SpectrumHitError,
+    SpinSymmetryError,
     eigendecompose,
     logdet_phase,
     sweep_theta,
 )
 from .topology import (
     GapClosedError,
-    SpinSymmetryError,
     SpinWindingResult,
     WindingResult,
     WindingUnresolvedError,

@@ -28,7 +28,7 @@ build a sector Hamiltonian: it keeps the sparse term list of one model and
 sector, and calling it at a twist returns H(theta) as a plain ndarray.  The
 one-body matrix h(theta) is built the same way (``one_body_model``): it is
 the one-fermion sector of the same term list, with both spin parities, whose
-(1, -1) and (1, +1) halves are the spin-up and spin-down blocks.
+(1, -1) and (1, +1) halves are its spin blocks (``spin_blocks``).
 This module is the only one that turns parameters into sector models, the
 dot's deformation paths (``deformation_params``) included; ``spectral`` and
 ``topology`` take the models it builds.  The sector bases and each
@@ -75,6 +75,7 @@ from .fock import (
 
 # phase slots attached to each term; resolved per theta by phase_table()
 P_ONE, P_PLUS, P_MINUS = range(3)
+_SLOT_NAMES = ("P_ONE", "P_PLUS", "P_MINUS")
 
 
 # sign of theta in the phase of each slot (P_ONE carries none)
@@ -348,6 +349,21 @@ class SectorModel:
         return spectral.band_layout(rows, cols, self.dim)
 
     @cached_property
+    def _summed_terms(self):
+        """(keys, rows, cols, slots, sums): the term list summed per (row,
+        col) and phase slot, nonzero sums only, by ascending key (row * d +
+        col) * 3 + slot.  Made at first use and kept."""
+        rows, cols, amps, slots = self._coo
+        d = self.dim
+        keys, inverse = np.unique((rows * d + cols) * 3 + slots, return_inverse=True)
+        sums = np.zeros(len(keys), dtype=complex)
+        np.add.at(sums, inverse, amps)
+        keys, sums = keys[sums != 0], sums[sums != 0]
+        pairs, slots = np.divmod(keys, 3)
+        rows, cols = np.divmod(pairs, d)
+        return keys, rows, cols, slots, sums
+
+    @cached_property
     def twist_relations(self) -> tuple:
         """(theta0, s, antiunitary) for each relation U H(theta)^(*) U^-1 =
         s H(theta0 - theta) that holds on this basis, theta0 in {0, pi}, in
@@ -374,14 +390,8 @@ class SectorModel:
         E at the same distance from both, s = -1 an imaginary E and s = +1
         a real one.  Made at first use and kept.
         """
-        rows, cols, amps, slots = self._coo
         d = self.dim
-        keys, inverse = np.unique((rows * d + cols) * 3 + slots, return_inverse=True)
-        sums = np.zeros(len(keys), dtype=complex)
-        np.add.at(sums, inverse, amps)
-        keys, sums = keys[sums != 0], sums[sums != 0]
-        pairs, slot = np.divmod(keys, 3)
-        r, c = np.divmod(pairs, d)
+        keys, r, c, slot, sums = self._summed_terms
         at_pi = np.where(slot == P_ONE, 1, -1)  # each slot's phase at theta0 = pi
         relations = []
         for sign, antiunitary, perm, exponents in self._relation_candidates():
@@ -436,6 +446,24 @@ class SectorModel:
         sub._coo = (position[rows[inside]], position[cols[inside]], amps[inside],
                     slots[inside])
         return sub
+
+    def spin_blocks(self) -> tuple:
+        """(up, down) = (restrict(sz > 0), restrict(sz < 0)) of ``basis.sz``,
+        split on the term list, not sampled.  An entry that couples the
+        blocks, summed per (row, col) and phase slot so that entries which
+        cancel exactly do not count, raises ``SpinSymmetryError`` naming its
+        row and column states and its slot."""
+        sz = self.basis.sz
+        _, rows, cols, slots, sums = self._summed_terms
+        mixed = np.flatnonzero(sz[rows] * sz[cols] < 0)
+        if len(mixed):
+            k = mixed[0]
+            r, c = (int(self.basis.states[i]) for i in (rows[k], cols[k]))
+            raise spectral.SpinSymmetryError(
+                f"spin-parity constraint broken: [s^z, h] != 0 at row state {r:#b} "
+                f"(sz {sz[rows[k]]:+d}), column state {c:#b} (sz {sz[cols[k]]:+d}), "
+                f"slot {_SLOT_NAMES[slots[k]]}: entries sum to {sums[k]:.6g}")
+        return self.restrict(sz > 0), self.restrict(sz < 0)
 
     def matrix(self, theta: float) -> np.ndarray:
         """H(theta) as an F-contiguous (d, d) array; above d = 128 its

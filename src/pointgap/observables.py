@@ -86,11 +86,8 @@ def product_state_profiles(p: ChainParams, sector) -> Occupations:
     layout = chain_sector_basis(p, n, parity).layout  # validates sector/constraints
     L = p.length
     # the one-body blocks per spin, and the mode of each of their rows
-    one_body = one_body_model(p)
-    up = one_body.basis.sz > 0
     sols, modes = {}, {}
-    for spin, keep in ((UP, up), (DOWN, ~up)):
-        block = one_body.restrict(keep)
+    for spin, block in zip((UP, DOWN), one_body_model(p).spin_blocks()):
         sols[spin] = eigendecompose(block(0.0))
         modes[spin] = [int(s).bit_length() - 1 for s in block.basis.states]
     block_defective = {s: bool(sols[s].defective.any()) for s in (UP, DOWN)}

@@ -11,6 +11,7 @@ import math
 from dataclasses import asdict, dataclass
 
 from .models import DEFORM_PATHS, ChainParams, DotParams
+from .spectral import MIN_N_GRID
 from .topology import DEFAULT_N_GRID
 
 TASKS = ("flow", "winding", "skin", "deform", "oracle-check")
@@ -110,8 +111,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     e_ref = complex(float(parts[0]), float(parts[1]))
 
     n_grid = raw.get("n_grid", DEFAULT_N_GRID)
-    if not _is_int(n_grid) or n_grid < 16:
-        raise ConfigError("n_grid must be an integer >= 16")
+    if not _is_int(n_grid) or n_grid < MIN_N_GRID:
+        raise ConfigError(f"n_grid must be an integer >= {MIN_N_GRID}")
 
     path = raw.get("path")
     n_path = raw.get("n_path")

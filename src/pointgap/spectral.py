@@ -59,6 +59,8 @@ RESIDUAL_RTOL = 1e-8
 DEGENERACY_TOL = 1e-8
 SINGULARITY_RTOL = 1e-12
 
+MIN_N_GRID = 16  # fewest twist intervals a sweep, a winding or a config takes
+
 # Below this matrix dimension one BLAS thread beats two.  Measured on 2 cores
 # with OpenBLAS 0.3.31, one thread against two, for the band LU and ARPACK
 # gap margin of one twist point of a J = V = 1 chain sector (``factor_model``
@@ -86,6 +88,10 @@ class EigensolverError(SpectralError):
 
 class SpectrumHitError(SpectralError):
     """Reference energy sits on (or numerically on) the spectrum."""
+
+
+class SpinSymmetryError(SpectralError):
+    """spin-parity constraint broken: [s^z, h(theta)] != 0."""
 
 
 @dataclass
@@ -200,6 +206,9 @@ class SpectralFlow:
 
 
 def theta_grid(n_grid: int) -> np.ndarray:
+    """The n_grid + 1 points 2 pi k / n_grid of a twist sweep or winding."""
+    if n_grid < MIN_N_GRID:
+        raise ValueError(f"n_grid must be at least {MIN_N_GRID}")
     return np.linspace(0.0, 2.0 * np.pi, n_grid + 1)
 
 
@@ -344,8 +353,6 @@ def sweep_theta(model, n_grid: int) -> SpectralFlow:
     within 9.8e-15 on chain (3,-1) and 3.2e-14 on (4,+1) at L = 7,
     J = V = 1.  A grid without reflections is solved at every point.
     """
-    if n_grid < 16:
-        raise ValueError("n_grid must be at least 16")
     grid = theta_grid(n_grid)
     orbits = twist_orbits(model, n_grid)
     solved = orbits.solved

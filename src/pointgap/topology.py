@@ -79,6 +79,7 @@ from .spectral import (
     SINGULARITY_RTOL,
     SpectralError,
     SpectrumHitError,
+    SpinSymmetryError,  # raised by spin_winding, from model.spin_blocks
     blas_threads_for,
     factor_model,
     phase_from_factors,
@@ -93,7 +94,6 @@ DEFAULT_N_GRID = 256
 PHASE_STEP_BOUND = np.pi / 2
 MAX_REFINE_DEPTH = 12
 INTEGER_TOL = 1e-6
-SPIN_COMMUTATOR_TOL = 1e-12
 
 
 class GapClosedError(SpectralError):
@@ -121,10 +121,6 @@ class WindingUnresolvedError(SpectralError):
         """A persistent ~pi jump is a determinant sign flip: an eigenvalue
         crossing the reference energy, not a resolution problem."""
         return self.step is not None and abs(self.step) > np.pi - 0.01
-
-
-class SpinSymmetryError(SpectralError):
-    """spin-parity constraint broken: [s^z, h(theta)] != 0."""
 
 
 @dataclass
@@ -299,8 +295,6 @@ def many_body_winding(model, e_ref: complex = 0.0,
         basis = model.basis
         raise ValueError(f"sector {(basis.n, basis.parity)} is empty: "
                          "no winding or gap margin")
-    if n_grid < 16:
-        raise ValueError("n_grid must be at least 16")
     grid = theta_grid(n_grid)
     orbits = twist_orbits(model, n_grid, e_ref)
     reflections, first, last = orbits.reflections, orbits.first, orbits.last
@@ -365,26 +359,13 @@ def spin_winding(model, eps_ref: complex = 0.0,
                  n_grid: int = DEFAULT_N_GRID) -> SpinWindingResult:
     """Spin-resolved winding (w_up - w_dn)/2 of a spin-diagonal one-body model.
 
-    s^z is read from the model's basis (``basis.sz``).  The flow must commute
-    with s^z, which is checked at the twist-grid points k = 0, m, 2m, ...
-    up to n_grid, m = n_grid // 16: 17 angles where 16 divides n_grid, up
-    to 32 otherwise (25 at n_grid 24, 21 at 40); the two spin
-    blocks are then wound independently (``model.restrict``, each by
-    ``many_body_winding``), which sidesteps the branch cuts of a matrix
-    logarithm while agreeing with it whenever the commutator vanishes.
+    The two s^z blocks are split on the model's term list
+    (``model.spin_blocks``): an entry coupling them, at any theta, raises
+    ``SpinSymmetryError``.  Each block is then wound independently by
+    ``many_body_winding``, which sidesteps the branch cuts of a matrix
+    logarithm while agreeing with it wherever the blocks decouple.
     """
-    sz = model.basis.sz
-    up, dn = sz > 0, sz < 0
-    thetas = theta_grid(max(n_grid, 16))[:: max(n_grid // 16, 1)]
-    mixed = np.outer(up, dn) | np.outer(dn, up)
-    cross = np.abs(model.stack(thetas)[:, mixed]).max(axis=1, initial=0.0)
-    broken = np.flatnonzero(cross >= SPIN_COMMUTATOR_TOL)
-    if len(broken):
-        k = broken[0]
-        raise SpinSymmetryError(
-            f"spin-parity constraint broken: [s^z, h] = {cross[k]:.3e} "
-            f"at theta={thetas[k]:.6f}")
-
-    w_up = many_body_winding(model.restrict(up), eps_ref, n_grid)
-    w_dn = many_body_winding(model.restrict(dn), eps_ref, n_grid)
+    up, dn = model.spin_blocks()
+    w_up = many_body_winding(up, eps_ref, n_grid)
+    w_dn = many_body_winding(dn, eps_ref, n_grid)
     return SpinWindingResult(Fraction(w_up.value - w_dn.value, 2), w_up, w_dn)

@@ -91,10 +91,15 @@ def test_committed_hash_listing_names_every_config():
     assert listed == [name for name, _ in tool.configs()]
 
 
-@pytest.mark.skipif(
-    (np.__version__, scipy.__version__) != ("2.4.6", "1.17.1"),
-    reason="the committed hash listing was made with numpy 2.4.6 and scipy 1.17.1; "
-           "another build may change the last bits of an eigenvalue")
+def _made_with_committed_versions(what):
+    """Skip unless numpy and scipy are the versions ``what`` was made with."""
+    return pytest.mark.skipif(
+        (np.__version__, scipy.__version__) != ("2.4.6", "1.17.1"),
+        reason=f"{what} was made with numpy 2.4.6 and scipy 1.17.1; "
+               "another build may change the last bits of an eigenvalue")
+
+
+@_made_with_committed_versions("the committed hash listing")
 def test_preset_outputs_match_the_committed_hash_listing():
     """Every data file of the listed runs has the committed sha256, line for
     line (what ``preset_hashes.py --check`` compares)."""
@@ -102,6 +107,28 @@ def test_preset_outputs_match_the_committed_hash_listing():
     with open(tool.LISTING) as fh:
         expected = fh.read().splitlines()
     assert list(tool.listing()) == expected
+
+
+@_made_with_committed_versions("the committed skin fixture")
+def test_skin_fixture_matches_its_generator():
+    """``skin_thresholds.json`` holds exactly what its generator measures
+    (what ``generate_skin_thresholds.py --check`` compares)."""
+    tool = _load_script("tests", "fixtures", "generate_skin_thresholds.py")
+    with open(tool.FIXTURE) as fh:
+        committed = json.load(fh)
+    assert tool.measure() == committed
+
+
+def test_skin_fixture_check_names_each_differing_key():
+    tool = _load_script("tests", "fixtures", "generate_skin_thresholds.py")
+    committed = {"n_grid": 256, "interacting": {"hausdorff": 0.044205474649173515,
+                                                "edge_weight": 0.2}}
+    measured = {"n_grid": 256, "interacting": {"hausdorff": 0.04420547464917355,
+                                               "edge_weight": 0.2}, "extra": 1.0}
+    assert tool.differences(committed, measured) == [
+        ("extra", "missing", 1.0),
+        ("interacting.hausdorff", 0.044205474649173515, 0.04420547464917355)]
+    assert tool.differences(committed, committed) == []
 
 
 def test_traced_writers_take_the_output_path_first():

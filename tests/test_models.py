@@ -308,14 +308,20 @@ def _restrict_cases():
 def test_restrict_builds_the_kept_block(model, mask, thetas):
     # a restricted model is, bit for bit, the kept rows and columns of the
     # model's matrix, on the kept states; one-body models are cut into their
-    # spin blocks
+    # spin blocks, which spin_blocks() gives bit for bit: the same states, the
+    # same entries in the same order, the same stacks
     masks = [mask] if mask is not None else [model.basis.sz > 0, model.basis.sz < 0]
-    for keep in masks:
+    blocks = [None] if mask is not None else model.spin_blocks()
+    for keep, block in zip(masks, blocks, strict=True):
         sub = model.restrict(keep)
         np.testing.assert_array_equal(sub.basis.states, model.basis.states[keep])
         assert (sub.basis.n, sub.basis.parity) == (model.basis.n, model.basis.parity)
         for theta in thetas:
             np.testing.assert_array_equal(sub(theta), model(theta)[np.ix_(keep, keep)])
+        if block is not None:
+            np.testing.assert_array_equal(block.basis.states, sub.basis.states)
+            _assert_same_coo(block._coo, sub._coo)
+            assert block.stack(thetas).tobytes() == sub.stack(thetas).tobytes()
 
 
 def _one_matrix_stack_cases():

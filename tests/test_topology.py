@@ -88,8 +88,8 @@ def test_chain_one_body_invariants():
 
 @pytest.mark.parametrize("params", [FIG_DOT, ChainParams(length=7)], ids=["dot", "chain"])
 def test_spin_winding_stacks_once_per_block(params, monkeypatch):
-    """A 256-point spin winding builds its matrices in three stacks: the 17
-    commutator angles, then each spin block's base grid (d <= 7)."""
+    """A 256-point spin winding builds its matrices in two stacks, each spin
+    block's base grid (d <= 7); no matrix is built to split the blocks."""
     calls = []
     stack = SectorModel.stack
 
@@ -98,7 +98,7 @@ def test_spin_winding_stacks_once_per_block(params, monkeypatch):
         return stack(self, thetas)
     monkeypatch.setattr(SectorModel, "stack", counting)
     spin_winding(one_body_model(params), 0.0)
-    assert calls == [17, 257, 257]
+    assert calls == [257, 257]
 
 
 def test_identical_spin_blocks_cancel():
@@ -112,11 +112,35 @@ def test_identical_spin_blocks_cancel():
 
 def test_spin_symmetry_violation_raises():
     # h = [[e^{i theta}, c], [c, e^{-i theta}]] with c = 0.5 (e^{i theta} - 1):
-    # the blocks commute at theta = 0 only, and the next scanned angle is named
+    # the blocks commute at theta = 0 only; the first coupling entry, a_up <- a_dn
+    # in the constant slot, is named
     h = _a_mode_model([_term(0, 0, 1.0, P_PLUS), _term(1, 1, 1.0, P_MINUS)]
                       + [_term(dst, src, coeff, slot) for dst, src in ((0, 1), (1, 0))
                          for coeff, slot in ((0.5, P_PLUS), (-0.5, P_ONE))])
-    with pytest.raises(SpinSymmetryError, match=r"theta=0\.392699"):
+    with pytest.raises(SpinSymmetryError,
+                       match=r"row state 0b1 \(sz \+1\), column state 0b10 "
+                             r"\(sz -1\), slot P_ONE: entries sum to -0\.5"):
+        spin_winding(h, 0.0, n_grid=16)
+
+
+def test_spin_mixing_entries_that_cancel_are_accepted():
+    # +c and -c on one (row, col, slot) sum to zero: the blocks decouple, and
+    # each winds as the diagonal model's
+    diagonal = [_term(0, 0, 1.0, P_PLUS), _term(1, 1, 1.0, P_MINUS),
+                _term(0, 0, 0.2j, P_ONE), _term(1, 1, -0.1j, P_ONE)]
+    h = _a_mode_model(diagonal + [_term(0, 1, c, P_PLUS) for c in (0.3, -0.3)]
+                      + [_term(1, 0, c, P_ONE) for c in (-0.7j, 0.7j)])
+    assert spin_winding(h, 0.0, n_grid=16) == spin_winding(_a_mode_model(diagonal), 0.0,
+                                                           n_grid=16)
+
+
+def test_tiny_spin_mixing_entry_raises():
+    # a coupling of 1e-14 between the blocks is not spin-diagonal, however small
+    h = _a_mode_model([_term(0, 0, 1.0, P_PLUS), _term(1, 1, 1.0, P_MINUS),
+                       _term(1, 0, 1e-14, P_ONE)])
+    with pytest.raises(SpinSymmetryError,
+                       match=r"row state 0b10 \(sz -1\), column state 0b1 "
+                             r"\(sz \+1\), slot P_ONE: entries sum to 1e-14"):
         spin_winding(h, 0.0, n_grid=16)
 
 
