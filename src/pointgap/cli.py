@@ -14,8 +14,11 @@ the structured context.  Identical configs reproduce byte-identical data
 files: eigenvalues are emitted in sorted order, eigenvector phases are fixed,
 and floats are written as shortest round-trip decimals (their ``repr``).  A
 spectral or occupations CSV makes that repr once per distinct 64-bit pattern
-in the file (a spectral one writes one block of lines per flow); its bytes
-are those of one repr per float.
+in the file; a spectral one writes one block of lines per flow, each block
+one join of its lines' pieces.  Its bytes are those of one repr per float.
+A deform task builds each path point's model once and sweeps the whole path
+in one ``sweep_theta`` call; an eigensolve that fails there names its theta
+and path point ``s``.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from .models import (
 )
 from .observables import boundary_sensitivity, product_state_profiles
 from .presets import PRESETS, HEAVY_DIM, ConfigError, ExperimentConfig, config_from_dict
-from .spectral import SpectralError, sweep_theta
+from .spectral import EigensolverError, SpectralError, sweep_theta
 from .topology import WindingResult, many_body_winding, spin_winding
 
 
@@ -66,21 +69,28 @@ def _write_spectra(path, header, heads, spectra):
 
     The file's reprs come from one ``_reprs``: a flow's twist-orbit image
     rows copy or negate its solved rows, so fig3b's flow.csv holds 14,392
-    floats but 4,069 distinct ones.  The bytes are those of one repr per
-    float.
+    floats but 4,069 distinct ones.  A block is one object array of its
+    lines' pieces - head, index, re, ",", im and a newline - joined once,
+    so only one flow's pieces are held at a time.  The bytes are those of
+    one repr per float.
     """
     values = np.concatenate(spectra, dtype=complex).view(np.float64)  # re, im interleaved
     table = _reprs(values)
-    index = [f"{k}," for k in range(values.shape[1] // 2)]
+    index = np.array([f"{k}," for k in range(values.shape[1] // 2)], dtype=object)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         start = 0
         for block_heads in heads:
-            rows = table[start:start + len(block_heads)].tolist()
+            rows = table[start:start + len(block_heads)]
             start += len(block_heads)
-            fh.write("".join([f"{head}{k}{re},{im}\n"
-                              for head, row in zip(block_heads, rows)
-                              for k, re, im in zip(index, row[0::2], row[1::2])]))
+            pieces = np.empty((len(rows), len(index), 6), dtype=object)
+            pieces[..., 0] = np.array(block_heads, dtype=object)[:, None]
+            pieces[..., 1] = index
+            pieces[..., 2] = rows[:, 0::2]
+            pieces[..., 3] = ","
+            pieces[..., 4] = rows[:, 1::2]
+            pieces[..., 5] = "\n"
+            fh.write("".join(pieces.reshape(-1).tolist()))
 
 
 def write_flow_csv(path, flow):
@@ -206,15 +216,24 @@ def run_skin(cfg, outdir):
 
 
 def run_deform(cfg, outdir):
-    """Flow and winding at n_path + 1 points along a dot deformation path;
-    each point's model is built once and its flow gives the winding's margin."""
+    """Flow and winding at n_path + 1 points along a dot deformation path.
+
+    Each point's model is built once; one ``sweep_theta`` call sweeps the
+    whole path, and each point's flow gives its winding's phases and margin.
+    An eigensolve that fails names its theta and path point ``s``.
+    """
     path_values = np.linspace(0.0, 1.0, cfg.n_path + 1)
-    flows, points = [], []
-    for s in path_values.tolist():
-        model = dot_model(deformation_params(cfg.params, cfg.path, s), *cfg.sector)
-        flow = sweep_theta(model, cfg.n_grid)
+    models = [dot_model(deformation_params(cfg.params, cfg.path, s), *cfg.sector)
+              for s in path_values.tolist()]
+    try:
+        flows = sweep_theta(models, cfg.n_grid)
+    except EigensolverError as exc:
+        raise EigensolverError(
+            f"eigensolver failed at theta={exc.theta:.6f}, path point "
+            f"s={path_values[exc.model].item()!r}", theta=exc.theta, model=exc.model) from exc
+    points = []
+    for s, model, flow in zip(path_values.tolist(), models, flows):
         w = many_body_winding(model, cfg.e_ref, cfg.n_grid, spectra=flow.spectra)
-        flows.append(flow)
         points.append({"s": s, "winding": w.value, "gap_margin": w.gap_margin})
     write_deform_csv(os.path.join(outdir, "deform.csv"), path_values, flows)
     # the smallest distance over the whole (path, theta) grid

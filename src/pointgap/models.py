@@ -31,11 +31,15 @@ the one-fermion sector of the same term list, with both spin parities, whose
 (1, -1) and (1, +1) halves are its spin blocks (``spin_blocks``).
 This module is the only one that turns parameters into sector models, the
 dot's deformation paths (``deformation_params``) included; ``spectral`` and
-``topology`` take the models it builds.  The sector bases and each
+``topology`` take the models it builds.  The sector bases, each
 operator's scatter pattern on a basis (its rows, columns and fermionic
-signs) are cached in this module, so models that differ only in their
-couplings, such as the points of a deformation path, enumerate a sector
-once and apply each operator to it once.  A
+signs) and each term list's patterns joined (``terms_to_coo``, keyed by
+the slots and operator products of its nonzero terms) are cached in this
+module, read-only, so models that differ only in their couplings, such as
+the points of a deformation path, enumerate a sector once, apply each
+operator to it once and share one joined pattern, whose signs each model
+multiplies by its coefficients.  Every cache is a module-level
+``lru_cache``, so clearing them all starts a model cold.  A
 twist sweep builds the matrices in stacks: one dense scatter fills the
 matrices of many angles at once.  Each matrix of a stack is Fortran-ordered,
 the layout LAPACK works in, so a factorization can take one (or a copy of
@@ -241,26 +245,54 @@ def _operator_pattern(basis: SectorBasis, ops):
     return pattern
 
 
+# keyed by basis object and the (slot, operator product) of each nonzero
+# term: the points of a deformation path share one; at d = 6864 one takes
+# about 40 bytes per entry
+@lru_cache(maxsize=64)
+def _term_pattern(basis: SectorBasis, keys):
+    """(rows, cols, signs, slots, term) of a term list's operator patterns
+    on a basis, concatenated term by term, read-only: entry i comes from
+    term ``term[i]`` of ``keys``."""
+    parts = [_operator_pattern(basis, ops) for _, ops in keys]
+    lengths = [len(signs) for _, _, signs in parts]
+
+    def joined(k, dtype):
+        return np.concatenate([np.zeros(0, dtype=dtype), *(part[k] for part in parts)],
+                              dtype=dtype)
+    pattern = (joined(0, np.int64), joined(1, np.int64), joined(2, float),
+               np.repeat(np.array([slot for slot, _ in keys], dtype=np.int64), lengths),
+               np.repeat(np.arange(len(keys)), lengths))
+    for array in pattern:
+        array.flags.writeable = False
+    return pattern
+
+
 def terms_to_coo(terms, basis: SectorBasis):
-    """Scatter pattern of a term list on a sector basis (theta-independent).
+    """Scatter pattern of a term list on a sector basis (theta-independent):
+    (rows, cols, amps, slots), read-only.
 
     Entries come term by term, each term's in ascending column order, so
-    duplicate (row, col) pairs accumulate in a fixed order.
+    duplicate (row, col) pairs accumulate in a fixed order.  Terms with a
+    zero coefficient are dropped.  The rows, columns and slots are cached
+    per basis and sequence of (slot, operator product) (``_term_pattern``),
+    so models that differ only in their coefficients share them; an entry's
+    amplitude is its fermionic sign times its term's coefficient, the
+    product ``sign * coeff`` of one term at a time bit for bit: a real
+    coefficient's entries have imaginary part +0.0.
     """
-    rows, cols, amps, slots = [], [], [], []
-    for coeff, slot, ops in terms:
-        if coeff == 0:
-            continue
-        term_rows, term_cols, signs = _operator_pattern(basis, ops)
-        rows.append(term_rows)
-        cols.append(term_cols)
-        amps.append(signs * coeff)
-        slots.append(np.full(len(signs), slot))
-
-    def joined(parts, dtype):
-        return np.concatenate([np.zeros(0, dtype=dtype), *parts], dtype=dtype)
-    return (joined(rows, np.int64), joined(cols, np.int64), joined(amps, complex),
-            joined(slots, np.int64))
+    kept = [(coeff, slot, ops) for coeff, slot, ops in terms if coeff != 0]
+    rows, cols, signs, slots, term = _term_pattern(
+        basis, tuple((slot, ops) for _, slot, ops in kept))
+    coeffs = np.array([coeff for coeff, _, _ in kept], dtype=complex)
+    amps = signs * coeffs[term]
+    # sign * (c + 0j) of a negative real c has imaginary part -0.0 where sign
+    # is -1; sign * c of a real c is real
+    negative_real = [k for k, (coeff, _, _) in enumerate(kept)
+                     if not isinstance(coeff, complex) and coeff < 0]
+    if negative_real:
+        amps.imag[np.isin(term, negative_real)] = 0.0
+    amps.flags.writeable = False
+    return rows, cols, amps, slots
 
 
 # i^k for k = 0..3: products of these with a float complex are exact

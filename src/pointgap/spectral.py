@@ -37,9 +37,14 @@ every orbit (``twist_orbits``) are shared by the sweep and the winding: a
 sweep eigensolves the lowest arc point of each orbit and fills every other
 row as the exact image of that row, and a winding tracks the arc only.
 
+One sweep takes one model or a list of models of one dimension, such as
+the points of a deformation path: its stacks run on from one model's
+solved points to the next, so a path of small models takes a few
+``eigvals`` calls, and each model's flow is the one it gets swept alone.
+
 This module knows matrices and sector models, not parameters: a sweep
-takes a ``SectorModel`` and builds its matrices with the model's ``stack``,
-or its band entries with ``values``.  Turning parameters into a model is
+takes ``SectorModel``s and builds their matrices with the models' ``stack``,
+or their band entries with ``values``.  Turning parameters into a model is
 the job of ``models``.
 """
 
@@ -71,8 +76,9 @@ MIN_N_GRID = 16  # fewest twist intervals a sweep, a winding or a config takes
 BLAS_THREAD_CROSSOVER_DIM = 3000
 
 # A twist sweep builds and solves its matrices in stacks of at most
-# this many bytes (one matrix at least): a whole 65-point grid at d = 4, 41
-# matrices at d = 28, one at d >= 182.  One stack per call amortizes Python's per-call overhead
+# this many bytes (one matrix at least): 2048 matrices at d = 4 (the 33
+# points of a dot path at n_grid 64 take two stacks), 41 matrices at d = 28,
+# one at d >= 182.  Few stacks per sweep amortize Python's per-call overhead
 # over the small sectors; stacking a whole 257-point grid at d = 28 instead
 # would hold 3.2 MB of matrices at once.
 STACK_BYTES = 512 * 1024
@@ -83,7 +89,13 @@ class SpectralError(Exception):
 
 
 class EigensolverError(SpectralError):
-    """Dense eigensolver did not converge."""
+    """Dense eigensolver did not converge; a sweep's names the ``theta`` it
+    failed at and, in a sweep of several models, the ``model`` index."""
+
+    def __init__(self, message, theta=None, model=None):
+        self.theta = theta
+        self.model = model
+        super().__init__(message)
 
 
 class SpectrumHitError(SpectralError):
@@ -219,18 +231,26 @@ def stack_length(dim: int) -> int:
     return max(1, STACK_BYTES // max(16 * dim * dim, 1))
 
 
-def stack_eigvals(stack, thetas):
-    """Eigenvalues of every matrix of a stack, one row each."""
+def stack_eigvals(stack, thetas, model_index=None):
+    """Eigenvalues of every matrix of a stack, one row each.
+
+    Where the stack fails, its matrices are solved one by one, and the
+    first that fails raises ``EigensolverError`` naming its theta and,
+    where ``model_index`` gives the model of each matrix, its model.
+    """
     try:
         return np.linalg.eigvals(stack)
     except np.linalg.LinAlgError:
-        pass  # solve the stack again point by point to name the failing theta
+        pass  # solve the stack again point by point to name the failing matrix
     values = np.empty(stack.shape[:2], dtype=complex)
     for k, theta in enumerate(thetas):
         try:
             values[k] = np.linalg.eigvals(stack[k])
         except np.linalg.LinAlgError as exc:
-            raise EigensolverError(f"eigensolver failed at theta={theta:.6f}") from exc
+            model = None if model_index is None else int(model_index[k])
+            raise EigensolverError(f"eigensolver failed at theta={theta:.6f}"
+                                   + ("" if model is None else f" of model {model}"),
+                                   theta=float(theta), model=model) from exc
     return values
 
 
@@ -334,12 +354,23 @@ def twist_orbits(model, n_grid: int, e_ref=None) -> TwistOrbits:
     return TwistOrbits(reflections, first, last, copies, source, negate, conjugate)
 
 
-def sweep_theta(model, n_grid: int) -> SpectralFlow:
+def sweep_theta(models, n_grid: int):
     """Eigenvalues of a ``SectorModel`` at theta_k = 2 pi k / n_grid for
     k = 0..n_grid (inclusive), one row per point, each sorted by (real,
-    imag) for reproducible output.
+    imag) for reproducible output: a ``SpectralFlow``.  Given a list or
+    tuple of models of one dimension, such as the points of a deformation
+    path, it returns a list of their flows, each bit for bit the flow of
+    its model swept alone; one model is the sequence of one.
 
-    The grid is solved at one point per orbit of the model's verified
+    The models' solved points are built and eigensolved in stacks of
+    ``stack_length(d)`` matrices that run on from one model to the next, so
+    a path of small models takes a few ``eigvals`` calls, not one per
+    model; a stack of one matrix (d > 128) holds one model's, on the lazily
+    zeroed pages of ``SectorModel.stack``.  A failing eigensolve raises
+    ``EigensolverError`` naming its theta and, for a list of models, its
+    model's index.  The flows share no memory: each has its own grid.
+
+    Each grid is solved at one point per orbit of its model's verified
     relations (``twist_orbits``, every relation whatever the reference
     energy): the lowest point of each orbit on the fundamental arc, in
     stacks.  Every other row is the exact image of its orbit's solved row -
@@ -353,24 +384,49 @@ def sweep_theta(model, n_grid: int) -> SpectralFlow:
     within 9.8e-15 on chain (3,-1) and 3.2e-14 on (4,+1) at L = 7,
     J = V = 1.  A grid without reflections is solved at every point.
     """
+    one = not isinstance(models, (list, tuple))
+    models = [models] if one else list(models)
+    if not models:
+        raise ValueError("sweep_theta needs at least one model")
+    d = models[0].dim
+    if any(model.dim != d for model in models):
+        raise ValueError("the models of one sweep must share their dimension")
     grid = theta_grid(n_grid)
-    orbits = twist_orbits(model, n_grid)
-    solved = orbits.solved
-    spectra = np.empty((len(grid), model.dim), dtype=complex)
-    step = stack_length(model.dim)
+    n = len(grid)
+    # row i * n + k of the joined grid is model i at theta_k
+    orbits = [twist_orbits(model, n_grid) for model in models]
+    source = np.concatenate([o.source + i * n for i, o in enumerate(orbits)])
+    solved = np.flatnonzero(source == np.arange(len(source)))
+    spectra = np.empty((len(source), d), dtype=complex)
+    step = stack_length(d)
     for start in range(0, len(solved), step):
         rows = solved[start:start + step]
-        stack = model.stack(grid[rows])
-        spectra[rows] = _sorted_rows(stack_eigvals(stack, grid[rows]))
+        which, points = np.divmod(rows, n)
+        stack = _model_stack(models, which, grid[points])
+        spectra[rows] = _sorted_rows(
+            stack_eigvals(stack, grid[points], None if one else which))
         del stack  # free it before the next one is built
-    images = np.flatnonzero(orbits.source != np.arange(len(grid)))
+    images = np.flatnonzero(source != np.arange(len(source)))
     if len(images):
-        values = spectra[orbits.source[images]]
-        conjugate, negate = orbits.conjugate[images], orbits.negate[images]
+        values = spectra[source[images]]
+        conjugate = np.concatenate([o.conjugate for o in orbits])[images]
+        negate = np.concatenate([o.negate for o in orbits])[images]
         values[conjugate] = values[conjugate].conj()
         values[negate] = -values[negate]
         spectra[images] = _sorted_rows(values)
-    return SpectralFlow(grid, spectra)
+    flows = [SpectralFlow(grid.copy(), spectra[i * n:(i + 1) * n])
+             for i in range(len(models))]
+    return flows[0] if one else flows
+
+
+def _model_stack(models, which, thetas):
+    """The stack of ``models[which[k]]`` at ``thetas[k]``: each run of one
+    model's points built by its ``stack`` and the runs joined, so a stack of
+    one model, such as a one-matrix stack (d > 128) on its lazily zeroed
+    pages, is that model's own."""
+    bounds = [0, *(np.flatnonzero(np.diff(which)) + 1).tolist(), len(which)]
+    parts = [models[which[lo]].stack(thetas[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def _sorted_rows(values):

@@ -10,7 +10,7 @@ import scipy
 from pointgap.cli import execute, main
 from pointgap.models import DotParams, dot_model
 from pointgap.presets import PRESETS, ConfigError, config_from_dict, preset_config
-from pointgap.spectral import DEGENERACY_TOL, theta_grid
+from pointgap.spectral import DEGENERACY_TOL, EigensolverError, theta_grid
 
 
 def _cfg(**kw):
@@ -363,6 +363,35 @@ def test_run_deform_builds_each_point_model_once(tmp_path, monkeypatch):
     assert len(payload["points"]) == n_path + 1
     assert payload["gap_margin"] == min(pt["gap_margin"] for pt in payload["points"])
     assert manifest["summary"]["gap_margin"] == payload["gap_margin"]
+
+
+def test_run_deform_names_the_failing_path_point(tmp_path, monkeypatch, capsys,
+                                                 matrix_flow):
+    """An eigensolve that fails in the one sweep of a deformation path names
+    its theta and the path point s; the run exits 3 with the theta in its
+    context."""
+    import pointgap.cli as cli
+
+    bad_theta, bad_s = theta_grid(16)[5], 0.5
+
+    def stub(params, *sector):
+        model = dot_model(params, *sector)
+        if params.j != bad_s:  # pair-ramp: J = V = s
+            return model
+        return matrix_flow(lambda theta: model(theta) * (np.nan if theta == bad_theta
+                                                         else 1.0))
+    monkeypatch.setattr(cli, "dot_model", stub)
+    raw = _cfg(task="deform", sector=[2, 1], path="pair-ramp", n_path=4, n_grid=16)
+    with pytest.raises(EigensolverError,
+                       match=rf"theta={bad_theta:.6f}, path point s=0\.5$") as info:
+        execute(config_from_dict(raw), str(tmp_path / "direct"))
+    assert info.value.theta == bad_theta and info.value.model == 2
+    config = tmp_path / "deform.json"
+    config.write_text(json.dumps(raw))
+    assert main(["run", str(config), "--output-dir", str(tmp_path / "run")]) == 3
+    context = json.loads(capsys.readouterr().err.split("computation error: ", 1)[1])
+    assert context["error"] == "EigensolverError" and context["theta"] == bad_theta
+    assert "path point s=0.5" in context["message"]
 
 
 def test_run_skin_builds_each_chain_model_once(tmp_path, monkeypatch):

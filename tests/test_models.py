@@ -10,6 +10,7 @@ import pytest
 
 from pointgap.fock import apply_ops, dot_layout, mirror_modes, permute_modes_array
 from pointgap.models import (
+    DEFORM_PATHS,
     P_ONE,
     P_PLUS,
     ChainParams,
@@ -18,6 +19,7 @@ from pointgap.models import (
     chain_model,
     chain_sector_basis,
     chain_terms,
+    deformation_params,
     dot_model,
     dot_sector_basis,
     dot_terms,
@@ -242,6 +244,75 @@ def test_term_scatter_matches_scalar_reference():
         for terms, basis, actions in _chain_cases(length, chain_sectors):
             _assert_same_coo(terms_to_coo(terms, basis),
                              _scalar_coo(terms, basis, actions))
+
+
+def _term_by_term_coo(terms, basis):
+    """terms_to_coo as it was before its patterns were cached: each nonzero
+    term's operator pattern, amplitudes ``signs * coeff``, joined."""
+    from pointgap.models import _operator_pattern
+
+    rows, cols, amps, slots = [], [], [], []
+    for coeff, slot, ops in terms:
+        if coeff == 0:
+            continue
+        term_rows, term_cols, signs = _operator_pattern(basis, ops)
+        rows.append(term_rows)
+        cols.append(term_cols)
+        amps.append(signs * coeff)
+        slots.append(np.full(len(signs), slot))
+
+    def joined(parts, dtype):
+        return np.concatenate([np.zeros(0, dtype=dtype), *parts], dtype=dtype)
+    return (joined(rows, np.int64), joined(cols, np.int64), joined(amps, complex),
+            joined(slots, np.int64))
+
+
+def _cached_coo_cases():
+    """(terms, basis) of the dot path points (s = 0 and 1 drop zero terms),
+    twisted and open chains at J = V in {0, 1} and with negative real
+    coefficients, and the one-body models."""
+    for path in DEFORM_PATHS:
+        for s in np.linspace(0.0, 1.0, 9).tolist():
+            params = deformation_params(FIG_DOT, path, s)
+            for sector in ((2, 1), (2, -1), (3, 1)):
+                yield dot_terms(params)[1], dot_sector_basis(*sector)
+    for bc in ("twisted", "open"):
+        for t, g in ((1.0, 0.0), (1.0, 1.0), (-0.9, -0.4)):
+            p = ChainParams(length=7, t=t, j=g, v=g, bc=bc)
+            for sector in ((3, -1), (4, 1)):
+                yield chain_terms(p)[1], chain_sector_basis(p, *sector)
+            yield chain_terms(p)[1], one_body_model(p).basis
+    for lam in (1.0, -0.8, 0.0):
+        p = replace(FIG_DOT, lam=lam, j=0.7, v=0.3)
+        yield dot_terms(p)[1], one_body_model(p).basis
+
+
+def test_cached_term_patterns_match_term_by_term_scatter():
+    """The cached patterns give the term-by-term COO bit for bit (signed
+    zeros included), as read-only arrays; models that differ only in their
+    coefficients share the cached rows, columns and slots."""
+    for terms, basis in _cached_coo_cases():
+        got = terms_to_coo(terms, basis)
+        _assert_same_coo(got, _term_by_term_coo(terms, basis))
+        assert not any(array.flags.writeable for array in got)
+    first, second = (dot_model(deformation_params(FIG_DOT, "pair-ramp", s), 2, 1)._coo
+                     for s in (0.25, 0.5))
+    assert all(a is b for a, b in zip(first[:2] + first[3:], second[:2] + second[3:]))
+
+
+def test_clearing_the_models_caches_clears_the_term_patterns():
+    """Clearing every cache of ``models``, as the benchmark does before a cold
+    task, empties the term patterns too."""
+    import pointgap.models as models
+
+    dot_model(FIG_DOT, 2, 1)
+    assert models._term_pattern.cache_info().currsize > 0
+    for obj in vars(models).values():
+        clear = getattr(obj, "cache_clear", None)
+        if callable(clear):
+            clear()
+    assert models._term_pattern.cache_info().currsize == 0
+    assert models._operator_pattern.cache_info().currsize == 0
 
 
 def test_phase_table_matches_scalar_phases():

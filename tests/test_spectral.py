@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import lu_factor
 
+from pointgap import spectral
 from pointgap.checks import _turned
 from pointgap.models import (
     ChainParams,
@@ -30,6 +31,8 @@ from pointgap.spectral import (
     logdet_phase,
     phase_from_factors,
     sigma_min_from_factors,
+    stack_eigvals,
+    stack_length,
     sweep_theta,
     theta_grid,
     twist_orbits,
@@ -274,6 +277,77 @@ def test_sweep_eigensolver_failure_names_theta(monkeypatch, matrix_flow):
     flow = matrix_flow(lambda theta: np.diag([99.0 if theta == bad else 1.0, 2.0j]))
     with pytest.raises(EigensolverError, match=f"theta={bad:.6f}"):
         sweep_theta(flow, 32)
+
+
+def test_path_sweep_failure_names_theta_and_model(monkeypatch, matrix_flow):
+    """A stack that spans the models of a path fails as a whole on a
+    non-finite matrix; solved again matrix by matrix, it names the theta and
+    the model index of the first that fails."""
+    grid = theta_grid(16)
+    bad = grid[5]
+    stacks = []
+    monkeypatch.setattr(spectral, "stack_eigvals", lambda stack, thetas, model_index=None: (
+        stacks.append(None if model_index is None else list(model_index)),
+        stack_eigvals(stack, thetas, model_index))[1])
+
+    def point(broken):
+        return matrix_flow(lambda theta: np.diag(
+            [np.nan if broken and theta == bad else 1.0 + 0.1 * theta, 2.0j]))
+    with pytest.raises(EigensolverError, match=f"theta={bad:.6f} of model 2$") as info:
+        sweep_theta([point(False), point(False), point(True), point(False)], 16)
+    assert info.value.theta == bad and info.value.model == 2
+    assert stacks == [[0] * 17 + [1] * 17 + [2] * 17 + [3] * 17]  # one stack for the path
+    # swept alone, the model is named by its theta only
+    with pytest.raises(EigensolverError, match=f"theta={bad:.6f}$") as info:
+        sweep_theta(point(True), 16)
+    assert info.value.model is None
+
+
+def _path_models():
+    """Dot paths at n_path 8 (s = 0 drops the couplings' terms, hop-ramp's
+    s = 1 the hopping's), chain (3,-1) at L = 7 and J = V in {0, 1}, and
+    chain (4,+1) (d = 182, one matrix a stack), with their n_grid."""
+    s_values = np.linspace(0.0, 1.0, 9).tolist()
+    chain = ChainParams(length=7, t=1.0)
+    for path in ("pair-ramp", "hop-ramp"):
+        for sector in ((2, 1), (2, -1)):
+            yield ([dot_model(deformation_params(FIG_DOT, path, s), *sector)
+                    for s in s_values], 64)
+    yield [chain_model(replace(chain, j=g, v=g), 3, -1) for g in (0.0, 1.0)], 256
+    yield [chain_model(replace(chain, j=g, v=g), 4, 1) for g in (0.0, 1.0)], 32
+
+
+@pytest.mark.parametrize("models, n_grid", list(_path_models()),
+                         ids=["pair-ramp+", "pair-ramp-", "hop-ramp+", "hop-ramp-",
+                              "chain(3,-1)", "chain(4,+1)"])
+def test_path_sweep_equals_each_model_swept_alone(models, n_grid, monkeypatch):
+    """One sweep of a list of models gives each model's own flow bit for
+    bit, whether its stacks run on from one model to the next (the dot paths
+    in one stack, chain (3,-1), d = 28, two models' quarter arcs in four
+    41-matrix stacks) or hold one matrix (d = 182); its flows share no
+    memory."""
+    stacks = []
+    monkeypatch.setattr(spectral, "stack_eigvals", lambda stack, thetas, model_index=None: (
+        stacks.append(len(thetas)), stack_eigvals(stack, thetas, model_index))[1])
+    flows = sweep_theta(models, n_grid)
+    n_solved = sum(len(twist_orbits(model, n_grid).solved) for model in models)
+    assert len(stacks) == -(-n_solved // stack_length(models[0].dim))
+    assert len(flows) == len(models)
+    for model, flow in zip(models, flows):
+        alone = sweep_theta(model, n_grid)
+        assert flow.grid.tobytes() == alone.grid.tobytes()
+        assert flow.spectra.shape == alone.spectra.shape
+        assert flow.spectra.tobytes() == alone.spectra.tobytes()
+    arrays = [(i, a) for i, flow in enumerate(flows) for a in (flow.grid, flow.spectra)]
+    assert all(a.flags.writeable for _, a in arrays)
+    assert not any(np.shares_memory(a, b) for i, a in arrays for j, b in arrays if i < j)
+
+
+def test_path_sweep_takes_models_of_one_dimension():
+    with pytest.raises(ValueError, match="share their dimension"):
+        sweep_theta([dot_model(FIG_DOT, 2, 1), dot_model(FIG_DOT, 2, -1)], 16)
+    with pytest.raises(ValueError, match="at least one model"):
+        sweep_theta([], 16)
 
 
 def test_eigenvalue_continuity_on_refined_grid():
