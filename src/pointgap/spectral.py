@@ -42,6 +42,12 @@ the points of a deformation path: its stacks run on from one model's
 solved points to the next, so a path of small models takes a few
 ``eigvals`` calls, and each model's flow is the one it gets swept alone.
 
+scipy's LAPACK (``zgetrf``, ``zgbtrf`` and their solves) is imported at
+the first LU, not with this module: most small runs make none, and the
+import is about 0.2 s of a fresh process.  That import may map scipy's own
+OpenBLAS inside a BLAS thread pin (``blas_threads_for``), which then pins
+it too.
+
 This module knows matrices and sector models, not parameters: a sweep
 takes ``SectorModel``s and builds their matrices with the models' ``stack``,
 or their band entries with ``values``.  Turning parameters into a model is
@@ -54,11 +60,8 @@ import ctypes
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import lu_solve
-from scipy.linalg.lapack import zgbtrf, zgbtrs, zgetrf
 
 RESIDUAL_RTOL = 1e-8
 DEGENERACY_TOL = 1e-8
@@ -471,10 +474,15 @@ class ShiftedLU:
 
     def solve(self, b, trans: int = 0) -> np.ndarray:
         """x with (M - E) x = b; ``trans=2`` solves with (M - E)^H."""
+        lapack = _scipy_lapack()
         if self.perm is None:
-            return lu_solve((self.lu, self.piv), b, trans=trans, check_finite=False)
+            x, info = lapack.zgetrs(self.lu, self.piv, b, trans=trans)
+            if info < 0:
+                raise ValueError(f"illegal value in argument {-info} of zgetrs")
+            return x
         # P (M - E) P^T (P x) = P b, and likewise for the conjugate transpose
-        y, info = zgbtrs(self.lu, self.kl, self.ku, b[self.perm], self.piv, trans=trans)
+        y, info = lapack.zgbtrs(self.lu, self.kl, self.ku, b[self.perm], self.piv,
+                                trans=trans)
         if info < 0:
             raise ValueError(f"illegal value in argument {-info} of zgbtrs")
         x = np.empty_like(y)
@@ -527,7 +535,7 @@ def _factor_dense(a, e_ref: complex):
     lu.flat[:: len(lu) + 1] -= e_ref  # the diagonal
     parts = lu.T.view(np.float64).reshape(-1)
     scale = np.sqrt(parts @ parts)
-    lu, piv, info = zgetrf(lu, overwrite_a=1)
+    lu, piv, info = _scipy_lapack().zgetrf(lu, overwrite_a=1)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of zgetrf")
     return ShiftedLU(lu, piv), scale
@@ -592,7 +600,7 @@ def _factor_band(layout: BandLayout, values, e_ref: complex):
     ab[kl + ku] -= e_ref
     parts = ab.T.view(np.float64).reshape(-1)
     scale = np.sqrt(parts @ parts)
-    lu, piv, info = zgbtrf(ab, kl, ku, overwrite_ab=1)
+    lu, piv, info = _scipy_lapack().zgbtrf(ab, kl, ku, overwrite_ab=1)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of zgbtrf")
     return ShiftedLU(lu, piv, kl, ku, layout.perm), scale
@@ -661,14 +669,54 @@ def _openblas_function(lib, stem, argtypes, restype):
     return None
 
 
-@lru_cache(maxsize=1)
-def openblas_thread_controls():
-    """(get_num_threads, set_num_threads) of every OpenBLAS in this process.
+# scipy.linalg.lapack, once the first LU or solve has imported it
+_lapack = None
+# the (get, set) controls of the last OpenBLAS scan; None until a lookup scans
+_controls = None
+# restore lists [(set_num_threads, count)] of the pins in force, outermost first
+_pins = []
 
-    numpy and scipy each bundle their own OpenBLAS.  Both are loaded once
-    this module is imported, so the first lookup is kept.  Empty where no
-    OpenBLAS is found (another BLAS, or no /proc/self/maps).
+
+def _scipy_lapack():
+    """scipy.linalg.lapack, imported at the first LU or solve and kept.
+
+    A run that factors nothing never loads ``scipy.linalg``, about 0.2 s of
+    a fresh process.  The import may map scipy's own OpenBLAS, and may do
+    so inside a ``blas_threads_for`` pin that looked the libraries up
+    before it; so, on this first import only, they are looked up again
+    (``_adopt_new_openblas``).  Later calls only return the module: ARPACK
+    solves hundreds of times per winding.
     """
+    global _lapack
+    if _lapack is None:
+        import scipy.linalg.lapack
+
+        _lapack = scipy.linalg.lapack
+        _adopt_new_openblas()
+    return _lapack
+
+
+def _function_address(fn):
+    return ctypes.cast(fn, ctypes.c_void_p).value
+
+
+def _adopt_new_openblas():
+    """Drop the kept controls, and where a pin is in force, pin each OpenBLAS
+    they did not hold to one thread, its count restored on the outermost
+    pin's exit.  Libraries are told apart by function address: each scan
+    makes new ctypes objects for the same library."""
+    global _controls
+    old, _controls = _controls, None
+    if old is None or not _pins:
+        return
+    known = {_function_address(get) for get, _ in old}
+    for get, set_threads in openblas_thread_controls():
+        if _function_address(get) not in known:
+            _pins[0].append((set_threads, get()))
+            set_threads(1)
+
+
+def _scan_openblas():
     paths = []
     try:
         with open("/proc/self/maps") as fh:
@@ -692,21 +740,46 @@ def openblas_thread_controls():
     return tuple(controls)
 
 
+def openblas_thread_controls():
+    """(get_num_threads, set_num_threads) of every OpenBLAS in this process.
+
+    numpy and scipy each bundle their own OpenBLAS.  numpy's is mapped with
+    numpy; scipy's with ``scipy.linalg``, which this package imports at its
+    first LU (``_scipy_lapack``) or earlier through ``scipy.sparse``,
+    ``scipy.spatial`` or ``scipy.optimize``.  So the lookup is kept per set
+    of loaded libraries: the first call scans /proc/self/maps, and the
+    first LU scans again.  Nothing here runs scipy's BLAS before that LU,
+    so no pin misses a library that a computation uses.  Empty where no
+    OpenBLAS is found (another BLAS, or no /proc/self/maps).
+    """
+    global _controls
+    if _controls is None:
+        _controls = _scan_openblas()
+    return _controls
+
+
 @contextmanager
 def blas_threads_for(dim: int):
     """Run the body on one BLAS thread when ``dim`` is below the crossover.
 
     Every loaded OpenBLAS is pinned to one thread and its old count restored
-    on exit, exceptions included.  At or above ``BLAS_THREAD_CROSSOVER_DIM``,
-    or when no OpenBLAS is found, nothing changes.  Thread counts are
-    process-wide, so the pin is meant for one computation at a time.
+    on exit, exceptions included.  One that the body's first LU maps
+    (scipy's, in a process that had not loaded ``scipy.linalg``) is pinned
+    as it loads and restored with the others.  At or above
+    ``BLAS_THREAD_CROSSOVER_DIM``, or when no OpenBLAS is found, nothing
+    changes.  Thread counts are process-wide, so the pin is meant for one
+    computation at a time.
     """
-    controls = openblas_thread_controls() if dim < BLAS_THREAD_CROSSOVER_DIM else ()
-    saved = [get() for get, _ in controls]
-    for _, set_threads in controls:
+    if dim >= BLAS_THREAD_CROSSOVER_DIM:
+        yield
+        return
+    restore = [(set_threads, get()) for get, set_threads in openblas_thread_controls()]
+    for set_threads, _ in restore:
         set_threads(1)
+    _pins.append(restore)
     try:
         yield
     finally:
-        for (_, set_threads), n in zip(controls, saved):
+        _pins.pop()
+        for set_threads, n in restore:
             set_threads(n)

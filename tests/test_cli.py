@@ -601,28 +601,40 @@ def test_main_check_subcommand(capsys, monkeypatch):
                                                     "[FAIL] failing entry: detail two"]
 
 
-def test_cli_import_loads_only_linalg_from_scipy():
-    """A run imports scipy.linalg up front (every LU needs it, and the BLAS
-    thread pin finds scipy's OpenBLAS through it); the oracle, k-d tree,
-    sparse (band ordering) and ARPACK modules and the check suite load only
-    when a task uses them.  Building a sector model orders no band: that
-    waits for its first band factor."""
+def test_small_runs_load_no_scipy():
+    """``import pointgap.cli`` loads no scipy module and not the check suite;
+    each loads at the first task that uses it.  A flow, two deformation
+    paths and a d = 28 winding make no LU, so they load none of them
+    either (fig3b's Hausdorff distance would load ``scipy.spatial``).  The
+    winding tracks its arc with no refinement midpoint, since a midpoint is
+    an LU.  Building a sector model orders no band: that waits for its
+    first band factor."""
     import pointgap
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(pointgap.__file__)))
-    code = ("import sys, pointgap.cli\n"
+    code = ("import os, sys, tempfile\n"
+            "import pointgap.cli\n"
             "from pointgap.models import ChainParams, chain_model\n"
+            "from pointgap.presets import PRESETS, config_from_dict, preset_config\n"
             "def loaded():\n"
-            "    print(' '.join(m for m in ('scipy.linalg', 'scipy.optimize', "
-            "'scipy.spatial', 'scipy.sparse', 'scipy.sparse.csgraph', "
-            "'scipy.sparse.linalg', 'pointgap.checks') if m in sys.modules))\n"
+            "    print(' '.join(m for m in ('scipy.linalg', 'scipy.sparse', "
+            "'scipy.spatial', 'scipy.optimize', 'pointgap.checks') "
+            "if m in sys.modules) or '-')\n"
+            "loaded()\n"
+            "winding = dict(PRESETS['fig3b']['config'], task='winding')\n"
+            "configs = [preset_config(name) for name in ('fig1', 'fig2c', 'figS1e')]\n"
+            "with tempfile.TemporaryDirectory() as out:\n"
+            "    for i, cfg in enumerate(configs + [config_from_dict(winding)]):\n"
+            "        summary = pointgap.cli.execute(cfg, os.path.join(out, str(i)))['summary']\n"
+            "print(summary['grid_size_used'])\n"
             "loaded()\n"
             "assert chain_model(ChainParams(length=7, j=1.0, v=1.0), 4, 1).dim == 182\n"
             "loaded()\n")
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True, timeout=120)
-    assert proc.stdout.splitlines() == ["scipy.linalg", "scipy.linalg"]
+    # 65 = the quarter arc of n_grid 256: one phase per arc point, no midpoint
+    assert proc.stdout.splitlines() == ["-", "65", "-", "-"]
 
 
 def test_main_presets_listing(tmp_path, capsys):

@@ -1,3 +1,7 @@
+import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -855,6 +859,71 @@ def test_pin_is_noop_without_openblas(two_blas_threads, monkeypatch):
     assert res.value == 0
     assert seen and all(counts == two_blas_threads for counts in seen)
     assert _thread_counts() == two_blas_threads
+
+
+# Run in a fresh process with every OpenBLAS loading at two threads.  It
+# prints one line before a figS2 winding (d = 182), one per ``factor_model``
+# and ``ShiftedLU.solve`` of it, and one after it: the thread count of each
+# OpenBLAS then in /proc/self/maps, by the directory that bundles it.
+_COLD_PIN_SCRIPT = """
+import ctypes, json, os, sys
+import pointgap.spectral as spectral, pointgap.topology as topology
+from pointgap.models import chain_model
+from pointgap.presets import preset_config
+
+def counts():
+    paths = dict.fromkeys(line.split()[-1] for line in open("/proc/self/maps"))
+    out = {}
+    for path in paths:
+        name = os.path.basename(path)
+        if "openblas" not in name or ".so" not in name:
+            continue
+        lib = ctypes.CDLL(path)
+        get = next(getattr(lib, f"{prefix}get_num_threads{suffix}")
+                   for prefix in ("scipy_openblas_", "openblas_")
+                   for suffix in ("64_", "")
+                   if hasattr(lib, f"{prefix}get_num_threads{suffix}"))
+        get.restype = ctypes.c_int
+        out[os.path.basename(os.path.dirname(path))] = get()
+    return out
+
+def recording(original):
+    def call(*args, **kwargs):
+        print(json.dumps(counts()))
+        return original(*args, **kwargs)
+    return call
+
+assert "scipy" not in sys.modules
+print(json.dumps(counts()))
+topology.factor_model = recording(topology.factor_model)
+spectral.ShiftedLU.solve = recording(spectral.ShiftedLU.solve)
+cfg = preset_config("figS2")
+topology.many_body_winding(chain_model(cfg.params, *cfg.sector), cfg.e_ref, cfg.n_grid)
+print(json.dumps(counts()))
+"""
+
+
+def test_pin_covers_the_openblas_a_first_lu_loads():
+    """A process that has not loaded scipy enters a d = 182 winding's pin
+    before its first band LU loads ``scipy.linalg``, and with it scipy's own
+    OpenBLAS.  That library is pinned as it loads: every factor and solve
+    sees every mapped OpenBLAS at one thread, and each is back at two after.
+    The tests above cannot see this: pytest has loaded scipy already."""
+    import pointgap
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pointgap.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="2")
+    proc = subprocess.run([sys.executable, "-c", _COLD_PIN_SCRIPT], env=env,
+                          capture_output=True, text=True, check=True, timeout=120)
+    before, *during, after = [json.loads(line) for line in proc.stdout.splitlines()]
+    if set(before.values()) != {2}:
+        pytest.skip(f"OpenBLAS does not load at two threads here: {before}")
+    if len(after) == len(before):
+        pytest.skip("scipy's LAPACK maps no OpenBLAS of its own here")
+    assert len(during) > 17  # 17 arc points factored, each solved by ARPACK
+    assert len(during[-1]) == len(after)  # scipy's library is mapped by the last
+    assert all(set(seen.values()) == {1} for seen in during), during
+    assert after == {lib: 2 for lib in after}
 
 
 def test_empty_sector_rejected():
