@@ -16,9 +16,10 @@ and floats are written as shortest round-trip decimals (their ``repr``).  A
 spectral or occupations CSV makes that repr once per distinct 64-bit pattern
 in the file; a spectral one writes one block of lines per flow, each block
 one join of its lines' pieces.  Its bytes are those of one repr per float.
-A deform task builds each path point's model once and sweeps the whole path
-in one ``sweep_theta`` call; an eigensolve that fails there names its theta
-and path point ``s``.
+A JSON artifact is one ``json.dumps`` and one write.  A deform task builds
+each path point's model once, sweeps the whole path in one ``sweep_theta``
+call and winds it in one ``many_body_winding`` call; an eigensolve that
+fails or a gap that closes there names its theta and path point ``s``.
 """
 
 from __future__ import annotations
@@ -45,17 +46,13 @@ from .models import (
 from .observables import boundary_sensitivity, product_state_profiles
 from .presets import PRESETS, HEAVY_DIM, ConfigError, ExperimentConfig, config_from_dict
 from .spectral import EigensolverError, SpectralError, sweep_theta
-from .topology import WindingResult, many_body_winding, spin_winding
-
-
-def _fmt(x) -> str:
-    """Shortest round-trip decimal of a float."""
-    return repr(float(x))
+from .topology import GapClosedError, WindingResult, many_body_winding, spin_winding
 
 
 def _reprs(values):
-    """``_fmt`` of each float of ``values``, as an object array of its shape;
-    made once per distinct 64-bit pattern, so -0.0 stays apart from 0.0."""
+    """The shortest round-trip decimal (``repr``) of each float of
+    ``values``, as an object array of its shape; made once per distinct
+    64-bit pattern, so -0.0 stays apart from 0.0."""
     values = np.ascontiguousarray(values, dtype=np.float64)
     bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
     texts = np.array([repr(x) for x in bits.view(np.float64).tolist()], dtype=object)
@@ -99,9 +96,10 @@ def write_flow_csv(path, flow):
 
 
 def write_deform_csv(path, path_values, flows):
-    """The flows are swept on one twist grid, whose reprs are made once."""
-    thetas = [f"{theta!r}," for theta in flows[0].grid.tolist()]
-    heads = [[f"{s!r},{theta}" for theta in thetas] for s in path_values.tolist()]
+    """The flows are swept on one twist grid; each path value's and each
+    theta's repr is made once."""
+    thetas = np.array([f"{theta!r}," for theta in flows[0].grid.tolist()], dtype=object)
+    heads = np.array([f"{s!r}," for s in path_values.tolist()], dtype=object)[:, None] + thetas
     _write_spectra(path, ("path_param", "theta", "eig_index", "re_e", "im_e"), heads,
                    [flow.spectra for flow in flows])
 
@@ -127,9 +125,9 @@ def write_occupations_csv(path, occupations):
 
 
 def _write_json(path, payload):
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
 
 
 def _winding_payload(result, sector, e_ref):
@@ -219,22 +217,27 @@ def run_deform(cfg, outdir):
     """Flow and winding at n_path + 1 points along a dot deformation path.
 
     Each point's model is built once; one ``sweep_theta`` call sweeps the
-    whole path, and each point's flow gives its winding's phases and margin.
-    An eigensolve that fails names its theta and path point ``s``.
+    whole path, and one ``many_body_winding`` call winds it, each point's
+    flow giving its winding's phases and margin.  An eigensolve that fails
+    or a gap that closes names its theta and path point ``s``.
     """
     path_values = np.linspace(0.0, 1.0, cfg.n_path + 1)
     models = [dot_model(deformation_params(cfg.params, cfg.path, s), *cfg.sector)
               for s in path_values.tolist()]
     try:
         flows = sweep_theta(models, cfg.n_grid)
+        windings = many_body_winding(models, cfg.e_ref, cfg.n_grid,
+                                     spectra=[flow.spectra for flow in flows])
     except EigensolverError as exc:
         raise EigensolverError(
             f"eigensolver failed at theta={exc.theta:.6f}, path point "
             f"s={path_values[exc.model].item()!r}", theta=exc.theta, model=exc.model) from exc
-    points = []
-    for s, model, flow in zip(path_values.tolist(), models, flows):
-        w = many_body_winding(model, cfg.e_ref, cfg.n_grid, spectra=flow.spectra)
-        points.append({"s": s, "winding": w.value, "gap_margin": w.gap_margin})
+    except GapClosedError as exc:
+        raise GapClosedError(
+            exc.theta, exc.e_ref, f"{exc.detail}, path point "
+            f"s={path_values[exc.model].item()!r}", model=exc.model) from exc
+    points = [{"s": s, "winding": w.value, "gap_margin": w.gap_margin}
+              for s, w in zip(path_values.tolist(), windings)]
     write_deform_csv(os.path.join(outdir, "deform.csv"), path_values, flows)
     # the smallest distance over the whole (path, theta) grid
     gap_margin = min(pt["gap_margin"] for pt in points)
@@ -330,9 +333,7 @@ def execute(cfg: ExperimentConfig, outdir: str, allow_heavy: bool = False) -> di
                         for name in artifacts],
         }
         tmp = os.path.join(outdir, ".run_manifest.tmp")
-        with open(tmp, "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(tmp, manifest)
         os.replace(tmp, os.path.join(outdir, "run_manifest.json"))
         return manifest
     finally:

@@ -17,6 +17,13 @@ wherever matrices share a stack (d <= 128), where it reads the rows of
 Refinement midpoints, and every point of a large matrix wound without
 given spectra, are LU-sampled (``factor_model``).
 
+``many_body_winding`` takes one model or a list of models of one
+dimension, such as the points of a deformation path, which it winds in one
+pass: the base-grid work of every model is one array operation over a
+(models x arc points) array, and only a model with a phase step above
+pi/2 is refined, at its own LUs.  Each result is bit for bit that of its
+model wound alone; one model is the list of one.
+
 Every result carries its gap margin - the smallest distance between the
 spectrum on the base grid and the reference energy - so a trivial winding can
 be told apart from a barely resolved one.  A closed gap is a physical
@@ -97,21 +104,27 @@ INTEGER_TOL = 1e-6
 
 
 class GapClosedError(SpectralError):
-    """The reference energy touches the spectrum somewhere on the twist path."""
+    """The reference energy touches the spectrum somewhere on the twist path;
+    ``model`` is the index of the model it touches in the list wound (0 for
+    one model)."""
 
-    def __init__(self, theta, e_ref, detail=""):
+    def __init__(self, theta, e_ref, detail="", model=None):
         self.theta = theta
         self.e_ref = e_ref
+        self.detail = detail
+        self.model = model
         super().__init__(
             f"point gap closed at theta={theta:.6f} for reference {e_ref}{detail}")
 
 
 class WindingUnresolvedError(SpectralError):
-    """Phase steps stayed above the unwrapping bound at maximum refinement."""
+    """Phase steps stayed above the unwrapping bound at maximum refinement;
+    ``model`` is the index of the model in the list wound."""
 
-    def __init__(self, lo, hi, step=None):
+    def __init__(self, lo, hi, step=None, model=None):
         self.interval = (lo, hi)
         self.step = step
+        self.model = model
         super().__init__(
             f"winding unresolvable: phase step exceeds pi/2 on "
             f"theta in [{lo:.6f}, {hi:.6f}] at maximum refinement depth")
@@ -146,40 +159,43 @@ class SpinWindingResult:
 
 class _PhaseTracker:
     """Adaptive accumulation of principal-phase increments along an arc of
-    the twist grid."""
+    the twist grid, one row of phases per model."""
 
     def __init__(self, phase_fn):
         self.phase_fn = phase_fn
-        self.evaluations = 0
-        self.max_step = 0.0
+        self.midpoints = []
+        self.max_step = []
 
-    def _segment(self, t0, p0, t1, p1, depth, step):
-        """Phase change from t0 to t1, given its principal value ``step``."""
+    def _segment(self, row, t0, p0, t1, p1, depth, step):
+        """Phase change of ``row`` from t0 to t1, given its principal value
+        ``step``."""
         if abs(step) <= PHASE_STEP_BOUND:
-            self.max_step = max(self.max_step, abs(step))
+            self.max_step[row] = max(self.max_step[row], abs(step))
             return step
         if depth >= MAX_REFINE_DEPTH:
-            raise WindingUnresolvedError(t0, t1, step=step)
+            raise WindingUnresolvedError(t0, t1, step=step, model=row)
         tm = 0.5 * (t0 + t1)
-        self.evaluations += 1
-        pm = self.phase_fn(tm)
-        return (self._segment(t0, p0, tm, pm, depth + 1, wrap_phase(pm - p0))
-                + self._segment(tm, pm, t1, p1, depth + 1, wrap_phase(p1 - pm)))
+        self.midpoints[row] += 1
+        pm = self.phase_fn(row, tm)
+        return (self._segment(row, t0, p0, tm, pm, depth + 1, wrap_phase(pm - p0))
+                + self._segment(row, tm, pm, t1, p1, depth + 1, wrap_phase(p1 - pm)))
 
     def run(self, grid, base_phases):
-        """Accumulated phase from the principal phases ``base_phases`` at the
-        consecutive base-grid points ``grid``; ``phase_fn(theta)`` gives
-        those at refinement midpoints."""
-        self.evaluations += len(grid)
-        steps = wrap_phase(np.diff(base_phases))
+        """Accumulated phase of each row of ``base_phases``, the principal
+        phases at the consecutive base-grid points ``grid``, one row per
+        model.  Only steps above ``PHASE_STEP_BOUND`` are refined, rows in
+        order, each at midpoints whose phases ``phase_fn(row, theta)``
+        gives.  ``midpoints`` and ``max_step`` then hold each row's count of
+        midpoints and its largest accepted step."""
+        steps = wrap_phase(np.diff(base_phases, axis=1))
         small = np.abs(steps) <= PHASE_STEP_BOUND
-        self.max_step = max(self.max_step,
-                            float(np.abs(steps[small]).max(initial=0.0)))
-        for k in np.flatnonzero(~small).tolist():
-            steps[k] = self._segment(grid[k], base_phases[k], grid[k + 1],
-                                     base_phases[k + 1], 0, float(steps[k]))
+        self.midpoints = [0] * len(steps)
+        self.max_step = np.where(small, np.abs(steps), 0.0).max(axis=1).tolist()
+        for row, k in np.argwhere(~small).tolist():
+            steps[row, k] = self._segment(row, grid[k], base_phases[row, k], grid[k + 1],
+                                          base_phases[row, k + 1], 0, float(steps[row, k]))
         # summed in grid order from 0.0: a cumulative sum is sequential
-        return float(np.concatenate(([0.0], steps)).cumsum()[-1])
+        return np.concatenate((np.zeros((len(steps), 1)), steps), axis=1).cumsum(axis=1)[:, -1]
 
 
 # Relative accuracy of the ARPACK margin's Ritz value (scipy's default is
@@ -233,35 +249,31 @@ def _check_fixed_phases(model, reflections, n_grid, ends):
                     f"to {'+-pi/2' if forced else '0 or pi'}, but it is {phi:.6f}")
 
 
-def _eigenvalue_phases(values, e_ref, thetas):
+def _eigenvalue_phases(shifted):
     """Principal phases of det[H(theta) - E] = prod_i (lambda_i - E), the
-    wrapped sum of arg(lambda_i - E), and distances from E to the nearest
-    eigenvalue, from ``values``: one row of eigenvalues per theta of
-    ``thetas``.  The first row with an eigenvalue within ``SINGULARITY_RTOL``
-    times sqrt(sum_i |lambda_i - E|^2) of E raises ``GapClosedError`` at its
-    theta.  That scale is at most ||H - E||_F, the LU's (Schur's
+    wrapped sum of arg(lambda_i - E), distances from E to the nearest
+    eigenvalue, and the scales sqrt(sum_i |lambda_i - E|^2), from
+    ``shifted``: the eigenvalues minus E along its last axis.  A point
+    whose distance is within ``SINGULARITY_RTOL`` of its scale has closed
+    the gap; that scale is at most ||H - E||_F, the LU's (Schur's
     inequality), and equals it for a normal H."""
-    shifted = values - e_ref
     moduli = np.abs(shifted)
-    dists = moduli.min(axis=1)
-    scales = np.sqrt((moduli * moduli).sum(axis=1))
-    hits = np.flatnonzero(dists <= SINGULARITY_RTOL * scales)
-    if len(hits):
-        k = int(hits[0])
-        raise GapClosedError(thetas[k], e_ref) from SpectrumHitError(
-            f"an eigenvalue lies {dists[k]:.3e} from the reference energy {e_ref}, "
-            f"within {SINGULARITY_RTOL:.0e} of the spectrum's scale {scales[k]:.3e}")
-    return wrap_phase(np.angle(shifted).sum(axis=1)), dists
+    dists = moduli.min(axis=-1)
+    scales = np.sqrt((moduli * moduli).sum(axis=-1))
+    return wrap_phase(np.angle(shifted).sum(axis=-1)), dists, scales
 
 
-def many_body_winding(model, e_ref: complex = 0.0,
-                      n_grid: int = DEFAULT_N_GRID, spectra=None) -> WindingResult:
+def many_body_winding(models, e_ref: complex = 0.0,
+                      n_grid: int = DEFAULT_N_GRID, spectra=None):
     """Winding of det[H(theta) - E_ref] for a ``SectorModel``: a sector
     Hamiltonian H_(N,P) or the one-body matrix h(theta), tracked over the
-    twist period.  Sectors below ``BLAS_THREAD_CROSSOVER_DIM`` are wound on
-    one BLAS thread.
+    twist period: a ``WindingResult``.  Given a list or tuple of models of
+    one dimension, such as the points of a deformation path, it returns a
+    list of their results, each bit for bit the result of its model wound
+    alone; one model is the list of one.  Sectors below
+    ``BLAS_THREAD_CROSSOVER_DIM`` are wound on one BLAS thread.
 
-    The model is wound over a fundamental arc only, of the relations that
+    Each model is wound over a fundamental arc only, of the relations that
     keep the distance to ``e_ref`` (``twist_orbits``: the mirror for every
     E, an antiunitary one of sign s where s conj(E) = E); elsewhere the
     phase follows from the arc's.  With a unitary relation among them the
@@ -275,84 +287,134 @@ def many_body_winding(model, e_ref: complex = 0.0,
 
     Where the winding holds the arc's eigenvalues - ``spectra``, those of
     the same matrices at the n_grid + 1 base-grid points, one row of
-    ``model.dim`` per point (e.g. ``sweep_theta(model, n_grid).spectra``),
-    at any size, or else ``sweep_theta(model, n_grid).spectra`` itself
-    where matrices share a stack - its base-grid phases and distances to E
-    come from them (``_eigenvalue_phases``), and only refinement midpoints
-    are LU-factored (``factor_model``).  So at d <= 128 a winding given its
-    sweep's spectra and one given none agree bit for bit.  A matrix alone
-    in its stack, wound without ``spectra``, is a band LU from the model's
-    pattern at every point, with no matrix built, and its distance to E
-    comes from shift-invert Arnoldi on that LU, to ``ARPACK_TOL``, once per
-    orbit of those relations, at its lowest point on the arc.
+    ``model.dim`` per point (e.g. ``sweep_theta(model, n_grid).spectra``;
+    for a list, one such array per model), at any size, or else those of
+    ``sweep_theta(models, n_grid)`` itself where matrices share a stack -
+    its base-grid phases and distances to E come from them
+    (``_eigenvalue_phases``), and only refinement midpoints are LU-factored
+    (``factor_model``).  So at d <= 128 a winding given its sweep's spectra
+    and one given none agree bit for bit.  A matrix alone in its stack,
+    wound without ``spectra``, is a band LU from the model's pattern at
+    every point, with no matrix built, and its distance to E comes from
+    shift-invert Arnoldi on that LU, to ``ARPACK_TOL``, once per orbit of
+    those relations, at its lowest point on the arc.
+
+    The base-grid work runs on one (models x arc points) array: phases,
+    distances, the closing test, steps and their sums, each row padded
+    beyond its model's arc with its end phases (steps of 0.0) and infinite
+    distances.  Only rows with a step above pi/2 are refined, each at its
+    own model's LUs.  A list raises for the first base-grid closing in list
+    order, then for the first failed refinement, then row by row;
+    ``GapClosedError`` and ``WindingUnresolvedError`` name the model's
+    index as ``model``.
 
     The gap margin is the smallest of those distances over the arc's
     base-grid points, and ``margin_theta`` the lowest arc angle whose
     distance lies within ``DEGENERACY_TOL`` (relative) of it, so rounding
     does not pick among tied points.
     """
-    if model.dim == 0:
-        basis = model.basis
+    one = not isinstance(models, (list, tuple))
+    given = models
+    models = [models] if one else list(models)
+    if not models:
+        raise ValueError("many_body_winding needs at least one model")
+    d = models[0].dim
+    if any(model.dim != d for model in models):
+        raise ValueError("the models of one winding must share their dimension")
+    if d == 0:
+        basis = models[0].basis
         raise ValueError(f"sector {(basis.n, basis.parity)} is empty: "
                          "no winding or gap margin")
     grid = theta_grid(n_grid)
-    orbits = twist_orbits(model, n_grid, e_ref)
-    reflections, first, last = orbits.reflections, orbits.first, orbits.last
-    arc = grid[first:last + 1]
-    if spectra is not None and np.shape(spectra) != (len(grid), model.dim):
-        raise ValueError(f"spectra has shape {np.shape(spectra)}, not {len(grid)} "
-                         f"rows (base-grid points) of {model.dim} eigenvalues")
+    if spectra is not None:
+        spectra = [spectra] if one else list(spectra)
+        if len(spectra) != len(models):
+            raise ValueError(f"{len(spectra)} spectra for {len(models)} models")
+        for values in spectra:
+            if np.shape(values) != (len(grid), d):
+                raise ValueError(f"spectra has shape {np.shape(values)}, not {len(grid)} "
+                                 f"rows (base-grid points) of {d} eigenvalues")
+    orbits = [twist_orbits(model, n_grid, e_ref) for model in models]
+    lo, hi = min(o.first for o in orbits), max(o.last for o in orbits)
+    span = grid[lo:hi + 1]
+    # row i's column c is its arc point cols[i, c]: c itself on the arc, an end beyond it
+    cols = np.clip(np.arange(len(span)), [[o.first - lo] for o in orbits],
+                   [[o.last - lo] for o in orbits])
+    on_arc = cols == np.arange(len(span))
 
-    def factor_at(theta):
-        """LU and principal phase of ``model(theta) - e_ref``; GapClosedError
-        where a pivot falls below the singularity tolerance."""
+    def factor_at(i, theta):
+        """LU and principal phase of ``models[i](theta) - e_ref``;
+        GapClosedError where a pivot falls below the singularity tolerance."""
         try:
-            factors, scale = factor_model(model, theta, e_ref)
+            factors, scale = factor_model(models[i], theta, e_ref)
             return factors, phase_from_factors(factors, scale, e_ref)[1]
         except SpectrumHitError as exc:
-            raise GapClosedError(theta, e_ref) from exc
+            raise GapClosedError(theta, e_ref, model=i) from exc
 
-    tracker = _PhaseTracker(lambda theta: factor_at(theta)[1])
-    with blas_threads_for(model.dim):
-        if spectra is None and stack_length(model.dim) > 1:
-            spectra = sweep_theta(model, n_grid).spectra
+    tracker = _PhaseTracker(lambda i, theta: factor_at(i, theta)[1])
+    with blas_threads_for(d):
+        if spectra is None and stack_length(d) > 1:
+            flows = sweep_theta(given, n_grid)
+            spectra = [flow.spectra for flow in ([flows] if one else flows)]
         if spectra is None:  # band LUs, ARPACK margins
-            base_phases, dists = np.empty(len(arc)), np.empty(len(arc))
-            lowest = orbits.source[first:last + 1].tolist()
-            for i, theta in enumerate(arc):
-                factors, base_phases[i] = factor_at(theta)
-                j = lowest[i] - first  # each orbit is solved at its lowest arc point
-                dists[i] = (_nearest_distance(factors, model, theta, e_ref)
-                            if j == i else dists[j])
-                del factors  # free them before the next point is factored
+            phases, dists = np.empty(cols.shape), np.empty(cols.shape)
+            for i, (model, o) in enumerate(zip(models, orbits)):
+                lowest = o.source.tolist()
+                for k in range(o.first, o.last + 1):
+                    factors, phases[i, k - lo] = factor_at(i, grid[k])
+                    # each orbit is solved at its lowest arc point
+                    dists[i, k - lo] = (
+                        _nearest_distance(factors, model, grid[k], e_ref)
+                        if lowest[k] == k else dists[i, lowest[k] - lo])
+                    del factors  # free them before the next point is factored
         else:
-            base_phases, dists = _eigenvalue_phases(
-                np.asarray(spectra)[first:last + 1], e_ref, arc)
+            shifted = np.empty((*cols.shape, d), dtype=complex)
+            for i, values in enumerate(spectra):
+                np.subtract(np.asarray(values)[lo:hi + 1], e_ref, out=shifted[i])
+            phases, dists, scales = _eigenvalue_phases(shifted)
+            hits = np.argwhere(on_arc & (dists <= SINGULARITY_RTOL * scales)).tolist()
+            if hits:
+                i, k = hits[0]
+                raise GapClosedError(span[k], e_ref, model=i) from SpectrumHitError(
+                    f"an eigenvalue lies {dists[i, k]:.3e} from the reference energy "
+                    f"{e_ref}, within {SINGULARITY_RTOL:.0e} of the spectrum's scale "
+                    f"{scales[i, k]:.3e}")
+        phases = np.take_along_axis(phases, cols, axis=1)
+        dists = np.where(on_arc, dists, np.inf)
         try:
-            total = orbits.copies * tracker.run(arc, base_phases.tolist())
+            totals = tracker.run(span, phases).tolist()
         except WindingUnresolvedError as exc:
             if exc.looks_like_crossing:
                 raise GapClosedError(0.5 * sum(exc.interval), e_ref,
-                                     detail=" (determinant sign flip)") from exc
+                                     detail=" (determinant sign flip)",
+                                     model=exc.model) from exc
             raise
-    margin = float(dists.min())
-    k = int(np.flatnonzero(dists - margin <= DEGENERACY_TOL * margin)[0])
-    if margin <= 0.0:
-        raise GapClosedError(arc[k], e_ref)
-    _check_fixed_phases(model, reflections, n_grid,
-                        [(first, arc[0], base_phases[0]), (last, arc[-1], base_phases[-1])])
+    margins = dists.min(axis=1)
+    near = dists - margins[:, None] <= DEGENERACY_TOL * margins[:, None]
+    margin_thetas = span[near.argmax(axis=1)].tolist()
 
-    if not all(antiunitary for _, _, antiunitary in reflections):
-        # a unitary relation gives phi(theta0 - theta) = phi(theta): W = 0
-        value, total = 0, 0.0
-    else:
-        value = int(round(total / (2.0 * np.pi)))
-        if abs(total / (2.0 * np.pi) - value) >= INTEGER_TOL:
-            raise WindingUnresolvedError(0.0, 2.0 * np.pi)
-    return WindingResult(value=value, raw_phase_change=float(total),
-                         max_phase_step=float(tracker.max_step),
-                         gap_margin=margin, margin_theta=float(arc[k]),
-                         grid_size_used=tracker.evaluations)
+    results = []
+    for i, (model, o) in enumerate(zip(models, orbits)):
+        margin, margin_theta = float(margins[i]), margin_thetas[i]
+        if margin <= 0.0:
+            raise GapClosedError(margin_theta, e_ref, model=i)
+        _check_fixed_phases(model, o.reflections, n_grid,
+                            [(o.first, grid[o.first], phases[i, o.first - lo]),
+                             (o.last, grid[o.last], phases[i, o.last - lo])])
+        total = o.copies * totals[i]
+        if not all(antiunitary for _, _, antiunitary in o.reflections):
+            # a unitary relation gives phi(theta0 - theta) = phi(theta): W = 0
+            value, total = 0, 0.0
+        else:
+            value = int(round(total / (2.0 * np.pi)))
+            if abs(total / (2.0 * np.pi) - value) >= INTEGER_TOL:
+                raise WindingUnresolvedError(0.0, 2.0 * np.pi, model=i)
+        results.append(WindingResult(
+            value=value, raw_phase_change=float(total),
+            max_phase_step=float(tracker.max_step[i]), gap_margin=margin,
+            margin_theta=margin_theta,
+            grid_size_used=o.last - o.first + 1 + tracker.midpoints[i]))
+    return results[0] if one else results
 
 
 def spin_winding(model, eps_ref: complex = 0.0,

@@ -174,15 +174,19 @@ def test_run_flow_writes_artifacts(tmp_path):
     assert len(manifest["outputs"][0]["sha256"]) == 64
 
 
-def _spectra_reference(header, rows):
-    """A spectral CSV as one ``_fmt`` per float writes it: ``rows`` holds
-    (leading values, spectrum row) pairs."""
-    from pointgap.cli import _fmt
+def _repr(x) -> str:
+    """Shortest round-trip decimal of a float: the reference the writers'
+    once-per-pattern reprs are compared with."""
+    return repr(float(x))
 
+
+def _spectra_reference(header, rows):
+    """A spectral CSV as one ``_repr`` per float writes it: ``rows`` holds
+    (leading values, spectrum row) pairs."""
     lines = [",".join(header)]
     for lead, row in rows:
-        head = "".join(f"{_fmt(x)}," for x in lead)
-        lines += [f"{head}{k},{_fmt(z.real)},{_fmt(z.imag)}" for k, z in enumerate(row)]
+        head = "".join(f"{_repr(x)}," for x in lead)
+        lines += [f"{head}{k},{_repr(z.real)},{_repr(z.imag)}" for k, z in enumerate(row)]
     return "\n".join([*lines, ""])
 
 
@@ -227,7 +231,7 @@ def test_occupations_writer_bytes(tmp_path):
     """The occupations writer writes each float as its own repr would (+0.0
     and -0.0 apart), one line per state and mode, modes in sorted label
     order whatever the layout's order."""
-    from pointgap.cli import _fmt, write_occupations_csv
+    from pointgap.cli import write_occupations_csv
     from pointgap.fock import ModeLayout
     from pointgap.observables import Occupations
 
@@ -242,9 +246,9 @@ def test_occupations_writer_bytes(tmp_path):
 
     lines = ["state_index,re_e,im_e,site,orbital,spin,value"]
     for k, (e, row) in enumerate(zip(values, weights)):
-        head = f"{k},{_fmt(e.real)},{_fmt(e.imag)}"
+        head = f"{k},{_repr(e.real)},{_repr(e.imag)}"
         for (site, orbital, spin), value in sorted(zip(labels, row)):
-            lines.append(f"{head},{site},{orbital},{spin},{_fmt(value)}")
+            lines.append(f"{head},{site},{orbital},{spin},{_repr(value)}")
     assert (tmp_path / "occupations.csv").read_text() == "\n".join([*lines, ""])
 
 
@@ -391,6 +395,49 @@ def test_run_deform_names_the_failing_path_point(tmp_path, monkeypatch, capsys,
     assert main(["run", str(config), "--output-dir", str(tmp_path / "run")]) == 3
     context = json.loads(capsys.readouterr().err.split("computation error: ", 1)[1])
     assert context["error"] == "EigensolverError" and context["theta"] == bad_theta
+    assert "path point s=0.5" in context["message"]
+
+
+def test_run_deform_winds_its_path_in_one_call(tmp_path, monkeypatch):
+    """A deform run winds every path point in one ``many_body_winding`` call."""
+    import pointgap.cli as cli
+
+    calls, winding = [], cli.many_body_winding
+
+    def counting(models, *args, **kwargs):
+        calls.append(models)
+        return winding(models, *args, **kwargs)
+    monkeypatch.setattr(cli, "many_body_winding", counting)
+    n_path = 3
+    cfg = config_from_dict(_cfg(task="deform", sector=[2, -1], path="hop-ramp",
+                                n_path=n_path, n_grid=16))
+    execute(cfg, str(tmp_path))
+    assert len(calls) == 1 and len(calls[0]) == n_path + 1
+
+
+def test_run_deform_names_the_path_point_of_a_closing(tmp_path, capsys):
+    """A gap that closes on a deformation path names its theta and the path
+    point s; the run exits 3 with the theta in its context."""
+    from pointgap.models import deformation_params
+    from pointgap.spectral import sweep_theta
+    from pointgap.topology import GapClosedError
+
+    raw = {**PRESETS["fig2c"]["config"], "n_path": 4, "n_grid": 16}
+    cfg = config_from_dict(raw)
+    bad_s, k = 0.5, 3  # theta_3 = 3 pi / 8
+    model = dot_model(deformation_params(cfg.params, cfg.path, bad_s), *cfg.sector)
+    e_ref = sweep_theta(model, 16).spectra[k, 0]
+    raw["e_ref"] = [e_ref.real, e_ref.imag]
+    bad_theta = theta_grid(16)[k]
+    with pytest.raises(GapClosedError,
+                       match=rf"theta={bad_theta:.6f} .*, path point s=0\.5$") as info:
+        execute(config_from_dict(raw), str(tmp_path / "direct"))
+    assert info.value.theta == bad_theta and info.value.model == 2
+    config = tmp_path / "deform.json"
+    config.write_text(json.dumps(raw))
+    assert main(["run", str(config), "--output-dir", str(tmp_path / "run")]) == 3
+    context = json.loads(capsys.readouterr().err.split("computation error: ", 1)[1])
+    assert context["error"] == "GapClosedError" and context["theta"] == bad_theta
     assert "path point s=0.5" in context["message"]
 
 

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -243,6 +244,18 @@ def _pointwise_phase(model, ref):
     return lambda theta: phase_from_factors(*factor_shifted(model(theta), ref), ref)[1]
 
 
+def _track(phase, grid, phases):
+    """One row of the phase tracker over ``grid`` from ``phases``, with
+    ``phase(theta)`` at its midpoints: its total, its phase evaluations
+    (base points and midpoints) and its largest accepted step."""
+    from pointgap.topology import _PhaseTracker
+
+    tracker = _PhaseTracker(lambda row, theta: phase(theta))
+    total = tracker.run(grid, np.array([phases], dtype=float))[0]
+    return SimpleNamespace(total=float(total), evaluations=len(grid) + tracker.midpoints[0],
+                           max_step=float(tracker.max_step[0]))
+
+
 @pytest.mark.parametrize("case", ["chain", "dot", "one-body", "chain-182-jv0", "chain-182-jv1"])
 def test_stacked_base_grid_equals_pointwise(case):
     """Base-grid phases, and the winding built on them, equal phases taken
@@ -266,8 +279,6 @@ def test_stacked_base_grid_equals_pointwise(case):
         twist_orbits,
         wrap_phase,
     )
-    from pointgap.topology import _PhaseTracker
-
     if case == "chain":  # d = 28: stacks of 41, 41 and 19 points
         model = chain_model(ChainParams(length=7, t=1.0, j=1.0, v=1.0), 3, -1)
         ref = 0.3j
@@ -294,16 +305,15 @@ def test_stacked_base_grid_equals_pointwise(case):
                 assert factors.perm is not None
                 got.append(phase_from_factors(factors, scale, ref)[1])
             assert got == expected
-        full_value = round(_PhaseTracker(phase).run(grid, expected) / (2.0 * np.pi))
+        full_value = round(_track(phase, grid, expected).total / (2.0 * np.pi))
         orbits = twist_orbits(model, n_grid, ref)
         first, last = orbits.first, orbits.last
         assert (first, last) == {"chain": (25, 75), "dot": (0, n_grid),
                                  "one-body": (0, 50)}.get(case, (0, 25))
         arc = grid[first:last + 1]
-        tracker = _PhaseTracker(phase)
-        total = orbits.copies * tracker.run(arc, got[first:last + 1])
-        pointwise = _PhaseTracker(phase)
-        pointwise.run(arc, expected[first:last + 1])
+        tracker = _track(phase, arc, got[first:last + 1])
+        total = orbits.copies * tracker.total
+        pointwise = _track(phase, arc, expected[first:last + 1])
         if (0, 1, False) in orbits.reflections:  # mirror-symmetric: W = 0
             total = 0.0
     result = many_body_winding(model, ref, n_grid=n_grid)
@@ -335,6 +345,66 @@ def test_gap_closed_in_later_stack_names_its_theta(matrix_flow):
     # the eigenvalue-distance test at a base point, not the margin
     assert isinstance(info.value.__cause__, SpectrumHitError)
     assert "an eigenvalue lies" in str(info.value.__cause__)
+
+
+@pytest.mark.parametrize("name", ["fig2c", "fig2d", "figS1c", "figS1d", "figS1e"])
+def test_list_winding_equals_one_by_one_on_deform_paths(name):
+    """A dot deformation path wound as one list gives, at every path point,
+    the result of that point's model wound alone, bit for bit in all six
+    fields (``repr`` tells -0.0 from 0.0), given its flows or not."""
+    from pointgap.models import deformation_params
+    from pointgap.presets import preset_config
+    from pointgap.spectral import sweep_theta
+
+    cfg = preset_config(name)
+    models = [dot_model(deformation_params(cfg.params, cfg.path, s), *cfg.sector)
+              for s in np.linspace(0.0, 1.0, cfg.n_path + 1).tolist()]
+    alone = [repr(many_body_winding(model, cfg.e_ref, cfg.n_grid)) for model in models]
+    spectra = [flow.spectra for flow in sweep_theta(models, cfg.n_grid)]
+    given = many_body_winding(models, cfg.e_ref, cfg.n_grid, spectra=spectra)
+    assert [repr(w) for w in given] == alone
+    assert [repr(w) for w in many_body_winding(models, cfg.e_ref, cfg.n_grid)] == alone
+
+
+@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+def test_list_winding_refines_its_own_rows_and_raises_the_first_closing(matrix_flow):
+    """In a list, a row with steps above pi/2 is refined at its own model's
+    LUs, bit for bit as wound alone; a list holding closings raises for the
+    first in list order, naming its model and theta."""
+    from pointgap.spectral import theta_grid
+
+    n_grid = 16
+    grid = theta_grid(n_grid)
+    far = [CircleFlow(const=3.0)] * 4
+    calm = matrix_flow.diagonal([CircleFlow(plus=0.5, const=0.2j)] + far)
+    fast = matrix_flow.diagonal([CircleFlow(plus=1.0)] * 5)  # steps of 5 pi / 8
+    closes_at_pi = matrix_flow.diagonal([CircleFlow(plus=1.0, const=1.0)] + far)
+    closes_at_0 = matrix_flow.diagonal([CircleFlow(plus=1.0, const=-1.0)] + far)
+    alone = [many_body_winding(model, 0.0, n_grid) for model in (calm, fast)]
+    assert alone[1].value == 5 and alone[1].grid_size_used == 2 * n_grid + 1
+    together = many_body_winding([calm, fast], 0.0, n_grid)
+    assert [repr(w) for w in together] == [repr(w) for w in alone]
+    for models, row, theta in (([calm, fast, closes_at_pi, closes_at_0], 2, grid[8]),
+                               ([fast, closes_at_0, closes_at_pi], 1, grid[0])):
+        with pytest.raises(GapClosedError) as info:
+            many_body_winding(models, 0.0, n_grid)
+        assert (info.value.model, info.value.theta) == (row, theta)
+        assert isinstance(info.value.__cause__, SpectrumHitError)
+
+
+def test_list_winding_of_models_with_different_arcs(matrix_flow):
+    """Models of one dimension whose fundamental arcs differ are wound in one
+    list, each bit for bit as alone: chain (3,-1)'s half arc beside its own
+    matrices claiming no relation (the whole circle), and a pair of d = 182
+    band windings with ARPACK margins."""
+    chain = chain_model(ChainParams(length=7, j=1.0, v=1.0), 3, -1)
+    plain = matrix_flow(chain)
+    bands = [chain_model(ChainParams(length=7, j=jv, v=jv), 4, 1) for jv in (0.0, 1.0)]
+    for models, n_grid in (([chain, plain], 64), ([plain, chain], 64), (bands, 16)):
+        alone = [repr(many_body_winding(model, 0.3j, n_grid)) for model in models]
+        assert [repr(w) for w in many_body_winding(models, 0.3j, n_grid)] == alone
+    with pytest.raises(ValueError, match="share their dimension"):
+        many_body_winding([chain, bands[0]], 0.3j, 16)
 
 
 def _count_factor_model(monkeypatch):
@@ -501,7 +571,6 @@ def test_band_winding_orders_once_and_builds_no_matrix(monkeypatch):
 
 def test_phase_tracker_labels_every_base_point():
     from pointgap.spectral import theta_grid
-    from pointgap.topology import _PhaseTracker
 
     for n_grid in (64, 256):
         grid = theta_grid(n_grid)
@@ -511,8 +580,8 @@ def test_phase_tracker_labels_every_base_point():
         def phase(theta):
             seen.append(theta)
             return float(np.angle(np.exp(1j * turns * theta)))
-        tracker = _PhaseTracker(phase)
-        total = tracker.run(grid, [float(np.angle(np.exp(1j * turns * t))) for t in grid])
+        tracker = _track(phase, grid, [float(np.angle(np.exp(1j * turns * t))) for t in grid])
+        total = tracker.total
         assert round(total / (2 * np.pi)) == turns
         # base phases are taken by position; the callback sees midpoints only
         assert seen == list(0.5 * (grid[:-1] + grid[1:]))
@@ -671,15 +740,14 @@ def test_fundamental_arc_winding_matches_full_circle(sector, couplings, ref, n_g
     where chain (3,-1)'s phases are read from its eigenvalues."""
     from pointgap import spectral
     from pointgap.spectral import blas_threads_for, stack_length, theta_grid
-    from pointgap.topology import _PhaseTracker
 
     j, v = couplings
     model = chain_model(ChainParams(length=7, j=j, v=v), *sector)
     grid = theta_grid(n_grid)
     phase = _pointwise_phase(model, ref)
     with blas_threads_for(model.dim):
-        full = _PhaseTracker(phase)
-        total = full.run(grid, [phase(theta) for theta in grid])
+        full = _track(phase, grid, [phase(theta) for theta in grid])
+        total = full.total
     assert round(total / (2.0 * np.pi)) == expected
     res = many_body_winding(model, ref, n_grid=n_grid)
     assert res.value == expected
