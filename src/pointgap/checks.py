@@ -127,17 +127,9 @@ def check_anticommutation():
             if back != s or sign * sign2 != 1:
                 return False, f"c/c† identity broken on state {s:#x} mode {i}"
             for j in range(i + 1, n_modes):
-                for op in (fock.apply_create, fock.apply_annihilate):
-                    def compose(first, second):
-                        r1 = op(s, first)
-                        if r1 is None:
-                            return None
-                        r2 = op(r1[0], second)
-                        if r2 is None:
-                            return None
-                        return r2[0], r1[1] * r2[1]
-                    ij = compose(j, i)   # op_i op_j |s>, rightmost first
-                    ji = compose(i, j)
+                for create in (True, False):
+                    ij = fock.apply_ops(s, ((i, create), (j, create)))  # op_i op_j |s>
+                    ji = fock.apply_ops(s, ((j, create), (i, create)))
                     if (ij is None) != (ji is None):
                         return False, f"asymmetric annihilation at s={s:#x} ({i},{j})"
                     if ij is not None and (ij[0] != ji[0] or ij[1] != -ji[1]):

@@ -310,7 +310,10 @@ def execute(cfg: ExperimentConfig, outdir: str, allow_heavy: bool = False) -> di
     if dim > HEAVY_DIM and not allow_heavy:
         raise ConfigError(
             f"sector dimension {dim} exceeds {HEAVY_DIM}; rerun with --allow-heavy")
-    os.makedirs(outdir, exist_ok=True)
+    try:
+        os.makedirs(outdir, exist_ok=True)
+    except OSError as exc:  # e.g. a file already at that path
+        raise ConfigError(f"cannot create output directory {outdir!r}: {exc}") from None
     lock_path = os.path.join(outdir, ".pointgap.lock")
     try:
         fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
@@ -344,7 +347,7 @@ def _cmd_run(args) -> int:
     try:
         with open(args.config) as fh:
             raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8 or not JSON
         print(f"config error: cannot read {args.config}: {exc}", file=sys.stderr)
         return 2
     try:

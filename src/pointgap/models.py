@@ -31,13 +31,12 @@ the one-fermion sector of the same term list, with both spin parities, whose
 (1, -1) and (1, +1) halves are its spin blocks (``spin_blocks``).
 This module is the only one that turns parameters into sector models, the
 dot's deformation paths (``deformation_params``) included; ``spectral`` and
-``topology`` take the models it builds.  The sector bases, each
-operator's scatter pattern on a basis (its rows, columns and fermionic
-signs) and each term list's patterns joined (``terms_to_coo``, keyed by
-the slots and operator products of its nonzero terms) are cached in this
-module, read-only, so models that differ only in their couplings, such as
-the points of a deformation path, enumerate a sector once, apply each
-operator to it once and share one joined pattern, whose signs each model
+``topology`` take the models it builds.  The sector bases and each term
+list's scatter pattern on a basis (``terms_to_coo``: the rows, columns,
+fermionic signs and slots of its nonzero terms, keyed by their slots and
+operator products) are cached in this module, read-only, so models that
+differ only in their couplings, such as the points of a deformation path,
+enumerate a sector once and share one pattern, whose signs each model
 multiplies by its coefficients.  Every cache is a module-level
 ``lru_cache``, so clearing them all starts a model cold.  A
 twist sweep builds the matrices in stacks: one dense scatter fills the
@@ -95,10 +94,23 @@ def phase_table(theta) -> np.ndarray:
 # parameters
 # ---------------------------------------------------------------------------
 
+def is_int(value) -> bool:
+    """An integer that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_finite_number(value) -> bool:
+    """A finite real number that is not a bool; an integer beyond the float
+    range, or a value that is not a number, is not one."""
+    try:
+        return not isinstance(value, bool) and math.isfinite(value)
+    except (OverflowError, TypeError):
+        return False
+
+
 def _require_finite(params, names):
     for name in names:
-        value = getattr(params, name)
-        if isinstance(value, bool) or not math.isfinite(value):
+        if not is_finite_number(getattr(params, name)):
             raise ValueError(f"{name} must be a finite number")
 
 
@@ -156,8 +168,7 @@ class ChainParams:
     def __post_init__(self):
         # 2L itinerant modes and four edge b modes in one bitset
         max_length = (MAX_MODES - 4) // 2
-        if (isinstance(self.length, bool) or not isinstance(self.length, int)
-                or not 2 <= self.length <= max_length):
+        if not is_int(self.length) or not 2 <= self.length <= max_length:
             raise ValueError(
                 f"length must be an integer in [2, {max_length}], got {self.length!r} "
                 f"(layouts above {MAX_MODES} modes are not supported)")
@@ -230,21 +241,6 @@ def chain_terms(p: ChainParams):
     return lay, terms
 
 
-# keyed by basis object and operator product; a chain sector has 2L + 8
-# operators, and at d = 6864 the pattern of one takes at most 165 KB
-@lru_cache(maxsize=512)
-def _operator_pattern(basis: SectorBasis, ops):
-    """(rows, cols, signs) of an operator product on a basis, read-only.
-
-    Columns ascend; a product that leaves the sector raises KeyError.
-    """
-    cols, out, signs = fock.apply_ops_array(basis.states, ops)
-    pattern = (basis.index_of(out), cols, signs)
-    for array in pattern:
-        array.flags.writeable = False
-    return pattern
-
-
 # keyed by basis object and the (slot, operator product) of each nonzero
 # term: the points of a deformation path share one; at d = 6864 one takes
 # about 40 bytes per entry
@@ -252,14 +248,16 @@ def _operator_pattern(basis: SectorBasis, ops):
 def _term_pattern(basis: SectorBasis, keys):
     """(rows, cols, signs, slots, term) of a term list's operator patterns
     on a basis, concatenated term by term, read-only: entry i comes from
-    term ``term[i]`` of ``keys``."""
-    parts = [_operator_pattern(basis, ops) for _, ops in keys]
+    term ``term[i]`` of ``keys``, each term's in ascending column order.  A
+    product that leaves the sector raises KeyError."""
+    parts = [fock.apply_ops_array(basis.states, ops) for _, ops in keys]
     lengths = [len(signs) for _, _, signs in parts]
 
     def joined(k, dtype):
         return np.concatenate([np.zeros(0, dtype=dtype), *(part[k] for part in parts)],
                               dtype=dtype)
-    pattern = (joined(0, np.int64), joined(1, np.int64), joined(2, float),
+    pattern = (basis.index_of(joined(1, np.uint64)), joined(0, np.int64),
+               joined(2, float),
                np.repeat(np.array([slot for slot, _ in keys], dtype=np.int64), lengths),
                np.repeat(np.arange(len(keys)), lengths))
     for array in pattern:
@@ -540,8 +538,8 @@ def chain_model(p: ChainParams, n: int, parity: int) -> SectorModel:
     return SectorModel(terms, chain_sector_basis(p, n, parity))
 
 
-# cached like the sector bases: _operator_pattern keys on the basis object,
-# so a fresh basis per model would evict the many-body patterns
+# cached like the sector bases: _term_pattern keys on the basis object, so
+# a fresh basis per model would evict the many-body patterns
 @lru_cache(maxsize=32)
 def _one_body_basis(layout: ModeLayout, frozen=()) -> SectorBasis:
     """One fermion on each mode outside the ``frozen`` constraints, in mode

@@ -7,10 +7,9 @@ panels of the project's standard output set, one preset per panel group.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
 
-from .models import DEFORM_PATHS, ChainParams, DotParams
+from .models import DEFORM_PATHS, ChainParams, DotParams, is_finite_number, is_int
 from .spectral import MIN_N_GRID
 from .topology import DEFAULT_N_GRID
 
@@ -23,17 +22,6 @@ _TOP_KEYS = {"model", "params", "sector", "task", "e_ref", "n_grid",
 
 class ConfigError(ValueError):
     """Invalid experiment configuration."""
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _is_finite_number(x) -> bool:
-    try:
-        return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
-    except OverflowError:  # an integer beyond the float range
-        return False
 
 
 @dataclass(frozen=True)
@@ -99,19 +87,19 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     sector = raw.get("sector")
     if sector is not None:
         if (not isinstance(sector, (list, tuple)) or len(sector) != 2
-                or not all(_is_int(x) for x in sector)
+                or not all(is_int(x) for x in sector)
                 or sector[1] not in (1, -1)):
             raise ConfigError("sector must be [N, P] with integer N and P = +-1")
         sector = (sector[0], sector[1])
 
     e_ref = raw.get("e_ref", 0.0)
     parts = e_ref if isinstance(e_ref, (list, tuple)) else (e_ref, 0.0)
-    if len(parts) != 2 or not all(_is_finite_number(x) for x in parts):
+    if len(parts) != 2 or not all(is_finite_number(x) for x in parts):
         raise ConfigError("e_ref must be a finite number or [re, im] of finite numbers")
     e_ref = complex(float(parts[0]), float(parts[1]))
 
     n_grid = raw.get("n_grid", DEFAULT_N_GRID)
-    if not _is_int(n_grid) or n_grid < MIN_N_GRID:
+    if not is_int(n_grid) or n_grid < MIN_N_GRID:
         raise ConfigError(f"n_grid must be an integer >= {MIN_N_GRID}")
 
     path = raw.get("path")
@@ -123,7 +111,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             raise ConfigError(f"deform needs path in {DEFORM_PATHS}")
         if n_path is None:
             n_path = 32
-        if not _is_int(n_path) or n_path < 1:
+        if not is_int(n_path) or n_path < 1:
             raise ConfigError("n_path must be a positive integer")
     elif path is not None or n_path is not None:
         raise ConfigError("path/n_path are only valid for the deform task")

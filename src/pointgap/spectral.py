@@ -357,6 +357,20 @@ def twist_orbits(model, n_grid: int, e_ref=None) -> TwistOrbits:
     return TwistOrbits(reflections, first, last, copies, source, negate, conjugate)
 
 
+def model_list(models, caller: str, noun: str):
+    """(one, models): whether ``models`` is one model rather than a list or
+    tuple of them, and the models as a list.  ValueError for an empty list
+    or models of different dimensions, naming the ``caller`` and its
+    ``noun``."""
+    one = not isinstance(models, (list, tuple))
+    models = [models] if one else list(models)
+    if not models:
+        raise ValueError(f"{caller} needs at least one model")
+    if any(model.dim != models[0].dim for model in models):
+        raise ValueError(f"the models of one {noun} must share their dimension")
+    return one, models
+
+
 def sweep_theta(models, n_grid: int):
     """Eigenvalues of a ``SectorModel`` at theta_k = 2 pi k / n_grid for
     k = 0..n_grid (inclusive), one row per point, each sorted by (real,
@@ -387,13 +401,8 @@ def sweep_theta(models, n_grid: int):
     within 9.8e-15 on chain (3,-1) and 3.2e-14 on (4,+1) at L = 7,
     J = V = 1.  A grid without reflections is solved at every point.
     """
-    one = not isinstance(models, (list, tuple))
-    models = [models] if one else list(models)
-    if not models:
-        raise ValueError("sweep_theta needs at least one model")
+    one, models = model_list(models, "sweep_theta", "sweep")
     d = models[0].dim
-    if any(model.dim != d for model in models):
-        raise ValueError("the models of one sweep must share their dimension")
     grid = theta_grid(n_grid)
     n = len(grid)
     # row i * n + k of the joined grid is model i at theta_k

@@ -89,6 +89,7 @@ from .spectral import (
     SpinSymmetryError,  # raised by spin_winding, from model.spin_blocks
     blas_threads_for,
     factor_model,
+    model_list,
     phase_from_factors,
     stack_length,
     sweep_theta,
@@ -313,14 +314,9 @@ def many_body_winding(models, e_ref: complex = 0.0,
     distance lies within ``DEGENERACY_TOL`` (relative) of it, so rounding
     does not pick among tied points.
     """
-    one = not isinstance(models, (list, tuple))
     given = models
-    models = [models] if one else list(models)
-    if not models:
-        raise ValueError("many_body_winding needs at least one model")
+    one, models = model_list(models, "many_body_winding", "winding")
     d = models[0].dim
-    if any(model.dim != d for model in models):
-        raise ValueError("the models of one winding must share their dimension")
     if d == 0:
         basis = models[0].basis
         raise ValueError(f"sector {(basis.n, basis.parity)} is empty: "

@@ -619,17 +619,46 @@ def test_main_unbuildable_sector_is_config_error(tmp_path, capsys, model, task, 
      "params": {"length": 7, "j": 0.02, "v": 0.03}},
     {"model": "dot", "task": "oracle-check", "sector": [1, -1],
      "params": {"j": 1.0, "v": 1.0}},
+    {"model": "dot", "task": "flow", "params": {"lam": 10 ** 400}},
+    {"model": "chain", "task": "flow", "n_grid": 16, "params": {"length": 7, "t": 10 ** 400}},
 ], ids=["e_ref-text", "e_ref-nan", "e_ref-beyond-float", "float-length",
         "one-body-too-long", "bool-parity", "bool-n_path", "skin-open-bc",
         "skin-periodic-bc", "removed-gauge", "removed-exchange-full",
         "removed-exchange-imag", "removed-periodic-bc", "oracle-check-beyond-n3",
-        "dot-oracle-check-sector"])
+        "dot-oracle-check-sector", "dot-lam-beyond-float", "chain-t-beyond-float"])
 def test_main_bad_config_values_exit_two(tmp_path, capsys, raw):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(raw))
     assert main(["run", str(cfg_path), "--output-dir", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith("config error:")
     assert not (tmp_path / "o").exists()  # refused before any output
+
+
+def test_main_config_not_utf8_exits_two(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_bytes(b'{"model": "dot", "task": "flow", "params": {"lam": "\xff"}}')
+    assert main(["run", str(cfg_path), "--output-dir", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and str(cfg_path) in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_main_output_dir_that_is_a_file_exits_two(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"model": "dot", "task": "flow", "n_grid": 16}))
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory")
+    assert main(["run", str(cfg_path), "--output-dir", str(taken)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and str(taken) in err
+    assert taken.read_text() == "not a directory"
+
+
+def test_every_config_task_has_a_runner():
+    from pointgap.cli import TASK_RUNNERS
+    from pointgap.presets import TASKS
+
+    assert sorted(TASK_RUNNERS) == sorted(TASKS)
 
 
 def test_main_check_subcommand(capsys, monkeypatch):

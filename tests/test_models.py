@@ -8,7 +8,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pointgap.fock import apply_ops, dot_layout, mirror_modes, permute_modes_array
+from pointgap.fock import (
+    apply_ops,
+    apply_ops_array,
+    dot_layout,
+    mirror_modes,
+    permute_modes_array,
+)
 from pointgap.models import (
     DEFORM_PATHS,
     P_ONE,
@@ -248,15 +254,13 @@ def test_term_scatter_matches_scalar_reference():
 
 def _term_by_term_coo(terms, basis):
     """terms_to_coo as it was before its patterns were cached: each nonzero
-    term's operator pattern, amplitudes ``signs * coeff``, joined."""
-    from pointgap.models import _operator_pattern
-
+    term's operator pattern on its own, amplitudes ``signs * coeff``, joined."""
     rows, cols, amps, slots = [], [], [], []
     for coeff, slot, ops in terms:
         if coeff == 0:
             continue
-        term_rows, term_cols, signs = _operator_pattern(basis, ops)
-        rows.append(term_rows)
+        term_cols, images, signs = apply_ops_array(basis.states, ops)
+        rows.append(basis.index_of(images))
         cols.append(term_cols)
         amps.append(signs * coeff)
         slots.append(np.full(len(signs), slot))
@@ -312,7 +316,6 @@ def test_clearing_the_models_caches_clears_the_term_patterns():
         if callable(clear):
             clear()
     assert models._term_pattern.cache_info().currsize == 0
-    assert models._operator_pattern.cache_info().currsize == 0
 
 
 def test_phase_table_matches_scalar_phases():
@@ -599,6 +602,13 @@ def test_param_validation():
         ChainParams(length=4, bc="periodic")  # the twisted chain at theta = 0
     with pytest.raises(ValueError):
         DotParams(lam=float("nan"))
+    # an integer beyond the float range, or a value that is not a number, is
+    # refused by name like a non-finite float
+    for value in (10 ** 400, "1.0", None):
+        with pytest.raises(ValueError, match="lam must be a finite number"):
+            DotParams(lam=value)
+    with pytest.raises(ValueError, match="t must be a finite number"):
+        ChainParams(length=4, t=-10 ** 400)
 
 
 def test_edge_convention_coefficients():

@@ -405,6 +405,11 @@ def test_list_winding_of_models_with_different_arcs(matrix_flow):
         assert [repr(w) for w in many_body_winding(models, 0.3j, n_grid)] == alone
     with pytest.raises(ValueError, match="share their dimension"):
         many_body_winding([chain, bands[0]], 0.3j, 16)
+    with pytest.raises(ValueError, match="many_body_winding needs at least one model"):
+        many_body_winding([], 0.3j, 16)
+    with pytest.raises(ValueError, match="2 spectra for 3 models"):
+        many_body_winding([chain] * 3, 0.3j, 16,
+                          spectra=[np.zeros((17, chain.dim), dtype=complex)] * 2)
 
 
 def _count_factor_model(monkeypatch):
